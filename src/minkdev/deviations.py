@@ -55,16 +55,19 @@ class DeviationFunctional:
     ``homogeneity_degree`` is the exponent ``d`` with
     ``D(lam x) = lam^d D(x)`` when one exists (2 for variance, 1 for the
     positively homogeneous measures, None when unknown); sub-level-set
-    constructions use it to justify star-shapedness.
+    constructions use it to justify star-shapedness.  ``rowwise`` declares
+    that ``eval_fn`` works over the last axis, so ``eval`` also accepts a
+    ``(B, n)`` batch and returns one value per row.
     """
 
     label: str
     eval_fn: Callable[[MarketSpace, np.ndarray], float]
     axioms: AxiomFlags
     homogeneity_degree: float | None = 1.0
+    rowwise: bool = False
 
-    def eval(self, space: MarketSpace, x) -> float:
-        return float(self.eval_fn(space, np.asarray(x, dtype=float)))
+    def eval(self, space: MarketSpace, x):
+        return _evaluate(self, space, x)
 
 
 @dataclass(frozen=True)
@@ -75,64 +78,95 @@ class ErrorFunctional:
     eval_fn: Callable[[MarketSpace, np.ndarray], float]
     axioms: AxiomFlags
     homogeneity_degree: float | None = 1.0
+    rowwise: bool = False
 
-    def eval(self, space: MarketSpace, x) -> float:
-        return float(self.eval_fn(space, np.asarray(x, dtype=float)))
+    def eval(self, space: MarketSpace, x):
+        return _evaluate(self, space, x)
+
+
+def _evaluate(functional, space: MarketSpace, x):
+    """A float for one position; a ``(B,)`` array for a batch of rows."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 and not functional.rowwise:
+        raise MeasureError(f"{functional.label} evaluates one position at a time")
+    return market.float_or_rows(functional.eval_fn(space, x))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _variance(space: MarketSpace, x: np.ndarray) -> float:
-    centred = x - space.probs @ x
-    return float(space.probs @ (centred * centred))
+# Each closed form works over the last axis: one position ``(n,)`` or a
+# batch ``(B, n)``, one value per row.
+
+def _dot(x: np.ndarray, w: np.ndarray):
+    """``sum_i x_i w_i`` over the last axis of ``x``.
+
+    ``np.vecdot`` adds each row of a batch in the same order as the 1-d dot
+    product, so a batch row equals the value of the same position alone,
+    bit for bit; the 1-d product is kept for single positions because it
+    is faster.
+    """
+    return x @ w if x.ndim == 1 else np.vecdot(x, w)
 
 
-def _std_dev(space: MarketSpace, x: np.ndarray) -> float:
-    return math.sqrt(_variance(space, x))
+def _centred(space: MarketSpace, x: np.ndarray) -> np.ndarray:
+    """``x - E[x]``, row by row."""
+    mean = _dot(x, space.probs)
+    return x - (mean if x.ndim == 1 else mean[:, None])
 
 
-def _lower_semidev(space: MarketSpace, x: np.ndarray) -> float:
-    mean = space.probs @ x
-    neg = np.maximum(mean - x, 0.0)
-    return math.sqrt(float(space.probs @ (neg * neg)))
+def _variance(space: MarketSpace, x: np.ndarray):
+    centred = _centred(space, x)
+    return _dot(centred * centred, space.probs)
 
 
-def _lower_range(space: MarketSpace, x: np.ndarray) -> float:
-    return float(space.probs @ x - np.min(x))
+def _std_dev(space: MarketSpace, x: np.ndarray):
+    return np.sqrt(_variance(space, x))
 
 
-def _upper_range(space: MarketSpace, x: np.ndarray) -> float:
-    return float(np.max(x) - space.probs @ x)
+def _lower_semidev(space: MarketSpace, x: np.ndarray):
+    neg = np.maximum(-_centred(space, x), 0.0)
+    return np.sqrt(_dot(neg * neg, space.probs))
 
 
-def _full_range(space: MarketSpace, x: np.ndarray) -> float:
-    return float(np.max(x) - np.min(x))
+def _lower_range(space: MarketSpace, x: np.ndarray):
+    return _dot(x, space.probs) - x.min(axis=-1)
 
 
-def expected_shortfall(space: MarketSpace, x: np.ndarray, alpha: float) -> float:
+def _upper_range(space: MarketSpace, x: np.ndarray):
+    return x.max(axis=-1) - _dot(x, space.probs)
+
+
+def _full_range(space: MarketSpace, x: np.ndarray):
+    return x.max(axis=-1) - x.min(axis=-1)
+
+
+def expected_shortfall(space: MarketSpace, x: np.ndarray, alpha: float):
     """``ES_alpha(x) = -(1/alpha) * integral_0^alpha F_x^{-1}(t) dt``.
 
     ``alpha = 0`` is read as the limit ``-ess inf x``; ``alpha = 1`` gives
     ``-E[x]``.  The integral is evaluated exactly on the step quantile.
+    A ``(B, n)`` batch gives one value per row.
     """
     if not 0.0 <= alpha <= 1.0:
         raise MeasureError(f"shortfall level must lie in [0, 1], got {alpha}")
+    x = np.asarray(x, dtype=float)
     if alpha == 0.0:
-        return -float(np.min(x))
+        return market.float_or_rows(-x.min(axis=-1))
     values, cum = market.sorted_distribution(space, x)
     # Exact step integral: each atom contributes its value times the overlap
     # of its cumulative segment with (0, alpha].
-    seg = np.diff(np.minimum(cum, alpha), prepend=0.0)
-    total = float(values @ np.maximum(seg, 0.0))
-    return -total / alpha
+    capped = np.minimum(cum, alpha)
+    seg = capped.copy()
+    seg[..., 1:] -= capped[..., :-1]
+    total = _dot(values, np.maximum(seg, 0.0))
+    return market.float_or_rows(-total / alpha)
 
 
-def shortfall_deviation(space: MarketSpace, x: np.ndarray, alpha: float) -> float:
+def shortfall_deviation(space: MarketSpace, x: np.ndarray, alpha: float):
     """``ESD_alpha(x) = ES_alpha(x - E[x])``; ``alpha = 0`` is the lower range."""
-    centred = x - space.probs @ x
-    return expected_shortfall(space, centred, alpha)
+    return expected_shortfall(space, _centred(space, np.asarray(x, dtype=float)), alpha)
 
 
 _SUBLINEAR = AxiomFlags(
@@ -160,32 +194,37 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
             eval_fn=_variance,
             axioms=replace(_SUBLINEAR, positive_homogeneous=False),
             homogeneity_degree=2.0,
+            rowwise=True,
         )
     if name == "std_dev":
-        return DeviationFunctional(label="std_dev", eval_fn=_std_dev, axioms=_SUBLINEAR)
+        return DeviationFunctional(label="std_dev", eval_fn=_std_dev, axioms=_SUBLINEAR, rowwise=True)
     if name == "lower_semidev":
         return DeviationFunctional(
             label="lower_semidev",
             eval_fn=_lower_semidev,
             axioms=replace(_SUBLINEAR, lower_range_dominated=True),
+            rowwise=True,
         )
     if name == "lr":
         return DeviationFunctional(
             label="lr",
             eval_fn=_lower_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
+            rowwise=True,
         )
     if name == "ur":
         return DeviationFunctional(
             label="ur",
             eval_fn=_upper_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True),
+            rowwise=True,
         )
     if name == "frd":
         return DeviationFunctional(
             label="frd",
             eval_fn=_full_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True),
+            rowwise=True,
         )
     if name == "es":
         if alpha is None:
@@ -203,6 +242,7 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
                 law_invariant=True,
                 lower_range_dominated=False,
             ),
+            rowwise=True,
         )
     if name == "esd":
         if alpha is None:
@@ -212,6 +252,7 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
             label=f"esd({a:g})",
             eval_fn=lambda space, x: shortfall_deviation(space, x, a),
             axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
+            rowwise=True,
         )
     raise MeasureError(f"unknown deviation measure {name!r}")
 
@@ -235,6 +276,7 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             label=f"lp_norm({pp:g})",
             eval_fn=lambda space, x: market.lp_norm(space, x, pp),
             axioms=nonneg_convex,
+            rowwise=True,
         )
     if name == "kb":
         if alpha is None:
@@ -244,17 +286,18 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             raise MeasureError(f"kb level must lie in (0, 1), got {alpha}")
         ratio = (1.0 - a) / a
 
-        def kb(space: MarketSpace, x: np.ndarray) -> float:
+        def kb(space: MarketSpace, x: np.ndarray):
             pos = np.maximum(x, 0.0)
             neg = np.maximum(-x, 0.0)
-            return float(space.probs @ (ratio * neg + pos))
+            return _dot(ratio * neg + pos, space.probs)
 
-        return ErrorFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex)
+        return ErrorFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex, rowwise=True)
     if name == "sup_range":
         return ErrorFunctional(
             label="sup_range",
-            eval_fn=lambda space, x: 2.0 * float(np.max(np.abs(x))),
+            eval_fn=lambda space, x: 2.0 * np.abs(x).max(axis=-1),
             axioms=nonneg_convex,
+            rowwise=True,
         )
     raise MeasureError(f"unknown error measure {name!r}")
 

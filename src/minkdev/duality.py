@@ -84,20 +84,22 @@ class Polytope:
 
     # -- membership ---------------------------------------------------------
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = 1e-9):
         """Membership up to a tolerance scaled by the query's magnitude.
 
         The relative scaling matters for gauge queries: vertices at the
         origin put facets through 0, and a fixed absolute slack would admit
         every sufficiently shrunken point, silently turning infinite gauges
-        into huge finite ones.
+        into huge finite ones.  In halfspace form a ``(B, n)`` batch gives a
+        ``(B,)`` bool array, each row with its own relative slack.
         """
         x = np.asarray(x, dtype=float)
-        slack = 1e-13 + tol * float(np.max(np.abs(x), initial=0.0))
+        slack = 1e-13 + tol * np.max(np.abs(x), axis=-1, initial=0.0)
         if self.rows is not None:
-            lhs = (self.rows * self.space.probs) @ x
-            return bool(np.all(lhs <= self.rhs + slack))
-        return self._hull_contains(x, slack)
+            lhs = x @ (self.rows * self.space.probs).T
+            inside = np.all(lhs <= self.rhs + slack[..., None], axis=-1)
+            return inside if x.ndim > 1 else bool(inside)
+        return self._hull_contains(x, float(slack))
 
     def _hull_contains(self, x: np.ndarray, slack: float) -> bool:
         facets = self._hull_facets()
@@ -138,7 +140,8 @@ class Polytope:
         return enumerate_vertices(self.space, self.rows, self.rhs)
 
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
-        """View the polytope as a (closed convex) acceptance set."""
+        """View the polytope as a (closed convex) acceptance set; row-wise in
+        halfspace form."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -150,7 +153,7 @@ class Polytope:
             contains_zero=contains_zero,
         )
         return AcceptanceSet(space=self.space, membership=lambda x: self.contains(x),
-                             flags=flags, label=label or "polytope")
+                             flags=flags, label=label or "polytope", rowwise=self.rows is not None)
 
 
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import MarketSpace
+from .market import MarketSpace, as_position
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -29,7 +29,9 @@ class GaugeError(RuntimeError):
 class OracleBudgetError(GaugeError):
     """Raised when the membership-oracle budget is exhausted.
 
-    Carries the best bracket known at the point of failure.
+    Carries the best bracket known at the point of failure: ``(0, inf)``
+    before any scale has been asked, then the bracket the ray search has
+    narrowed it to.
     """
 
     def __init__(self, message: str, bracket: tuple[float, float]):
@@ -73,18 +75,40 @@ class GaugeResult:
 
 
 class _Oracle:
-    """Counts membership calls against a budget."""
+    """Counts membership calls against a budget and keeps the live bracket
+    ``[lo, hi]`` of the ray search."""
 
     def __init__(self, A: AcceptanceSet, opts: GaugeOptions):
         self._member = A.membership
         self._budget = opts.max_oracle_calls
         self.calls = 0
+        self.bracket = [0.0, math.inf]
 
     def __call__(self, z: np.ndarray) -> bool:
         if self.calls >= self._budget:
             raise _BudgetSignal()
         self.calls += 1
         return bool(self._member(z))
+
+    def ray(self, x: np.ndarray, cogauge: bool = False):
+        """Membership of ``x / m`` as a function of the scale ``m``.
+
+        Each answer moves one end of the bracket to ``m``: for the gauge a
+        member moves the upper end and a non-member the lower one; the
+        cogauge mirrors this.  The searches only ask scales inside the
+        current bracket, so it narrows as theirs does.
+        """
+        bracket = self.bracket
+
+        def member(m: float) -> bool:
+            hit = self(x / m)
+            bracket[hit != cogauge] = m
+            return hit
+        return member
+
+    def exhausted(self, opts: GaugeOptions) -> OracleBudgetError:
+        return OracleBudgetError(f"oracle budget of {opts.max_oracle_calls} calls exhausted",
+                                 bracket=tuple(self.bracket))
 
 
 class _BudgetSignal(Exception):
@@ -96,15 +120,16 @@ def _tolerance(opts: GaugeOptions, scale: float) -> float:
 
 
 def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
-    """Compute ``inf { m > 0 : x / m in A }``."""
-    x = np.asarray(x, dtype=float)
+    """Compute ``inf { m > 0 : x / m in A }``.
+
+    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
+    """
+    x = as_position(A.space, x)
     oracle = _Oracle(A, opts)
     try:
         return _gauge_impl(A, x, opts, oracle)
     except _BudgetSignal:
-        raise OracleBudgetError(
-            f"oracle budget of {opts.max_oracle_calls} calls exhausted", bracket=(opts.m_min, opts.m_cap)
-        ) from None
+        raise oracle.exhausted(opts) from None
 
 
 def _finish(A: AcceptanceSet, x: np.ndarray, value: float, bracket, oracle, approximate=False) -> GaugeResult:
@@ -126,7 +151,7 @@ def _gauge_impl(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Or
         return GaugeResult(value=value, bracket=(0.0, 0.0) if hit else (math.inf, math.inf),
                            attained="yes" if hit else "no", oracle_calls=oracle.calls)
 
-    member = lambda m: oracle(x / m)
+    member = oracle.ray(x)
 
     if A.flags.star_shaped is not True:
         return _grid_gauge(A, x, opts, oracle)
@@ -174,7 +199,7 @@ def _grid_gauge(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Or
     decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
     count = max(2, int(opts.ray_grid * decades))
     grid = np.geomspace(opts.m_min, opts.m_cap, count)
-    member = lambda m: oracle(x / m)
+    member = oracle.ray(x)
     hit_idx = None
     for i, m in enumerate(grid):
         if member(float(m)):
@@ -194,15 +219,14 @@ def cogauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeR
     The mirror-image search assumes membership along the scale ray is a
     single interval (true for star-shaped sets and their complements); the
     grid fallback handles undeclared structure approximately.
+    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
-    x = np.asarray(x, dtype=float)
+    x = as_position(A.space, x)
     oracle = _Oracle(A, opts)
     try:
         return _cogauge_impl(A, x, opts, oracle)
     except _BudgetSignal:
-        raise OracleBudgetError(
-            f"oracle budget of {opts.max_oracle_calls} calls exhausted", bracket=(opts.m_min, opts.m_cap)
-        ) from None
+        raise oracle.exhausted(opts) from None
 
 
 def _cogauge_impl(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Oracle) -> GaugeResult:
@@ -212,7 +236,7 @@ def _cogauge_impl(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _
         return GaugeResult(value=value, bracket=(math.inf, math.inf) if hit else (0.0, 0.0),
                            attained="yes" if hit else "no", oracle_calls=oracle.calls)
 
-    member = lambda m: oracle(x / m)
+    member = oracle.ray(x, cogauge=True)
 
     if A.flags.star_shaped is None and A.flags.convex is not True:
         return _grid_cogauge(A, x, opts, oracle)
@@ -253,7 +277,7 @@ def _grid_cogauge(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _
     decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
     count = max(2, int(opts.ray_grid * decades))
     grid = np.geomspace(opts.m_min, opts.m_cap, count)
-    member = lambda m: oracle(x / m)
+    member = oracle.ray(x, cogauge=True)
     hit_idx = None
     for i in range(count - 1, -1, -1):
         if member(float(grid[i])):
@@ -341,8 +365,9 @@ def shift_infimum_gauge(
     golden refinement around the best cell.  Deterministic candidate shifts
     (entries, mean, median, midrange) are always probed as well, since they
     are exact minimisers for the quadratic and piecewise-linear families.
+    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
-    x = np.asarray(x, dtype=float)
+    x = as_position(A.space, x)
     lo_x, hi_x = float(np.min(x)), float(np.max(x))
     pad = max(1.0, hi_x - lo_x)
     lo_c, hi_c = lo_x - pad, hi_x + pad

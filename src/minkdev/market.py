@@ -75,7 +75,7 @@ def as_position(space: MarketSpace, values) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size != space.n:
         raise MarketError(f"position must have {space.n} entries, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise MarketError("position entries must be finite")
     return x
 
@@ -97,13 +97,19 @@ def ess_sup(x: np.ndarray) -> float:
     return float(np.max(x))
 
 
-def lp_norm(space: MarketSpace, x: np.ndarray, p: float) -> float:
-    """Probability-weighted L^p norm, ``p in [1, inf]``."""
+def float_or_rows(v):
+    """A value computed over the last axis: a float for one position, the
+    ``(B,)`` array itself for a ``(B, n)`` batch."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
+    """Probability-weighted L^p norm over the last axis, ``p in [1, inf]``."""
     if p == math.inf:
-        return float(np.max(np.abs(x)))
+        return float_or_rows(np.max(np.abs(x), axis=-1))
     if p < 1:
         raise MarketError(f"lp_norm requires p >= 1, got {p}")
-    return float(np.sum(space.probs * np.abs(x) ** p) ** (1.0 / p))
+    return float_or_rows(np.sum(space.probs * np.abs(x) ** p, axis=-1) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,14 @@ def statistics(space: MarketSpace, x: np.ndarray) -> PositionStats:
 def sorted_distribution(space: MarketSpace, x: np.ndarray):
     """Return ``(values, cumprobs)`` of the law of ``x``, values ascending.
 
+    Works over the last axis, so a ``(B, n)`` batch gives one law per row.
     Duplicate values are not merged; cumulative probabilities are exact
     partial sums, ending at 1 (up to float round-off).
     """
-    order = np.argsort(np.asarray(x, float), kind="stable")
-    values = np.asarray(x, float)[order]
-    cum = np.cumsum(space.probs[order])
+    x = np.asarray(x, float)
+    order = np.argsort(x, axis=-1, kind="stable")
+    values = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
+    cum = np.cumsum(space.probs[order], axis=-1)
     return values, cum
 
 

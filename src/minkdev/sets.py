@@ -11,6 +11,23 @@ declarations.
 Set constructors cover sub-level sets of functionals, scalar scaling,
 unions/intersections, the Minkowski sum with the constants line
 (``add_constants``), star hulls, and law-invariant hulls on uniform spaces.
+
+Row-wise oracles.  ``membership(x)`` answers one position of shape
+``(n,)`` with a bool.  A set whose constructor declares ``rowwise=True``
+also answers a ``(B, n)`` batch with a ``(B,)`` bool array in one call;
+the leaves (sub-level sets of the builtin measures, balls, halfspace
+polytopes) do, and ``scale_set`` and ``combine`` do when their operands
+do.  ``AcceptanceSet.contains_rows`` answers a batch for every set: it
+passes the batch to a row-wise oracle and loops over the rows otherwise
+(the loop adapter, which serves user-built scalar-only oracles).  The
+composites that fan one query out to many inner positions —
+``add_constants``, ``star_hull`` and ``law_invariant_hull`` — answer each
+query with one batch to their inner set (two for ``add_constants``: the
+candidate shifts, then the shift grid only if no candidate is a member).
+They are themselves scalar-only, so a composite nested inside one of them
+is reached through the loop adapter and no batch grows beyond one
+fan-out.  The gauge solvers in :mod:`minkdev.gauge` only ever ask single
+positions.
 """
 
 from __future__ import annotations
@@ -18,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -58,19 +75,37 @@ def _and3(a: bool | None, b: bool | None) -> bool | None:
 
 @dataclass(frozen=True, eq=False)
 class AcceptanceSet:
-    """A membership oracle over positions of one market space."""
+    """A membership oracle over positions of one market space.
+
+    ``rowwise`` declares that ``membership`` also maps a ``(B, n)`` batch
+    to a ``(B,)`` bool array (see the module docstring).
+    """
 
     space: MarketSpace
     membership: Callable[[np.ndarray], bool]
     flags: SetFlags = field(default_factory=SetFlags)
     exact_form: "Polytope | None" = None
     label: str = ""
+    rowwise: bool = False
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.space.n,):
             raise SetError(f"position has shape {x.shape}, space has {self.space.n} outcomes")
         return bool(self.membership(x))
+
+    def contains_rows(self, X) -> np.ndarray:
+        """Membership of every row of a ``(B, n)`` batch, as a ``(B,)`` bool array.
+
+        A row-wise oracle answers the batch in one call; a scalar-only one
+        is called once per row, for every row.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.space.n:
+            raise SetError(f"batch has shape {X.shape}, expected (B, {self.space.n})")
+        if self.rowwise:
+            return np.asarray(self.membership(X), dtype=bool)
+        return np.fromiter(map(self.membership, X), dtype=bool, count=len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +121,18 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
     (any positive degree) gives star-shapedness, translation insensitivity
     gives stability under scalar addition, nonnegativity of the functional
     gives radial boundedness at non-constants and ``0`` membership.
-    Non-finite functional values are treated as non-membership.
+    Non-finite functional values are treated as non-membership.  The set is
+    row-wise when the functional declares ``rowwise``; membership is always
+    decided by evaluating the functional.
     """
     if not (k > 0.0) or not math.isfinite(k):
         raise SetError(f"sub-level threshold must be finite and positive, got {k}")
     ax = functional.axioms
     degree = getattr(functional, "homogeneity_degree", None)
 
-    def member(x: np.ndarray) -> bool:
+    def member(x: np.ndarray):
         v = functional.eval(space, x)
-        return math.isfinite(v) and v <= k
+        return (v > -math.inf) & (v <= k)  # finite and at most k; NaN compares false
 
     flags = SetFlags(
         star_shaped=True if (ax.nonnegative and degree is not None and degree > 0) else None,
@@ -111,6 +148,7 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
         membership=member,
         flags=flags,
         label=label or f"sublevel({getattr(functional, 'label', 'D')}, {k:g})",
+        rowwise=getattr(functional, "rowwise", False),
     )
 
 
@@ -119,12 +157,12 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
     if not (lam > 0.0) or not math.isfinite(lam):
         raise SetError(f"scaling factor must be finite and positive, got {lam}")
     inner = A.membership
-    flags = replace(A.flags, stable_scalar_add=None if A.flags.stable_scalar_add is None else A.flags.stable_scalar_add)
     return AcceptanceSet(
         space=A.space,
         membership=lambda x: inner(x / lam),
-        flags=flags,
+        flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
+        rowwise=A.rowwise,
     )
 
 
@@ -133,6 +171,8 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
 
     Intersections of convex sets stay convex; unions of star-shaped sets
     stay star-shaped but convexity may be lost, so it degrades to unknown.
+    The second operand is only asked about positions the first leaves
+    undecided, one at a time or as the undecided rows of a batch.
     """
     if A.space is not B.space and not np.array_equal(A.space.probs, B.space.probs):
         raise SetError("combine requires sets over the same market space")
@@ -148,7 +188,7 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             law_invariant=_and3(fa.law_invariant, fb.law_invariant),
             contains_zero=True if (fa.contains_zero is True or fb.contains_zero is True) else _and3(fa.contains_zero, fb.contains_zero),
         )
-        member = lambda x: ma(x) or mb(x)
+        union = True
         tag = "|"
     elif op == "intersection":
         flags = SetFlags(
@@ -162,15 +202,26 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             law_invariant=_and3(fa.law_invariant, fb.law_invariant),
             contains_zero=_and3(fa.contains_zero, fb.contains_zero),
         )
-        member = lambda x: ma(x) and mb(x)
+        union = False
         tag = "&"
     else:
         raise SetError(f"unknown combine op {op!r}")
+
+    def member(x: np.ndarray):
+        if x.ndim == 1:
+            return (ma(x) or mb(x)) if union else (ma(x) and mb(x))
+        out = np.array(ma(x), dtype=bool)
+        open_rows = ~out if union else out  # rows the second operand decides
+        if open_rows.any():
+            out[open_rows] = mb(x[open_rows])
+        return out
+
     return AcceptanceSet(
         space=A.space,
         membership=member,
         flags=flags,
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
+        rowwise=A.rowwise and B.rowwise,
     )
 
 
@@ -192,26 +243,27 @@ class ShiftSearchConfig:
 
 
 def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> AcceptanceSet:
-    """The Minkowski sum ``A + R`` of a set with the constants line."""
+    """The Minkowski sum ``A + R`` of a set with the constants line.
+
+    One query asks ``A`` about all candidate shifts in one batch, and about
+    the shift grid in a second batch only when no candidate is a member.
+    """
     config = config or ShiftSearchConfig()
-    inner = A.membership
     space = A.space
-    probs = space.probs
+
+    def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
+        shifts = shifts[np.abs(shifts) <= config.c_max]
+        return shifts.size > 0 and bool(A.contains_rows(x - shifts[:, None]).any())
 
     def member(x: np.ndarray) -> bool:
         lo, hi = float(np.min(x)), float(np.max(x))
         mid = 0.5 * (lo + hi)
-        cands = [mid, float(probs @ x), float(np.median(x))]
-        cands.extend(float(v) for v in x)
-        for c in cands:
-            if abs(c) <= config.c_max and inner(x - c):
-                return True
+        cands = np.concatenate(([mid, market.expectation(space, x), float(np.median(x))], x))
+        if any_member(x, cands):
+            return True
         radius = config.c_radius if config.c_radius is not None else max(1.0, 2.0 * (hi - lo))
         radius = min(radius, config.c_max)
-        for c in np.linspace(mid - radius, mid + radius, config.grid_points):
-            if abs(c) <= config.c_max and inner(x - float(c)):
-                return True
-        return False
+        return any_member(x, np.linspace(mid - radius, mid + radius, config.grid_points))
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped if A.flags.star_shaped is True else None,
@@ -235,18 +287,18 @@ def star_hull(A: AcceptanceSet, resolution: int = 256, lam_min: float = 1e-6) ->
 
     Membership of ``z != 0`` holds iff some ``lam in (0, 1]`` has
     ``z / lam in A``; the search scans a geometric grid of ``resolution``
-    points on ``[lam_min, 1]``.  Membership of ``0`` falls back to
-    ``0 in A``.
+    points on ``[lam_min, 1]``, asked of ``A`` as one batch.  Membership of
+    ``0`` falls back to ``0 in A``.
     """
     if resolution < 2:
         raise SetError(f"star hull resolution must be at least 2, got {resolution}")
     inner = A.membership
-    grid = np.geomspace(lam_min, 1.0, resolution)[::-1]
+    grid = np.geomspace(lam_min, 1.0, resolution)[:, None]
 
     def member(z: np.ndarray) -> bool:
         if not np.any(z):
             return inner(z)
-        return any(inner(z / float(lam)) for lam in grid)
+        return bool(A.contains_rows(z / grid).any())
 
     flags = SetFlags(
         star_shaped=True,
@@ -270,7 +322,8 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
 
     A position belongs iff every outcome permutation of it belongs to ``A``.
     Requires uniform probabilities (permutations preserve the law only then)
-    and a small outcome count so the full orbit can be enumerated.
+    and a small outcome count so the full orbit can be enumerated; the orbit
+    is asked of ``A`` as one ``(n!, n)`` batch.
     """
     space = A.space
     if not space.is_uniform(tol=1e-12):
@@ -280,11 +333,10 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
             f"law-invariant hull enumerates n! permutations; n={space.n} exceeds "
             f"the cap of {market.MAX_PERMUTATION_OUTCOMES}"
         )
-    inner = A.membership
-    perms = [np.asarray(p, dtype=int) for p in itertools.permutations(range(space.n))]
+    perms = np.array(list(itertools.permutations(range(space.n))), dtype=int)
 
     def member(x: np.ndarray) -> bool:
-        return all(inner(x[p]) for p in perms)
+        return bool(A.contains_rows(x[perms]).all())
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped,
@@ -310,7 +362,7 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
     c = np.zeros(space.n) if center is None else market.as_position(space, center)
     centered_at_zero = not np.any(c)
 
-    def member(x: np.ndarray) -> bool:
+    def member(x: np.ndarray):
         return market.lp_norm(space, x - c, p) <= radius
 
     flags = SetFlags(
@@ -323,7 +375,7 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
         contains_zero=bool(market.lp_norm(space, -c, p) <= radius),
     )
     return AcceptanceSet(space=space, membership=member, flags=flags,
-                         label=label or f"ball(p={p:g}, r={radius:g})")
+                         label=label or f"ball(p={p:g}, r={radius:g})", rowwise=True)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +540,8 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
                 continue
             lam = rng.uniform(0.0, 1.0)
             shift = rng.uniform(-1.0, 1.0)
-            y = shift + expectation_center(A.space, x) + lam * (x - expectation_center(A.space, x))
+            mean = market.expectation(A.space, x)
+            y = shift + mean + lam * (x - mean)
             if not market.dispersive_leq(A.space, y, x):
                 continue
             if not A.membership(y):
@@ -497,10 +550,6 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
         raise SetError(f"unknown property {prop!r}; known: {PROPERTY_NAMES}")
 
     return PropertyReport(property=prop, passed=True, trials=config.trials)
-
-
-def expectation_center(space: MarketSpace, x: np.ndarray) -> float:
-    return float(space.probs @ x)
 
 
 def audit_flags(A: AcceptanceSet, config: SamplerConfig | None = None) -> list[PropertyReport]:

@@ -16,7 +16,7 @@ from minkdev.gauge import (
     minkowski_gauge,
     shift_infimum_gauge,
 )
-from minkdev.market import MarketSpace
+from minkdev.market import MarketError, MarketSpace
 from minkdev.sets import AcceptanceSet, SetFlags, add_constants, ball_set, sublevel_set
 
 BINARY = MarketSpace(np.array([0.25, 0.75]))
@@ -94,6 +94,50 @@ def test_oracle_budget_raises_with_bracket():
     with pytest.raises(OracleBudgetError) as exc:
         minkowski_gauge(A, np.array([3.0, 1.0, -2.0]), GaugeOptions(max_oracle_calls=5))
     assert exc.value.bracket[0] < exc.value.bracket[1]
+
+
+@pytest.mark.parametrize("budget", [6, 12, 30])
+def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget):
+    A = ball_set(UNIFORM3, p=2.0, radius=1.0)
+    x = np.array([3.0, 1.0, -2.0])
+    want = math.sqrt(float(UNIFORM3.probs @ (x * x)))
+    opts = GaugeOptions(max_oracle_calls=budget)
+    with pytest.raises(OracleBudgetError) as exc:
+        minkowski_gauge(A, x, opts)
+    lo, hi = exc.value.bracket
+    assert opts.m_min < lo <= want <= hi < opts.m_cap
+    assert hi - lo <= 1.0
+
+
+def test_cogauge_budget_bracket_contains_the_cogauge():
+    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
+    complement = AcceptanceSet(space=UNIFORM3, membership=lambda x: not ball.membership(x),
+                               flags=SetFlags(star_shaped=False, closed=False))
+    x = np.array([3.0, 1.0, -2.0])
+    want = minkowski_gauge(ball, x, TIGHT).value
+    opts = GaugeOptions(max_oracle_calls=12)
+    with pytest.raises(OracleBudgetError) as exc:
+        cogauge(complement, x, opts)
+    lo, hi = exc.value.bracket
+    assert opts.m_min < lo <= want <= hi < opts.m_cap
+
+
+BAD_POSITIONS = {
+    "nan": [math.nan, 1.0, 2.0, 3.0],
+    "inf": [1.0, math.inf, 2.0, 3.0],
+    "short": [1.0, 2.0, 3.0],
+    "long": [1.0, 2.0, 3.0, 4.0, 5.0],
+    "matrix": [[1.0, 2.0, 3.0, 4.0]],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_POSITIONS), ids=list(BAD_POSITIONS))
+@pytest.mark.parametrize("solver", [minkowski_gauge, cogauge, shift_infimum_gauge],
+                         ids=["gauge", "cogauge", "shift_infimum"])
+def test_solvers_reject_invalid_positions(solver, bad):
+    A = ball_set(SPACE4, p=2.0, radius=1.0)
+    with pytest.raises(MarketError):
+        solver(A, BAD_POSITIONS[bad])
 
 
 def test_grid_fallback_marks_approximate():
