@@ -102,18 +102,15 @@ def _evaluate(functional, space: MarketSpace, x):
 def _dot(x: np.ndarray, w: np.ndarray):
     """``sum_i x_i w_i`` over the last axis of ``x``.
 
-    ``np.vecdot`` adds each row of a batch in the same order as the 1-d dot
-    product, so a batch row equals the value of the same position alone,
-    bit for bit; the 1-d product is kept for single positions because it
-    is faster.
+    ``np.vecdot`` adds each row in the order of the 1-d dot product, so a
+    batch row equals the value of the same position alone, bit for bit.
     """
-    return x @ w if x.ndim == 1 else np.vecdot(x, w)
+    return np.vecdot(x, w)
 
 
 def _centred(space: MarketSpace, x: np.ndarray) -> np.ndarray:
     """``x - E[x]``, row by row."""
-    mean = _dot(x, space.probs)
-    return x - (mean if x.ndim == 1 else mean[:, None])
+    return x - _dot(x, space.probs)[..., None]
 
 
 def _variance(space: MarketSpace, x: np.ndarray):
@@ -157,6 +154,8 @@ def expected_shortfall(space: MarketSpace, x: np.ndarray, alpha: float):
     values, cum = market.sorted_distribution(space, x)
     # Exact step integral: each atom contributes its value times the overlap
     # of its cumulative segment with (0, alpha].
+    # np.diff(capped, prepend=0.0) gives the same segments, but its
+    # concatenation makes it about 5x slower on a handful of outcomes.
     capped = np.minimum(cum, alpha)
     seg = capped.copy()
     seg[..., 1:] -= capped[..., :-1]

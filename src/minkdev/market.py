@@ -109,7 +109,9 @@ def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
         return float_or_rows(np.max(np.abs(x), axis=-1))
     if p < 1:
         raise MarketError(f"lp_norm requires p >= 1, got {p}")
-    return float_or_rows(np.sum(space.probs * np.abs(x) ** p, axis=-1) ** (1.0 / p))
+    # np.power takes the root by the same route for one position and for a
+    # batch; the scalar ``**`` of a numpy float may differ in the last bit.
+    return float_or_rows(np.power(np.sum(space.probs * np.abs(x) ** p, axis=-1), 1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,9 @@ def sorted_distribution(space: MarketSpace, x: np.ndarray):
     """
     x = np.asarray(x, float)
     order = np.argsort(x, axis=-1, kind="stable")
-    values = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
+    # a stable sort gives the values in ``order``; it is cheaper than
+    # gathering them with np.take_along_axis, alone or in a batch
+    values = np.sort(x, axis=-1, kind="stable")
     cum = np.cumsum(space.probs[order], axis=-1)
     return values, cum
 

@@ -17,17 +17,18 @@ Row-wise oracles.  ``membership(x)`` answers one position of shape
 also answers a ``(B, n)`` batch with a ``(B,)`` bool array in one call;
 the leaves (sub-level sets of the builtin measures, balls, halfspace
 polytopes) do, and ``scale_set`` and ``combine`` do when their operands
-do.  ``AcceptanceSet.contains_rows`` answers a batch for every set: it
-passes the batch to a row-wise oracle and loops over the rows otherwise
-(the loop adapter, which serves user-built scalar-only oracles).  The
-composites that fan one query out to many inner positions —
-``add_constants``, ``star_hull`` and ``law_invariant_hull`` — answer each
-query with one batch to their inner set (two for ``add_constants``: the
-candidate shifts, then the shift grid only if no candidate is a member).
-They are themselves scalar-only, so a composite nested inside one of them
-is reached through the loop adapter and no batch grows beyond one
-fan-out.  The gauge solvers in :mod:`minkdev.gauge` only ever ask single
-positions.
+do.  ``AcceptanceSet.any_row`` and ``AcceptanceSet.all_rows`` ask a batch
+of every set: a row-wise oracle answers it in one call, and a scalar-only
+one (user-built oracles, vertex-form polytopes, nested composites) is
+asked row by row, in order, up to the first row that decides the answer
+(the loop adapter).  The composites that fan one query out to many inner
+positions — ``add_constants``, ``star_hull`` and ``law_invariant_hull``
+— answer each query with one batch to their inner set (two for
+``add_constants``: the candidate shifts, then the shift grid only if no
+candidate is a member).  They are themselves scalar-only, so a composite
+nested inside one of them is reached through the loop adapter and no
+batch grows beyond one fan-out.  The gauge solvers in
+:mod:`minkdev.gauge` only ever ask single positions.
 """
 
 from __future__ import annotations
@@ -94,18 +95,25 @@ class AcceptanceSet:
             raise SetError(f"position has shape {x.shape}, space has {self.space.n} outcomes")
         return bool(self.membership(x))
 
-    def contains_rows(self, X) -> np.ndarray:
-        """Membership of every row of a ``(B, n)`` batch, as a ``(B,)`` bool array.
+    def any_row(self, X) -> bool:
+        """Whether some row of a ``(B, n)`` batch is a member."""
+        X = self._batch(X)
+        if self.rowwise:
+            return bool(np.any(self.membership(X)))
+        return any(map(self.membership, X))
 
-        A row-wise oracle answers the batch in one call; a scalar-only one
-        is called once per row, for every row.
-        """
+    def all_rows(self, X) -> bool:
+        """Whether every row of a ``(B, n)`` batch is a member."""
+        X = self._batch(X)
+        if self.rowwise:
+            return bool(np.all(self.membership(X)))
+        return all(map(self.membership, X))
+
+    def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.space.n:
             raise SetError(f"batch has shape {X.shape}, expected (B, {self.space.n})")
-        if self.rowwise:
-            return np.asarray(self.membership(X), dtype=bool)
-        return np.fromiter(map(self.membership, X), dtype=bool, count=len(X))
+        return X
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +261,7 @@ def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> 
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
         shifts = shifts[np.abs(shifts) <= config.c_max]
-        return shifts.size > 0 and bool(A.contains_rows(x - shifts[:, None]).any())
+        return shifts.size > 0 and A.any_row(x - shifts[:, None])
 
     def member(x: np.ndarray) -> bool:
         lo, hi = float(np.min(x)), float(np.max(x))
@@ -293,12 +301,13 @@ def star_hull(A: AcceptanceSet, resolution: int = 256, lam_min: float = 1e-6) ->
     if resolution < 2:
         raise SetError(f"star hull resolution must be at least 2, got {resolution}")
     inner = A.membership
-    grid = np.geomspace(lam_min, 1.0, resolution)[:, None]
+    # lam = 1 first: a scalar-only A is asked up to the first hit
+    grid = np.geomspace(lam_min, 1.0, resolution)[::-1, None]
 
     def member(z: np.ndarray) -> bool:
         if not np.any(z):
             return inner(z)
-        return bool(A.contains_rows(z / grid).any())
+        return A.any_row(z / grid)
 
     flags = SetFlags(
         star_shaped=True,
@@ -336,7 +345,7 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     perms = np.array(list(itertools.permutations(range(space.n))), dtype=int)
 
     def member(x: np.ndarray) -> bool:
-        return bool(A.contains_rows(x[perms]).all())
+        return A.all_rows(x[perms])
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped,

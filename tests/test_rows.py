@@ -86,13 +86,17 @@ def positions(space, count=60, seed=0):
 
 
 def assert_matches(C, reference, X):
-    """Single queries of ``C`` equal the scalar reference, and a batch of
-    them (``contains_rows``) equals the single queries."""
+    """Single queries of ``C`` equal the scalar reference; a row-wise ``C``
+    answers the batch with the single answers, and ``any_row``/``all_rows``
+    agree with them on the members, the non-members and the whole batch."""
     single = np.array([bool(C.membership(x)) for x in X])
     want = np.array([reference(x) for x in X])
     assert np.array_equal(single, want)
-    assert np.array_equal(C.contains_rows(X), single)
     assert 0 < want.sum() < len(want)  # both answers occur
+    if C.rowwise:
+        assert np.array_equal(C.membership(X), single)
+    assert C.all_rows(X[single]) and not C.any_row(X[~single])
+    assert C.any_row(X) and not C.all_rows(X)
 
 
 # --- leaves --------------------------------------------------------------------
@@ -209,9 +213,9 @@ def test_combine_asks_second_operand_only_undecided_rows():
     counted = AcceptanceSet(SPACE4, member, B.flags, rowwise=True)
     A = ball_set(SPACE4, p=2.0, radius=0.5)
     X = positions(SPACE4, 50, seed=5)
-    inside_a = A.contains_rows(X)
-    combine("union", A, counted).contains_rows(X)
-    combine("intersection", A, counted).contains_rows(X)
+    inside_a = A.membership(X)
+    combine("union", A, counted).membership(X)
+    combine("intersection", A, counted).membership(X)
     assert seen == [int((~inside_a).sum()), int(inside_a.sum())]
 
 
@@ -225,12 +229,12 @@ def test_composite_nested_in_composite():
     # and the inner star hull itself still agrees with its scalar loop
     Z = np.vstack([x - float(SPACE4.probs @ x) for x in X])
     assert_matches(H, lambda z: ref_star_hull(base, z, resolution=32), Z)
-    # scale and combine around composites loop over rows
-    S = scale_set(add_constants(ball_set(SPACE4, p=2.0)), 2.0)
+    # scale and combine around composites are scalar-only too
+    ball = ball_set(SPACE4, p=2.0)
+    S = scale_set(add_constants(ball), 2.0)
     U = combine("union", ball_set(SPACE4, p=1.0, radius=0.3), H)
     assert not S.rowwise and not U.rowwise
-    assert np.array_equal(S.contains_rows(X), [S.contains(x) for x in X])
-    assert np.array_equal(U.contains_rows(X), [U.contains(x) for x in X])
+    assert_matches(S, lambda x: ref_add_constants(ball, x / 2.0), 2.0 * X)
 
 
 def test_scalar_only_user_oracle_goes_through_loop_adapter():
@@ -244,19 +248,48 @@ def test_scalar_only_user_oracle_goes_through_loop_adapter():
     user = AcceptanceSet(SPACE4, member, SetFlags(star_shaped=True, convex=True))
     assert not user.rowwise
     X = positions(SPACE4, 40, seed=7)
-    got = user.contains_rows(X)
-    assert len(calls) == 40
-    assert np.array_equal(got, [member(x) for x in X])
+    answers = np.array([member(x) for x in X])
+    inside, outside = X[answers], X[~answers]
+    assert len(inside) > 3 and len(outside) > 3
+    calls.clear()
+    assert user.any_row(np.vstack([outside[:3], inside]))   # asked up to the first member
+    assert len(calls) == 4
+    calls.clear()
+    assert not user.all_rows(np.vstack([inside[:3], outside]))  # up to the first non-member
+    assert len(calls) == 4
     assert_matches(add_constants(user), lambda x: ref_add_constants(user, x), X)
     assert_matches(star_hull(user, resolution=16), lambda z: ref_star_hull(user, z, resolution=16), X)
 
 
-def test_contains_rows_rejects_wrong_shapes():
+def test_composites_stop_at_first_deciding_inner_answer():
+    # over a scalar-only set each composite asks only up to the first inner
+    # answer that decides the query, like its scalar loop
+    asked = []
+    ball = ball_set(UNIFORM4, p=2.0, radius=1.0)
+
+    def member(x):
+        asked.append(x.copy())
+        return ball.membership(x)
+
+    user = AcceptanceSet(UNIFORM4, member, ball.flags)
+    inside = np.array([0.3, -0.2, 0.1, 0.0])
+    assert star_hull(user).membership(inside)
+    assert len(asked) == 1 and np.array_equal(asked[0], inside)  # lam = 1 first
+    asked.clear()
+    assert add_constants(user).membership(inside + 7.0)
+    assert len(asked) == 1                     # the midrange shift hits
+    asked.clear()
+    assert not law_invariant_hull(user).membership(np.array([3.0, 0.0, 0.0, 0.0]))
+    assert len(asked) == 1                     # the identity permutation fails
+
+
+def test_row_queries_reject_wrong_shapes():
     A = ball_set(SPACE4, p=2.0)
-    with pytest.raises(SetError):
-        A.contains_rows(np.zeros(4))
-    with pytest.raises(SetError):
-        A.contains_rows(np.zeros((3, 5)))
+    for ask in (A.any_row, A.all_rows):
+        with pytest.raises(SetError):
+            ask(np.zeros(4))
+        with pytest.raises(SetError):
+            ask(np.zeros((3, 5)))
 
 
 # --- closed forms over the last axis ---------------------------------------------
@@ -276,21 +309,12 @@ def test_closed_forms_row_by_row_equal_single_positions(D, space):
     assert isinstance(D.eval(space, X[2]), float)
 
 
-@pytest.mark.parametrize("E", [builtin_error("kb", alpha=0.1), builtin_error("sup_range"),
-                               builtin_error("lp_norm", p=1.0), builtin_error("lp_norm", p=math.inf)],
+@pytest.mark.parametrize("E", [builtin_error("kb", alpha=0.1), builtin_error("sup_range")]
+                         + [builtin_error("lp_norm", p=p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)],
                          ids=lambda E: E.label)
 def test_error_measures_row_by_row_equal_single_positions(E):
     X = positions(SPACE4, 100, seed=9)
     assert np.array_equal(E.eval(SPACE4, X), [E.eval(SPACE4, x) for x in X])
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_lp_norm_rows_within_rounding_of_single_positions(p):
-    # the batch takes the 1/p-th root with numpy's array power, the single
-    # position with the scalar one; they may differ in the last bit
-    E = builtin_error("lp_norm", p=p)
-    X = positions(SPACE4, 200, seed=10)
-    np.testing.assert_allclose(E.eval(SPACE4, X), [E.eval(SPACE4, x) for x in X], rtol=4e-16, atol=0)
 
 
 def test_scalar_only_functional_refuses_a_batch():
