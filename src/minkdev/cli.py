@@ -12,7 +12,7 @@ Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
 command functions).  Exit codes: 0 success, 1 a property or invariant check
 failed, 2 malformed input, 3 a numerical failure (solver budget or
-iteration cap).
+iteration cap).  Any other exception is a defect and propagates.
 
 Output is deterministic for identical scenario and seed: no timestamps
 enter the payload and floats are serialised via ``repr``.  Infinite values
@@ -25,12 +25,13 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import duality, market, sets, suite
-from .deviations import MeasureError, measure_from_json
+from .deviations import MeasureError, check_axioms, measure_from_json
 from .duality import DualityError, Polytope
 from .gauge import GaugeError, GaugeOptions, minkowski_gauge
 from .lp import LPError
@@ -49,6 +50,10 @@ class InputError(ValueError):
     """Scenario or argument errors that map to exit code 2."""
 
 
+#: The library's errors about its input, all mapped to exit code 2.
+INPUT_ERRORS = (InputError, MarketError, SetError, MeasureError, DualityError)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed invocation."""
@@ -63,31 +68,8 @@ class RunConfig:
     format: str = "json"
 
 
-def _sanitise(obj):
-    """Make a payload JSON-safe: numpy scalars/arrays to plain types,
-    non-finite floats to their string spellings."""
-    if isinstance(obj, dict):
-        return {k: _sanitise(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitise(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitise(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _dump_json(payload) -> str:
-    return json.dumps(_sanitise(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(suite.json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -115,6 +97,19 @@ def _load_scenario(path: str | None) -> dict:
     return doc
 
 
+@contextmanager
+def _parsing_scenario():
+    """Turn a ``KeyError``, ``TypeError`` or ``ValueError`` raised while
+    reading scenario fields (a missing key, ``"k": "abc"``) into an
+    ``InputError``; the library's own input errors pass through unchanged."""
+    try:
+        yield
+    except INPUT_ERRORS:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
+
+
 def _gauge_options(config: RunConfig) -> GaugeOptions:
     if config.tol is not None:
         return GaugeOptions(tol_rel=config.tol, tol_abs=min(config.tol, 1e-12))
@@ -128,11 +123,12 @@ def _gauge_options(config: RunConfig) -> GaugeOptions:
 def cmd_eval(config: RunConfig) -> int:
     """Evaluate measures and set gauges on the scenario's positions."""
     doc = _load_scenario(config.scenario)
-    space = market.space_from_json(doc["space"])
-    positions = market.positions_from_json(space, doc.get("positions", {}))
-    measures = [measure_from_json(m) for m in doc.get("measures", [])]
-    set_docs = doc.get("sets", [])
-    acc_sets = [sets.set_from_json(space, d) for d in set_docs]
+    with _parsing_scenario():
+        space = market.space_from_json(doc["space"])
+        positions = market.positions_from_json(space, doc.get("positions", {}))
+        measures = [measure_from_json(m) for m in doc.get("measures", [])]
+        set_docs = doc.get("sets", [])
+        acc_sets = [sets.set_from_json(space, d) for d in set_docs]
     opts = _gauge_options(config)
 
     rows = []
@@ -169,11 +165,12 @@ def _format_cell(v) -> str:
 def cmd_boundary(config: RunConfig) -> int:
     """Write the radial boundary profile of a set on a two-outcome space."""
     doc = _load_scenario(config.scenario)
-    space = market.space_from_json(doc["space"])
-    if "set" not in doc:
-        raise InputError('boundary scenarios need a "set" entry')
-    A = sets.set_from_json(space, doc["set"])
-    rays = config.rays or int(doc.get("rays", 720))
+    with _parsing_scenario():
+        space = market.space_from_json(doc["space"])
+        if "set" not in doc:
+            raise InputError('boundary scenarios need a "set" entry')
+        A = sets.set_from_json(space, doc["set"])
+        rays = config.rays or int(doc.get("rays", 720))
     if rays < 4:
         raise InputError(f"need at least 4 rays, got {rays}")
     profile = suite.ray_profile(A, rays, opts=_gauge_options(config))
@@ -197,17 +194,18 @@ def cmd_polar(config: RunConfig) -> int:
     """Compute the polar of a polytope (halfspace form, plus extreme points
     when the dimension permits enumeration)."""
     doc = _load_scenario(config.scenario)
-    space = market.space_from_json(doc["space"])
-    pdoc = doc.get("polytope")
-    if not isinstance(pdoc, dict):
-        raise InputError('polar scenarios need a "polytope" entry')
-    if "vertices" in pdoc:
-        P = Polytope.from_vertices(space, np.asarray(pdoc["vertices"], float))
-    elif "rows" in pdoc:
-        P = Polytope.from_halfspaces(space, np.asarray(pdoc["rows"], float),
-                                     np.asarray(pdoc["rhs"], float))
-    else:
-        raise InputError('polytope needs "vertices" or "rows"/"rhs"')
+    with _parsing_scenario():
+        space = market.space_from_json(doc["space"])
+        pdoc = doc.get("polytope")
+        if not isinstance(pdoc, dict):
+            raise InputError('polar scenarios need a "polytope" entry')
+        if "vertices" in pdoc:
+            P = Polytope.from_vertices(space, np.asarray(pdoc["vertices"], float))
+        elif "rows" in pdoc:
+            P = Polytope.from_halfspaces(space, np.asarray(pdoc["rows"], float),
+                                         np.asarray(pdoc["rhs"], float))
+        else:
+            raise InputError('polytope needs "vertices" or "rows"/"rhs"')
     F = duality.polar(P)
     payload = {
         "v": SCHEMA_VERSION,
@@ -225,17 +223,25 @@ def cmd_polar(config: RunConfig) -> int:
 def cmd_check(config: RunConfig) -> int:
     """Run property falsifiers for sets (and axiom audits for measures)."""
     doc = _load_scenario(config.scenario)
-    space = market.space_from_json(doc["space"])
-    targets = doc.get("check", [])
+    with _parsing_scenario():
+        space = market.space_from_json(doc["space"])
+        targets = doc.get("check", [])
     if not targets:
         raise InputError('check scenarios need a non-empty "check" list')
     reports = []
     any_failed = False
     for item in targets:
+        with _parsing_scenario():
+            trials = int(item.get("trials", 200))
+            if "set" in item:
+                A = sets.set_from_json(space, item["set"])
+                props = list(item.get("properties") or ())
+            elif "measure" in item:
+                D = measure_from_json(item["measure"])
+            else:
+                raise InputError('each check entry needs a "set" or a "measure"')
         if "set" in item:
-            A = sets.set_from_json(space, item["set"])
-            props = item.get("properties")
-            cfg = SamplerConfig(trials=int(item.get("trials", 200)), seed=config.seed)
+            cfg = SamplerConfig(trials=trials, seed=config.seed)
             if props:
                 results = [sets.check_property(A, p, cfg) for p in props]
             else:
@@ -245,17 +251,12 @@ def cmd_check(config: RunConfig) -> int:
                 reports.append({"target": A.label or "set", "property": r.property,
                                 "passed": r.passed, "trials": r.trials,
                                 "counterexample": r.counterexample})
-        elif "measure" in item:
-            from .deviations import check_axioms
-
-            D = measure_from_json(item["measure"])
-            for r in check_axioms(D, space, trials=int(item.get("trials", 200)), seed=config.seed):
+        else:
+            for r in check_axioms(D, space, trials=trials, seed=config.seed):
                 any_failed = any_failed or not r.passed
                 reports.append({"target": D.label, "axiom": r.axiom, "passed": r.passed,
                                 "trials": r.trials, "worst_gap": r.worst_gap,
                                 "counterexample": r.counterexample})
-        else:
-            raise InputError('each check entry needs a "set" or a "measure"')
     _write(_dump_json({"v": SCHEMA_VERSION, "reports": reports}), config.out)
     return EXIT_CHECK_FAILED if any_failed else EXIT_OK
 
@@ -312,8 +313,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[config.command](config)
-    except (InputError, MarketError, SetError, MeasureError, DualityError, KeyError,
-            TypeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (GaugeError, LPError) as exc:

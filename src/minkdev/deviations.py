@@ -22,7 +22,7 @@ shortfall values carry no quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,8 @@ class AxiomFlags:
 
 @dataclass(frozen=True)
 class DeviationFunctional:
-    """A named functional on positions with declared axioms.
+    """A named functional on positions with declared axioms: a deviation
+    measure, or an error measure (``ErrorFunctional`` is the same class).
 
     ``homogeneity_degree`` is the exponent ``d`` with
     ``D(lam x) = lam^d D(x)`` when one exists (2 for variance, 1 for the
@@ -67,29 +68,14 @@ class DeviationFunctional:
     rowwise: bool = False
 
     def eval(self, space: MarketSpace, x):
-        return _evaluate(self, space, x)
+        """A float for one position; a ``(B,)`` array for a batch of rows."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 and not self.rowwise:
+            raise MeasureError(f"{self.label} evaluates one position at a time")
+        return market.float_or_rows(self.eval_fn(space, x))
 
 
-@dataclass(frozen=True)
-class ErrorFunctional:
-    """A nonnegative functional measuring the size of a position."""
-
-    label: str
-    eval_fn: Callable[[MarketSpace, np.ndarray], float]
-    axioms: AxiomFlags
-    homogeneity_degree: float | None = 1.0
-    rowwise: bool = False
-
-    def eval(self, space: MarketSpace, x):
-        return _evaluate(self, space, x)
-
-
-def _evaluate(functional, space: MarketSpace, x):
-    """A float for one position; a ``(B,)`` array for a batch of rows."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 and not functional.rowwise:
-        raise MeasureError(f"{functional.label} evaluates one position at a time")
-    return market.float_or_rows(functional.eval_fn(space, x))
+ErrorFunctional = DeviationFunctional
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +242,7 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
     raise MeasureError(f"unknown deviation measure {name!r}")
 
 
-def builtin_error(name: str, p: float | None = None, alpha: float | None = None) -> ErrorFunctional:
+def builtin_error(name: str, p: float | None = None, alpha: float | None = None) -> DeviationFunctional:
     """Catalogue of error measures: ``lp_norm`` (parameter ``p``),
     ``kb`` (asymmetric pinball-style error, parameter ``alpha``), and
     ``sup_range = 2 ||.||_inf``."""
@@ -271,7 +257,7 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
         if p is None:
             raise MeasureError("lp_norm requires the exponent p")
         pp = math.inf if p == math.inf else float(p)
-        return ErrorFunctional(
+        return DeviationFunctional(
             label=f"lp_norm({pp:g})",
             eval_fn=lambda space, x: market.lp_norm(space, x, pp),
             axioms=nonneg_convex,
@@ -290,9 +276,9 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             neg = np.maximum(-x, 0.0)
             return _dot(ratio * neg + pos, space.probs)
 
-        return ErrorFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex, rowwise=True)
+        return DeviationFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex, rowwise=True)
     if name == "sup_range":
-        return ErrorFunctional(
+        return DeviationFunctional(
             label="sup_range",
             eval_fn=lambda space, x: 2.0 * np.abs(x).max(axis=-1),
             axioms=nonneg_convex,
@@ -308,7 +294,8 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> float:
+def _golden(f, a: float, b: float, tol: float) -> float:
+    """Golden-section minimiser of a unimodal function on [a, b]."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -324,27 +311,60 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def minimal_shift_error(error: ErrorFunctional, space: MarketSpace, x: np.ndarray) -> float:
-    """``min_c error(x - c)`` over scalar shifts.
+def minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool, tol: float,
+                   grid_points: int = 0):
+    """``(c, f(c))`` for a shift ``c`` minimising ``f``, a function of ``x - c``.
 
     Candidate shifts (entries, mean, median, midrange) are probed exactly —
     they contain the minimiser for the piecewise-linear and quadratic
-    builtin families — and a golden-section search over the data range
-    covers convex errors generally.
+    builtin families — and the first one that attains the least value is
+    kept unless a search finds a smaller one.  The search runs over the data
+    range padded by ``max(1, range)``: golden-section for a convex ``f``,
+    otherwise, when ``grid_points`` is positive, a uniform scan of that many
+    shifts with golden refinement around the best cell.  ``f`` is evaluated
+    once per distinct shift.
     """
-    x = np.asarray(x, dtype=float)
-    lo, hi = float(np.min(x)), float(np.max(x))
+    lo_x, hi_x = float(np.min(x)), float(np.max(x))
+    pad = max(1.0, hi_x - lo_x)
+    lo_c, hi_c = lo_x - pad, hi_x + pad
+
+    cache: dict[float, float] = {}
+
+    def value(c: float) -> float:
+        if c not in cache:
+            cache[c] = f(c)
+        return cache[c]
+
     candidates = {float(v) for v in x}
-    candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo + hi)}
-    best = min(error.eval(space, x - c) for c in candidates)
-    if error.axioms.convex is True:
-        pad = max(1.0, hi - lo)
-        c_star = _golden_min(lambda c: error.eval(space, x - c), lo - pad, hi + pad)
-        best = min(best, error.eval(space, x - c_star))
+    candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
+    best = min(candidates, key=value)
+
+    if convex:
+        found = [_golden(value, lo_c, hi_c, tol)]
+    elif grid_points:
+        grid = np.linspace(lo_c, hi_c, grid_points)
+        i = int(np.argmin([value(float(c)) for c in grid]))
+        a = float(grid[max(0, i - 1)])
+        b = float(grid[min(grid_points - 1, i + 1)])
+        found = [_golden(value, a, b, tol), float(grid[i])]
+    else:
+        found = []
+    for c in found:
+        if value(c) < value(best):
+            best = c
+    return best, value(best)
+
+
+def minimal_shift_error(error: DeviationFunctional, space: MarketSpace, x: np.ndarray) -> float:
+    """``min_c error(x - c)`` over scalar shifts, by ``minimise_shift``: the
+    candidate shifts, then a golden-section search for convex errors."""
+    x = np.asarray(x, dtype=float)
+    _, best = minimise_shift(lambda c: error.eval(space, x - c), space, x,
+                             convex=error.axioms.convex is True, tol=1e-10)
     return best
 
 
-def deviation_from_error(error: ErrorFunctional) -> DeviationFunctional:
+def deviation_from_error(error: DeviationFunctional) -> DeviationFunctional:
     """Project an error measure to a deviation: ``D(x) = min_c error(x - c)``.
 
     Translation insensitivity and (for convex, homogeneous errors)
@@ -583,7 +603,7 @@ def measure_from_json(doc) -> DeviationFunctional:
     return builtin_deviation(doc["measure"], alpha=doc.get("alpha"))
 
 
-def error_from_json(doc) -> ErrorFunctional:
+def error_from_json(doc) -> DeviationFunctional:
     """Parse ``{"error": name, "p"?: p, "alpha"?: a}``."""
     if isinstance(doc, str):
         doc = {"error": doc}

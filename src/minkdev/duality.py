@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp, market
+from . import lp
 from .gauge import DEFAULT_OPTIONS, GaugeOptions, minkowski_gauge
 from .market import MarketSpace
 from .sets import AcceptanceSet, SetFlags
@@ -354,13 +354,11 @@ class EnvelopeValue:
 def risk_envelope(F: PolarForm, x) -> EnvelopeValue:
     """Evaluate the risk-envelope form by the explicit ``Q = 1 - y``
     substitution (an LP over the polar in the ``y`` variable)."""
-    x = np.asarray(x, dtype=float)
-    mean = market.expectation(F.space, x)
-    sup = support_function(F, x)
+    sup = support_function(F, np.asarray(x, dtype=float))
     if sup.maximiser is None:
         return EnvelopeValue(value=math.inf, attaining_q=None)
-    inf_exq = mean - sup.value  # inf over Q = 1 - y of E[xQ] = E[x] - <x, y>
-    return EnvelopeValue(value=mean - inf_exq, attaining_q=1.0 - sup.maximiser)
+    # inf over Q = 1 - y of E[xQ] is E[x] - sup <x, y>, so D(x) = sup <x, y>
+    return EnvelopeValue(value=sup.value, attaining_q=1.0 - sup.maximiser)
 
 
 @dataclass(frozen=True)

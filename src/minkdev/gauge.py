@@ -6,20 +6,22 @@ cogauge is ``sup { m > 0 : x / m in A }`` (supremum of the empty set is 0).
 
 For star-shaped sets the membership indicator along the ray ``m -> x / m``
 switches at most once (non-member below the gauge, member above), so an
-exponential bracket followed by bisection is exact up to tolerance.  Sets
-without a declared star-shape fall back to a geometric scan of the whole
+exponential bracket followed by bisection is exact up to tolerance.  The
+cogauge is the same search with the membership test mirrored.  Sets without
+the structure the search needs fall back to a geometric scan of the whole
 scale range and the result is flagged approximate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .deviations import AxiomFlags, DeviationFunctional, minimise_shift
 from .market import MarketSpace, as_position
-from .sets import AcceptanceSet, SetFlags
+from .sets import AcceptanceSet
 
 
 class GaugeError(RuntimeError):
@@ -90,21 +92,22 @@ class _Oracle:
         self.calls += 1
         return bool(self._member(z))
 
-    def ray(self, x: np.ndarray, cogauge: bool = False):
-        """Membership of ``x / m`` as a function of the scale ``m``.
+    def ray(self, x: np.ndarray, cogauge: bool):
+        """``past(m) = member(x / m) != cogauge`` as a function of the scale ``m``.
 
-        Each answer moves one end of the bracket to ``m``: for the gauge a
-        member moves the upper end and a non-member the lower one; the
-        cogauge mirrors this.  The searches only ask scales inside the
-        current bracket, so it narrows as theirs does.
+        ``past`` is false below the value and true above it: the gauge's
+        members lie above the gauge, the cogauge's below the cogauge.  Each
+        answer moves one end of the bracket to ``m``, the upper end when
+        ``past``.  The searches only ask scales inside the current bracket,
+        so it narrows as theirs does.
         """
         bracket = self.bracket
 
-        def member(m: float) -> bool:
-            hit = self(x / m)
-            bracket[hit != cogauge] = m
-            return hit
-        return member
+        def past(m: float) -> bool:
+            beyond = self(x / m) != cogauge
+            bracket[beyond] = m
+            return beyond
+        return past
 
     def exhausted(self, opts: GaugeOptions) -> OracleBudgetError:
         return OracleBudgetError(f"oracle budget of {opts.max_oracle_calls} calls exhausted",
@@ -124,179 +127,111 @@ def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -
 
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
-    x = as_position(A.space, x)
-    oracle = _Oracle(A, opts)
-    try:
-        return _gauge_impl(A, x, opts, oracle)
-    except _BudgetSignal:
-        raise oracle.exhausted(opts) from None
-
-
-def _finish(A: AcceptanceSet, x: np.ndarray, value: float, bracket, oracle, approximate=False) -> GaugeResult:
-    if value in (0.0, math.inf):
-        return GaugeResult(value=value, bracket=bracket, attained="no",
-                           oracle_calls=oracle.calls, approximate=approximate)
-    closed = A.flags.closed
-    attained = "yes" if closed is True else ("no" if closed is False else "unknown")
-    boundary = x / value if closed is True else None
-    return GaugeResult(value=value, bracket=bracket, attained=attained,
-                       oracle_calls=oracle.calls, boundary_point=boundary,
-                       approximate=approximate)
-
-
-def _gauge_impl(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Oracle) -> GaugeResult:
-    if not np.any(x):
-        hit = oracle(x)
-        value = 0.0 if hit else math.inf
-        return GaugeResult(value=value, bracket=(0.0, 0.0) if hit else (math.inf, math.inf),
-                           attained="yes" if hit else "no", oracle_calls=oracle.calls)
-
-    member = oracle.ray(x)
-
-    if A.flags.star_shaped is not True:
-        return _grid_gauge(A, x, opts, oracle)
-
-    # Exponential search up from 1 for a member.
-    hi = 1.0
-    while not member(hi):
-        hi *= 2.0
-        if hi > opts.m_cap:
-            return _finish(A, x, math.inf, (opts.m_cap, math.inf), oracle)
-    # Exponential search down for a non-member.
-    lo = hi / 2.0
-    while lo >= opts.m_min:
-        if not member(lo):
-            break
-        hi = lo
-        lo /= 2.0
-    else:
-        return _finish(A, x, 0.0, (0.0, opts.m_min), oracle)
-
-    lo, hi = _bisect(member, lo, hi, opts)
-    return _finish(A, x, hi, (lo, hi), oracle)
-
-
-def _bisect(member, lo: float, hi: float, opts: GaugeOptions):
-    """Shrink a bracket [lo, hi] with member(hi) and not member(lo)."""
-    tol = _tolerance(opts, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-        tol = _tolerance(opts, hi)
-    return lo, hi
-
-
-def _grid_gauge(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Oracle) -> GaugeResult:
-    """Geometric-scan fallback for sets without a star-shape declaration.
-
-    Scans ``ray_grid`` scales per decade across ``[m_min, m_cap]``, takes the
-    smallest member, and sharpens it against the next-smaller grid point.
-    The result is only grid-accurate, hence flagged approximate.
-    """
-    decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
-    count = max(2, int(opts.ray_grid * decades))
-    grid = np.geomspace(opts.m_min, opts.m_cap, count)
-    member = oracle.ray(x)
-    hit_idx = None
-    for i, m in enumerate(grid):
-        if member(float(m)):
-            hit_idx = i
-            break
-    if hit_idx is None:
-        return _finish(A, x, math.inf, (opts.m_cap, math.inf), oracle, approximate=True)
-    if hit_idx == 0:
-        return _finish(A, x, 0.0, (0.0, float(grid[0])), oracle, approximate=True)
-    lo, hi = _bisect(member, float(grid[hit_idx - 1]), float(grid[hit_idx]), opts)
-    return _finish(A, x, hi, (lo, hi), oracle, approximate=True)
+    return _ray_search(A, x, opts, cogauge=False)
 
 
 def cogauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
     """Compute ``sup { m > 0 : x / m in A }``.
 
-    The mirror-image search assumes membership along the scale ray is a
-    single interval (true for star-shaped sets and their complements); the
-    grid fallback handles undeclared structure approximately.
+    The search assumes membership along the scale ray is a single interval
+    (true for star-shaped sets and their complements); the grid fallback
+    handles undeclared structure approximately.
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
+    """
+    return _ray_search(A, x, opts, cogauge=True)
+
+
+def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> GaugeResult:
+    """The one solver behind the gauge and the cogauge.
+
+    Both look for the switch of ``past`` (see ``_Oracle.ray``) along the ray:
+    an exponential search or a grid scan brackets it, bisection narrows the
+    bracket, and the value is its upper end for the gauge, its lower end for
+    the cogauge.  A bracket ``(0, m_min)`` means the value is 0, and
+    ``(m_cap, inf)`` that it is ``inf``.
     """
     x = as_position(A.space, x)
     oracle = _Oracle(A, opts)
+    flags = A.flags
+    if cogauge:
+        approximate = flags.star_shaped is None and flags.convex is not True
+    else:
+        approximate = flags.star_shaped is not True
     try:
-        return _cogauge_impl(A, x, opts, oracle)
+        if not np.any(x):
+            # every scale asks the same point, so the value is 0 or inf
+            hit = oracle(x)
+            value = 0.0 if hit != cogauge else math.inf
+            return GaugeResult(value=value, bracket=(value, value),
+                               attained="yes" if hit else "no", oracle_calls=oracle.calls)
+        past = oracle.ray(x, cogauge)
+        lo, hi = _grid_scan(past, opts, cogauge) if approximate else _exponential_search(past, opts)
+        if lo == 0.0 or hi == math.inf:
+            return GaugeResult(value=0.0 if lo == 0.0 else math.inf, bracket=(lo, hi),
+                               attained="no", oracle_calls=oracle.calls, approximate=approximate)
+        lo, hi = _bisect(past, lo, hi, opts)
     except _BudgetSignal:
         raise oracle.exhausted(opts) from None
 
+    value = lo if cogauge else hi
+    closed = flags.closed
+    return GaugeResult(value=value, bracket=(lo, hi),
+                       attained="yes" if closed is True else ("no" if closed is False else "unknown"),
+                       oracle_calls=oracle.calls,
+                       boundary_point=x / value if closed is True else None,
+                       approximate=approximate)
 
-def _cogauge_impl(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Oracle) -> GaugeResult:
-    if not np.any(x):
-        hit = oracle(x)
-        value = math.inf if hit else 0.0
-        return GaugeResult(value=value, bracket=(math.inf, math.inf) if hit else (0.0, 0.0),
-                           attained="yes" if hit else "no", oracle_calls=oracle.calls)
 
-    member = oracle.ray(x, cogauge=True)
-
-    if A.flags.star_shaped is None and A.flags.convex is not True:
-        return _grid_cogauge(A, x, opts, oracle)
-
-    # Search up from 1 for the last member / first non-member.
-    lo = 1.0
-    if member(lo):
-        hi = 2.0
-        while member(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > opts.m_cap:
-                return _finish(A, x, math.inf, (opts.m_cap, math.inf), oracle)
-    else:
-        hi = 1.0
-        lo = 0.5
+def _exponential_search(past, opts: GaugeOptions):
+    """Bracket the switch by halving the scale from 1 while ``past`` holds,
+    or doubling it while it does not."""
+    if past(1.0):
+        lo, hi = 0.5, 1.0
         while lo >= opts.m_min:
-            if member(lo):
-                break
-            hi = lo
-            lo /= 2.0
-        else:
-            return _finish(A, x, 0.0, (0.0, opts.m_min), oracle)
-
-    # Now member(lo) and not member(hi); bisect toward the switch.
-    tol = _tolerance(opts, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-        tol = _tolerance(opts, hi)
-    return _finish(A, x, lo, (lo, hi), oracle)
+            if not past(lo):
+                return lo, hi
+            lo, hi = lo / 2.0, lo
+        return 0.0, opts.m_min
+    lo, hi = 1.0, 2.0
+    while hi <= opts.m_cap:
+        if past(hi):
+            return lo, hi
+        lo, hi = hi, hi * 2.0
+    return opts.m_cap, math.inf
 
 
-def _grid_cogauge(A: AcceptanceSet, x: np.ndarray, opts: GaugeOptions, oracle: _Oracle) -> GaugeResult:
+def _grid_scan(past, opts: GaugeOptions, cogauge: bool):
+    """Geometric-scan fallback for sets without the structure bisection needs.
+
+    Scans ``ray_grid`` scales per decade across ``[m_min, m_cap]`` for the
+    first member: upward for the gauge, downward for the cogauge.  That
+    member and the non-member scanned just before it bracket the switch,
+    which is only grid-accurate, hence flagged approximate.
+    """
     decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
-    count = max(2, int(opts.ray_grid * decades))
-    grid = np.geomspace(opts.m_min, opts.m_cap, count)
-    member = oracle.ray(x, cogauge=True)
-    hit_idx = None
-    for i in range(count - 1, -1, -1):
-        if member(float(grid[i])):
-            hit_idx = i
-            break
-    if hit_idx is None:
-        return _finish(A, x, 0.0, (0.0, opts.m_min), oracle, approximate=True)
-    if hit_idx == count - 1:
-        return _finish(A, x, math.inf, (opts.m_cap, math.inf), oracle, approximate=True)
-    lo, hi = float(grid[hit_idx]), float(grid[hit_idx + 1])
+    grid = np.geomspace(opts.m_min, opts.m_cap, max(2, int(opts.ray_grid * decades)))
+    scales = grid[::-1] if cogauge else grid
+    # a member is where past(m) != cogauge
+    i = next((i for i, m in enumerate(scales) if past(float(m)) != cogauge), grid.size)
+    below = grid.size - i if cogauge else i  # grid scales before the switch
+    if below == 0:
+        return 0.0, opts.m_min
+    if below == grid.size:
+        return opts.m_cap, math.inf
+    return float(grid[below - 1]), float(grid[below])
+
+
+def _bisect(past, lo: float, hi: float, opts: GaugeOptions):
+    """Shrink a bracket [lo, hi] with past(hi) and not past(lo)."""
     tol = _tolerance(opts, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
+        if past(mid):
             hi = mid
+        else:
+            lo = mid
         tol = _tolerance(opts, hi)
-    return _finish(A, x, lo, (lo, hi), oracle, approximate=True)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +247,6 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     the set yields convexity (and with star-shapedness sub-linearity) of the
     gauge.
     """
-    from .deviations import AxiomFlags, DeviationFunctional  # late import: module DAG
-
     f = A.flags
     admissible = (
         f.star_shaped is True
@@ -368,55 +301,8 @@ def shift_infimum_gauge(
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
-    lo_x, hi_x = float(np.min(x)), float(np.max(x))
-    pad = max(1.0, hi_x - lo_x)
-    lo_c, hi_c = lo_x - pad, hi_x + pad
-
-    cache: dict[float, float] = {}
-
-    def f(c: float) -> float:
-        if c not in cache:
-            cache[c] = minkowski_gauge(A, x - c, opts).value
-        return cache[c]
-
-    candidates = {float(v) for v in x}
-    candidates |= {float(A.space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
-    best_c = min(candidates, key=f)
-
-    if A.flags.convex is True:
-        c_star = _golden(f, lo_c, hi_c, shift_tol)
-        if f(c_star) < f(best_c):
-            best_c = c_star
-    else:
-        grid = np.linspace(lo_c, hi_c, grid_points)
-        values = [f(float(c)) for c in grid]
-        i = int(np.argmin(values))
-        a = float(grid[max(0, i - 1)])
-        b = float(grid[min(grid_points - 1, i + 1)])
-        c_star = _golden(f, a, b, shift_tol)
-        for cand in (c_star, float(grid[i])):
-            if f(cand) < f(best_c):
-                best_c = cand
-
+    best_c, _ = minimise_shift(lambda c: minkowski_gauge(A, x - c, opts).value, A.space, x,
+                               convex=A.flags.convex is True, tol=shift_tol,
+                               grid_points=grid_points)
     result = minkowski_gauge(A, x - best_c, opts)
     return ShiftGaugeResult(value=result.value, shift=best_c, gauge=result)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimiser of a unimodal function on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)

@@ -89,14 +89,6 @@ def pairing(space: MarketSpace, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(space.probs * np.asarray(x, float) * np.asarray(y, float)))
 
 
-def ess_inf(x: np.ndarray) -> float:
-    return float(np.min(x))
-
-
-def ess_sup(x: np.ndarray) -> float:
-    return float(np.max(x))
-
-
 def float_or_rows(v):
     """A value computed over the last axis: a float for one position, the
     ``(B,)`` array itself for a ``(B, n)`` batch."""
@@ -112,31 +104,6 @@ def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
     # np.power takes the root by the same route for one position and for a
     # batch; the scalar ``**`` of a numpy float may differ in the last bit.
     return float_or_rows(np.power(np.sum(space.probs * np.abs(x) ** p, axis=-1), 1.0 / p))
-
-
-@dataclass(frozen=True)
-class PositionStats:
-    """Summary statistics of a position on a fixed space."""
-
-    ess_inf: float
-    ess_sup: float
-    mean: float
-    _space: MarketSpace
-    _values: np.ndarray
-
-    def lp_norm(self, p: float) -> float:
-        return lp_norm(self._space, self._values, p)
-
-
-def statistics(space: MarketSpace, x: np.ndarray) -> PositionStats:
-    x = as_position(space, x)
-    return PositionStats(
-        ess_inf=ess_inf(x),
-        ess_sup=ess_sup(x),
-        mean=expectation(space, x),
-        _space=space,
-        _values=x,
-    )
 
 
 def sorted_distribution(space: MarketSpace, x: np.ndarray):

@@ -453,15 +453,27 @@ def run_suite(seed: int = 0, only: list[str] | None = None):
     return reports, timings
 
 
+def json_safe(obj):
+    """Make a payload JSON-safe: numpy scalars/arrays to plain types,
+    non-finite floats to their string spellings."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        if math.isnan(v):
+            return "nan"
+        return v
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
 def canonical_report(reports) -> str:
     """Stable JSON serialisation used for byte-identity comparisons."""
-    def sanitise(obj):
-        if isinstance(obj, float) and math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if isinstance(obj, dict):
-            return {k: sanitise(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [sanitise(v) for v in obj]
-        return obj
-
-    return json.dumps(sanitise(reports), sort_keys=True, separators=(",", ":"))
+    return json.dumps(json_safe(reports), sort_keys=True, separators=(",", ":"))

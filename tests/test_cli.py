@@ -158,3 +158,45 @@ def test_input_errors(tmp_path):
     assert main(["eval", "--scenario", nospace]) == EXIT_INPUT_ERROR
     assert main(["suite", "--only", "not_a_check"]) == EXIT_INPUT_ERROR
     assert main(["frobnicate"]) == EXIT_INPUT_ERROR                # unknown command
+
+
+MALFORMED_SETS = {
+    "k_not_a_number": {"kind": "sublevel", "measure": {"measure": "frd"}, "k": "abc"},
+    "missing_measure": {"kind": "sublevel", "k": 1.0},
+    "missing_of": {"kind": "add_constants"},
+    "scale_missing_of": {"kind": "scale", "factor": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SETS), ids=list(MALFORMED_SETS))
+@pytest.mark.parametrize("command", ["eval", "boundary", "check"])
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, name):
+    doc = {"v": 1, "space": {"probs": [0.25, 0.75]}}
+    bad = MALFORMED_SETS[name]
+    if command == "eval":
+        doc.update(positions={"X": [1.0, -1.0]}, sets=[bad])
+    elif command == "boundary":
+        doc.update(set=bad)
+    else:
+        doc.update(check=[{"set": bad}])
+    assert main([command, "--scenario", write(tmp_path, "bad.json", doc)]) == EXIT_INPUT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_check_entries_exit_2(tmp_path):
+    base = {"v": 1, "space": {"probs": [0.25, 0.75]}}
+    for entry in ({"measure": {"measure": "frd"}, "trials": "many"},
+                  {"set": {"kind": "ball", "p": 2}, "properties": 5}):
+        scenario = write(tmp_path, "bad.json", dict(base, check=[entry]))
+        assert main(["check", "--scenario", scenario]) == EXIT_INPUT_ERROR
+
+
+def test_defect_inside_a_command_propagates(tmp_path, monkeypatch):
+    """Only input errors map to exit 2: a TypeError raised by the library
+    after the scenario has been read is a defect and must surface."""
+    def broken(*args, **kwargs):
+        raise TypeError("defect")
+
+    monkeypatch.setattr("minkdev.cli.minkowski_gauge", broken)
+    with pytest.raises(TypeError, match="defect"):
+        main(["eval", "--scenario", write(tmp_path, "s.json", EVAL_DOC)])

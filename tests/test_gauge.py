@@ -187,6 +187,68 @@ def test_cogauge_is_gauge_of_complement_for_star_shaped_sets():
         assert w == pytest.approx(g, rel=1e-8, abs=1e-10)
 
 
+def _complement(A, flags):
+    return AcceptanceSet(space=A.space, membership=lambda x: not A.membership(x), flags=flags)
+
+
+def test_grid_fallback_cogauge_marks_approximate():
+    # the ball's complement with no structural declarations: forces the
+    # downward grid scan of the cogauge
+    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
+    exact = _complement(ball, SetFlags(star_shaped=False, closed=False))
+    blank = _complement(ball, SetFlags())
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = rng.uniform(-4, 4, size=3)
+        res = cogauge(blank, x)
+        want = cogauge(exact, x, TIGHT)
+        assert res.approximate and not want.approximate
+        assert res.value == pytest.approx(want.value, rel=1e-6)
+        lo, hi = res.bracket
+        assert lo == res.value
+        assert lo <= want.value * (1 + 1e-9) and want.value <= hi * (1 + 1e-9)
+
+
+def test_grid_fallback_cogauge_ends():
+    x = np.array([1.0, -1.0, 0.5])
+    opts = GaugeOptions()
+    never = AcceptanceSet(space=UNIFORM3, membership=lambda z: False, flags=SetFlags())
+    always = AcceptanceSet(space=UNIFORM3, membership=lambda z: True, flags=SetFlags())
+    zero, inf = cogauge(never, x, opts), cogauge(always, x, opts)
+    assert zero.approximate and zero.value == 0.0 and zero.bracket == (0.0, opts.m_min)
+    assert inf.approximate and inf.value == math.inf and inf.bracket == (opts.m_cap, math.inf)
+    assert inf.oracle_calls == 1  # the scan starts at the top of the grid
+
+
+def _recording(A, flags=None):
+    """``A`` with its flags replaced by ``flags`` and every asked point recorded."""
+    asked = []
+
+    def member(z):
+        asked.append(tuple(z))
+        return A.membership(z)
+    return AcceptanceSet(space=A.space, membership=member,
+                         flags=A.flags if flags is None else flags), asked
+
+
+@pytest.mark.parametrize("path", ["gauge", "gauge_grid", "cogauge", "cogauge_grid"])
+def test_no_solve_asks_the_same_scale_twice(path):
+    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
+    if path.startswith("gauge"):
+        solver, A = minkowski_gauge, ball
+    else:
+        solver, A = cogauge, _complement(ball, SetFlags(star_shaped=False, closed=False))
+    A, asked = _recording(A, SetFlags() if path.endswith("grid") else None)
+    rng = np.random.default_rng(6)
+    # [3, 1, -2] misses at m = 1 (gauge 2.16), [0.2, -0.1, 0.3] hits there
+    positions = [np.array([3.0, 1.0, -2.0]), np.array([0.2, -0.1, 0.3])]
+    for x in positions + [rng.uniform(-8, 8, size=3) for _ in range(8)]:
+        asked.clear()
+        res = solver(A, x, TIGHT)
+        assert len(asked) == res.oracle_calls
+        assert len(set(asked)) == len(asked)
+
+
 # --- derived functionals ---------------------------------------------------------
 
 def test_deviation_from_set_propagates_axioms():

@@ -42,12 +42,10 @@ def test_expectation_binary():
 
 def test_statistics_and_norms():
     x = np.array([-2.0, 2.0])
-    s = market.statistics(BINARY, x)
-    assert s.ess_inf == -2.0 and s.ess_sup == 2.0
-    assert s.mean == pytest.approx(1.0)
+    assert market.expectation(BINARY, x) == pytest.approx(1.0)
     # weighted L2: sqrt(1/4 * 4 + 3/4 * 4) = 2
-    assert s.lp_norm(2) == pytest.approx(2.0)
-    assert s.lp_norm(math.inf) == 2.0
+    assert market.lp_norm(BINARY, x, 2) == pytest.approx(2.0)
+    assert market.lp_norm(BINARY, x, math.inf) == 2.0
     with pytest.raises(MarketError):
         market.lp_norm(BINARY, x, 0.5)
 
