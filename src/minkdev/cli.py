@@ -33,7 +33,7 @@ import numpy as np
 from . import duality, market, sets, suite
 from .deviations import MeasureError, check_axioms, measure_from_json
 from .duality import DualityError, Polytope
-from .gauge import GaugeError, GaugeOptions, minkowski_gauge
+from .gauge import GaugeError, GaugeOptions, gauge_table
 from .lp import LPError
 from .market import MarketError
 from .sets import SamplerConfig, SetError
@@ -129,18 +129,23 @@ def cmd_eval(config: RunConfig) -> int:
         measures = [measure_from_json(m) for m in doc.get("measures", [])]
         set_docs = doc.get("sets", [])
         acc_sets = [sets.set_from_json(space, d) for d in set_docs]
-    opts = _gauge_options(config)
+    columns = [f"gauge({A.label or d.get('kind', 'set')})" for d, A in zip(set_docs, acc_sets)]
+    labels = ["position"] + [D.label for D in measures] + columns
+    repeated = sorted({k for k in labels if labels.count(k) > 1})
+    if repeated:
+        raise InputError(f'duplicate output columns {repeated}: give each set its own "label" '
+                         "and list each measure once")
+    names = sorted(positions)
+    X = np.array([positions[name] for name in names], dtype=float).reshape(len(names), space.n)
+    table = gauge_table(acc_sets, X, _gauge_options(config))
 
     rows = []
-    for name in sorted(positions):
-        x = positions[name]
+    for i, name in enumerate(names):
         entry = {"position": name}
         for D in measures:
-            entry[D.label] = D.eval(space, x)
-        for d, A in zip(set_docs, acc_sets):
-            label = A.label or d.get("kind", "set")
-            res = minkowski_gauge(A, x, opts)
-            entry[f"gauge({label})"] = res.value
+            entry[D.label] = D.eval(space, positions[name])
+        for key, column in zip(columns, table):
+            entry[key] = column[i].value
         rows.append(entry)
 
     if config.format == "csv":

@@ -152,8 +152,11 @@ class Polytope:
             law_invariant=None,
             contains_zero=contains_zero,
         )
-        return AcceptanceSet(space=self.space, membership=lambda x: self.contains(x),
-                             flags=flags, label=label or "polytope", rowwise=self.rows is not None)
+        rowwise = self.rows is not None
+        member = lambda x: self.contains(x)
+        return AcceptanceSet(space=self.space, membership=member, flags=flags,
+                             label=label or "polytope", rowwise=rowwise,
+                             row_membership=member if rowwise else None)
 
 
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional, minimise_shift
-from .market import MarketSpace, as_position
+from .market import MarketError, MarketSpace, as_position
 from .sets import AcceptanceSet
 
 
@@ -110,8 +110,12 @@ class _Oracle:
         return past
 
     def exhausted(self, opts: GaugeOptions) -> OracleBudgetError:
-        return OracleBudgetError(f"oracle budget of {opts.max_oracle_calls} calls exhausted",
-                                 bracket=tuple(self.bracket))
+        return _budget_error(opts, tuple(self.bracket))
+
+
+def _budget_error(opts: GaugeOptions, bracket: tuple[float, float]) -> OracleBudgetError:
+    return OracleBudgetError(f"oracle budget of {opts.max_oracle_calls} calls exhausted",
+                             bracket=bracket)
 
 
 class _BudgetSignal(Exception):
@@ -166,18 +170,26 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
                                attained="yes" if hit else "no", oracle_calls=oracle.calls)
         past = oracle.ray(x, cogauge)
         lo, hi = _grid_scan(past, opts, cogauge) if approximate else _exponential_search(past, opts)
-        if lo == 0.0 or hi == math.inf:
-            return GaugeResult(value=0.0 if lo == 0.0 else math.inf, bracket=(lo, hi),
-                               attained="no", oracle_calls=oracle.calls, approximate=approximate)
-        lo, hi = _bisect(past, lo, hi, opts)
+        if lo > 0.0 and hi < math.inf:
+            lo, hi = _bisect(past, lo, hi, opts)
     except _BudgetSignal:
         raise oracle.exhausted(opts) from None
+    return _result(A, x, lo, hi, oracle.calls, cogauge, approximate)
 
+
+def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
+            cogauge: bool = False, approximate: bool = False) -> GaugeResult:
+    """The ``GaugeResult`` of a final bracket: ``(0, m_min)`` means 0,
+    ``(m_cap, inf)`` means inf, and otherwise the value is the bracket's
+    upper end for the gauge, its lower end for the cogauge."""
+    if lo == 0.0 or hi == math.inf:
+        return GaugeResult(value=0.0 if lo == 0.0 else math.inf, bracket=(lo, hi),
+                           attained="no", oracle_calls=calls, approximate=approximate)
     value = lo if cogauge else hi
-    closed = flags.closed
+    closed = A.flags.closed
     return GaugeResult(value=value, bracket=(lo, hi),
                        attained="yes" if closed is True else ("no" if closed is False else "unknown"),
-                       oracle_calls=oracle.calls,
+                       oracle_calls=calls,
                        boundary_point=x / value if closed is True else None,
                        approximate=approximate)
 
@@ -232,6 +244,130 @@ def _bisect(past, lo: float, hi: float, opts: GaugeOptions):
             lo = mid
         tol = _tolerance(opts, hi)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Gauge table
+# ---------------------------------------------------------------------------
+
+def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[GaugeResult]]:
+    """The gauge of every set at every row of ``X``: ``table[j][i]`` equals
+    ``minkowski_gauge(sets[j], X[i], opts)`` field for field.
+
+    The non-zero rows of sets that are ``rowwise`` and declare
+    ``star_shaped`` are solved together (``_lockstep``); every other cell
+    calls ``minkowski_gauge``.  ``X`` is a ``(B, n)`` array of finite
+    positions (``MarketError`` otherwise).  If cells exhaust the oracle
+    budget, the ``OracleBudgetError`` of the first of them in position-major
+    order is raised, as solving the cells one by one in that order would.
+    """
+    X = _as_rows(sets, X)
+    batched = [A.rowwise and A.flags.star_shaped is True for A in sets]
+    solved = iter(_lockstep([A for A, b in zip(sets, batched) if b], X, opts))
+    table = [next(solved) if b else [None] * len(X) for b in batched]
+    for i, x in enumerate(X):
+        for column, A in zip(table, sets):
+            cell = column[i]
+            if isinstance(cell, OracleBudgetError):
+                raise cell
+            if cell is None:
+                column[i] = minkowski_gauge(A, x, opts)
+    return table
+
+
+def _as_rows(sets, X) -> np.ndarray:
+    """``X`` as a ``(B, n)`` float array whose rows pass ``as_position``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise MarketError(f"positions must form a (B, n) array, got shape {X.shape}")
+    for A in sets:
+        if X.shape[1] != A.space.n:
+            raise MarketError(f"position must have {A.space.n} entries, got shape {X.shape[1:]}")
+    if not np.isfinite(X).all():
+        raise MarketError("position entries must be finite")
+    return X
+
+
+# What a lockstep cell asks next: ``lo`` while halving, ``hi`` while
+# doubling, the midpoint while bisecting; nothing once done.
+_HALVE, _DOUBLE, _BISECT, _DONE = range(4)
+
+
+def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
+    """``_exponential_search`` then ``_bisect`` for every non-zero row of
+    every set at once.
+
+    Cell ``c`` is row ``c % B`` of set ``c // B``, with its own bracket
+    ``[lo, hi]``, mode, call count and live bracket (what an
+    ``OracleBudgetError`` carries).  Each step asks each set one batch: its
+    unfinished rows, each divided by its cell's scale.  A cell starts
+    halving at ``(lo, hi) = (1, 2)``, so it first asks m = 1: a hit there
+    halves on, and a miss doubles on from ``(1, 2)``, as a miss while
+    doubling does.  Returns, per set, a ``GaugeResult`` or
+    ``OracleBudgetError`` per row, and ``None`` for the zero rows, which
+    ask the same point at every scale and are left to ``minkowski_gauge``.
+    """
+    if not sets:
+        return []
+    B = len(X)
+    nonzero = np.any(X, axis=1)
+    row = np.tile(np.arange(B), len(sets))
+    lo, hi = np.ones(row.size), np.full(row.size, 2.0)
+    live = np.zeros((row.size, 2))
+    live[:, 1] = math.inf
+    calls = np.zeros(row.size, dtype=int)
+    mode = np.where(nonzero[row], _HALVE, _DONE)
+    exhausted = np.zeros(row.size, dtype=bool)
+    starts = np.arange(len(sets) + 1) * B
+    while True:
+        act = np.flatnonzero(mode != _DONE)
+        spent = calls[act] >= opts.max_oracle_calls
+        if spent.any():
+            exhausted[act[spent]] = True
+            mode[act[spent]] = _DONE
+            act = act[~spent]
+        if not act.size:
+            break
+        md, l, h = mode[act], lo[act], hi[act]
+        m = np.where(md == _HALVE, l, np.where(md == _DOUBLE, h, 0.5 * (l + h)))
+        Z = X[row[act]] / m[:, None]
+        past = np.empty(act.size, dtype=bool)
+        cuts = np.searchsorted(act, starts)
+        for A, a, b in zip(sets, cuts[:-1], cuts[1:]):
+            if a < b:
+                past[a:b] = A.member_rows(Z[a:b])
+        calls[act] += 1
+        live[act, past.astype(int)] = m
+        h = np.where(past, m, h)
+        l = np.where(past, l, m)
+        shrink = past & (md == _HALVE)
+        grow = ~past & ((md == _DOUBLE) | ((md == _HALVE) & (calls[act] == 1)))
+        l[shrink] = m[shrink] / 2.0
+        h[grow] = m[grow] * 2.0
+        floor = shrink & (l < opts.m_min)
+        cap = grow & (h > opts.m_cap)
+        l[floor], h[floor] = 0.0, opts.m_min
+        l[cap], h[cap] = opts.m_cap, math.inf
+        md = np.where(shrink, _HALVE, np.where(grow, _DOUBLE, _BISECT))
+        settled = (md == _BISECT) & (h - l <= np.maximum(opts.tol_abs, opts.tol_rel * h))
+        md[floor | cap | settled] = _DONE
+        mode[act], lo[act], hi[act] = md, l, h
+
+    lo, hi, calls, live = lo.tolist(), hi.tolist(), calls.tolist(), live.tolist()
+    exhausted, nonzero = exhausted.tolist(), nonzero.tolist()
+    out = []
+    for j, A in enumerate(sets):
+        column = []
+        for i, x in enumerate(X):
+            c = j * B + i
+            if exhausted[c]:
+                column.append(_budget_error(opts, tuple(live[c])))
+            elif nonzero[i]:
+                column.append(_result(A, x, lo[c], hi[c], calls[c]))
+            else:
+                column.append(None)
+        out.append(column)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ positions — ``add_constants``, ``star_hull`` and ``law_invariant_hull``
 ``add_constants``: the candidate shifts, then the shift grid only if no
 candidate is a member).  They are themselves scalar-only, so a composite
 nested inside one of them is reached through the loop adapter and no
-batch grows beyond one fan-out.  The gauge solvers in
-:mod:`minkdev.gauge` only ever ask single positions.
+batch grows beyond one fan-out.  ``minkowski_gauge`` and ``cogauge`` ask
+single positions; ``gauge.gauge_table`` asks each row-wise star-shaped set
+one batch of rows per bisection step, through ``AcceptanceSet.member_rows``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -79,7 +80,12 @@ class AcceptanceSet:
     """A membership oracle over positions of one market space.
 
     ``rowwise`` declares that ``membership`` also maps a ``(B, n)`` batch
-    to a ``(B,)`` bool array (see the module docstring).
+    to a ``(B,)`` bool array (see the module docstring).  ``row_membership``
+    is that batch oracle as the constructor built it, and what
+    ``member_rows`` asks: a copy whose ``membership`` was replaced through
+    ``dataclasses.replace`` (a wrapper written for one position, say) keeps
+    it, so the wrapper is never handed a batch.  Replace both to change
+    what the set contains.
     """
 
     space: MarketSpace
@@ -88,6 +94,7 @@ class AcceptanceSet:
     exact_form: "Polytope | None" = None
     label: str = ""
     rowwise: bool = False
+    row_membership: Callable[[np.ndarray], np.ndarray] | None = None
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -108,6 +115,12 @@ class AcceptanceSet:
         if self.rowwise:
             return bool(np.all(self.membership(X)))
         return all(map(self.membership, X))
+
+    def member_rows(self, X: np.ndarray) -> np.ndarray:
+        """Membership of each row of a ``(B, n)`` batch of a row-wise set,
+        in one call: ``row_membership`` when the constructor set it,
+        ``membership`` otherwise."""
+        return (self.row_membership or self.membership)(X)
 
     def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -151,12 +164,14 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
         law_invariant=True if ax.law_invariant else None,
         contains_zero=True if ax.nonnegative else None,
     )
+    rowwise = getattr(functional, "rowwise", False)
     return AcceptanceSet(
         space=space,
         membership=member,
         flags=flags,
         label=label or f"sublevel({getattr(functional, 'label', 'D')}, {k:g})",
-        rowwise=getattr(functional, "rowwise", False),
+        rowwise=rowwise,
+        row_membership=member if rowwise else None,
     )
 
 
@@ -171,6 +186,7 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
         flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
         rowwise=A.rowwise,
+        row_membership=(lambda X: A.member_rows(X / lam)) if A.rowwise else None,
     )
 
 
@@ -185,7 +201,6 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     if A.space is not B.space and not np.array_equal(A.space.probs, B.space.probs):
         raise SetError("combine requires sets over the same market space")
     fa, fb = A.flags, B.flags
-    ma, mb = A.membership, B.membership
     if op == "union":
         flags = SetFlags(
             star_shaped=_and3(fa.star_shaped, fb.star_shaped),
@@ -215,21 +230,25 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     else:
         raise SetError(f"unknown combine op {op!r}")
 
-    def member(x: np.ndarray):
-        if x.ndim == 1:
-            return (ma(x) or mb(x)) if union else (ma(x) and mb(x))
-        out = np.array(ma(x), dtype=bool)
-        open_rows = ~out if union else out  # rows the second operand decides
-        if open_rows.any():
-            out[open_rows] = mb(x[open_rows])
-        return out
+    def both(ma, mb):
+        def member(x: np.ndarray):
+            if x.ndim == 1:
+                return (ma(x) or mb(x)) if union else (ma(x) and mb(x))
+            out = np.array(ma(x), dtype=bool)
+            open_rows = ~out if union else out  # rows the second operand decides
+            if open_rows.any():
+                out[open_rows] = mb(x[open_rows])
+            return out
+        return member
 
+    rowwise = A.rowwise and B.rowwise
     return AcceptanceSet(
         space=A.space,
-        membership=member,
+        membership=both(A.membership, B.membership),
         flags=flags,
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
-        rowwise=A.rowwise and B.rowwise,
+        rowwise=rowwise,
+        row_membership=both(A.member_rows, B.member_rows) if rowwise else None,
     )
 
 
@@ -384,7 +403,8 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
         contains_zero=bool(market.lp_norm(space, -c, p) <= radius),
     )
     return AcceptanceSet(space=space, membership=member, flags=flags,
-                         label=label or f"ball(p={p:g}, r={radius:g})", rowwise=True)
+                         label=label or f"ball(p={p:g}, r={radius:g})", rowwise=True,
+                         row_membership=member)
 
 
 # ---------------------------------------------------------------------------
@@ -597,25 +617,31 @@ def set_from_json(space: MarketSpace, doc, measure_parser=None) -> AcceptanceSet
         {"kind": "star_hull", "of": {...}, "resolution": 256}
         {"kind": "law_invariant_hull", "of": {...}}
 
-    ``measure_parser`` maps a measure description to a functional; by default
-    the builtin deviation measures are used.
+    Every kind takes an optional ``"label"``; without one, a set is labelled
+    from its parts.  ``measure_parser`` maps a measure description to a
+    functional; by default the builtin deviation measures are used.
     """
     if measure_parser is None:
         from .deviations import measure_from_json as measure_parser  # local: avoids cycle
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SetError('set description must be an object with a "kind"')
-    kind = doc["kind"]
+    A = _set_from_json(space, doc, measure_parser)
     label = str(doc.get("label", ""))
+    return replace(A, label=label) if label else A
+
+
+def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceSet:
+    kind = doc["kind"]
     if kind == "sublevel":
         D = measure_parser(doc["measure"])
-        return sublevel_set(space, D, float(doc.get("k", 1.0)), label=label)
+        return sublevel_set(space, D, float(doc.get("k", 1.0)))
     if kind == "ball":
         p = math.inf if doc.get("p") in ("inf", None) else float(doc["p"])
-        return ball_set(space, p, float(doc.get("radius", 1.0)), doc.get("center"), label=label)
+        return ball_set(space, p, float(doc.get("radius", 1.0)), doc.get("center"))
     if kind == "halfspaces":
         from .duality import Polytope  # local: avoids a module cycle
         P = Polytope.from_halfspaces(space, np.asarray(doc["rows"], float), np.asarray(doc["rhs"], float))
-        return P.as_acceptance_set(label=label)
+        return P.as_acceptance_set()
     if kind == "scale":
         return scale_set(set_from_json(space, doc["of"], measure_parser), float(doc["factor"]))
     if kind == "combine":

@@ -23,7 +23,7 @@ import numpy as np
 from . import deviations, duality, market, sets
 from .deviations import builtin_deviation, builtin_error, AxiomFlags, DeviationFunctional
 from .duality import Polytope
-from .gauge import GaugeOptions, minkowski_gauge, shift_infimum_gauge
+from .gauge import GaugeOptions, gauge_table, minkowski_gauge, shift_infimum_gauge
 from .market import MarketSpace
 from .sets import AcceptanceSet, SetFlags, add_constants, ball_set, combine, sublevel_set
 
@@ -70,15 +70,14 @@ def check_closed_form_gauges(seed: int = 0) -> dict:
     max_gap = 0.0
     count = 0
     for space in spaces:
-        positions = [rng.uniform(-4.0, 4.0, size=space.n) for _ in range(100)]
-        for D in measures:
-            for k in levels:
-                A = sublevel_set(space, D, k)
-                for x in positions:
-                    g = minkowski_gauge(A, x, SUITE_OPTS).value
-                    gap = abs(k * g - D.eval(space, x))
-                    max_gap = max(max_gap, gap)
-                    count += 1
+        X = rng.uniform(-4.0, 4.0, size=(100, space.n))
+        cases = [(D, k) for D in measures for k in levels]
+        table = gauge_table([sublevel_set(space, D, k) for D, k in cases], X, SUITE_OPTS)
+        for (D, k), column in zip(cases, table):
+            for x, res in zip(X, column):
+                gap = abs(k * res.value - D.eval(space, x))
+                max_gap = max(max_gap, gap)
+                count += 1
     return {"criterion": "closed_form_gauges", "passed": max_gap < 1e-6,
             "max_gap": _round(max_gap), "comparisons": count, "seed": seed}
 
@@ -95,11 +94,10 @@ def check_variance_normalisation(seed: int = 0) -> dict:
     space = _random_space(rng, 5)
     max_gap = 0.0
     for k in (1.0, 4.0):
-        A = sublevel_set(space, var, k)
-        for _ in range(100):
-            x = rng.uniform(-4.0, 4.0, size=space.n)
-            g = minkowski_gauge(A, x, SUITE_OPTS).value
-            max_gap = max(max_gap, abs(g - sd.eval(space, x) / math.sqrt(k)))
+        X = rng.uniform(-4.0, 4.0, size=(100, space.n))
+        [column] = gauge_table([sublevel_set(space, var, k)], X, SUITE_OPTS)
+        for x, res in zip(X, column):
+            max_gap = max(max_gap, abs(res.value - sd.eval(space, x) / math.sqrt(k)))
     return {"criterion": "variance_normalisation", "passed": max_gap < 1e-6,
             "max_gap": _round(max_gap), "seed": seed}
 
@@ -373,11 +371,12 @@ def ray_profile(A: AcceptanceSet, rays: int = 720, opts: GaugeOptions = SUITE_OP
     """
     if A.space.n != 2:
         raise sets.SetError("ray profiles require a two-outcome space")
+    thetas = [2.0 * math.pi * j / rays for j in range(rays)]
+    D = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas]).reshape(rays, 2)
+    [column] = gauge_table([A], D, opts)
     out = []
-    for j in range(rays):
-        theta = 2.0 * math.pi * j / rays
-        d = np.array([math.cos(theta), math.sin(theta)])
-        gval = minkowski_gauge(A, d, opts).value
+    for theta, d, res in zip(thetas, D, column):
+        gval = res.value
         if gval <= 0.0 or math.isinf(gval):
             # gauge 0: the set is unbounded along d (infinite radius);
             # gauge inf: the ray never meets the set (radius 0).

@@ -3,17 +3,23 @@
 Criteria 1-9 each compare two independent computational routes on seeded
 random data and carry both a numeric tolerance and a wall-clock budget;
 criterion 10 reruns the whole battery with the same seed and demands a
-byte-identical report.  One summary line is printed per criterion.
+byte-identical report, and the first run must also match the report
+checked in under ``tests/data``.  One summary line is printed per criterion.
 """
 
 import math
 import time
+from pathlib import Path
 
 import pytest
 
 from minkdev.suite import CRITERIA, canonical_report, run_suite
 
 SEED = 0
+
+#: ``canonical_report`` of the battery at ``SEED``, as generated before the
+#: lockstep gauge table; any change to a reported number shows up here.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "suite_report_seed0.json"
 
 #: Wall-clock budgets in seconds, per criterion.
 BUDGETS = {
@@ -133,6 +139,11 @@ def test_criterion_10_determinism(battery):
           + ("PASS" if first_json == second_json else "FAIL")
           + f" ({len(first_json)} bytes)")
     assert first_json.encode() == second_json.encode()
+
+
+def test_report_matches_golden(battery):
+    _, _, first_json, _ = battery
+    assert first_json.encode() == GOLDEN_REPORT.read_bytes()
 
 
 def test_every_registered_criterion_reported(battery):

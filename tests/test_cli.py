@@ -85,6 +85,56 @@ def test_boundary_csv(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_eval_cells_equal_the_single_position_solver(tmp_path, capsys):
+    from minkdev import market, sets
+    from minkdev.gauge import GaugeOptions, minkowski_gauge
+
+    doc = dict(EVAL_DOC, sets=EVAL_DOC["sets"] + [
+        {"kind": "ball", "p": 3, "radius": 0.7, "label": "ball3"},
+        {"kind": "star_hull", "of": {"kind": "ball", "p": 1, "center": [0.5, 0.0]},
+         "label": "hull"},                                         # scalar-only
+    ])
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
+    rows = {r["position"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    space = market.space_from_json(doc["space"])
+    for d in doc["sets"]:
+        A = sets.set_from_json(space, d)
+        for name, x in doc["positions"].items():
+            want = minkowski_gauge(A, np.array(x), GaugeOptions()).value
+            got = rows[name][f"gauge({d['label']})"]
+            assert got == ("inf" if math.isinf(want) else want), (d["label"], name)
+
+
+def test_eval_rejects_duplicate_columns(tmp_path, capsys):
+    # two unlabelled halfspace sets would both be reported as gauge(polytope)
+    polytope = {"kind": "halfspaces", "rows": [[1, 0], [0, 1], [-1, -1]], "rhs": [1, 1, 1]}
+    doc = dict(EVAL_DOC, sets=[polytope, dict(polytope, rhs=[2, 2, 2])])
+    assert main(["eval", "--scenario", write(tmp_path, "dup.json", doc)]) == EXIT_INPUT_ERROR
+    assert "duplicate" in capsys.readouterr().err
+    doc = dict(EVAL_DOC, sets=[dict(polytope, label="a"), dict(polytope, label="b")])
+    assert main(["eval", "--scenario", write(tmp_path, "ok.json", doc)]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert {"gauge(a)", "gauge(b)"} <= set(row)
+
+
+def test_eval_labels_every_set_kind(tmp_path, capsys):
+    ball = {"kind": "ball", "p": 2, "radius": 1.0}
+    sublevel = {"kind": "sublevel", "measure": {"measure": "std_dev"}, "k": 1.0}
+    labelled = {
+        "scale": {"kind": "scale", "of": ball, "factor": 2.0},
+        "combine": {"kind": "combine", "op": "union", "of": [ball, sublevel]},
+        "add_constants": {"kind": "add_constants", "of": ball},
+        "star_hull": {"kind": "star_hull", "of": ball, "resolution": 16},
+        "law_invariant_hull": {"kind": "law_invariant_hull", "of": ball},
+    }
+    doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "positions": {"X": [1.0, -0.5]},
+           "sets": [dict(d, label=kind) for kind, d in labelled.items()]}
+    assert main(["eval", "--scenario", write(tmp_path, "l.json", doc)]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert set(row) == {"position"} | {f"gauge({kind})" for kind in labelled}
+    assert row["gauge(scale)"] == pytest.approx(0.5 * math.sqrt(0.5 * 1.0 + 0.5 * 0.25))
+
+
 def test_polar_command(tmp_path, capsys):
     doc = {
         "v": 1,
@@ -197,6 +247,6 @@ def test_defect_inside_a_command_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("defect")
 
-    monkeypatch.setattr("minkdev.cli.minkowski_gauge", broken)
+    monkeypatch.setattr("minkdev.cli.gauge_table", broken)
     with pytest.raises(TypeError, match="defect"):
         main(["eval", "--scenario", write(tmp_path, "s.json", EVAL_DOC)])

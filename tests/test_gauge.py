@@ -13,9 +13,11 @@ from minkdev.gauge import (
     OracleBudgetError,
     cogauge,
     deviation_from_set,
+    gauge_table,
     minkowski_gauge,
     shift_infimum_gauge,
 )
+from minkdev.duality import Polytope
 from minkdev.market import MarketError, MarketSpace
 from minkdev.sets import AcceptanceSet, SetFlags, add_constants, ball_set, sublevel_set
 
@@ -247,6 +249,165 @@ def test_no_solve_asks_the_same_scale_twice(path):
         res = solver(A, x, TIGHT)
         assert len(asked) == res.oracle_calls
         assert len(set(asked)) == len(asked)
+
+
+# --- gauge table ---------------------------------------------------------------
+
+SUITE = GaugeOptions(tol_rel=1e-9, tol_abs=1e-13)
+
+CATALOGUE = [("variance", {}), ("std_dev", {}), ("lower_semidev", {}), ("lr", {}),
+             ("ur", {}), ("frd", {}), ("esd", {"alpha": 0.1}), ("esd", {"alpha": 0.5})]
+
+
+def _same(a, b):
+    """``GaugeResult``s equal field for field, ``boundary_point`` bit for bit."""
+    if (a.boundary_point is None) != (b.boundary_point is None):
+        return False
+    return (a.value == b.value and a.bracket == b.bracket and a.attained == b.attained
+            and a.oracle_calls == b.oracle_calls and a.approximate == b.approximate
+            and (a.boundary_point is None or np.array_equal(a.boundary_point, b.boundary_point)))
+
+
+def _assert_table_equals_cells(sets, X, opts):
+    table = gauge_table(sets, X, opts)
+    assert len(table) == len(sets) and all(len(column) == len(X) for column in table)
+    for A, column in zip(sets, table):
+        for x, res in zip(X, column):
+            assert _same(res, minkowski_gauge(A, x, opts)), (A.label, x)
+    return table
+
+
+def _halfspace_polytope(space, rng):
+    n = space.n
+    rows = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(n, n))])
+    return Polytope.from_halfspaces(space, rows, rng.uniform(0.5, 2.0, size=len(rows)))
+
+
+def _positions(rng, count, n):
+    """Positions over several decades of scale, so cells halve, double and
+    bisect for different numbers of steps."""
+    return rng.uniform(-1.0, 1.0, size=(count, n)) * np.exp(rng.uniform(-6.0, 6.0, size=(count, 1)))
+
+
+@pytest.mark.parametrize("opts", [GaugeOptions(), SUITE, GaugeOptions(m_min=0.3, m_cap=1.5)],
+                         ids=["default", "suite", "narrow_range"])
+def test_table_equals_each_cell_over_the_catalogue(opts):
+    rng = np.random.default_rng(11)
+    for n in (2, 5):
+        w = rng.uniform(0.5, 1.5, size=n)
+        space = MarketSpace(w / w.sum())
+        sets = [sublevel_set(space, builtin_deviation(name, **kw), k)
+                for name, kw in CATALOGUE for k in (0.5, 2.0)]
+        sets += [ball_set(space, p, 1.3) for p in (1.0, 2.0, 3.0, math.inf)]
+        sets.append(_halfspace_polytope(space, rng).as_acceptance_set())
+        assert all(A.rowwise and A.flags.star_shaped is True for A in sets)
+        _assert_table_equals_cells(sets, _positions(rng, 25, n), opts)
+
+
+def test_table_mixes_batched_scalar_only_and_grid_cells():
+    rng = np.random.default_rng(12)
+    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
+    user = AcceptanceSet(space=UNIFORM3, membership=lambda x: bool(ball.membership(x)),
+                         flags=ball.flags, label="user")           # scalar-only
+    blank = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags(),
+                          rowwise=True, label="blank")            # grid fallback
+    sd = sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0)
+    table = _assert_table_equals_cells([sd, user, blank, ball], _positions(rng, 12, 3), SUITE)
+    assert all(res.approximate for res in table[2])
+    assert not any(res.approximate for res in table[0] + table[1] + table[3])
+
+
+def test_table_zero_constant_and_infinite_rows():
+    line = AcceptanceSet(space=BINARY, membership=lambda x: np.ptp(x, axis=-1) <= 1e-12,
+                         flags=SetFlags(star_shaped=True, closed=True), rowwise=True)
+    cone = Polytope.from_halfspaces(BINARY, np.array([[3.0, -1.0], [-3.0, 1.0]]),
+                                    np.zeros(2)).as_acceptance_set()
+    sets = [sublevel_set(BINARY, builtin_deviation("std_dev"), 1.0), line, cone,
+            ball_set(BINARY, 2.0), empty_set(BINARY)]
+    X = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, -1.0], [-3.0, -3.0], [0.5, 4.0]])
+    table = _assert_table_equals_cells(sets, X, SUITE)
+    sd, line, cone, ball, empty = table
+    assert [r.value for r in sd[:2]] == [0.0, 0.0]                 # zero and constant rows
+    assert line[2].value == cone[2].value == math.inf              # off the constants line
+    assert line[1].value == cone[1].value == 0.0
+    assert ball[0].value == 0.0 and ball[0].attained == "yes"
+    assert all(r.value == math.inf for r in empty)
+
+
+def test_table_validates_rows():
+    A = ball_set(SPACE4, p=2.0)
+    for bad in ([[1.0, 2.0, math.nan, 0.0]], [[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(MarketError):
+            gauge_table([A], bad)
+    assert gauge_table([A], np.empty((0, 4))) == [[]]
+    assert gauge_table([], np.ones((2, 4))) == []
+
+
+def _first_budget_error(sets, X, opts):
+    """The error solving cell by cell, row by row, raises first."""
+    for i, x in enumerate(X):
+        for j, A in enumerate(sets):
+            try:
+                minkowski_gauge(A, x, opts)
+            except OracleBudgetError as exc:
+                return (i, j), str(exc), exc.bracket
+    return None
+
+
+def test_table_budget_error_is_the_first_cell_in_position_major_order():
+    rng = np.random.default_rng(13)
+    ball = ball_set(SPACE4, p=3.0)
+    user = AcceptanceSet(space=SPACE4, membership=lambda x: bool(ball.membership(x)),
+                         flags=ball.flags)                          # scalar path
+    small = ball_set(SPACE4, p=2.0, radius=1e-3)                 # more doubling steps
+    sets = [sublevel_set(SPACE4, builtin_deviation("esd", alpha=0.25), 1.0), user, small]
+    seen = set()
+    for _ in range(3):
+        X = np.vstack([_positions(rng, 3, 4), np.full(4, 1.5)])    # and a constant row
+        for budget in (0, 36, 38, 40, 44, 48, 60):
+            opts = GaugeOptions(max_oracle_calls=budget)
+            want = _first_budget_error(sets, X, opts)
+            if want is None:
+                _assert_table_equals_cells(sets, X, opts)
+                continue
+            cell, message, bracket = want
+            seen.add(cell)
+            with pytest.raises(OracleBudgetError) as exc:
+                gauge_table(sets, X, opts)
+            assert (str(exc.value), exc.value.bracket) == (message, bracket), cell
+    # batched and scalar-path cells, in the first row and in later ones, raise first
+    assert {j for _, j in seen} == {0, 1, 2} and {i for i, _ in seen} > {0}
+
+
+def test_table_never_asks_a_finished_row_again():
+    ball = ball_set(UNIFORM3, p=2.0)
+    batches = []
+
+    def member(X):
+        if X.ndim == 2:
+            batches.append(len(X))
+        return ball.membership(X)
+    A = AcceptanceSet(space=UNIFORM3, membership=member, flags=ball.flags, rowwise=True)
+    X = _positions(np.random.default_rng(14), 40, 3)
+    [column] = gauge_table([A], X, SUITE)
+    calls = np.array([res.oracle_calls for res in column])
+    # step t asks exactly the rows whose solve needs a t-th call
+    assert batches == [int(np.sum(calls >= t)) for t in range(1, calls.max() + 1)]
+
+
+def test_table_asks_the_constructor_oracle_not_a_replaced_membership():
+    from dataclasses import replace
+
+    ball = ball_set(UNIFORM3, p=2.0)
+    asked = []
+
+    def one_position(x):
+        asked.append(x.shape)
+        return bool(ball.membership(x))
+    watched = replace(ball, membership=one_position)
+    X = _positions(np.random.default_rng(15), 5, 3)
+    [column] = gauge_table([watched], X, SUITE)
+    assert asked == [] and all(_same(a, minkowski_gauge(ball, x, SUITE)) for a, x in zip(column, X))
 
 
 # --- derived functionals ---------------------------------------------------------
