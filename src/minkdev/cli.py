@@ -112,6 +112,8 @@ def _parsing_scenario():
 
 def _gauge_options(config: RunConfig) -> GaugeOptions:
     if config.tol is not None:
+        if not (math.isfinite(config.tol) and config.tol > 0.0):
+            raise InputError(f"--tol must be finite and positive, got {config.tol}")
         return GaugeOptions(tol_rel=config.tol, tol_abs=min(config.tol, 1e-12))
     return GaugeOptions()
 
@@ -175,7 +177,7 @@ def cmd_boundary(config: RunConfig) -> int:
         if "set" not in doc:
             raise InputError('boundary scenarios need a "set" entry')
         A = sets.set_from_json(space, doc["set"])
-        rays = config.rays or int(doc.get("rays", 720))
+        rays = config.rays if config.rays is not None else int(doc.get("rays", 720))
     if rays < 4:
         raise InputError(f"need at least 4 rays, got {rays}")
     profile = suite.ray_profile(A, rays, opts=_gauge_options(config))

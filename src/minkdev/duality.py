@@ -152,11 +152,10 @@ class Polytope:
             law_invariant=None,
             contains_zero=contains_zero,
         )
-        rowwise = self.rows is not None
         member = lambda x: self.contains(x)
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
-                             label=label or "polytope", rowwise=rowwise,
-                             row_membership=member if rowwise else None)
+                             label=label or "polytope",
+                             row_membership=member if self.rows is not None else None)
 
 
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:

@@ -49,11 +49,13 @@ class GaugeOptions:
     m_cap: float = 1e12
     tol_rel: float = 1e-10
     tol_abs: float = 1e-12
-    ray_grid: int = 64
     max_oracle_calls: int = 10_000
 
 
 DEFAULT_OPTIONS = GaugeOptions()
+
+#: Scales per decade of the grid-scan fallback.
+RAY_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -215,13 +217,13 @@ def _exponential_search(past, opts: GaugeOptions):
 def _grid_scan(past, opts: GaugeOptions, cogauge: bool):
     """Geometric-scan fallback for sets without the structure bisection needs.
 
-    Scans ``ray_grid`` scales per decade across ``[m_min, m_cap]`` for the
+    Scans ``RAY_GRID`` scales per decade across ``[m_min, m_cap]`` for the
     first member: upward for the gauge, downward for the cogauge.  That
     member and the non-member scanned just before it bracket the switch,
     which is only grid-accurate, hence flagged approximate.
     """
     decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
-    grid = np.geomspace(opts.m_min, opts.m_cap, max(2, int(opts.ray_grid * decades)))
+    grid = np.geomspace(opts.m_min, opts.m_cap, max(2, int(RAY_GRID * decades)))
     scales = grid[::-1] if cogauge else grid
     # a member is where past(m) != cogauge
     i = next((i for i, m in enumerate(scales) if past(float(m)) != cogauge), grid.size)
@@ -254,7 +256,7 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
     """The gauge of every set at every row of ``X``: ``table[j][i]`` equals
     ``minkowski_gauge(sets[j], X[i], opts)`` field for field.
 
-    The non-zero rows of sets that are ``rowwise`` and declare
+    The non-zero rows of sets that are row-wise and declare
     ``star_shaped`` are solved together (``_lockstep``); every other cell
     calls ``minkowski_gauge``.  ``X`` is a ``(B, n)`` array of finite
     positions (``MarketError`` otherwise).  If cells exhaust the oracle
@@ -335,7 +337,7 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
         cuts = np.searchsorted(act, starts)
         for A, a, b in zip(sets, cuts[:-1], cuts[1:]):
             if a < b:
-                past[a:b] = A.member_rows(Z[a:b])
+                past[a:b] = A.row_membership(Z[a:b])
         calls[act] += 1
         live[act, past.astype(int)] = m
         h = np.where(past, m, h)

@@ -13,23 +13,24 @@ unions/intersections, the Minkowski sum with the constants line
 (``add_constants``), star hulls, and law-invariant hulls on uniform spaces.
 
 Row-wise oracles.  ``membership(x)`` answers one position of shape
-``(n,)`` with a bool.  A set whose constructor declares ``rowwise=True``
+``(n,)`` with a bool.  A row-wise set, a set with a ``row_membership``,
 also answers a ``(B, n)`` batch with a ``(B,)`` bool array in one call;
-the leaves (sub-level sets of the builtin measures, balls, halfspace
-polytopes) do, and ``scale_set`` and ``combine`` do when their operands
-do.  ``AcceptanceSet.any_row`` and ``AcceptanceSet.all_rows`` ask a batch
-of every set: a row-wise oracle answers it in one call, and a scalar-only
-one (user-built oracles, vertex-form polytopes, nested composites) is
-asked row by row, in order, up to the first row that decides the answer
-(the loop adapter).  The composites that fan one query out to many inner
-positions — ``add_constants``, ``star_hull`` and ``law_invariant_hull``
-— answer each query with one batch to their inner set (two for
-``add_constants``: the candidate shifts, then the shift grid only if no
-candidate is a member).  They are themselves scalar-only, so a composite
-nested inside one of them is reached through the loop adapter and no
-batch grows beyond one fan-out.  ``minkowski_gauge`` and ``cogauge`` ask
-single positions; ``gauge.gauge_table`` asks each row-wise star-shaped set
-one batch of rows per bisection step, through ``AcceptanceSet.member_rows``.
+the leaves (sub-level sets of row-wise functionals, balls, halfspace
+polytopes) are row-wise, and ``scale_set`` and ``combine`` are when
+their operands are.  ``AcceptanceSet.any_row`` and
+``AcceptanceSet.all_rows`` ask a batch of every set: a row-wise oracle
+answers it in one call, and a scalar-only one (user-built oracles,
+vertex-form polytopes, nested composites) is asked row by row, in order,
+up to the first row that decides the answer (the loop adapter).  The
+composites that fan one query out to many inner positions —
+``add_constants``, ``star_hull`` and ``law_invariant_hull`` — answer
+each query with one batch to their inner set (two for ``add_constants``:
+the candidate shifts, then the shift grid only if no candidate is a
+member).  They are themselves scalar-only, so a composite nested inside
+one of them is reached through the loop adapter and no batch grows
+beyond one fan-out.  ``minkowski_gauge`` and ``cogauge`` ask single
+positions; ``gauge.gauge_table`` asks the ``row_membership`` of each
+row-wise star-shaped set one batch of rows per bisection step.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ def _and3(a: bool | None, b: bool | None) -> bool | None:
 class AcceptanceSet:
     """A membership oracle over positions of one market space.
 
-    ``rowwise`` declares that ``membership`` also maps a ``(B, n)`` batch
-    to a ``(B,)`` bool array (see the module docstring).  ``row_membership``
-    is that batch oracle as the constructor built it, and what
-    ``member_rows`` asks: a copy whose ``membership`` was replaced through
-    ``dataclasses.replace`` (a wrapper written for one position, say) keeps
-    it, so the wrapper is never handed a batch.  Replace both to change
-    what the set contains.
+    ``row_membership``, when set, maps a ``(B, n)`` batch to a ``(B,)``
+    bool array in one call (see the module docstring); ``membership`` of
+    such a set takes batches too.  A copy whose ``membership`` was replaced
+    through ``dataclasses.replace`` (a wrapper written for one position,
+    say) keeps the constructor's ``row_membership``, so ``gauge_table``
+    never hands the wrapper a batch; ``any_row`` and ``all_rows`` still
+    ask ``membership``.  Replace both to change what the set contains.
     """
 
     space: MarketSpace
@@ -93,8 +94,12 @@ class AcceptanceSet:
     flags: SetFlags = field(default_factory=SetFlags)
     exact_form: "Polytope | None" = None
     label: str = ""
-    rowwise: bool = False
     row_membership: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def rowwise(self) -> bool:
+        """Whether the set answers a batch of rows in one call."""
+        return self.row_membership is not None
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -115,12 +120,6 @@ class AcceptanceSet:
         if self.rowwise:
             return bool(np.all(self.membership(X)))
         return all(map(self.membership, X))
-
-    def member_rows(self, X: np.ndarray) -> np.ndarray:
-        """Membership of each row of a ``(B, n)`` batch of a row-wise set,
-        in one call: ``row_membership`` when the constructor set it,
-        ``membership`` otherwise."""
-        return (self.row_membership or self.membership)(X)
 
     def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -164,14 +163,12 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
         law_invariant=True if ax.law_invariant else None,
         contains_zero=True if ax.nonnegative else None,
     )
-    rowwise = getattr(functional, "rowwise", False)
     return AcceptanceSet(
         space=space,
         membership=member,
         flags=flags,
         label=label or f"sublevel({getattr(functional, 'label', 'D')}, {k:g})",
-        rowwise=rowwise,
-        row_membership=member if rowwise else None,
+        row_membership=member if getattr(functional, "rowwise", False) else None,
     )
 
 
@@ -185,8 +182,7 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
         membership=lambda x: inner(x / lam),
         flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
-        rowwise=A.rowwise,
-        row_membership=(lambda X: A.member_rows(X / lam)) if A.rowwise else None,
+        row_membership=(lambda X: A.row_membership(X / lam)) if A.rowwise else None,
     )
 
 
@@ -241,14 +237,12 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             return out
         return member
 
-    rowwise = A.rowwise and B.rowwise
     return AcceptanceSet(
         space=A.space,
         membership=both(A.membership, B.membership),
         flags=flags,
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
-        rowwise=rowwise,
-        row_membership=both(A.member_rows, B.member_rows) if rowwise else None,
+        row_membership=both(A.row_membership, B.row_membership) if A.rowwise and B.rowwise else None,
     )
 
 
@@ -260,13 +254,13 @@ class ShiftSearchConfig:
     is decided by probing deterministic candidate shifts (the entries of
     ``x``, its mean, median and midrange — exact minimisers for the
     piecewise-linear and quadratic families) followed by a uniform grid
-    centred on the midrange.  ``c_max`` caps the reachable shift magnitude;
-    beyond it the search reports non-membership.
+    centred on the midrange, of radius ``max(1, 2 * range of x)``.
+    ``c_max`` caps the reachable shift magnitude; beyond it the search
+    reports non-membership.
     """
 
     grid_points: int = 256
     c_max: float = 1e6
-    c_radius: float | None = None  # None: max(1, 2 * range of x)
 
 
 def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> AcceptanceSet:
@@ -288,8 +282,7 @@ def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> 
         cands = np.concatenate(([mid, market.expectation(space, x), float(np.median(x))], x))
         if any_member(x, cands):
             return True
-        radius = config.c_radius if config.c_radius is not None else max(1.0, 2.0 * (hi - lo))
-        radius = min(radius, config.c_max)
+        radius = min(max(1.0, 2.0 * (hi - lo)), config.c_max)
         return any_member(x, np.linspace(mid - radius, mid + radius, config.grid_points))
 
     flags = SetFlags(
@@ -403,8 +396,7 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
         contains_zero=bool(market.lp_norm(space, -c, p) <= radius),
     )
     return AcceptanceSet(space=space, membership=member, flags=flags,
-                         label=label or f"ball(p={p:g}, r={radius:g})", rowwise=True,
-                         row_membership=member)
+                         label=label or f"ball(p={p:g}, r={radius:g})", row_membership=member)
 
 
 # ---------------------------------------------------------------------------

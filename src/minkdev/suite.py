@@ -16,16 +16,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from . import deviations, duality, market, sets
+from . import duality, market, sets
 from .deviations import builtin_deviation, builtin_error, AxiomFlags, DeviationFunctional
 from .duality import Polytope
 from .gauge import GaugeOptions, gauge_table, minkowski_gauge, shift_infimum_gauge
 from .market import MarketSpace
-from .sets import AcceptanceSet, SetFlags, add_constants, ball_set, combine, sublevel_set
+from .sets import AcceptanceSet, add_constants, ball_set, combine, sublevel_set
 
 #: Solver options used by the suite: tight enough for the 1e-6/1e-7
 #: comparisons below while keeping bisection call counts moderate.
@@ -216,42 +215,33 @@ def check_comonotone_additivity(seed: int = 0) -> dict:
 # Criterion 7: axiom propagation from admissible sets to their gauges
 # ---------------------------------------------------------------------------
 
+def _unit_set(space: MarketSpace, norms, axioms: AxiomFlags) -> AcceptanceSet:
+    """``{ x : min_j N_j(x) <= 1 }`` for row-wise norms ``N_j`` that share
+    ``axioms``: the union of their unit sub-level sets."""
+    A, *rest = (sublevel_set(space, DeviationFunctional("generated", N, axioms, rowwise=True), 1.0)
+                for N in norms)
+    for B in rest:
+        A = combine("union", A, B)
+    return A
+
+
 def _admissible_set(rng: np.random.Generator, space: MarketSpace, convex: bool, law_invariant: bool) -> AcceptanceSet:
     """A random admissible acceptance set: the unit sub-level set of a
     weighted norm of the centred position (convex), or of the minimum of two
     such norms (star-shaped but generally non-convex).  Symmetric weights on
     a uniform space give law invariance."""
-    def norm_fn(p: float, w: np.ndarray):
-        if p == math.inf:
-            return lambda sp, x: float(np.max(w * np.abs(x - sp.probs @ x)))
-        return lambda sp, x: float(np.sum(sp.probs * (w * np.abs(x - sp.probs @ x)) ** p) ** (1.0 / p))
-
     def make(pick: int):
         p = [1.0, 2.0, math.inf][pick % 3]
         if law_invariant:
             w = np.full(space.n, float(rng.uniform(0.5, 2.0)))
         else:
             w = rng.uniform(0.5, 2.0, size=space.n)
-        return norm_fn(p, w)
+        return lambda sp, x: market.lp_norm(sp, w * (x - np.vecdot(x, sp.probs)[..., None]), p)
 
-    fns = [make(int(rng.integers(0, 3)))] if convex else [make(int(rng.integers(0, 3))) for _ in range(2)]
-
-    def evaluate(sp: MarketSpace, x: np.ndarray) -> float:
-        return min(f(sp, x) for f in fns)
-
-    D = DeviationFunctional(
-        label="generated",
-        eval_fn=evaluate,
-        axioms=AxiomFlags(
-            nonnegative=True,
-            translation_insensitive=True,
-            positive_homogeneous=True,
-            convex=convex,
-            law_invariant=law_invariant,
-        ),
-        homogeneity_degree=1.0,
-    )
-    return sublevel_set(space, D, 1.0)
+    norms = [make(int(rng.integers(0, 3))) for _ in range(1 if convex else 2)]
+    axioms = AxiomFlags(nonnegative=True, translation_insensitive=True, positive_homogeneous=True,
+                        convex=True, law_invariant=law_invariant)
+    return _unit_set(space, norms, axioms)
 
 
 def check_axiom_propagation(seed: int = 0, trials_per_set: int = 500) -> dict:
@@ -270,34 +260,45 @@ def check_axiom_propagation(seed: int = 0, trials_per_set: int = 500) -> dict:
         convex = i % 2 == 0
         law = i < 10
         A = _admissible_set(rng, space, convex=convex, law_invariant=law)
-        g = lambda z: minkowski_gauge(A, z, SUITE_OPTS).value
-        # zero on constants
-        if abs(g(np.full(space.n, float(rng.uniform(-3, 3))))) > 1e-9:
-            failures += 1
+        # every position of the set first, in draw order, then one table
+        rows = [np.full(space.n, float(rng.uniform(-3, 3)))]  # a constant
+        trials = []
         for _ in range(trials_per_set):
             x = rng.uniform(-4.0, 4.0, size=space.n)
-            gx = g(x)
+            c = float(rng.uniform(-5.0, 5.0))
+            lam = float(rng.uniform(0.2, 4.0))
+            rows += [x, x + c, lam * x]
+            if convex:
+                y = rng.uniform(-4.0, 4.0, size=space.n)
+                rows += [0.5 * (x + y), y]
+            if law:
+                rows.append(x[perms[int(rng.integers(0, 3))]])
+            trials.append((x, lam))
+        [column] = gauge_table([A], np.array(rows), SUITE_OPTS)
+        g = iter([res.value for res in column])
+        # zero on constants
+        if abs(next(g)) > 1e-9:
+            failures += 1
+        for x, lam in trials:
+            gx, g_shift, g_scale = next(g), next(g), next(g)
             if np.ptp(x) > 1e-6 and not gx > 0.0:
                 failures += 1
-            c = float(rng.uniform(-5.0, 5.0))
-            gap_t = abs(g(x + c) - gx)
+            gap_t = abs(g_shift - gx)
             max_translation = max(max_translation, gap_t)
             if gap_t >= 1e-6:
                 failures += 1
-            lam = float(rng.uniform(0.2, 4.0))
-            gap_h = abs(g(lam * x) - lam * gx) / max(1.0, lam * gx)
+            gap_h = abs(g_scale - lam * gx) / max(1.0, lam * gx)
             max_homog = max(max_homog, gap_h)
             if gap_h >= 1e-7:
                 failures += 1
             if convex:
-                y = rng.uniform(-4.0, 4.0, size=space.n)
-                gap_s = g(0.5 * (x + y)) - 0.5 * (gx + g(y))
+                g_mid, gy = next(g), next(g)
+                gap_s = g_mid - 0.5 * (gx + gy)
                 max_subadd = max(max_subadd, gap_s)
                 if gap_s >= 1e-6:
                     failures += 1
             if law:
-                perm = perms[int(rng.integers(0, 3))]
-                gap_l = abs(g(x[perm]) - gx)
+                gap_l = abs(next(g) - gx)
                 max_law = max(max_law, gap_l)
                 if gap_l >= 1e-6:
                     failures += 1
@@ -317,18 +318,12 @@ def _star_body(rng: np.random.Generator, space: MarketSpace) -> AcceptanceSet:
     or of the min of two (non-convex but star-shaped)."""
     def norm(p: float, w: np.ndarray):
         if p == math.inf:
-            return lambda sp, x: float(np.max(w * np.abs(x)))
-        return lambda sp, x: float(np.sum((w * np.abs(x)) ** p) ** (1.0 / p))
+            return lambda sp, x: np.max(w * np.abs(x), axis=-1)
+        return lambda sp, x: np.power(np.sum((w * np.abs(x)) ** p, axis=-1), 1.0 / p)
 
-    fns = [norm([1.0, 2.0, math.inf][int(rng.integers(0, 3))], rng.uniform(0.4, 2.0, size=space.n))
-           for _ in range(int(rng.integers(1, 3)))]
-
-    def member(x: np.ndarray) -> bool:
-        return min(f(space, x) for f in fns) <= 1.0
-
-    flags = SetFlags(star_shaped=True, closed=True, contains_zero=True,
-                     radially_bounded_nonconst=None, convex=True if len(fns) == 1 else None)
-    return AcceptanceSet(space=space, membership=member, flags=flags, label="star body")
+    norms = [norm([1.0, 2.0, math.inf][int(rng.integers(0, 3))], rng.uniform(0.4, 2.0, size=space.n))
+             for _ in range(int(rng.integers(1, 3)))]
+    return _unit_set(space, norms, AxiomFlags(nonnegative=True, positive_homogeneous=True, convex=True))
 
 
 def check_gauge_algebra(seed: int = 0) -> dict:
@@ -343,13 +338,9 @@ def check_gauge_algebra(seed: int = 0) -> dict:
         I = combine("intersection", A, B)
         t = float(rng.uniform(0.3, 3.0))
         S = sets.scale_set(A, t)
-        for _ in range(5):
-            x = rng.uniform(-4.0, 4.0, size=space.n)
-            ga = minkowski_gauge(A, x, SUITE_OPTS).value
-            gb = minkowski_gauge(B, x, SUITE_OPTS).value
-            gu = minkowski_gauge(U, x, SUITE_OPTS).value
-            gi = minkowski_gauge(I, x, SUITE_OPTS).value
-            gs = minkowski_gauge(S, x, SUITE_OPTS).value
+        X = rng.uniform(-4.0, 4.0, size=(5, space.n))
+        table = gauge_table([A, B, U, I, S], X, SUITE_OPTS)
+        for ga, gb, gu, gi, gs in zip(*([res.value for res in column] for column in table)):
             max_gap = max(max_gap, abs(gu - min(ga, gb)), abs(gi - max(ga, gb)),
                           abs(gs - ga / t))
     return {"criterion": "gauge_algebra", "passed": max_gap < 1e-7,

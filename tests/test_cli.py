@@ -85,6 +85,23 @@ def test_boundary_csv(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "boundary"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0])
+    scenario = write(tmp_path, "s.json", doc)
+    assert main([command, "--scenario", scenario, f"--tol={tol}"]) == EXIT_INPUT_ERROR
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_boundary_rejects_zero_rays(tmp_path, capsys):
+    scenario = write(tmp_path, "b.json", dict(EVAL_DOC, set=EVAL_DOC["sets"][0]))
+    out = tmp_path / "profile.csv"
+    assert main(["boundary", "--scenario", scenario, "--rays", "0", "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert "at least 4 rays" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_cells_equal_the_single_position_solver(tmp_path, capsys):
     from minkdev import market, sets
     from minkdev.gauge import GaugeOptions, minkowski_gauge

@@ -304,13 +304,30 @@ def test_table_equals_each_cell_over_the_catalogue(opts):
         _assert_table_equals_cells(sets, _positions(rng, 25, n), opts)
 
 
+def test_suite_sets_answer_batches_row_by_row_and_tabulate_cell_by_cell():
+    from minkdev import suite
+    rng = np.random.default_rng(21)
+    uniform4 = MarketSpace(np.full(4, 0.25))
+    admissible = [suite._admissible_set(rng, uniform4, convex=convex, law_invariant=law)
+                  for convex in (True, False) for law in (True, False)]
+    bodies = [suite._star_body(rng, UNIFORM3) for _ in range(6)]
+    assert [A.flags.law_invariant for A in admissible] == [True, None, True, None]
+    assert [A.flags.convex for A in admissible] == [True, True, None, None]
+    assert {A.flags.convex for A in bodies} == {True, None}      # one norm and two
+    for A in admissible + bodies:
+        assert A.rowwise and A.flags.star_shaped is True
+        X = _positions(rng, 30, A.space.n)
+        assert A.row_membership(X).tolist() == [bool(A.membership(x)) for x in X]
+        _assert_table_equals_cells([A], X, SUITE)
+
+
 def test_table_mixes_batched_scalar_only_and_grid_cells():
     rng = np.random.default_rng(12)
     ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
     user = AcceptanceSet(space=UNIFORM3, membership=lambda x: bool(ball.membership(x)),
                          flags=ball.flags, label="user")           # scalar-only
     blank = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags(),
-                          rowwise=True, label="blank")            # grid fallback
+                          row_membership=ball.membership, label="blank")  # grid fallback
     sd = sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0)
     table = _assert_table_equals_cells([sd, user, blank, ball], _positions(rng, 12, 3), SUITE)
     assert all(res.approximate for res in table[2])
@@ -318,8 +335,9 @@ def test_table_mixes_batched_scalar_only_and_grid_cells():
 
 
 def test_table_zero_constant_and_infinite_rows():
-    line = AcceptanceSet(space=BINARY, membership=lambda x: np.ptp(x, axis=-1) <= 1e-12,
-                         flags=SetFlags(star_shaped=True, closed=True), rowwise=True)
+    on_line = lambda x: np.ptp(x, axis=-1) <= 1e-12
+    line = AcceptanceSet(space=BINARY, membership=on_line,
+                         flags=SetFlags(star_shaped=True, closed=True), row_membership=on_line)
     cone = Polytope.from_halfspaces(BINARY, np.array([[3.0, -1.0], [-3.0, 1.0]]),
                                     np.zeros(2)).as_acceptance_set()
     sets = [sublevel_set(BINARY, builtin_deviation("std_dev"), 1.0), line, cone,
@@ -387,7 +405,7 @@ def test_table_never_asks_a_finished_row_again():
         if X.ndim == 2:
             batches.append(len(X))
         return ball.membership(X)
-    A = AcceptanceSet(space=UNIFORM3, membership=member, flags=ball.flags, rowwise=True)
+    A = AcceptanceSet(space=UNIFORM3, membership=member, flags=ball.flags, row_membership=member)
     X = _positions(np.random.default_rng(14), 40, 3)
     [column] = gauge_table([A], X, SUITE)
     calls = np.array([res.oracle_calls for res in column])

@@ -157,7 +157,7 @@ def test_add_constants_skips_grid_after_candidate_hit():
         calls.append(z.shape)
         return ball.membership(z)
 
-    AR = add_constants(AcceptanceSet(SPACE4, member, ball.flags, rowwise=True))
+    AR = add_constants(AcceptanceSet(SPACE4, member, ball.flags, row_membership=member))
     assert AR.membership(np.array([5.0, 5.0, 5.0, 5.0]))      # the mean shift hits
     assert calls == [(7, 4)]                                 # 3 + n candidates, one batch
     calls.clear()
@@ -210,7 +210,7 @@ def test_combine_asks_second_operand_only_undecided_rows():
         seen.append(len(z))
         return B.membership(z)
 
-    counted = AcceptanceSet(SPACE4, member, B.flags, rowwise=True)
+    counted = AcceptanceSet(SPACE4, member, B.flags, row_membership=member)
     A = ball_set(SPACE4, p=2.0, radius=0.5)
     X = positions(SPACE4, 50, seed=5)
     inside_a = A.membership(X)
