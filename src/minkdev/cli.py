@@ -2,11 +2,15 @@
 
 Usage (entry point ``minkdev``)::
 
-    minkdev eval     --scenario scenario.json [--out file] [--format json|csv]
-    minkdev boundary --scenario scenario.json [--rays 720] [--out file.csv]
+    minkdev eval     --scenario scenario.json [--tol T] [--out file] [--format json|csv]
+    minkdev boundary --scenario scenario.json [--tol T] [--rays 720] [--out file.csv]
     minkdev polar    --scenario scenario.json [--out file]
     minkdev check    --scenario scenario.json [--seed 0] [--out file]
     minkdev suite    [--seed 0] [--only name,name] [--out file]
+
+``--tol`` sets the relative tolerance of the gauge bisection; it must be
+finite and at least the float64 machine epsilon (about 2.2e-16), below which
+bisection cannot narrow a bracket any further.
 
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
@@ -36,7 +40,7 @@ from .duality import DualityError, Polytope
 from .gauge import GaugeError, GaugeOptions, gauge_table
 from .lp import LPError
 from .market import MarketError
-from .sets import SamplerConfig, SetError
+from .sets import SetError
 
 SCHEMA_VERSION = 1
 
@@ -112,8 +116,10 @@ def _parsing_scenario():
 
 def _gauge_options(config: RunConfig) -> GaugeOptions:
     if config.tol is not None:
-        if not (math.isfinite(config.tol) and config.tol > 0.0):
-            raise InputError(f"--tol must be finite and positive, got {config.tol}")
+        eps = float(np.finfo(float).eps)
+        if not (math.isfinite(config.tol) and config.tol >= eps):
+            raise InputError(f"--tol must be finite and at least machine epsilon ({eps!r}), "
+                             f"got {config.tol}")
         return GaugeOptions(tol_rel=config.tol, tol_abs=min(config.tol, 1e-12))
     return GaugeOptions()
 
@@ -248,11 +254,10 @@ def cmd_check(config: RunConfig) -> int:
             else:
                 raise InputError('each check entry needs a "set" or a "measure"')
         if "set" in item:
-            cfg = SamplerConfig(trials=trials, seed=config.seed)
             if props:
-                results = [sets.check_property(A, p, cfg) for p in props]
+                results = [sets.check_property(A, p, trials, config.seed) for p in props]
             else:
-                results = sets.audit_flags(A, cfg)
+                results = sets.audit_flags(A, trials, config.seed)
             for r in results:
                 any_failed = any_failed or not r.passed
                 reports.append({"target": A.label or "set", "property": r.property,
@@ -302,7 +307,8 @@ def parse_args(argv=None) -> RunConfig:
     parser.add_argument("--scenario", help="path to a JSON scenario file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--tol", type=float, help="relative gauge tolerance override")
+    parser.add_argument("--tol", type=float,
+                        help="relative gauge tolerance, at least machine epsilon (eval, boundary)")
     parser.add_argument("--rays", type=int, help="ray count for boundary profiles")
     parser.add_argument("--only", help="comma-separated subset of suite checks")
     parser.add_argument("--format", choices=["json", "csv"], default=None)

@@ -392,6 +392,14 @@ def deviation_from_error(error: DeviationFunctional) -> DeviationFunctional:
 # Axiom audits and structural identities
 # ---------------------------------------------------------------------------
 
+#: Largest gap ``check_axioms`` lets an axiom show and still pass.
+AXIOM_TOL = 1e-8
+
+# Level ``k`` and scaling factor ``lam`` of ``measure_algebra``'s identities.
+ALGEBRA_LEVEL = 1.0
+ALGEBRA_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     axiom: str
@@ -406,14 +414,14 @@ def check_axioms(
     space: MarketSpace,
     trials: int = 200,
     seed: int = 0,
-    coord_range: float = 4.0,
-    tol: float = 1e-8,
 ) -> list[AxiomReport]:
     """Sampled audit of every axiom declared ``True`` on ``D``.
 
-    Reports carry the worst violation gap; a returned failure includes a
-    replayable counterexample.
+    Reports carry the worst violation gap, and an axiom passes when it is at
+    most ``AXIOM_TOL``; a returned failure includes a replayable
+    counterexample.
     """
+    box = market.SAMPLE_RANGE
     rng = np.random.default_rng(seed)
     reports: list[AxiomReport] = []
     ax = D.axioms
@@ -425,22 +433,22 @@ def check_axioms(
             gap, payload = witness(t)
             if gap > worst:
                 worst = gap
-                if gap > tol:
+                if gap > AXIOM_TOL:
                     ce = dict(payload, trial=t, seed=seed, gap=gap)
-        reports.append(AxiomReport(axiom=axiom, passed=worst <= tol, trials=trials,
+        reports.append(AxiomReport(axiom=axiom, passed=worst <= AXIOM_TOL, trials=trials,
                                    worst_gap=worst, counterexample=ce))
 
     def draw():
-        return rng.uniform(-coord_range, coord_range, size=space.n)
+        return rng.uniform(-box, box, size=space.n)
 
     if ax.nonnegative is True:
         def nonneg(t):
             x = draw()
             v = D.eval(space, x)
             gap = max(0.0, -v)
-            if np.ptp(x) > 1e-6 and v <= tol:
-                gap = max(gap, tol * 2)  # deviation must be positive off constants
-            c = rng.uniform(-coord_range, coord_range)
+            if np.ptp(x) > 1e-6 and v <= AXIOM_TOL:
+                gap = max(gap, AXIOM_TOL * 2)  # deviation must be positive off constants
+            c = rng.uniform(-box, box)
             gap = max(gap, abs(D.eval(space, np.full(space.n, c))))
             return gap, {"x": x.tolist()}
         run("nonnegative", nonneg)
@@ -448,7 +456,7 @@ def check_axioms(
     if ax.translation_insensitive is True:
         def translation(t):
             x = draw()
-            c = rng.uniform(-2 * coord_range, 2 * coord_range)
+            c = rng.uniform(-2 * box, 2 * box)
             gap = abs(D.eval(space, x + c) - D.eval(space, x))
             return gap, {"x": x.tolist(), "c": float(c)}
         run("translation_insensitive", translation)
@@ -473,7 +481,7 @@ def check_axioms(
 
     if ax.comonotone_additive is True:
         def comonotone(t):
-            x, y = market.sample_comonotone_pair(rng, space, scale=coord_range)
+            x, y = market.sample_comonotone_pair(rng, space, scale=box)
             gap = abs(D.eval(space, x + y) - D.eval(space, x) - D.eval(space, y))
             return gap, {"x": x.tolist(), "y": y.tolist()}
         run("comonotone_additive", comonotone)
@@ -502,23 +510,21 @@ def level_identity_check(
     k: float = 1.0,
     trials: int = 100,
     seed: int = 0,
-    gauge_opts=None,
 ) -> float:
     """Max gap of ``k * gauge(sublevel(D, k)) - D`` over sampled positions.
 
     For a positively homogeneous deviation measure the identity is exact:
     the gauge of the level-``k`` acceptance set recovers ``D / k``.
     """
-    from .gauge import DEFAULT_OPTIONS, minkowski_gauge
+    from .gauge import minkowski_gauge
     from .sets import sublevel_set
 
-    opts = gauge_opts or DEFAULT_OPTIONS
     rng = np.random.default_rng(seed)
     A = sublevel_set(space, D, k)
     worst = 0.0
     for _ in range(trials):
-        x = rng.uniform(-4.0, 4.0, size=space.n)
-        g = minkowski_gauge(A, x, opts).value
+        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=space.n)
+        g = minkowski_gauge(A, x).value
         d = D.eval(space, x)
         if math.isinf(g) or math.isinf(d):
             if g != d:
@@ -540,20 +546,21 @@ def measure_algebra(
     D1: DeviationFunctional,
     D2: DeviationFunctional,
     space: MarketSpace,
-    k: float = 1.0,
-    lam: float = 2.0,
     trials: int = 200,
     seed: int = 0,
 ) -> list[AlgebraReport]:
-    """Membership agreement checks for the sub-level-set algebra.
+    """Membership agreement checks for the sub-level-set algebra, at level
+    ``k = ALGEBRA_LEVEL`` and factor ``lam = ALGEBRA_FACTOR``.
 
     * ``Acc_k(min(D1, D2)) = Acc_k(D1) union Acc_k(D2)``
     * ``Acc_k(max(D1, D2)) = Acc_k(D1) intersect Acc_k(D2)``
     * ``Acc_k(lam * D1) = (1/lam) Acc_k(D1)``
     * ``Acc_k(D1 + D2) subseteq Acc_k(D1) intersect Acc_k(D2)`` (one-sided)
     """
+    k, lam = ALGEBRA_LEVEL, ALGEBRA_FACTOR
     rng = np.random.default_rng(seed)
-    samples = [rng.uniform(-4.0, 4.0, size=space.n) for _ in range(trials)]
+    box = market.SAMPLE_RANGE
+    samples = [rng.uniform(-box, box, size=space.n) for _ in range(trials)]
     reports = []
 
     def record(name: str, bad: int) -> None:

@@ -17,15 +17,16 @@ into ``<r, y> <= 1/s``.  Results involving rays are therefore accurate to
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .gauge import DEFAULT_OPTIONS, GaugeOptions, minkowski_gauge
-from .market import MarketSpace
+from .gauge import GaugeOptions, minkowski_gauge
+from .market import SAMPLE_RANGE, MarketSpace
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -37,8 +38,19 @@ class DualityError(ValueError):
 #: intersecting constraint subsets (combinatorial in the dimension).
 MAX_ENUM_DIM = 4
 
-#: Default scale of the far-vertex surrogate for recession rays.
+#: Scale of the far-vertex surrogate for recession rays.
 RAY_SCALE = 1e8
+
+#: Slack with which an enumerated corner must satisfy every halfspace.
+VERTEX_TOL = 1e-9
+
+# Tolerances of the dual-route checks: the largest gap between gauge and
+# support function, bipolar membership slack, and the largest quantile-form
+# gap; CHECK_OPTS are their default gauge options.
+DUAL_TOL = 1e-6
+BIPOLAR_TOL = 1e-8
+QUANTILE_TOL = 1e-5
+CHECK_OPTS = GaugeOptions(tol_rel=1e-9, tol_abs=1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,34 +114,29 @@ class Polytope:
         return self._hull_contains(x, float(slack))
 
     def _hull_contains(self, x: np.ndarray, slack: float) -> bool:
-        facets = self._hull_facets()
+        facets = self._hull_facets
         if facets is not None:
             A, b = facets
             return bool(np.all(A @ x + b <= slack))
         return hull_membership_lp(self.vertices, x)
 
+    @functools.cached_property
     def _hull_facets(self):
         """Facet form of conv(vertices) via the standard Euclidean hull.
 
-        Returns ``(A, b)`` with membership ``A x + b <= 0``, or None when the
-        hull is degenerate (flat); callers then fall back to the LP route.
-        Cached after the first call.
+        ``(A, b)`` with membership ``A x + b <= 0``, or None when the hull is
+        degenerate (flat); callers then fall back to the LP route.  Computed
+        on first use.
         """
         if self.vertices is None:
             return None
-        cached = getattr(self, "_facet_cache", "unset")
-        if cached != "unset":
-            return cached
-        facets = None
         try:
             from scipy.spatial import ConvexHull
 
             hull = ConvexHull(self.vertices)
-            facets = (hull.equations[:, :-1].copy(), hull.equations[:, -1].copy())
         except Exception:
-            facets = None
-        object.__setattr__(self, "_facet_cache", facets)
-        return facets
+            return None
+        return hull.equations[:, :-1].copy(), hull.equations[:, -1].copy()
 
     # -- conversions --------------------------------------------------------
 
@@ -171,7 +178,7 @@ def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
     return out.status == "optimal"
 
 
-def enumerate_vertices(space: MarketSpace, rows, rhs, tol: float = 1e-9) -> np.ndarray:
+def enumerate_vertices(space: MarketSpace, rows, rhs) -> np.ndarray:
     """Vertices of ``{ y : <rows[i], y> <= rhs[i] }`` by intersecting all
     n-subsets of constraint hyperplanes (small dimensions only)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -186,7 +193,7 @@ def enumerate_vertices(space: MarketSpace, rows, rhs, tol: float = 1e-9) -> np.n
         if abs(np.linalg.det(M)) < 1e-12:
             continue
         y = np.linalg.solve(M, rhs[list(combo)])
-        if np.all(W @ y <= rhs + tol):
+        if np.all(W @ y <= rhs + VERTEX_TOL):
             if not any(np.linalg.norm(y - z) <= 1e-8 * max(1.0, np.linalg.norm(y)) for z in found):
                 found.append(y)
     if not found:
@@ -273,19 +280,17 @@ def dual_representation_check(
     P: Polytope,
     trials: int = 100,
     seed: int = 0,
-    coord_range: float = 4.0,
-    tol: float = 1e-6,
-    opts: GaugeOptions | None = None,
+    opts: GaugeOptions = CHECK_OPTS,
 ) -> DualCheckReport:
     """Compare the bisection gauge of ``P`` with the polar support function.
 
     For a closed convex polytope containing the origin the two agree exactly
     (including ``+inf`` on rays that never enter a scaled copy of ``P``).
-    The report records the worst finite gap and any hard disagreement.
+    The report records the worst finite gap and any hard disagreement: an
+    infinity on one side only, or a finite gap above ``DUAL_TOL``.
     """
     if not P.contains(np.zeros(P.space.n)):
         raise DualityError("dual representation requires 0 in the polytope")
-    opts = opts or GaugeOptions(tol_rel=1e-9, tol_abs=1e-12)
     A = P.as_acceptance_set()
     F = polar(P)
     rng = np.random.default_rng(seed)
@@ -293,7 +298,7 @@ def dual_representation_check(
     inf_agree = 0
     bad = 0
     for _ in range(trials):
-        x = rng.uniform(-coord_range, coord_range, size=P.space.n)
+        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=P.space.n)
         g = minkowski_gauge(A, x, opts).value
         h = support_function(F, x).value
         if math.isinf(g) or math.isinf(h):
@@ -304,24 +309,18 @@ def dual_representation_check(
             continue
         gap = abs(g - h)
         max_gap = max(max_gap, gap)
-        if gap > tol:
+        if gap > DUAL_TOL:
             bad += 1
     return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=inf_agree, disagreements=bad)
 
 
-def bipolar_check(
-    P: Polytope,
-    trials: int = 500,
-    seed: int = 0,
-    coord_range: float = 4.0,
-    tol: float = 1e-8,
-) -> DualCheckReport:
+def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckReport:
     """Sampled agreement between the bipolar of ``P`` and ``conv(P U {0})``.
 
     Bipolar membership is decided through the polar support function
     (``h(x) <= 1``); hull membership through a convex-combination
     feasibility LP over the vertices plus the origin.  Samples landing
-    within ``tol`` of the common boundary count as agreeing.
+    within ``10 * BIPOLAR_TOL`` of the common boundary count as agreeing.
     """
     F = polar(P)
     V = np.vstack([P.vertex_form(), np.zeros((1, P.space.n))])
@@ -330,12 +329,12 @@ def bipolar_check(
     bad = 0
     max_gap = 0.0
     for _ in range(trials):
-        x = rng.uniform(-coord_range, coord_range, size=P.space.n)
+        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=P.space.n)
         h = support_function(F, x).value
-        in_bipolar = h <= 1.0 + tol
-        in_hull = hull.contains(x, tol=tol)
+        in_bipolar = h <= 1.0 + BIPOLAR_TOL
+        in_hull = hull.contains(x, tol=BIPOLAR_TOL)
         if in_bipolar != in_hull:
-            if abs(h - 1.0) <= 10 * tol:
+            if abs(h - 1.0) <= 10 * BIPOLAR_TOL:
                 continue  # boundary grazing within tolerance
             bad += 1
             max_gap = max(max_gap, abs(h - 1.0))
@@ -370,42 +369,35 @@ class QuantileRepReport:
     passed: bool
 
 
-def discrete_quantile_rep_check(
-    P: Polytope,
-    trials: int = 100,
-    seed: int = 0,
-    coord_range: float = 4.0,
-    tol: float = 1e-5,
-    opts: GaugeOptions | None = None,
-) -> QuantileRepReport:
+def discrete_quantile_rep_check(P: Polytope, trials: int = 100, seed: int = 0) -> QuantileRepReport:
     """Quantile form of the dual representation on uniform spaces.
 
     For a law-invariant convex ``P`` (0 inside) on a uniform space, the
     gauge equals the maximum over polar extreme points ``y`` of the
-    comonotone pairing ``(1/n) sum_k x_(k) y_(k)`` of the sorted vectors.
+    comonotone pairing ``(1/n) sum_k x_(k) y_(k)`` of the sorted vectors;
+    the check passes when no sampled gap exceeds ``QUANTILE_TOL``.
     """
     space = P.space
     if not space.is_uniform():
         raise DualityError("quantile representation requires a uniform space")
-    opts = opts or GaugeOptions(tol_rel=1e-9, tol_abs=1e-12)
     ext = polar_vertices(polar(P))
     ext_sorted = np.sort(ext, axis=1)
     A = P.as_acceptance_set()
     rng = np.random.default_rng(seed)
     max_gap = 0.0
     for _ in range(trials):
-        x = rng.uniform(-coord_range, coord_range, size=space.n)
-        g = minkowski_gauge(A, x, opts).value
+        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=space.n)
+        g = minkowski_gauge(A, x, CHECK_OPTS).value
         xs = np.sort(x)
         rhs = float(np.max(ext_sorted @ xs) / space.n)
         if math.isinf(g):
             continue
         max_gap = max(max_gap, abs(g - rhs))
-    return QuantileRepReport(trials=trials, max_gap=max_gap, passed=max_gap <= tol)
+    return QuantileRepReport(trials=trials, max_gap=max_gap, passed=max_gap <= QUANTILE_TOL)
 
 
-def with_ray_surrogates(P: Polytope, rays, scale: float = RAY_SCALE) -> Polytope:
-    """Append far-away vertices ``scale * r`` representing recession rays."""
+def with_ray_surrogates(P: Polytope, rays) -> Polytope:
+    """Append far-away vertices ``RAY_SCALE * r`` representing recession rays."""
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
-    V = np.vstack([P.vertex_form(), scale * rays])
+    V = np.vstack([P.vertex_form(), RAY_SCALE * rays])
     return Polytope.from_vertices(P.space, V)

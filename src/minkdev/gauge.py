@@ -57,6 +57,11 @@ DEFAULT_OPTIONS = GaugeOptions()
 #: Scales per decade of the grid-scan fallback.
 RAY_GRID = 64
 
+# ``shift_infimum_gauge``'s search: the size of its uniform scan on a set
+# not declared convex, and the bracket width its golden sections stop at.
+SHIFT_SCAN_POINTS = 129
+SHIFT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GaugeResult:
@@ -80,7 +85,8 @@ class GaugeResult:
 
 class _Oracle:
     """Counts membership calls against a budget and keeps the live bracket
-    ``[lo, hi]`` of the ray search."""
+    ``[lo, hi]`` of the ray search; a call past the budget raises
+    ``OracleBudgetError`` with that bracket."""
 
     def __init__(self, A: AcceptanceSet, opts: GaugeOptions):
         self._member = A.membership
@@ -90,7 +96,7 @@ class _Oracle:
 
     def __call__(self, z: np.ndarray) -> bool:
         if self.calls >= self._budget:
-            raise _BudgetSignal()
+            raise _budget_error(self._budget, tuple(self.bracket))
         self.calls += 1
         return bool(self._member(z))
 
@@ -111,17 +117,9 @@ class _Oracle:
             return beyond
         return past
 
-    def exhausted(self, opts: GaugeOptions) -> OracleBudgetError:
-        return _budget_error(opts, tuple(self.bracket))
 
-
-def _budget_error(opts: GaugeOptions, bracket: tuple[float, float]) -> OracleBudgetError:
-    return OracleBudgetError(f"oracle budget of {opts.max_oracle_calls} calls exhausted",
-                             bracket=bracket)
-
-
-class _BudgetSignal(Exception):
-    pass
+def _budget_error(budget: int, bracket: tuple[float, float]) -> OracleBudgetError:
+    return OracleBudgetError(f"oracle budget of {budget} calls exhausted", bracket=bracket)
 
 
 def _tolerance(opts: GaugeOptions, scale: float) -> float:
@@ -163,19 +161,16 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
         approximate = flags.star_shaped is None and flags.convex is not True
     else:
         approximate = flags.star_shaped is not True
-    try:
-        if not np.any(x):
-            # every scale asks the same point, so the value is 0 or inf
-            hit = oracle(x)
-            value = 0.0 if hit != cogauge else math.inf
-            return GaugeResult(value=value, bracket=(value, value),
-                               attained="yes" if hit else "no", oracle_calls=oracle.calls)
-        past = oracle.ray(x, cogauge)
-        lo, hi = _grid_scan(past, opts, cogauge) if approximate else _exponential_search(past, opts)
-        if lo > 0.0 and hi < math.inf:
-            lo, hi = _bisect(past, lo, hi, opts)
-    except _BudgetSignal:
-        raise oracle.exhausted(opts) from None
+    if not np.any(x):
+        # every scale asks the same point, so the value is 0 or inf
+        hit = oracle(x)
+        value = 0.0 if hit != cogauge else math.inf
+        return GaugeResult(value=value, bracket=(value, value),
+                           attained="yes" if hit else "no", oracle_calls=oracle.calls)
+    past = oracle.ray(x, cogauge)
+    lo, hi = _grid_scan(past, opts, cogauge) if approximate else _exponential_search(past, opts)
+    if lo > 0.0 and hi < math.inf:
+        lo, hi = _bisect(past, lo, hi, opts)
     return _result(A, x, lo, hi, oracle.calls, cogauge, approximate)
 
 
@@ -363,7 +358,7 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
         for i, x in enumerate(X):
             c = j * B + i
             if exhausted[c]:
-                column.append(_budget_error(opts, tuple(live[c])))
+                column.append(_budget_error(opts.max_oracle_calls, tuple(live[c])))
             elif nonzero[i]:
                 column.append(_result(A, x, lo[c], hi[c], calls[c]))
             else:
@@ -421,26 +416,21 @@ class ShiftGaugeResult:
     gauge: GaugeResult
 
 
-def shift_infimum_gauge(
-    A: AcceptanceSet,
-    x,
-    opts: GaugeOptions = DEFAULT_OPTIONS,
-    grid_points: int = 129,
-    shift_tol: float = 1e-9,
-) -> ShiftGaugeResult:
+def shift_infimum_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> ShiftGaugeResult:
     """Compute ``inf_c gauge(A, x - c)``, the gauge of ``A + R`` evaluated
     through the shifted-position route.
 
     When ``A`` is declared convex, ``c -> gauge(A, x - c)`` is convex and a
-    golden-section search is used; otherwise a uniform grid scan with local
-    golden refinement around the best cell.  Deterministic candidate shifts
-    (entries, mean, median, midrange) are always probed as well, since they
-    are exact minimisers for the quadratic and piecewise-linear families.
+    golden-section search is used; otherwise a uniform scan of
+    ``SHIFT_SCAN_POINTS`` shifts with local golden refinement around the best
+    cell.  Deterministic candidate shifts (entries, mean, median, midrange)
+    are always probed as well, since they are exact minimisers for the
+    quadratic and piecewise-linear families.
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
     best_c, _ = minimise_shift(lambda c: minkowski_gauge(A, x - c, opts).value, A.space, x,
-                               convex=A.flags.convex is True, tol=shift_tol,
-                               grid_points=grid_points)
+                               convex=A.flags.convex is True, tol=SHIFT_TOL,
+                               grid_points=SHIFT_SCAN_POINTS)
     result = minkowski_gauge(A, x - best_c, opts)
     return ShiftGaugeResult(value=result.value, shift=best_c, gauge=result)

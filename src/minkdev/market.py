@@ -28,9 +28,17 @@ import numpy as np
 #: Tolerance for probability normalisation and distribution comparisons.
 PROB_TOL = 1e-12
 
-#: Default slack used by the exact comonotonicity check to absorb float
-#: round-off from prior arithmetic on the positions.
+#: Slack used by the exact comonotonicity check to absorb float round-off
+#: from prior arithmetic on the positions.
 COMONOTONE_TOL = 1e-12
+
+#: Tolerance of the law comparisons (``equal_in_distribution``,
+#: ``dispersive_leq``) in support values and atom probabilities.
+LAW_TOL = 1e-9
+
+#: The sampled checks draw positions from the box ``[-SAMPLE_RANGE,
+#: SAMPLE_RANGE]^n``.
+SAMPLE_RANGE = 4.0
 
 #: Largest outcome count for which permutation-orbit constructions
 #: (law-invariant hulls, distributional equality on uniform spaces) are
@@ -66,8 +74,8 @@ class MarketSpace:
     def n(self) -> int:
         return self.probs.size
 
-    def is_uniform(self, tol: float = PROB_TOL) -> bool:
-        return bool(np.all(np.abs(self.probs - 1.0 / self.n) <= tol))
+    def is_uniform(self) -> bool:
+        return bool(np.all(np.abs(self.probs - 1.0 / self.n) <= PROB_TOL))
 
 
 def as_position(space: MarketSpace, values) -> np.ndarray:
@@ -132,55 +140,45 @@ def left_quantile(space: MarketSpace, x: np.ndarray, t: float) -> float:
     return float(values[idx])
 
 
-def _merged_law(space: MarketSpace, x: np.ndarray, tol: float):
+def _merged_law(space: MarketSpace, x: np.ndarray):
     """Collapse the sorted law of ``x`` to (value, prob) atoms, merging values
-    that differ by at most ``tol``."""
+    that differ by at most ``LAW_TOL``."""
     values, cum = sorted_distribution(space, x)
     probs = np.diff(cum, prepend=0.0)
     atoms: list[tuple[float, float]] = []
     for v, p in zip(values, probs):
-        if atoms and v - atoms[-1][0] <= tol:
+        if atoms and v - atoms[-1][0] <= LAW_TOL:
             atoms[-1] = (atoms[-1][0], atoms[-1][1] + p)
         else:
             atoms.append((float(v), float(p)))
     return atoms
 
 
-def equal_in_distribution(
-    space_x: MarketSpace,
-    x: np.ndarray,
-    space_y: MarketSpace,
-    y: np.ndarray,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether ``x`` and ``y`` induce the same law, up to ``tol`` in both the
-    support values and the atom probabilities."""
-    ax = _merged_law(space_x, x, tol)
-    ay = _merged_law(space_y, y, tol)
+def equal_in_distribution(space_x: MarketSpace, x: np.ndarray,
+                          space_y: MarketSpace, y: np.ndarray) -> bool:
+    """Whether ``x`` and ``y`` induce the same law, up to ``LAW_TOL`` in both
+    the support values and the atom probabilities."""
+    ax = _merged_law(space_x, x)
+    ay = _merged_law(space_y, y)
     if len(ax) != len(ay):
         return False
     return all(
-        abs(vx - vy) <= tol and abs(px - py) <= tol
+        abs(vx - vy) <= LAW_TOL and abs(px - py) <= LAW_TOL
         for (vx, px), (vy, py) in zip(ax, ay)
     )
 
 
-def is_comonotone(x: np.ndarray, y: np.ndarray, tol: float = COMONOTONE_TOL) -> bool:
+def is_comonotone(x: np.ndarray, y: np.ndarray) -> bool:
     """Exact pairwise comonotonicity check (O(n^2))."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
     scale = max(1.0, float(np.max(np.abs(dx))) * float(np.max(np.abs(dy))))
-    return bool(np.all(dx * dy >= -tol * scale))
+    return bool(np.all(dx * dy >= -COMONOTONE_TOL * scale))
 
 
-def dispersive_leq(
-    space: MarketSpace,
-    y: np.ndarray,
-    x: np.ndarray,
-    tol: float = 1e-9,
-) -> bool:
+def dispersive_leq(space: MarketSpace, y: np.ndarray, x: np.ndarray) -> bool:
     """Whether ``y`` precedes ``x`` in the dispersive order.
 
     ``y <= x`` dispersively iff ``F_x^{-1}(u) - F_x^{-1}(v) >=
@@ -199,7 +197,7 @@ def dispersive_leq(
     qx = np.array([left_quantile(space, x, float(t)) for t in mids])
     qy = np.array([left_quantile(space, y, float(t)) for t in mids])
     diff = qx - qy
-    return bool(np.all(np.diff(diff) >= -tol))
+    return bool(np.all(np.diff(diff) >= -LAW_TOL))
 
 
 def sample_comonotone_pair(

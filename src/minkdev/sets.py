@@ -246,34 +246,28 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     )
 
 
-@dataclass(frozen=True)
-class ShiftSearchConfig:
-    """Controls the scalar-shift search used by :func:`add_constants`.
+# ``add_constants``'s shift search: the size of its uniform grid, and the
+# largest shift magnitude it reaches.
+SHIFT_GRID_POINTS = 256
+SHIFT_CAP = 1e6
+
+
+def add_constants(A: AcceptanceSet) -> AcceptanceSet:
+    """The Minkowski sum ``A + R`` of a set with the constants line.
 
     The membership question "is there a constant ``c`` with ``x - c in A``"
     is decided by probing deterministic candidate shifts (the entries of
     ``x``, its mean, median and midrange — exact minimisers for the
-    piecewise-linear and quadratic families) followed by a uniform grid
-    centred on the midrange, of radius ``max(1, 2 * range of x)``.
-    ``c_max`` caps the reachable shift magnitude; beyond it the search
-    reports non-membership.
-    """
-
-    grid_points: int = 256
-    c_max: float = 1e6
-
-
-def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> AcceptanceSet:
-    """The Minkowski sum ``A + R`` of a set with the constants line.
-
+    piecewise-linear and quadratic families) followed by a uniform grid of
+    ``SHIFT_GRID_POINTS`` shifts centred on the midrange, of radius
+    ``max(1, 2 * range of x)``, both capped at ``SHIFT_CAP`` in magnitude.
     One query asks ``A`` about all candidate shifts in one batch, and about
     the shift grid in a second batch only when no candidate is a member.
     """
-    config = config or ShiftSearchConfig()
     space = A.space
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
-        shifts = shifts[np.abs(shifts) <= config.c_max]
+        shifts = shifts[np.abs(shifts) <= SHIFT_CAP]
         return shifts.size > 0 and A.any_row(x - shifts[:, None])
 
     def member(x: np.ndarray) -> bool:
@@ -282,8 +276,8 @@ def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> 
         cands = np.concatenate(([mid, market.expectation(space, x), float(np.median(x))], x))
         if any_member(x, cands):
             return True
-        radius = min(max(1.0, 2.0 * (hi - lo)), config.c_max)
-        return any_member(x, np.linspace(mid - radius, mid + radius, config.grid_points))
+        radius = min(max(1.0, 2.0 * (hi - lo)), SHIFT_CAP)
+        return any_member(x, np.linspace(mid - radius, mid + radius, SHIFT_GRID_POINTS))
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped if A.flags.star_shaped is True else None,
@@ -302,19 +296,23 @@ def add_constants(A: AcceptanceSet, config: ShiftSearchConfig | None = None) -> 
     )
 
 
-def star_hull(A: AcceptanceSet, resolution: int = 256, lam_min: float = 1e-6) -> AcceptanceSet:
+#: Smallest scale ``lam`` of the star hull's search grid.
+STAR_HULL_LAM_MIN = 1e-6
+
+
+def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     """The star hull ``st(A) = [0, 1] A``.
 
     Membership of ``z != 0`` holds iff some ``lam in (0, 1]`` has
     ``z / lam in A``; the search scans a geometric grid of ``resolution``
-    points on ``[lam_min, 1]``, asked of ``A`` as one batch.  Membership of
-    ``0`` falls back to ``0 in A``.
+    points on ``[STAR_HULL_LAM_MIN, 1]``, asked of ``A`` as one batch.
+    Membership of ``0`` falls back to ``0 in A``.
     """
     if resolution < 2:
         raise SetError(f"star hull resolution must be at least 2, got {resolution}")
     inner = A.membership
     # lam = 1 first: a scalar-only A is asked up to the first hit
-    grid = np.geomspace(lam_min, 1.0, resolution)[::-1, None]
+    grid = np.geomspace(STAR_HULL_LAM_MIN, 1.0, resolution)[::-1, None]
 
     def member(z: np.ndarray) -> bool:
         if not np.any(z):
@@ -347,7 +345,7 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     is asked of ``A`` as one ``(n!, n)`` batch.
     """
     space = A.space
-    if not space.is_uniform(tol=1e-12):
+    if not space.is_uniform():
         raise SetError("law-invariant hull requires a uniform space")
     if space.n > market.MAX_PERMUTATION_OUTCOMES:
         raise SetError(
@@ -403,17 +401,17 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
 # Property falsifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Sampling budget and ranges for the property falsifiers."""
-
-    trials: int = 200
-    coord_range: float = 4.0
-    seed: int = 0
-    lambda_points: int = 9
-    shift_values: tuple[float, ...] = (-10.0, -1.0, -0.25, 0.25, 1.0, 10.0)
-    ray_cap: float = 1e6
-    ray_points: int = 64
+# What the falsifiers sample, besides positions in the box of
+# ``market.SAMPLE_RANGE``: ``star_shaped`` scales members by a grid of
+# LAMBDA_POINTS on [0, 1] (0 skipped); ``stable_scalar_add`` adds each of
+# SHIFT_VALUES; ``radially_bounded_nonconst`` scales by RAY_CAP, and
+# ``strongly_star_shaped`` by RAY_POINTS geometric scales on
+# [1 / RAY_CAP, RAY_CAP]; ``_sample_member`` gives up after SAMPLE_ATTEMPTS.
+LAMBDA_POINTS = 9
+SHIFT_VALUES = (-10.0, -1.0, -0.25, 0.25, 1.0, 10.0)
+RAY_CAP = 1e6
+RAY_POINTS = 64
+SAMPLE_ATTEMPTS = 60
 
 
 @dataclass(frozen=True)
@@ -440,11 +438,11 @@ PROPERTY_NAMES = (
 )
 
 
-def _sample_member(A: AcceptanceSet, rng: np.random.Generator, coord_range: float, attempts: int = 60):
+def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
     """Rejection-sample one member of ``A`` (or None)."""
     n = A.space.n
-    for _ in range(attempts):
-        x = rng.uniform(-coord_range, coord_range, size=n)
+    for _ in range(SAMPLE_ATTEMPTS):
+        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
         if A.membership(x):
             return x
         # Pull random points toward the origin; helps small sets.
@@ -454,27 +452,28 @@ def _sample_member(A: AcceptanceSet, rng: np.random.Generator, coord_range: floa
     return None
 
 
-def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = None) -> PropertyReport:
+def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0) -> PropertyReport:
     """Search for a counterexample to ``prop`` on sampled positions.
 
-    A passing report means no counterexample was found within the sampling
-    budget; it is evidence, not proof.  A failing report carries a
-    replayable counterexample (positions and scalars).
+    ``trials`` counts the sampled cases (a member, a pair, a ray) and
+    ``seed`` seeds the sampler, so a report replays.  A passing report means
+    no counterexample was found within the sampling budget; it is evidence,
+    not proof.  A failing report carries a replayable counterexample
+    (positions and scalars).
     """
-    config = config or SamplerConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n = A.space.n
-    lam_grid = np.linspace(0.0, 1.0, config.lambda_points)[1:]  # skip 0
+    lam_grid = np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]  # skip 0
 
     def fail(trial: int, **kw) -> PropertyReport:
         ce = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in kw.items()}
         ce["trial"] = trial
-        ce["seed"] = config.seed
+        ce["seed"] = seed
         return PropertyReport(property=prop, passed=False, trials=trial + 1, counterexample=ce)
 
     if prop == "star_shaped":
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
             if x is None:
                 continue
             for lam in lam_grid:
@@ -483,9 +482,9 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
     elif prop == "strongly_star_shaped":
         # Along every sampled ray membership must be a single interval:
         # at most one switch in each direction over a geometric scale grid.
-        scales = np.geomspace(1.0 / config.ray_cap, config.ray_cap, config.ray_points)
-        for t in range(config.trials):
-            x = rng.uniform(-config.coord_range, config.coord_range, size=n)
+        scales = np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)
+        for t in range(trials):
+            x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
             if not np.any(x):
                 continue
             pattern = [A.membership(s * x) for s in scales]
@@ -494,40 +493,40 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
             if any(not pattern[i] and pattern[i + 1] for i in range(len(pattern) - 1)):
                 return fail(t, x=x, pattern=[int(b) for b in pattern])
     elif prop == "convex":
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
-            y = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
+            y = _sample_member(A, rng)
             if x is None or y is None:
                 continue
             for lam in (0.25, 0.5, 0.75):
                 if not A.membership(lam * x + (1 - lam) * y):
                     return fail(t, x=x, y=y, lam=lam)
     elif prop == "stable_scalar_add":
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
             if x is None:
                 continue
-            for c in config.shift_values:
+            for c in SHIFT_VALUES:
                 if not A.membership(x + c):
                     return fail(t, x=x, c=c)
     elif prop == "radially_bounded_nonconst":
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
             if x is None or np.ptp(x) < 1e-9:
                 continue
-            if A.membership(x * config.ray_cap):
-                return fail(t, x=x, scale=config.ray_cap)
+            if A.membership(x * RAY_CAP):
+                return fail(t, x=x, scale=RAY_CAP)
     elif prop == "absorbing":
-        for t in range(config.trials):
-            x = rng.uniform(-config.coord_range, config.coord_range, size=n)
+        for t in range(trials):
+            x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
             if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
                 return fail(t, x=x)
     elif prop == "law_invariant":
         if not A.space.is_uniform():
             raise SetError("law invariance is only checked on uniform spaces")
         perms = [np.asarray(p, dtype=int) for p in itertools.permutations(range(n))]
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
             if x is None:
                 continue
             for p in perms:
@@ -538,8 +537,8 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
             member = A.membership
         else:
             member = lambda z: not A.membership(z)
-        for t in range(config.trials):
-            x, y = market.sample_comonotone_pair(rng, A.space, scale=config.coord_range)
+        for t in range(trials):
+            x, y = market.sample_comonotone_pair(rng, A.space, scale=market.SAMPLE_RANGE)
             # scale the pair jointly until both land in the target region
             found = None
             for s in np.geomspace(4.0, 1e-4, 25):
@@ -555,8 +554,8 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
                     return fail(t, x=xs, y=ys, lam=lam)
     elif prop == "anti_monotone_dispersive":
         # If x is accepted, anything less dispersed than x must be accepted.
-        for t in range(config.trials):
-            x = _sample_member(A, rng, config.coord_range)
+        for t in range(trials):
+            x = _sample_member(A, rng)
             if x is None:
                 continue
             lam = rng.uniform(0.0, 1.0)
@@ -570,11 +569,12 @@ def check_property(A: AcceptanceSet, prop: str, config: SamplerConfig | None = N
     else:
         raise SetError(f"unknown property {prop!r}; known: {PROPERTY_NAMES}")
 
-    return PropertyReport(property=prop, passed=True, trials=config.trials)
+    return PropertyReport(property=prop, passed=True, trials=trials)
 
 
-def audit_flags(A: AcceptanceSet, config: SamplerConfig | None = None) -> list[PropertyReport]:
-    """Run falsifiers for every flag declared ``True`` on ``A``."""
+def audit_flags(A: AcceptanceSet, trials: int = 200, seed: int = 0) -> list[PropertyReport]:
+    """Run falsifiers for every flag declared ``True`` on ``A``, each with
+    ``check_property``'s ``trials`` and ``seed``."""
     mapping = {
         "star_shaped": "star_shaped",
         "convex": "convex",
@@ -587,7 +587,7 @@ def audit_flags(A: AcceptanceSet, config: SamplerConfig | None = None) -> list[P
         if getattr(A.flags, flag) is True:
             if prop == "law_invariant" and not A.space.is_uniform():
                 continue
-            reports.append(check_property(A, prop, config))
+            reports.append(check_property(A, prop, trials, seed))
     return reports
 
 

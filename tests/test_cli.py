@@ -85,13 +85,24 @@ def test_boundary_csv(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-16", "1e-20"])
 @pytest.mark.parametrize("command", ["eval", "boundary"])
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, tol):
     doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0])
     scenario = write(tmp_path, "s.json", doc)
     assert main([command, "--scenario", scenario, f"--tol={tol}"]) == EXIT_INPUT_ERROR
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "boundary"])
+def test_tolerance_of_machine_epsilon_is_accepted(tmp_path, command):
+    # the smallest tolerance bisection can reach: below it a bracket never
+    # settles and every cell spends its whole oracle budget
+    doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0])
+    scenario = write(tmp_path, "s.json", doc)
+    out = tmp_path / "out"
+    tol = repr(float(np.finfo(float).eps))
+    assert main([command, "--scenario", scenario, f"--tol={tol}", "--out", str(out)]) == EXIT_OK
 
 
 def test_boundary_rejects_zero_rays(tmp_path, capsys):

@@ -198,7 +198,7 @@ def test_level_identity_for_homogeneous_measures():
 
 def test_measure_algebra_identities():
     reports = measure_algebra(
-        builtin_deviation("std_dev"), builtin_deviation("frd"), SPACE4, k=1.0, lam=2.0, trials=200
+        builtin_deviation("std_dev"), builtin_deviation("frd"), SPACE4, trials=200
     )
     assert {r.identity for r in reports} == {
         "min_is_union", "max_is_intersection", "scaled_measure_is_shrunk_set",

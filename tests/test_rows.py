@@ -17,10 +17,11 @@ from minkdev.duality import Polytope
 from minkdev.gauge import minkowski_gauge
 from minkdev.market import MarketSpace
 from minkdev.sets import (
+    SHIFT_CAP,
+    SHIFT_GRID_POINTS,
     AcceptanceSet,
     SetError,
     SetFlags,
-    ShiftSearchConfig,
     add_constants,
     ball_set,
     combine,
@@ -46,16 +47,16 @@ def scalar_inner(A):
     return lambda z: bool(A.membership(z))
 
 
-def ref_add_constants(A, x, config=ShiftSearchConfig()):
+def ref_add_constants(A, x):
     inner = scalar_inner(A)
     lo, hi = float(np.min(x)), float(np.max(x))
     mid = 0.5 * (lo + hi)
     cands = [mid, float(A.space.probs @ x), float(np.median(x))] + [float(v) for v in x]
-    if any(abs(c) <= config.c_max and inner(x - c) for c in cands):
+    if any(abs(c) <= SHIFT_CAP and inner(x - c) for c in cands):
         return True
-    radius = min(max(1.0, 2.0 * (hi - lo)), config.c_max)
-    grid = np.linspace(mid - radius, mid + radius, config.grid_points)
-    return any(abs(c) <= config.c_max and inner(x - float(c)) for c in grid)
+    radius = min(max(1.0, 2.0 * (hi - lo)), SHIFT_CAP)
+    grid = np.linspace(mid - radius, mid + radius, SHIFT_GRID_POINTS)
+    return any(abs(c) <= SHIFT_CAP and inner(x - float(c)) for c in grid)
 
 
 def ref_star_hull(A, z, resolution=256, lam_min=1e-6):

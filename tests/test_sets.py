@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from minkdev import market
 from minkdev.deviations import builtin_deviation, builtin_error
+from minkdev.duality import Polytope
 from minkdev.market import MarketSpace
 from minkdev.sets import (
-    SamplerConfig,
     SetError,
     add_constants,
     ball_set,
@@ -144,7 +145,7 @@ def test_law_invariant_hull_membership():
 
 def test_falsifier_finds_star_shape_violation():
     A = ball_set(UNIFORM3, p=2.0, radius=0.5, center=[2.0, 2.0, -1.0])
-    report = check_property(A, "star_shaped", SamplerConfig(trials=100, seed=1))
+    report = check_property(A, "star_shaped", trials=100, seed=1)
     assert not report.passed
     assert report.counterexample is not None
     # counterexamples replay
@@ -155,17 +156,16 @@ def test_falsifier_finds_star_shape_violation():
 
 def test_falsifier_finds_shift_instability():
     A = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    report = check_property(A, "stable_scalar_add", SamplerConfig(trials=100, seed=1))
+    report = check_property(A, "stable_scalar_add", trials=100, seed=1)
     assert not report.passed
 
 
 def test_falsifier_passes_good_properties():
     A = sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0)
-    cfg = SamplerConfig(trials=60, seed=2)
     for prop in ("star_shaped", "convex", "stable_scalar_add",
                  "radially_bounded_nonconst", "absorbing", "law_invariant",
                  "strongly_star_shaped", "anti_monotone_dispersive"):
-        report = check_property(A, prop, cfg)
+        report = check_property(A, prop, trials=60, seed=2)
         assert report.passed, (prop, report.counterexample)
 
 
@@ -175,15 +175,60 @@ def test_falsifier_strong_star_shape_annulus():
     A = AcceptanceSet(space=UNIFORM3,
                       membership=lambda x: 1.0 <= float(np.linalg.norm(x)) <= 2.0,
                       flags=SetFlags(), label="annulus")
-    report = check_property(A, "strongly_star_shaped", SamplerConfig(trials=200, seed=3))
+    report = check_property(A, "strongly_star_shaped", trials=200, seed=3)
     assert not report.passed
 
 
 def test_falsifier_comonotone_convexity_of_ranges():
     A = sublevel_set(SPACE4, builtin_deviation("frd"), 1.0)
-    cfg = SamplerConfig(trials=100, seed=4)
-    assert check_property(A, "comonotone_convex", cfg).passed
-    assert check_property(A, "complement_comonotone_convex", cfg).passed
+    assert check_property(A, "comonotone_convex", trials=100, seed=4).passed
+    assert check_property(A, "complement_comonotone_convex", trials=100, seed=4).passed
+
+
+def halfspaces(space, rows, rhs):
+    return Polytope.from_halfspaces(space, rows, rhs).as_acceptance_set()
+
+
+# One set per falsifier on which its property fails.  The mean slab
+# {|E[x]| <= 1} and its complement fail the comonotone properties: a
+# comonotone pair with means of opposite signs mixes into the slab.
+NEGATIVE_CONTROLS = {
+    "convex": combine("union", ball_set(UNIFORM3, 2.0, 1.0, center=[2.0, 0.0, 0.0]),
+                      ball_set(UNIFORM3, 2.0, 1.0, center=[-2.0, 0.0, 0.0])),
+    "radially_bounded_nonconst": halfspaces(UNIFORM3, [[1.0, 0.0, 0.0]], [1.0]),
+    "absorbing": ball_set(UNIFORM3, 2.0, 0.5, center=[2.0, 2.0, 2.0]),
+    "law_invariant": ball_set(UNIFORM3, 2.0, 1.0, center=[1.0, 0.0, 0.0]),
+    "anti_monotone_dispersive": ball_set(UNIFORM3, 2.0, 1.0),
+    "comonotone_convex": combine("union", halfspaces(SPACE4, [[1.0] * 4], [-1.0]),
+                                 halfspaces(SPACE4, [[-1.0] * 4], [-1.0])),
+    "complement_comonotone_convex": halfspaces(SPACE4, [[1.0] * 4, [-1.0] * 4], [1.0, 1.0]),
+}
+
+
+def replays(A, prop, ce):
+    """Whether the counterexample ``ce`` shows ``prop`` failing on ``A``."""
+    x = np.array(ce["x"])
+    if prop == "radially_bounded_nonconst":
+        return np.ptp(x) > 0.0 and A.contains(x) and A.contains(x * ce["scale"])
+    if prop == "absorbing":
+        return not any(A.contains(x * s) for s in np.geomspace(1.0, 1e-10, 41))
+    if prop == "law_invariant":
+        return A.contains(x) and not A.contains(x[ce["perm"]])
+    y = np.array(ce["y"])
+    if prop == "anti_monotone_dispersive":
+        return market.dispersive_leq(A.space, y, x) and A.contains(x) and not A.contains(y)
+    inside = prop != "complement_comonotone_convex"
+    z = ce["lam"] * x + (1 - ce["lam"]) * y
+    comonotone = prop == "convex" or market.is_comonotone(x, y)
+    return comonotone and (A.contains(x), A.contains(y), A.contains(z)) == (inside, inside, not inside)
+
+
+@pytest.mark.parametrize("prop", sorted(NEGATIVE_CONTROLS))
+def test_falsifier_fires_on_a_known_false_set(prop):
+    A = NEGATIVE_CONTROLS[prop]
+    report = check_property(A, prop)
+    assert report.passed is False
+    assert replays(A, prop, report.counterexample), report.counterexample
 
 
 def test_unknown_property_raises():
