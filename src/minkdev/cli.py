@@ -3,14 +3,15 @@
 Usage (entry point ``minkdev``)::
 
     minkdev eval     --scenario scenario.json [--tol T] [--out file] [--format json|csv]
-    minkdev boundary --scenario scenario.json [--tol T] [--rays 720] [--out file.csv]
+    minkdev boundary --scenario scenario.json [--tol T] [--rays 720] [--out file.csv] [--format csv|json]
     minkdev polar    --scenario scenario.json [--out file]
     minkdev check    --scenario scenario.json [--seed 0] [--out file]
     minkdev suite    [--seed 0] [--only name,name] [--out file]
 
 ``--tol`` sets the relative tolerance of the gauge bisection; it must be
 finite and at least the float64 machine epsilon (about 2.2e-16), below which
-bisection cannot narrow a bracket any further.
+bisection cannot narrow a bracket any further.  An option given to a
+command whose usage line above does not show it is malformed input.
 
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
@@ -297,6 +298,16 @@ COMMANDS = {
     "suite": cmd_suite,
 }
 
+#: The commands that read each command-specific option.
+OPTION_READERS = {
+    "scenario": ("eval", "boundary", "polar", "check"),
+    "seed": ("check", "suite"),
+    "tol": ("eval", "boundary"),
+    "rays": ("boundary",),
+    "only": ("suite",),
+    "format": ("eval", "boundary"),
+}
+
 
 def parse_args(argv=None) -> RunConfig:
     parser = argparse.ArgumentParser(
@@ -306,26 +317,29 @@ def parse_args(argv=None) -> RunConfig:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--scenario", help="path to a JSON scenario file")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
     parser.add_argument("--tol", type=float,
                         help="relative gauge tolerance, at least machine epsilon (eval, boundary)")
     parser.add_argument("--rays", type=int, help="ray count for boundary profiles")
     parser.add_argument("--only", help="comma-separated subset of suite checks")
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     ns = parser.parse_args(argv)
+    for option, readers in OPTION_READERS.items():
+        if getattr(ns, option) is not None and ns.command not in readers:
+            raise InputError(f"--{option} is not an option of {ns.command} "
+                             f"(only of {', '.join(readers)})")
     fmt = ns.format or ("csv" if ns.command == "boundary" else "json")
     only = tuple(s for s in (ns.only or "").split(",") if s)
     return RunConfig(command=ns.command, scenario=ns.scenario, out=ns.out,
-                     seed=ns.seed, tol=ns.tol, rays=ns.rays, only=only, format=fmt)
+                     seed=ns.seed or 0, tol=ns.tol, rays=ns.rays, only=only, format=fmt)
 
 
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
+        return COMMANDS[config.command](config)
     except SystemExit as exc:  # argparse error -> input error
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
-    try:
-        return COMMANDS[config.command](config)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

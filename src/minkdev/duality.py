@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .gauge import GaugeOptions, minkowski_gauge
-from .market import SAMPLE_RANGE, MarketSpace
+from .gauge import GaugeOptions, gauge_table
+from .market import SAMPLE_RANGE, MarketSpace, as_position, as_positions
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -102,23 +102,23 @@ class Polytope:
         The relative scaling matters for gauge queries: vertices at the
         origin put facets through 0, and a fixed absolute slack would admit
         every sufficiently shrunken point, silently turning infinite gauges
-        into huge finite ones.  In halfspace form a ``(B, n)`` batch gives a
-        ``(B,)`` bool array, each row with its own relative slack.
+        into huge finite ones.  A ``(B, n)`` batch gives a ``(B,)`` bool
+        array, each row with its own relative slack; a flat hull in vertex
+        form answers it row by row through ``hull_membership_lp``.
         """
         x = np.asarray(x, dtype=float)
         slack = 1e-13 + tol * np.max(np.abs(x), axis=-1, initial=0.0)
         if self.rows is not None:
             lhs = x @ (self.rows * self.space.probs).T
             inside = np.all(lhs <= self.rhs + slack[..., None], axis=-1)
-            return inside if x.ndim > 1 else bool(inside)
-        return self._hull_contains(x, float(slack))
-
-    def _hull_contains(self, x: np.ndarray, slack: float) -> bool:
-        facets = self._hull_facets
-        if facets is not None:
-            A, b = facets
-            return bool(np.all(A @ x + b <= slack))
-        return hull_membership_lp(self.vertices, x)
+        elif self._hull_facets is not None:
+            A, b = self._hull_facets
+            inside = np.all(_facet_values(x, A) + b <= slack[..., None], axis=-1)
+        elif x.ndim > 1:
+            inside = np.array([hull_membership_lp(self.vertices, row) for row in x], dtype=bool)
+        else:
+            inside = hull_membership_lp(self.vertices, x)
+        return inside if x.ndim > 1 else bool(inside)
 
     @functools.cached_property
     def _hull_facets(self):
@@ -148,7 +148,7 @@ class Polytope:
 
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
         """View the polytope as a (closed convex) acceptance set; row-wise in
-        halfspace form."""
+        both forms."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -161,8 +161,17 @@ class Polytope:
         )
         member = lambda x: self.contains(x)
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
-                             label=label or "polytope",
-                             row_membership=member if self.rows is not None else None)
+                             label=label or "polytope", row_membership=member)
+
+
+def _facet_values(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``x @ A.T`` for one position or a ``(B, n)`` batch, summed one
+    coordinate at a time: each row of a batch gets the bits it gets alone,
+    which BLAS matrix-vector and matrix-matrix products do not promise."""
+    total = x[..., :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        total = total + x[..., j:j + 1] * A[:, j]
+    return total
 
 
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
@@ -238,19 +247,37 @@ def support_function(F: PolarForm, x) -> SupportValue:
 
     Free variables are split into positive and negative parts.  An unbounded
     LP certifies ``h(x) = +inf`` (the polar has a recession direction with
-    positive pairing against ``x``).
+    positive pairing against ``x``).  ``x`` must be a finite position of
+    ``F.space`` (``MarketError`` otherwise).
     """
-    x = np.asarray(x, dtype=float)
-    p = F.space.probs
-    n = F.space.n
-    W = F.rows * p  # <v_j, y> = (v_j * p) . y
-    c = np.concatenate([x * p, -(x * p)])
-    A_ub = np.hstack([W, -W])
-    out = lp.solve_lp(c, A_ub=A_ub, b_ub=F.rhs)
+    xp = as_position(F.space, x) * F.space.probs
+    out = lp.solve_lp(np.concatenate([xp, -xp]), A_ub=_polar_rows(F), b_ub=F.rhs)
+    return _support_value(F, out)
+
+
+def support_values(F: PolarForm, X) -> list[SupportValue]:
+    """``support_function(F, x)`` for every row ``x`` of a ``(B, n)`` batch,
+    as one lockstep solve (``lp.solve_lps``); entry ``i`` equals
+    ``support_function(F, X[i])``.  Every row must be a finite position of
+    ``F.space`` (``MarketError`` otherwise)."""
+    XP = as_positions(F.space, X) * F.space.probs
+    outs = lp.solve_lps(np.hstack([XP, -XP]), A_ub=_polar_rows(F), b_ub=F.rhs)
+    return [_support_value(F, out) for out in outs]
+
+
+def _polar_rows(F: PolarForm) -> np.ndarray:
+    """The polar's constraints on the split variables ``(y+, y-)``:
+    ``<v_j, y> = (v_j * p) . y``."""
+    W = F.rows * F.space.probs
+    return np.hstack([W, -W])
+
+
+def _support_value(F: PolarForm, out: lp.LPOutcome) -> SupportValue:
     if out.status == "unbounded":
         return SupportValue(value=math.inf, maximiser=None, outcome=out)
     if out.status != "optimal":
         raise DualityError(f"support-function LP ended {out.status}")
+    n = F.space.n
     y = out.point[:n] - out.point[n:]
     return SupportValue(value=float(out.value), maximiser=y, outcome=out)
 
@@ -291,16 +318,14 @@ def dual_representation_check(
     """
     if not P.contains(np.zeros(P.space.n)):
         raise DualityError("dual representation requires 0 in the polytope")
-    A = P.as_acceptance_set()
     F = polar(P)
-    rng = np.random.default_rng(seed)
+    X = _sample_positions(P.space, trials, seed)
+    [gauges] = gauge_table([P.as_acceptance_set()], X, opts)
     max_gap = 0.0
     inf_agree = 0
     bad = 0
-    for _ in range(trials):
-        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=P.space.n)
-        g = minkowski_gauge(A, x, opts).value
-        h = support_function(F, x).value
+    for gauge, sup in zip(gauges, support_values(F, X)):
+        g, h = gauge.value, sup.value
         if math.isinf(g) or math.isinf(h):
             if math.isinf(g) and math.isinf(h):
                 inf_agree += 1
@@ -314,6 +339,13 @@ def dual_representation_check(
     return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=inf_agree, disagreements=bad)
 
 
+def _sample_positions(space: MarketSpace, trials: int, seed: int) -> np.ndarray:
+    """The ``(trials, n)`` positions of a sampled check, uniform on the
+    sampling box; the same numbers as ``trials`` draws of one position."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(trials, space.n))
+
+
 def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckReport:
     """Sampled agreement between the bipolar of ``P`` and ``conv(P U {0})``.
 
@@ -325,14 +357,12 @@ def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckRep
     F = polar(P)
     V = np.vstack([P.vertex_form(), np.zeros((1, P.space.n))])
     hull = Polytope.from_vertices(P.space, V)
-    rng = np.random.default_rng(seed)
+    X = _sample_positions(P.space, trials, seed)
     bad = 0
     max_gap = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=P.space.n)
-        h = support_function(F, x).value
+    for sup, in_hull in zip(support_values(F, X), hull.contains(X, tol=BIPOLAR_TOL).tolist()):
+        h = sup.value
         in_bipolar = h <= 1.0 + BIPOLAR_TOL
-        in_hull = hull.contains(x, tol=BIPOLAR_TOL)
         if in_bipolar != in_hull:
             if abs(h - 1.0) <= 10 * BIPOLAR_TOL:
                 continue  # boundary grazing within tolerance
@@ -354,8 +384,9 @@ class EnvelopeValue:
 
 def risk_envelope(F: PolarForm, x) -> EnvelopeValue:
     """Evaluate the risk-envelope form by the explicit ``Q = 1 - y``
-    substitution (an LP over the polar in the ``y`` variable)."""
-    sup = support_function(F, np.asarray(x, dtype=float))
+    substitution (an LP over the polar in the ``y`` variable).  ``x`` must be
+    a finite position of ``F.space`` (``MarketError`` otherwise)."""
+    sup = support_function(F, x)
     if sup.maximiser is None:
         return EnvelopeValue(value=math.inf, attaining_q=None)
     # inf over Q = 1 - y of E[xQ] is E[x] - sup <x, y>, so D(x) = sup <x, y>
@@ -382,17 +413,14 @@ def discrete_quantile_rep_check(P: Polytope, trials: int = 100, seed: int = 0) -
         raise DualityError("quantile representation requires a uniform space")
     ext = polar_vertices(polar(P))
     ext_sorted = np.sort(ext, axis=1)
-    A = P.as_acceptance_set()
-    rng = np.random.default_rng(seed)
+    X = _sample_positions(space, trials, seed)
+    [gauges] = gauge_table([P.as_acceptance_set()], X, CHECK_OPTS)
     max_gap = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=space.n)
-        g = minkowski_gauge(A, x, CHECK_OPTS).value
-        xs = np.sort(x)
-        rhs = float(np.max(ext_sorted @ xs) / space.n)
-        if math.isinf(g):
+    for g, x in zip(gauges, X):
+        if math.isinf(g.value):
             continue
-        max_gap = max(max_gap, abs(g - rhs))
+        rhs = float(np.max(ext_sorted @ np.sort(x)) / space.n)
+        max_gap = max(max_gap, abs(g.value - rhs))
     return QuantileRepReport(trials=trials, max_gap=max_gap, passed=max_gap <= QUANTILE_TOL)
 
 

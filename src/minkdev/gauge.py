@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional, minimise_shift
-from .market import MarketError, MarketSpace, as_position
+from .market import MarketSpace, as_position, as_positions
 from .sets import AcceptanceSet
 
 
@@ -275,13 +275,8 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
 def _as_rows(sets, X) -> np.ndarray:
     """``X`` as a ``(B, n)`` float array whose rows pass ``as_position``."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise MarketError(f"positions must form a (B, n) array, got shape {X.shape}")
     for A in sets:
-        if X.shape[1] != A.space.n:
-            raise MarketError(f"position must have {A.space.n} entries, got shape {X.shape[1:]}")
-    if not np.isfinite(X).all():
-        raise MarketError("position entries must be finite")
+        as_positions(A.space, X)
     return X
 
 

@@ -88,6 +88,19 @@ def as_position(space: MarketSpace, values) -> np.ndarray:
     return x
 
 
+def as_positions(space: MarketSpace, values) -> np.ndarray:
+    """Validate ``values`` as a ``(B, n)`` batch of positions on ``space``,
+    each row as ``as_position`` would, and return it as an array."""
+    X = np.asarray(values, dtype=float)
+    if X.ndim != 2:
+        raise MarketError(f"positions must form a (B, n) array, got shape {X.shape}")
+    if X.shape[1] != space.n:
+        raise MarketError(f"position must have {space.n} entries, got shape {X.shape[1:]}")
+    if not np.isfinite(X).all():
+        raise MarketError("position entries must be finite")
+    return X
+
+
 def expectation(space: MarketSpace, x: np.ndarray) -> float:
     return float(space.probs @ np.asarray(x, dtype=float))
 

@@ -15,12 +15,12 @@ unions/intersections, the Minkowski sum with the constants line
 Row-wise oracles.  ``membership(x)`` answers one position of shape
 ``(n,)`` with a bool.  A row-wise set, a set with a ``row_membership``,
 also answers a ``(B, n)`` batch with a ``(B,)`` bool array in one call;
-the leaves (sub-level sets of row-wise functionals, balls, halfspace
-polytopes) are row-wise, and ``scale_set`` and ``combine`` are when
+the leaves (sub-level sets of row-wise functionals, balls, polytopes in
+either form) are row-wise, and ``scale_set`` and ``combine`` are when
 their operands are.  ``AcceptanceSet.any_row`` and
 ``AcceptanceSet.all_rows`` ask a batch of every set: a row-wise oracle
 answers it in one call, and a scalar-only one (user-built oracles,
-vertex-form polytopes, nested composites) is asked row by row, in order,
+nested composites) is asked row by row, in order,
 up to the first row that decides the answer (the loop adapter).  The
 composites that fan one query out to many inner positions —
 ``add_constants``, ``star_hull`` and ``law_invariant_hull`` — answer

@@ -105,6 +105,35 @@ def test_tolerance_of_machine_epsilon_is_accepted(tmp_path, command):
     assert main([command, "--scenario", scenario, f"--tol={tol}", "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command, option", [
+    ("polar", ["--tol", "nan"]),
+    ("polar", ["--tol", "1e-30"]),
+    ("polar", ["--rays", "0"]),
+    ("polar", ["--only", "foo"]),
+    ("suite", ["--tol", "nan"]),
+    ("suite", ["--rays", "8"]),
+    ("check", ["--tol", "1e-9"]),
+    ("eval", ["--rays", "8"]),
+    ("eval", ["--only", "bipolar"]),
+    ("boundary", ["--only", "bipolar"]),
+    ("polar", ["--format", "csv"]),
+    ("check", ["--format", "json"]),
+    ("eval", ["--seed", "3"]),
+    ("polar", ["--seed", "3"]),
+    ("suite", ["--scenario", "s.json"]),
+])
+def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, command, option):
+    doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0], polytope={"vertices": [[1, 0], [0, 1], [-1, -1]]},
+               check=[{"set": {"kind": "ball", "p": 2}}])
+    out = tmp_path / "out"
+    scenario = []
+    if command != "suite":  # the suite would run in full
+        scenario = ["--scenario", write(tmp_path, "s.json", doc)]
+        assert main([command, *scenario, "--out", str(out)]) == EXIT_OK
+    assert main([command, *scenario, *option, "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert option[0] in capsys.readouterr().err
+
+
 def test_boundary_rejects_zero_rays(tmp_path, capsys):
     scenario = write(tmp_path, "b.json", dict(EVAL_DOC, set=EVAL_DOC["sets"][0]))
     out = tmp_path / "profile.csv"

@@ -16,10 +16,11 @@ from minkdev.duality import (
     polar_vertices,
     risk_envelope,
     support_function,
+    support_values,
     with_ray_surrogates,
 )
 from minkdev.gauge import GaugeOptions, minkowski_gauge
-from minkdev.market import MarketSpace, expectation, pairing
+from minkdev.market import MarketError, MarketSpace, expectation, pairing
 
 UNIFORM2 = MarketSpace(np.array([0.5, 0.5]))
 BINARY = MarketSpace(np.array([0.25, 0.75]))
@@ -38,6 +39,31 @@ def test_polytope_membership_both_forms():
     H = Polytope.from_halfspaces(UNIFORM2, rows, np.ones(4))
     for x in ([1.0, 0.9], [1.5, 0.6], [-1.9, 0.0], [0.0, 2.05]):
         assert H.contains(x) == DIAMOND.contains(x)
+
+
+def test_batch_membership_equals_row_by_row_answers():
+    rng = np.random.default_rng(5)
+    space3 = MarketSpace(np.array([0.2, 0.3, 0.5]))
+    polytopes = [
+        DIAMOND,
+        Polytope.from_vertices(space3, rng.uniform(-2, 2, size=(7, 3))),
+        # flat hulls (a segment, a triangle in a plane) answer through the LP
+        Polytope.from_vertices(UNIFORM2, [[1.0, 1.0], [-1.0, -1.0]]),
+        Polytope.from_vertices(space3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]),
+        Polytope.from_halfspaces(UNIFORM2, [[1, 1], [1, -1], [-1, 1], [-1, -1]], np.ones(4)),
+    ]
+    for P in polytopes:
+        n = P.space.n
+        X = np.vstack([rng.uniform(-2.5, 2.5, size=(40, n)), np.zeros((1, n)),
+                       0.5 * P.vertex_form()[:1], 1e-14 * rng.uniform(-1, 1, size=(2, n))])
+        X[:5, -1] = 0.0  # on the plane of the flat triangle
+        for tol in (1e-9, 1e-8):
+            got = P.contains(X, tol=tol)
+            assert got.shape == (len(X),) and got.dtype == bool
+            assert got.tolist() == [P.contains(x, tol=tol) for x in X]
+        A = P.as_acceptance_set()
+        assert A.rowwise
+        assert A.row_membership(X).tolist() == [A.membership(x) for x in X]
 
 
 def test_enumerate_vertices_of_halfspace_diamond():
@@ -81,6 +107,36 @@ def test_support_function_unbounded_direction():
     seg = Polytope.from_vertices(UNIFORM2, [[1.0, 1.0], [-1.0, -1.0]])
     sup = support_function(polar(seg), np.array([1.0, -1.0]))
     assert sup.value == math.inf
+
+
+def test_support_values_equal_support_function_row_by_row():
+    rng = np.random.default_rng(6)
+    seg = Polytope.from_vertices(UNIFORM2, [[1.0, 1.0], [-1.0, -1.0]])
+    X = np.vstack([rng.uniform(-4, 4, size=(30, 2)), [[0.0, 0.0], [1.0, 1.0], [1.0, -1.0]]])
+    for F in (polar(DIAMOND), polar(seg)):
+        batch = support_values(F, X)
+        assert len(batch) == len(X)
+        for x, got in zip(X, batch):
+            want = support_function(F, x)
+            assert got.value == want.value
+            assert (got.maximiser is None) == (want.maximiser is None)
+            if got.maximiser is not None:
+                assert got.maximiser.tobytes() == want.maximiser.tobytes()
+            assert got.outcome.iterations == want.outcome.iterations
+    assert support_values(polar(seg), X)[-1].value == math.inf
+    assert support_values(polar(DIAMOND), np.empty((0, 2))) == []
+
+
+@pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf],
+                               [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+def test_lp_route_rejects_bad_positions(x):
+    F = polar(DIAMOND)
+    with pytest.raises(MarketError):
+        support_function(F, x)
+    with pytest.raises(MarketError):
+        risk_envelope(F, x)
+    with pytest.raises(MarketError):
+        support_values(F, [x])
 
 
 # --- dual routes agree -----------------------------------------------------------

@@ -108,7 +108,7 @@ def test_leaves_declare_row_oracles():
     assert ball_set(SPACE4, p=3.0).rowwise
     assert asymmetric_polytope(SPACE4).rowwise
     vertex_form = Polytope.from_vertices(UNIFORM3, np.vstack([np.eye(3), -np.eye(3)]))
-    assert not vertex_form.as_acceptance_set().rowwise
+    assert vertex_form.as_acceptance_set().rowwise
     projected = deviation_from_error(builtin_error("lp_norm", p=2.0))
     assert not sublevel_set(SPACE4, projected, 1.0).rowwise
 
