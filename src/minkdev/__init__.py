@@ -3,8 +3,8 @@
 The package works on finite probability spaces: positions are payoff
 vectors, acceptance sets are membership oracles with structural flags, and
 deviation measures arise as gauges ``inf { m > 0 : x / m in A }`` of those
-sets.  Dual representations via polar polytopes, quantile forms, and an
-invariant suite tying the routes together round out the toolbox.
+sets.  Dual representations via polar polytopes and an invariant suite
+tying the routes together round out the toolbox.
 """
 
 from .market import MarketSpace, as_position, expectation, left_quantile

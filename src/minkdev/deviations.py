@@ -13,10 +13,15 @@ convex.  This module provides the standard catalogue in closed form:
 together with error measures (``lp_norm(p)``, the asymmetric piecewise
 linear ``kb(alpha)``, and ``sup_range = 2 ||.||_inf``) and the projection
 ``deviation_from_error`` that turns an error into a deviation by minimising
-over constant shifts.
+over constant shifts.  ``check_axioms`` audits the axioms a functional
+declares on sampled positions, and ``measure_from_json`` reads the measure
+descriptions of scenario files.
 
 Quantile integrals are evaluated exactly on the step quantile function, so
-shortfall values carry no quadrature error.
+shortfall values carry no quadrature error.  Identities between measures
+and their acceptance sets are checked through gauges, in ``suite``:
+``k * gauge(Acc_k(D)) = D`` by ``check_closed_form_gauges``, and union,
+intersection and scaling by ``check_gauge_algebra``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import market
-from .market import MarketSpace, MarketError
+from .market import MarketSpace
 
 
 class MeasureError(ValueError):
@@ -389,15 +394,11 @@ def deviation_from_error(error: DeviationFunctional) -> DeviationFunctional:
 
 
 # ---------------------------------------------------------------------------
-# Axiom audits and structural identities
+# Axiom audits
 # ---------------------------------------------------------------------------
 
 #: Largest gap ``check_axioms`` lets an axiom show and still pass.
 AXIOM_TOL = 1e-8
-
-# Level ``k`` and scaling factor ``lam`` of ``measure_algebra``'s identities.
-ALGEBRA_LEVEL = 1.0
-ALGEBRA_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -504,99 +505,6 @@ def check_axioms(
     return reports
 
 
-def level_identity_check(
-    D: DeviationFunctional,
-    space: MarketSpace,
-    k: float = 1.0,
-    trials: int = 100,
-    seed: int = 0,
-) -> float:
-    """Max gap of ``k * gauge(sublevel(D, k)) - D`` over sampled positions.
-
-    For a positively homogeneous deviation measure the identity is exact:
-    the gauge of the level-``k`` acceptance set recovers ``D / k``.
-    """
-    from .gauge import minkowski_gauge
-    from .sets import sublevel_set
-
-    rng = np.random.default_rng(seed)
-    A = sublevel_set(space, D, k)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=space.n)
-        g = minkowski_gauge(A, x).value
-        d = D.eval(space, x)
-        if math.isinf(g) or math.isinf(d):
-            if g != d:
-                worst = math.inf
-            continue
-        worst = max(worst, abs(k * g - d))
-    return worst
-
-
-@dataclass(frozen=True)
-class AlgebraReport:
-    identity: str
-    passed: bool
-    trials: int
-    disagreements: int
-
-
-def measure_algebra(
-    D1: DeviationFunctional,
-    D2: DeviationFunctional,
-    space: MarketSpace,
-    trials: int = 200,
-    seed: int = 0,
-) -> list[AlgebraReport]:
-    """Membership agreement checks for the sub-level-set algebra, at level
-    ``k = ALGEBRA_LEVEL`` and factor ``lam = ALGEBRA_FACTOR``.
-
-    * ``Acc_k(min(D1, D2)) = Acc_k(D1) union Acc_k(D2)``
-    * ``Acc_k(max(D1, D2)) = Acc_k(D1) intersect Acc_k(D2)``
-    * ``Acc_k(lam * D1) = (1/lam) Acc_k(D1)``
-    * ``Acc_k(D1 + D2) subseteq Acc_k(D1) intersect Acc_k(D2)`` (one-sided)
-    """
-    k, lam = ALGEBRA_LEVEL, ALGEBRA_FACTOR
-    rng = np.random.default_rng(seed)
-    box = market.SAMPLE_RANGE
-    samples = [rng.uniform(-box, box, size=space.n) for _ in range(trials)]
-    reports = []
-
-    def record(name: str, bad: int) -> None:
-        reports.append(AlgebraReport(identity=name, passed=bad == 0, trials=trials, disagreements=bad))
-
-    bad = sum(
-        (min(D1.eval(space, x), D2.eval(space, x)) <= k)
-        != (D1.eval(space, x) <= k or D2.eval(space, x) <= k)
-        for x in samples
-    )
-    record("min_is_union", bad)
-
-    bad = sum(
-        (max(D1.eval(space, x), D2.eval(space, x)) <= k)
-        != (D1.eval(space, x) <= k and D2.eval(space, x) <= k)
-        for x in samples
-    )
-    record("max_is_intersection", bad)
-
-    degree = D1.homogeneity_degree or 1.0
-    bad = sum(
-        (lam * D1.eval(space, x) <= k) != (D1.eval(space, np.asarray(x) * lam ** (1.0 / degree)) <= k)
-        for x in samples
-    )
-    record("scaled_measure_is_shrunk_set", bad)
-
-    bad = sum(
-        (D1.eval(space, x) + D2.eval(space, x) <= k)
-        and not (D1.eval(space, x) <= k and D2.eval(space, x) <= k)
-        for x in samples
-    )
-    record("sum_set_inside_intersection", bad)
-
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # JSON measure descriptions
 # ---------------------------------------------------------------------------
@@ -609,14 +517,3 @@ def measure_from_json(doc) -> DeviationFunctional:
         raise MeasureError('measure description must be an object with a "measure" name')
     return builtin_deviation(doc["measure"], alpha=doc.get("alpha"))
 
-
-def error_from_json(doc) -> DeviationFunctional:
-    """Parse ``{"error": name, "p"?: p, "alpha"?: a}``."""
-    if isinstance(doc, str):
-        doc = {"error": doc}
-    if not isinstance(doc, dict) or "error" not in doc:
-        raise MeasureError('error description must be an object with an "error" name')
-    p = doc.get("p")
-    if p == "inf":
-        p = math.inf
-    return builtin_error(doc["error"], p=p, alpha=doc.get("alpha"))

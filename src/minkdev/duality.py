@@ -6,13 +6,9 @@ All dual objects live under the probability-weighted pairing
 vertices ``v_j`` this is exactly the halfspace system ``<v_j, y> <= 1``.
 The support function of the polar equals the gauge of closed convex sets
 containing the origin, which gives an LP route to the gauge that is fully
-independent of the bisection solver — the two are compared, never merged.
-
-Unbounded directions (recession rays) are handled by the scaled-vertex
-surrogate: a ray ``r`` is represented by a far-away vertex ``s * r`` with a
-large scale ``s``, which turns the exact polar constraint ``<r, y> <= 0``
-into ``<r, y> <= 1/s``.  Results involving rays are therefore accurate to
-``O(1/s)``.
+independent of the bisection solver — the two are compared, never merged:
+``dual_representation_check`` compares them on sampled positions, and
+``bipolar_check`` compares the bipolar with ``conv(P U {0})``.
 """
 
 from __future__ import annotations
@@ -38,18 +34,14 @@ class DualityError(ValueError):
 #: intersecting constraint subsets (combinatorial in the dimension).
 MAX_ENUM_DIM = 4
 
-#: Scale of the far-vertex surrogate for recession rays.
-RAY_SCALE = 1e8
-
 #: Slack with which an enumerated corner must satisfy every halfspace.
 VERTEX_TOL = 1e-9
 
 # Tolerances of the dual-route checks: the largest gap between gauge and
-# support function, bipolar membership slack, and the largest quantile-form
-# gap; CHECK_OPTS are their default gauge options.
+# support function, and bipolar membership slack; CHECK_OPTS are their
+# default gauge options.
 DUAL_TOL = 1e-6
 BIPOLAR_TOL = 1e-8
-QUANTILE_TOL = 1e-5
 CHECK_OPTS = GaugeOptions(tol_rel=1e-9, tol_abs=1e-12)
 
 
@@ -59,8 +51,9 @@ class Polytope:
 
     ``vertices`` is a ``(k, n)`` array of points; ``rows``/``rhs`` describe
     halfspaces ``<rows[i], y> <= rhs[i]`` in the probability-weighted
-    pairing.  At least one form must be present; conversions are computed on
-    demand (vertex enumeration only for ``n <= 4``).
+    pairing.  At least one form must be present, and every entry finite
+    (``DualityError`` otherwise); conversions are computed on demand (vertex
+    enumeration only for ``n <= 4``).
     """
 
     space: MarketSpace
@@ -83,6 +76,8 @@ class Polytope:
                 raise DualityError("halfspace rows and rhs sizes disagree")
             object.__setattr__(self, "rows", r)
             object.__setattr__(self, "rhs", b)
+        if not all(np.isfinite(d).all() for d in (self.vertices, self.rows, self.rhs) if d is not None):
+            raise DualityError("polytope vertices, rows and rhs must be finite")
 
     # -- constructors -------------------------------------------------------
 
@@ -222,9 +217,6 @@ class PolarForm:
     space: MarketSpace
     rows: np.ndarray  # the primal vertices, acting as constraint normals
     rhs: np.ndarray
-
-    def as_polytope(self) -> Polytope:
-        return Polytope.from_halfspaces(self.space, self.rows, self.rhs)
 
 
 def polar(P: Polytope) -> PolarForm:
@@ -370,62 +362,3 @@ def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckRep
             max_gap = max(max_gap, abs(h - 1.0))
     return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=0, disagreements=bad)
 
-
-@dataclass(frozen=True)
-class EnvelopeValue:
-    """Risk-envelope representation ``D(x) = E[x] - inf_{Q} E[x Q]``.
-
-    ``Q`` ranges over ``1 - polar``; ``attaining_q`` is an optimal ``Q``.
-    """
-
-    value: float
-    attaining_q: np.ndarray | None
-
-
-def risk_envelope(F: PolarForm, x) -> EnvelopeValue:
-    """Evaluate the risk-envelope form by the explicit ``Q = 1 - y``
-    substitution (an LP over the polar in the ``y`` variable).  ``x`` must be
-    a finite position of ``F.space`` (``MarketError`` otherwise)."""
-    sup = support_function(F, x)
-    if sup.maximiser is None:
-        return EnvelopeValue(value=math.inf, attaining_q=None)
-    # inf over Q = 1 - y of E[xQ] is E[x] - sup <x, y>, so D(x) = sup <x, y>
-    return EnvelopeValue(value=sup.value, attaining_q=1.0 - sup.maximiser)
-
-
-@dataclass(frozen=True)
-class QuantileRepReport:
-    trials: int
-    max_gap: float
-    passed: bool
-
-
-def discrete_quantile_rep_check(P: Polytope, trials: int = 100, seed: int = 0) -> QuantileRepReport:
-    """Quantile form of the dual representation on uniform spaces.
-
-    For a law-invariant convex ``P`` (0 inside) on a uniform space, the
-    gauge equals the maximum over polar extreme points ``y`` of the
-    comonotone pairing ``(1/n) sum_k x_(k) y_(k)`` of the sorted vectors;
-    the check passes when no sampled gap exceeds ``QUANTILE_TOL``.
-    """
-    space = P.space
-    if not space.is_uniform():
-        raise DualityError("quantile representation requires a uniform space")
-    ext = polar_vertices(polar(P))
-    ext_sorted = np.sort(ext, axis=1)
-    X = _sample_positions(space, trials, seed)
-    [gauges] = gauge_table([P.as_acceptance_set()], X, CHECK_OPTS)
-    max_gap = 0.0
-    for g, x in zip(gauges, X):
-        if math.isinf(g.value):
-            continue
-        rhs = float(np.max(ext_sorted @ np.sort(x)) / space.n)
-        max_gap = max(max_gap, abs(g.value - rhs))
-    return QuantileRepReport(trials=trials, max_gap=max_gap, passed=max_gap <= QUANTILE_TOL)
-
-
-def with_ray_surrogates(P: Polytope, rays) -> Polytope:
-    """Append far-away vertices ``RAY_SCALE * r`` representing recession rays."""
-    rays = np.atleast_2d(np.asarray(rays, dtype=float))
-    V = np.vstack([P.vertex_form(), RAY_SCALE * rays])
-    return Polytope.from_vertices(P.space, V)

@@ -43,16 +43,26 @@ class OracleBudgetError(GaugeError):
 
 @dataclass(frozen=True)
 class GaugeOptions:
-    """Numerical controls shared by the gauge and cogauge solvers."""
+    """The bisection tolerance shared by the gauge and cogauge solvers: a
+    bracket ``[lo, hi]`` is final once ``hi - lo <= max(tol_abs, tol_rel * hi)``.
 
-    m_min: float = 1e-12
-    m_cap: float = 1e12
+    The scale range ``[M_MIN, M_CAP]`` and the oracle budget
+    ``MAX_ORACLE_CALLS`` are module constants, read when a solver runs.
+    """
+
     tol_rel: float = 1e-10
     tol_abs: float = 1e-12
-    max_oracle_calls: int = 10_000
 
 
 DEFAULT_OPTIONS = GaugeOptions()
+
+#: The scale range of the ray search: a bracket ``(0, M_MIN)`` means the
+#: value is 0, and ``(M_CAP, inf)`` that it is ``inf``.
+M_MIN = 1e-12
+M_CAP = 1e12
+
+#: Membership-oracle calls one cell may make before ``OracleBudgetError``.
+MAX_ORACLE_CALLS = 10_000
 
 #: Scales per decade of the grid-scan fallback.
 RAY_GRID = 64
@@ -67,8 +77,8 @@ SHIFT_TOL = 1e-9
 class GaugeResult:
     """Certified gauge value with bracket and diagnostics.
 
-    ``value`` may be ``0.0`` (membership persisted down to ``m_min``),
-    ``math.inf`` (no member up to ``m_cap``), or a finite positive number
+    ``value`` may be ``0.0`` (membership persisted down to ``M_MIN``),
+    ``math.inf`` (no member up to ``M_CAP``), or a finite positive number
     bracketed by ``bracket``.  ``attained`` is ``"yes"`` only when the set is
     declared closed; ``boundary_point`` is then ``x / value``.
     ``approximate`` marks grid-scan results on sets without a star-shape
@@ -84,19 +94,18 @@ class GaugeResult:
 
 
 class _Oracle:
-    """Counts membership calls against a budget and keeps the live bracket
-    ``[lo, hi]`` of the ray search; a call past the budget raises
+    """Counts membership calls against ``MAX_ORACLE_CALLS`` and keeps the live
+    bracket ``[lo, hi]`` of the ray search; a call past the budget raises
     ``OracleBudgetError`` with that bracket."""
 
-    def __init__(self, A: AcceptanceSet, opts: GaugeOptions):
+    def __init__(self, A: AcceptanceSet):
         self._member = A.membership
-        self._budget = opts.max_oracle_calls
         self.calls = 0
         self.bracket = [0.0, math.inf]
 
     def __call__(self, z: np.ndarray) -> bool:
-        if self.calls >= self._budget:
-            raise _budget_error(self._budget, tuple(self.bracket))
+        if self.calls >= MAX_ORACLE_CALLS:
+            raise _budget_error(MAX_ORACLE_CALLS, tuple(self.bracket))
         self.calls += 1
         return bool(self._member(z))
 
@@ -151,11 +160,11 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
     Both look for the switch of ``past`` (see ``_Oracle.ray``) along the ray:
     an exponential search or a grid scan brackets it, bisection narrows the
     bracket, and the value is its upper end for the gauge, its lower end for
-    the cogauge.  A bracket ``(0, m_min)`` means the value is 0, and
-    ``(m_cap, inf)`` that it is ``inf``.
+    the cogauge.  A bracket ``(0, M_MIN)`` means the value is 0, and
+    ``(M_CAP, inf)`` that it is ``inf``.
     """
     x = as_position(A.space, x)
-    oracle = _Oracle(A, opts)
+    oracle = _Oracle(A)
     flags = A.flags
     if cogauge:
         approximate = flags.star_shaped is None and flags.convex is not True
@@ -168,7 +177,7 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
         return GaugeResult(value=value, bracket=(value, value),
                            attained="yes" if hit else "no", oracle_calls=oracle.calls)
     past = oracle.ray(x, cogauge)
-    lo, hi = _grid_scan(past, opts, cogauge) if approximate else _exponential_search(past, opts)
+    lo, hi = _grid_scan(past, cogauge) if approximate else _exponential_search(past)
     if lo > 0.0 and hi < math.inf:
         lo, hi = _bisect(past, lo, hi, opts)
     return _result(A, x, lo, hi, oracle.calls, cogauge, approximate)
@@ -176,8 +185,8 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
 
 def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
             cogauge: bool = False, approximate: bool = False) -> GaugeResult:
-    """The ``GaugeResult`` of a final bracket: ``(0, m_min)`` means 0,
-    ``(m_cap, inf)`` means inf, and otherwise the value is the bracket's
+    """The ``GaugeResult`` of a final bracket: ``(0, M_MIN)`` means 0,
+    ``(M_CAP, inf)`` means inf, and otherwise the value is the bracket's
     upper end for the gauge, its lower end for the cogauge."""
     if lo == 0.0 or hi == math.inf:
         return GaugeResult(value=0.0 if lo == 0.0 else math.inf, bracket=(lo, hi),
@@ -191,42 +200,42 @@ def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
                        approximate=approximate)
 
 
-def _exponential_search(past, opts: GaugeOptions):
+def _exponential_search(past):
     """Bracket the switch by halving the scale from 1 while ``past`` holds,
     or doubling it while it does not."""
     if past(1.0):
         lo, hi = 0.5, 1.0
-        while lo >= opts.m_min:
+        while lo >= M_MIN:
             if not past(lo):
                 return lo, hi
             lo, hi = lo / 2.0, lo
-        return 0.0, opts.m_min
+        return 0.0, M_MIN
     lo, hi = 1.0, 2.0
-    while hi <= opts.m_cap:
+    while hi <= M_CAP:
         if past(hi):
             return lo, hi
         lo, hi = hi, hi * 2.0
-    return opts.m_cap, math.inf
+    return M_CAP, math.inf
 
 
-def _grid_scan(past, opts: GaugeOptions, cogauge: bool):
+def _grid_scan(past, cogauge: bool):
     """Geometric-scan fallback for sets without the structure bisection needs.
 
-    Scans ``RAY_GRID`` scales per decade across ``[m_min, m_cap]`` for the
+    Scans ``RAY_GRID`` scales per decade across ``[M_MIN, M_CAP]`` for the
     first member: upward for the gauge, downward for the cogauge.  That
     member and the non-member scanned just before it bracket the switch,
     which is only grid-accurate, hence flagged approximate.
     """
-    decades = math.log10(opts.m_cap) - math.log10(opts.m_min)
-    grid = np.geomspace(opts.m_min, opts.m_cap, max(2, int(RAY_GRID * decades)))
+    decades = math.log10(M_CAP) - math.log10(M_MIN)
+    grid = np.geomspace(M_MIN, M_CAP, max(2, int(RAY_GRID * decades)))
     scales = grid[::-1] if cogauge else grid
     # a member is where past(m) != cogauge
     i = next((i for i, m in enumerate(scales) if past(float(m)) != cogauge), grid.size)
     below = grid.size - i if cogauge else i  # grid scales before the switch
     if below == 0:
-        return 0.0, opts.m_min
+        return 0.0, M_MIN
     if below == grid.size:
-        return opts.m_cap, math.inf
+        return M_CAP, math.inf
     return float(grid[below - 1]), float(grid[below])
 
 
@@ -313,7 +322,7 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
     starts = np.arange(len(sets) + 1) * B
     while True:
         act = np.flatnonzero(mode != _DONE)
-        spent = calls[act] >= opts.max_oracle_calls
+        spent = calls[act] >= MAX_ORACLE_CALLS
         if spent.any():
             exhausted[act[spent]] = True
             mode[act[spent]] = _DONE
@@ -336,10 +345,10 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
         grow = ~past & ((md == _DOUBLE) | ((md == _HALVE) & (calls[act] == 1)))
         l[shrink] = m[shrink] / 2.0
         h[grow] = m[grow] * 2.0
-        floor = shrink & (l < opts.m_min)
-        cap = grow & (h > opts.m_cap)
-        l[floor], h[floor] = 0.0, opts.m_min
-        l[cap], h[cap] = opts.m_cap, math.inf
+        floor = shrink & (l < M_MIN)
+        cap = grow & (h > M_CAP)
+        l[floor], h[floor] = 0.0, M_MIN
+        l[cap], h[cap] = M_CAP, math.inf
         md = np.where(shrink, _HALVE, np.where(grow, _DOUBLE, _BISECT))
         settled = (md == _BISECT) & (h - l <= np.maximum(opts.tol_abs, opts.tol_rel * h))
         md[floor | cap | settled] = _DONE
@@ -353,7 +362,7 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
         for i, x in enumerate(X):
             c = j * B + i
             if exhausted[c]:
-                column.append(_budget_error(opts.max_oracle_calls, tuple(live[c])))
+                column.append(_budget_error(MAX_ORACLE_CALLS, tuple(live[c])))
             elif nonzero[i]:
                 column.append(_result(A, x, lo[c], hi[c], calls[c]))
             else:

@@ -19,7 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,17 +31,15 @@ PROB_TOL = 1e-12
 #: from prior arithmetic on the positions.
 COMONOTONE_TOL = 1e-12
 
-#: Tolerance of the law comparisons (``equal_in_distribution``,
-#: ``dispersive_leq``) in support values and atom probabilities.
+#: Tolerance of ``dispersive_leq`` in the differences of quantile spreads.
 LAW_TOL = 1e-9
 
 #: The sampled checks draw positions from the box ``[-SAMPLE_RANGE,
 #: SAMPLE_RANGE]^n``.
 SAMPLE_RANGE = 4.0
 
-#: Largest outcome count for which permutation-orbit constructions
-#: (law-invariant hulls, distributional equality on uniform spaces) are
-#: enumerated exhaustively.
+#: Largest outcome count for which ``sets.law_invariant_hull`` enumerates
+#: the permutation orbit of a position.
 MAX_PERMUTATION_OUTCOMES = 8
 
 
@@ -120,7 +117,7 @@ def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
     """Probability-weighted L^p norm over the last axis, ``p in [1, inf]``."""
     if p == math.inf:
         return float_or_rows(np.max(np.abs(x), axis=-1))
-    if p < 1:
+    if not p >= 1:  # NaN fails this test too
         raise MarketError(f"lp_norm requires p >= 1, got {p}")
     # np.power takes the root by the same route for one position and for a
     # batch; the scalar ``**`` of a numpy float may differ in the last bit.
@@ -151,34 +148,6 @@ def left_quantile(space: MarketSpace, x: np.ndarray, t: float) -> float:
     idx = int(np.searchsorted(cum, t - PROB_TOL, side="left"))
     idx = min(idx, values.size - 1)
     return float(values[idx])
-
-
-def _merged_law(space: MarketSpace, x: np.ndarray):
-    """Collapse the sorted law of ``x`` to (value, prob) atoms, merging values
-    that differ by at most ``LAW_TOL``."""
-    values, cum = sorted_distribution(space, x)
-    probs = np.diff(cum, prepend=0.0)
-    atoms: list[tuple[float, float]] = []
-    for v, p in zip(values, probs):
-        if atoms and v - atoms[-1][0] <= LAW_TOL:
-            atoms[-1] = (atoms[-1][0], atoms[-1][1] + p)
-        else:
-            atoms.append((float(v), float(p)))
-    return atoms
-
-
-def equal_in_distribution(space_x: MarketSpace, x: np.ndarray,
-                          space_y: MarketSpace, y: np.ndarray) -> bool:
-    """Whether ``x`` and ``y`` induce the same law, up to ``LAW_TOL`` in both
-    the support values and the atom probabilities."""
-    ax = _merged_law(space_x, x)
-    ay = _merged_law(space_y, y)
-    if len(ax) != len(ay):
-        return False
-    return all(
-        abs(vx - vy) <= LAW_TOL and abs(px - py) <= LAW_TOL
-        for (vx, px), (vy, py) in zip(ax, ay)
-    )
 
 
 def is_comonotone(x: np.ndarray, y: np.ndarray) -> bool:
@@ -247,10 +216,3 @@ def positions_from_json(space: MarketSpace, doc) -> dict[str, np.ndarray]:
         raise MarketError("positions must be an object of name -> values")
     return {str(name): as_position(space, vals) for name, vals in doc.items()}
 
-
-def load_market(text: str):
-    """Parse a JSON document ``{"probs": [...], "positions": {...}}``."""
-    doc = json.loads(text)
-    space = space_from_json(doc)
-    positions = positions_from_json(space, doc.get("positions", {}))
-    return space, positions

@@ -36,7 +36,6 @@ row-wise star-shaped set one batch of rows per bisection step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import market
-from .market import MarketSpace, MarketError
+from .market import MarketSpace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .duality import Polytope

@@ -290,6 +290,40 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, name):
     assert "error:" in capsys.readouterr().err
 
 
+NON_FINITE_SETS = {
+    # 1 ** nan == 1: a NaN exponent would put [1, -1] on the unit sphere
+    "ball_p_nan": {"kind": "ball", "p": math.nan, "label": "b"},
+    # a null rhs entry reads as NaN, which would empty the set
+    "halfspaces_null_rhs": {"kind": "halfspaces", "rows": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                            "rhs": [1.0, None, 1.0, 1.0], "label": "h"},
+    "halfspaces_inf_row": {"kind": "halfspaces", "rows": [[1, 0], [-1, math.inf]],
+                           "rhs": [1.0, 1.0], "label": "h"},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_SETS), ids=list(NON_FINITE_SETS))
+def test_eval_rejects_non_finite_set_data(tmp_path, capsys, name):
+    doc = {"v": 1, "space": {"probs": [0.25, 0.75]}, "positions": {"X": [1.0, -1.0]},
+           "sets": [NON_FINITE_SETS[name]]}
+    assert main(["eval", "--scenario", write(tmp_path, "bad.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+NON_FINITE_POLYTOPES = {
+    "nan_vertex": {"vertices": [[2, 0], [0, 2], [math.nan, 0], [0, -2]]},
+    "inf_vertex": {"vertices": [[2, 0], [-math.inf, 2], [0, -2]]},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_POLYTOPES), ids=list(NON_FINITE_POLYTOPES))
+def test_polar_rejects_non_finite_polytopes(tmp_path, capsys, name):
+    doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "polytope": NON_FINITE_POLYTOPES[name]}
+    assert main(["polar", "--scenario", write(tmp_path, "bad.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_malformed_check_entries_exit_2(tmp_path):
     base = {"v": 1, "space": {"probs": [0.25, 0.75]}}
     for entry in ({"measure": {"measure": "frd"}, "trials": "many"},

@@ -1,0 +1,66 @@
+"""Every public definition in ``src/minkdev`` is run by the library, the CLI
+or the benchmark, or exported, or named below with its reason.
+
+A public top-level function or class, or a public method of such a class,
+counts as referenced when a ``Name``, an ``Attribute`` or an import in
+``src/minkdev/*.py`` or ``benchmarks/*.py`` names it.  Tests do not count:
+code that only its own tests call is dead.
+"""
+
+import ast
+from pathlib import Path
+
+import minkdev
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "minkdev").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+
+#: Public definitions that nothing in the library or the benchmark runs.
+ALLOWED = {
+    "pairing": "the probability-weighted pairing, a reference in the duality tests",
+    "canonical_report": "the byte-identity serialisation the acceptance tests compare with",
+    "is_comonotone": "the exact pairwise condition the comonotone sampler is tested against",
+    "deviation_from_set": "the set-to-measure axiom table, to be asked by criterion 7",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _scan():
+    """``(qualified name, name)`` of each public definition, and every name
+    referenced anywhere in the library or the benchmark."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY + BENCHMARKS}
+    defined = [(f"{path.stem}.{qualname}", name)
+               for path in LIBRARY for qualname, name in _public_definitions(trees[path])]
+    return defined, set().union(*map(_referenced_names, trees.values()))
+
+
+def test_every_public_definition_runs_or_is_exported():
+    defined, referenced = _scan()
+    assert defined and referenced
+    dead = [qualname for qualname, name in defined
+            if name not in referenced and name not in minkdev.__all__ and name not in ALLOWED]
+    assert dead == []
+    # an allowlisted definition that gained a caller, or was deleted, leaves the list
+    assert set(ALLOWED) <= {name for _, name in defined} - referenced

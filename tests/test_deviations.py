@@ -20,10 +20,7 @@ from minkdev.deviations import (
     builtin_error,
     check_axioms,
     deviation_from_error,
-    error_from_json,
     expected_shortfall,
-    level_identity_check,
-    measure_algebra,
     measure_from_json,
 )
 from minkdev.market import MarketSpace
@@ -188,33 +185,6 @@ def test_translation_insensitivity_property(values, shift):
         assert D.eval(SPACE4, x + shift) == pytest.approx(D.eval(SPACE4, x), abs=1e-9)
 
 
-# --- structural identities -----------------------------------------------------
-
-def test_level_identity_for_homogeneous_measures():
-    for name in ("std_dev", "lr"):
-        gap = level_identity_check(builtin_deviation(name), SPACE4, k=2.0, trials=30, seed=0)
-        assert gap < 1e-7
-
-
-def test_measure_algebra_identities():
-    reports = measure_algebra(
-        builtin_deviation("std_dev"), builtin_deviation("frd"), SPACE4, trials=200
-    )
-    assert {r.identity for r in reports} == {
-        "min_is_union", "max_is_intersection", "scaled_measure_is_shrunk_set",
-        "sum_set_inside_intersection",
-    }
-    assert all(r.passed for r in reports)
-
-
-def test_measure_algebra_scaling_covers_degree_two():
-    reports = measure_algebra(
-        builtin_deviation("variance"), builtin_deviation("std_dev"), SPACE4, trials=200
-    )
-    scaled = [r for r in reports if r.identity == "scaled_measure_is_shrunk_set"]
-    assert scaled[0].passed
-
-
 # --- JSON parsing ---------------------------------------------------------------
 
 def test_measure_from_json():
@@ -224,8 +194,3 @@ def test_measure_from_json():
     with pytest.raises(MeasureError):
         measure_from_json({"measure": "nope"})
 
-
-def test_error_from_json():
-    assert error_from_json({"error": "lp_norm", "p": "inf"}).label == "lp_norm(inf)"
-    with pytest.raises(MeasureError):
-        error_from_json({"p": 2})

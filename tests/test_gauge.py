@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkdev import gauge
 from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.gauge import (
     GaugeOptions,
@@ -91,37 +92,38 @@ def test_boundary_point_and_attainment():
     assert A.contains(x / (res.value * (1 + 1e-6)))
 
 
-def test_oracle_budget_raises_with_bracket():
+def test_oracle_budget_raises_with_bracket(monkeypatch):
+    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 5)
     A = ball_set(UNIFORM3, p=2.0, radius=1.0)
     with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(A, np.array([3.0, 1.0, -2.0]), GaugeOptions(max_oracle_calls=5))
+        minkowski_gauge(A, np.array([3.0, 1.0, -2.0]))
     assert exc.value.bracket[0] < exc.value.bracket[1]
 
 
 @pytest.mark.parametrize("budget", [6, 12, 30])
-def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget):
+def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget, monkeypatch):
     A = ball_set(UNIFORM3, p=2.0, radius=1.0)
     x = np.array([3.0, 1.0, -2.0])
     want = math.sqrt(float(UNIFORM3.probs @ (x * x)))
-    opts = GaugeOptions(max_oracle_calls=budget)
+    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
     with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(A, x, opts)
+        minkowski_gauge(A, x)
     lo, hi = exc.value.bracket
-    assert opts.m_min < lo <= want <= hi < opts.m_cap
+    assert gauge.M_MIN < lo <= want <= hi < gauge.M_CAP
     assert hi - lo <= 1.0
 
 
-def test_cogauge_budget_bracket_contains_the_cogauge():
+def test_cogauge_budget_bracket_contains_the_cogauge(monkeypatch):
     ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
     complement = AcceptanceSet(space=UNIFORM3, membership=lambda x: not ball.membership(x),
                                flags=SetFlags(star_shaped=False, closed=False))
     x = np.array([3.0, 1.0, -2.0])
     want = minkowski_gauge(ball, x, TIGHT).value
-    opts = GaugeOptions(max_oracle_calls=12)
+    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 12)
     with pytest.raises(OracleBudgetError) as exc:
-        cogauge(complement, x, opts)
+        cogauge(complement, x)
     lo, hi = exc.value.bracket
-    assert opts.m_min < lo <= want <= hi < opts.m_cap
+    assert gauge.M_MIN < lo <= want <= hi < gauge.M_CAP
 
 
 BAD_POSITIONS = {
@@ -213,12 +215,11 @@ def test_grid_fallback_cogauge_marks_approximate():
 
 def test_grid_fallback_cogauge_ends():
     x = np.array([1.0, -1.0, 0.5])
-    opts = GaugeOptions()
     never = AcceptanceSet(space=UNIFORM3, membership=lambda z: False, flags=SetFlags())
     always = AcceptanceSet(space=UNIFORM3, membership=lambda z: True, flags=SetFlags())
-    zero, inf = cogauge(never, x, opts), cogauge(always, x, opts)
-    assert zero.approximate and zero.value == 0.0 and zero.bracket == (0.0, opts.m_min)
-    assert inf.approximate and inf.value == math.inf and inf.bracket == (opts.m_cap, math.inf)
+    zero, inf = cogauge(never, x), cogauge(always, x)
+    assert zero.approximate and zero.value == 0.0 and zero.bracket == (0.0, gauge.M_MIN)
+    assert inf.approximate and inf.value == math.inf and inf.bracket == (gauge.M_CAP, math.inf)
     assert inf.oracle_calls == 1  # the scan starts at the top of the grid
 
 
@@ -289,9 +290,13 @@ def _positions(rng, count, n):
     return rng.uniform(-1.0, 1.0, size=(count, n)) * np.exp(rng.uniform(-6.0, 6.0, size=(count, 1)))
 
 
-@pytest.mark.parametrize("opts", [GaugeOptions(), SUITE, GaugeOptions(m_min=0.3, m_cap=1.5)],
+@pytest.mark.parametrize("opts, scale_range",
+                         [(GaugeOptions(), None), (SUITE, None), (GaugeOptions(), (0.3, 1.5))],
                          ids=["default", "suite", "narrow_range"])
-def test_table_equals_each_cell_over_the_catalogue(opts):
+def test_table_equals_each_cell_over_the_catalogue(opts, scale_range, monkeypatch):
+    if scale_range is not None:
+        monkeypatch.setattr(gauge, "M_MIN", scale_range[0])
+        monkeypatch.setattr(gauge, "M_CAP", scale_range[1])
     rng = np.random.default_rng(11)
     for n in (2, 5):
         w = rng.uniform(0.5, 1.5, size=n)
@@ -372,18 +377,19 @@ def _first_budget_error(sets, X, opts):
     return None
 
 
-def test_table_budget_error_is_the_first_cell_in_position_major_order():
+def test_table_budget_error_is_the_first_cell_in_position_major_order(monkeypatch):
     rng = np.random.default_rng(13)
     ball = ball_set(SPACE4, p=3.0)
     user = AcceptanceSet(space=SPACE4, membership=lambda x: bool(ball.membership(x)),
                          flags=ball.flags)                          # scalar path
     small = ball_set(SPACE4, p=2.0, radius=1e-3)                 # more doubling steps
     sets = [sublevel_set(SPACE4, builtin_deviation("esd", alpha=0.25), 1.0), user, small]
+    opts = GaugeOptions()
     seen = set()
     for _ in range(3):
         X = np.vstack([_positions(rng, 3, 4), np.full(4, 1.5)])    # and a constant row
         for budget in (0, 36, 38, 40, 44, 48, 60):
-            opts = GaugeOptions(max_oracle_calls=budget)
+            monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
             want = _first_budget_error(sets, X, opts)
             if want is None:
                 _assert_table_equals_cells(sets, X, opts)

@@ -1,6 +1,5 @@
 """Market-space primitives: quantiles, orders, comonotonicity."""
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkdev import market
+from minkdev.deviations import builtin_error
 from minkdev.market import MarketError, MarketSpace
+from minkdev.sets import ball_set
 
 BINARY = MarketSpace(np.array([0.25, 0.75]))
 UNIFORM3 = MarketSpace(np.full(3, 1.0 / 3.0))
@@ -50,6 +51,17 @@ def test_statistics_and_norms():
         market.lp_norm(BINARY, x, 0.5)
 
 
+def test_lp_norm_rejects_a_nan_exponent():
+    # 1 ** nan == 1, so a NaN exponent would put [1, -1] on the unit sphere
+    x = np.array([1.0, -1.0])
+    with pytest.raises(MarketError):
+        market.lp_norm(BINARY, x, math.nan)
+    with pytest.raises(MarketError):
+        ball_set(BINARY, math.nan)
+    with pytest.raises(MarketError):
+        builtin_error("lp_norm", p=math.nan).eval(BINARY, x)
+
+
 def test_pairing_is_probability_weighted():
     assert market.pairing(BINARY, np.array([2.0, 4.0]), np.array([1.0, 1.0])) == pytest.approx(3.5)
 
@@ -77,22 +89,6 @@ def test_quantile_is_comonotone_additive_building_block():
             qy = market.left_quantile(space, y, t)
             qxy = market.left_quantile(space, x + y, t)
             assert qxy == pytest.approx(qx + qy, abs=1e-12)
-
-
-# --- distributional equality -----------------------------------------------
-
-def test_equal_in_distribution_across_spaces():
-    # (a on 1/4, b on 3/4) vs permuted support with matching masses
-    sp2 = MarketSpace(np.array([0.75, 0.25]))
-    assert market.equal_in_distribution(BINARY, np.array([1.0, 5.0]), sp2, np.array([5.0, 1.0]))
-    assert not market.equal_in_distribution(BINARY, np.array([1.0, 5.0]), sp2, np.array([1.0, 5.0]))
-
-
-def test_equal_in_distribution_merges_duplicate_atoms():
-    sp = MarketSpace(np.array([0.5, 0.25, 0.25]))
-    # atoms: 1 with mass 3/4, 2 with mass 1/4 == binary (2, 1) on (1/4, 3/4)
-    assert market.equal_in_distribution(sp, np.array([1.0, 1.0, 2.0]),
-                                        BINARY, np.array([2.0, 1.0]))
 
 
 # --- comonotonicity ----------------------------------------------------------
@@ -127,13 +123,3 @@ def test_dispersive_order_contractions():
     assert market.dispersive_leq(space, x + 3.0, x)
     assert market.dispersive_leq(space, x, x + 3.0)
 
-
-# --- JSON interface ----------------------------------------------------------
-
-def test_load_market_roundtrip():
-    doc = json.dumps({"probs": [0.25, 0.75], "positions": {"X": [0.0, 2.0]}})
-    space, positions = market.load_market(doc)
-    assert space.n == 2
-    assert positions["X"].tolist() == [0.0, 2.0]
-    with pytest.raises(MarketError):
-        market.load_market(json.dumps({"positions": {}}))
