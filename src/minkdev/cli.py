@@ -247,6 +247,8 @@ def cmd_check(config: RunConfig) -> int:
     for item in targets:
         with _parsing_scenario():
             trials = int(item.get("trials", 200))
+            if trials < 1:
+                raise InputError(f'"trials" must be at least 1, got {trials}')
             if "set" in item:
                 A = sets.set_from_json(space, item["set"])
                 props = list(item.get("properties") or ())
@@ -328,6 +330,8 @@ def parse_args(argv=None) -> RunConfig:
         if getattr(ns, option) is not None and ns.command not in readers:
             raise InputError(f"--{option} is not an option of {ns.command} "
                              f"(only of {', '.join(readers)})")
+    if ns.seed is not None and ns.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {ns.seed}")
     fmt = ns.format or ("csv" if ns.command == "boundary" else "json")
     only = tuple(s for s in (ns.only or "").split(",") if s)
     return RunConfig(command=ns.command, scenario=ns.scenario, out=ns.out,

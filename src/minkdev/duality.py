@@ -142,8 +142,8 @@ class Polytope:
         return enumerate_vertices(self.space, self.rows, self.rhs)
 
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
-        """View the polytope as a (closed convex) acceptance set; row-wise in
-        both forms."""
+        """View the polytope as a (closed convex) acceptance set; in both
+        forms one function answers a position or a batch."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,

@@ -256,19 +256,33 @@ def _bisect(past, lo: float, hi: float, opts: GaugeOptions):
 # Gauge table
 # ---------------------------------------------------------------------------
 
+#: Fewest star-shaped non-zero cells a table must have before
+#: ``gauge_table`` solves them in lockstep.  Measured on 1-12 catalogue
+#: sub-level sets and balls at 1-16 positions (4 outcomes; 2-core machine,
+#: one BLAS thread): lockstep costs 3.3-3.7 ms for one set at any row count
+#: and cell by cell 0.4 ms per cell, and the two cross between 6 and 12
+#: cells for one to four sets.  With 8-12 sets at one position lockstep
+#: stays about twice as slow.
+LOCKSTEP_MIN_CELLS = 8
+
+
 def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[GaugeResult]]:
     """The gauge of every set at every row of ``X``: ``table[j][i]`` equals
     ``minkowski_gauge(sets[j], X[i], opts)`` field for field.
 
-    The non-zero rows of sets that are row-wise and declare
-    ``star_shaped`` are solved together (``_lockstep``); every other cell
-    calls ``minkowski_gauge``.  ``X`` is a ``(B, n)`` array of finite
-    positions (``MarketError`` otherwise).  If cells exhaust the oracle
-    budget, the ``OracleBudgetError`` of the first of them in position-major
-    order is raised, as solving the cells one by one in that order would.
+    When the table has at least ``LOCKSTEP_MIN_CELLS`` cells of sets that
+    declare ``star_shaped`` at non-zero rows, those cells are solved
+    together (``_lockstep``), each set asked one ``row_membership`` batch per
+    step; every other cell calls ``minkowski_gauge``, which asks
+    ``membership``.  ``X`` is a ``(B, n)`` array of finite positions
+    (``MarketError`` otherwise).  If cells exhaust the oracle budget, the
+    ``OracleBudgetError`` of the first of them in position-major order is
+    raised, as solving the cells one by one in that order would.
     """
     X = _as_rows(sets, X)
-    batched = [A.rowwise and A.flags.star_shaped is True for A in sets]
+    batched = [A.flags.star_shaped is True for A in sets]
+    if sum(batched) * np.count_nonzero(np.any(X, axis=1)) < LOCKSTEP_MIN_CELLS:
+        batched = [False] * len(sets)
     solved = iter(_lockstep([A for A, b in zip(sets, batched) if b], X, opts))
     table = [next(solved) if b else [None] * len(X) for b in batched]
     for i, x in enumerate(X):

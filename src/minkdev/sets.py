@@ -12,25 +12,22 @@ Set constructors cover sub-level sets of functionals, scalar scaling,
 unions/intersections, the Minkowski sum with the constants line
 (``add_constants``), star hulls, and law-invariant hulls on uniform spaces.
 
-Row-wise oracles.  ``membership(x)`` answers one position of shape
-``(n,)`` with a bool.  A row-wise set, a set with a ``row_membership``,
-also answers a ``(B, n)`` batch with a ``(B,)`` bool array in one call;
-the leaves (sub-level sets of row-wise functionals, balls, polytopes in
-either form) are row-wise, and ``scale_set`` and ``combine`` are when
-their operands are.  ``AcceptanceSet.any_row`` and
-``AcceptanceSet.all_rows`` ask a batch of every set: a row-wise oracle
-answers it in one call, and a scalar-only one (user-built oracles,
-nested composites) is asked row by row, in order,
-up to the first row that decides the answer (the loop adapter).  The
-composites that fan one query out to many inner positions —
-``add_constants``, ``star_hull`` and ``law_invariant_hull`` — answer
-each query with one batch to their inner set (two for ``add_constants``:
+Membership oracles.  Every set answers one position ``(n,)`` through
+``membership(x)``, a bool, and a ``(B, n)`` batch through
+``row_membership(X)``, a ``(B,)`` bool array.  The leaves (sub-level sets
+of row-wise functionals, balls, polytopes in either form) pass one
+function that answers both shapes in one call; any other set, a
+user-built one or a composite that fans one query out, is given at
+construction a ``row_membership`` that asks ``membership`` row by row.
+``scale_set`` and ``combine`` pass batches through to their operands'
+``row_membership``.  The fan-out composites — ``add_constants``,
+``star_hull`` and ``law_invariant_hull`` — answer each query with one
+batch to their inner set's ``row_membership`` (two for ``add_constants``:
 the candidate shifts, then the shift grid only if no candidate is a
-member).  They are themselves scalar-only, so a composite nested inside
-one of them is reached through the loop adapter and no batch grows
-beyond one fan-out.  ``minkowski_gauge`` and ``cogauge`` ask single
-positions; ``gauge.gauge_table`` asks the ``row_membership`` of each
-row-wise star-shaped set one batch of rows per bisection step.
+member); a fan-out nested in another is asked every row of that batch,
+one at a time.  ``minkowski_gauge`` and ``cogauge`` ask ``membership``
+one position at a time; ``gauge.gauge_table`` asks ``row_membership``
+one batch of rows per bisection step when its table is large enough.
 """
 
 from __future__ import annotations
@@ -79,13 +76,13 @@ def _and3(a: bool | None, b: bool | None) -> bool | None:
 class AcceptanceSet:
     """A membership oracle over positions of one market space.
 
-    ``row_membership``, when set, maps a ``(B, n)`` batch to a ``(B,)``
-    bool array in one call (see the module docstring); ``membership`` of
-    such a set takes batches too.  A copy whose ``membership`` was replaced
-    through ``dataclasses.replace`` (a wrapper written for one position,
-    say) keeps the constructor's ``row_membership``, so ``gauge_table``
-    never hands the wrapper a batch; ``any_row`` and ``all_rows`` still
-    ask ``membership``.  Replace both to change what the set contains.
+    ``membership`` answers one position and ``row_membership`` a batch
+    (see the module docstring).  A set built without a ``row_membership``
+    gets one that asks ``membership`` row by row, so after construction it
+    is never ``None``.  A copy made with ``dataclasses.replace`` keeps the
+    ``row_membership`` it was built with: replacing ``membership`` alone (a
+    wrapper written for one position, say) never hands the wrapper a batch.
+    Replace both to change what the set contains.
     """
 
     space: MarketSpace
@@ -95,36 +92,11 @@ class AcceptanceSet:
     label: str = ""
     row_membership: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @property
-    def rowwise(self) -> bool:
-        """Whether the set answers a batch of rows in one call."""
-        return self.row_membership is not None
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.space.n,):
-            raise SetError(f"position has shape {x.shape}, space has {self.space.n} outcomes")
-        return bool(self.membership(x))
-
-    def any_row(self, X) -> bool:
-        """Whether some row of a ``(B, n)`` batch is a member."""
-        X = self._batch(X)
-        if self.rowwise:
-            return bool(np.any(self.membership(X)))
-        return any(map(self.membership, X))
-
-    def all_rows(self, X) -> bool:
-        """Whether every row of a ``(B, n)`` batch is a member."""
-        X = self._batch(X)
-        if self.rowwise:
-            return bool(np.all(self.membership(X)))
-        return all(map(self.membership, X))
-
-    def _batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.space.n:
-            raise SetError(f"batch has shape {X.shape}, expected (B, {self.space.n})")
-        return X
+    def __post_init__(self):
+        if self.row_membership is None:
+            member = self.membership
+            object.__setattr__(self, "row_membership",
+                               lambda X: np.array([bool(member(x)) for x in X], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +112,9 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
     (any positive degree) gives star-shapedness, translation insensitivity
     gives stability under scalar addition, nonnegativity of the functional
     gives radial boundedness at non-constants and ``0`` membership.
-    Non-finite functional values are treated as non-membership.  The set is
-    row-wise when the functional declares ``rowwise``; membership is always
-    decided by evaluating the functional.
+    Non-finite functional values are treated as non-membership.  A batch is
+    answered in one call when the functional declares ``rowwise``;
+    membership is always decided by evaluating the functional.
     """
     if not (k > 0.0) or not math.isfinite(k):
         raise SetError(f"sub-level threshold must be finite and positive, got {k}")
@@ -181,7 +153,7 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
         membership=lambda x: inner(x / lam),
         flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
-        row_membership=(lambda X: A.row_membership(X / lam)) if A.rowwise else None,
+        row_membership=lambda X: A.row_membership(X / lam),
     )
 
 
@@ -206,6 +178,7 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             law_invariant=_and3(fa.law_invariant, fb.law_invariant),
             contains_zero=True if (fa.contains_zero is True or fb.contains_zero is True) else _and3(fa.contains_zero, fb.contains_zero),
         )
+        member = lambda x: A.membership(x) or B.membership(x)
         union = True
         tag = "|"
     elif op == "intersection":
@@ -220,28 +193,25 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             law_invariant=_and3(fa.law_invariant, fb.law_invariant),
             contains_zero=_and3(fa.contains_zero, fb.contains_zero),
         )
+        member = lambda x: A.membership(x) and B.membership(x)
         union = False
         tag = "&"
     else:
         raise SetError(f"unknown combine op {op!r}")
 
-    def both(ma, mb):
-        def member(x: np.ndarray):
-            if x.ndim == 1:
-                return (ma(x) or mb(x)) if union else (ma(x) and mb(x))
-            out = np.array(ma(x), dtype=bool)
-            open_rows = ~out if union else out  # rows the second operand decides
-            if open_rows.any():
-                out[open_rows] = mb(x[open_rows])
-            return out
-        return member
+    def rows(X: np.ndarray) -> np.ndarray:
+        out = np.array(A.row_membership(X), dtype=bool)
+        open_rows = ~out if union else out  # rows the second operand decides
+        if open_rows.any():
+            out[open_rows] = B.row_membership(X[open_rows])
+        return out
 
     return AcceptanceSet(
         space=A.space,
-        membership=both(A.membership, B.membership),
+        membership=member,
         flags=flags,
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
-        row_membership=both(A.row_membership, B.row_membership) if A.rowwise and B.rowwise else None,
+        row_membership=rows,
     )
 
 
@@ -267,7 +237,7 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
         shifts = shifts[np.abs(shifts) <= SHIFT_CAP]
-        return shifts.size > 0 and A.any_row(x - shifts[:, None])
+        return shifts.size > 0 and bool(A.row_membership(x - shifts[:, None]).any())
 
     def member(x: np.ndarray) -> bool:
         lo, hi = float(np.min(x)), float(np.max(x))
@@ -309,14 +279,12 @@ def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     """
     if resolution < 2:
         raise SetError(f"star hull resolution must be at least 2, got {resolution}")
-    inner = A.membership
-    # lam = 1 first: a scalar-only A is asked up to the first hit
-    grid = np.geomspace(STAR_HULL_LAM_MIN, 1.0, resolution)[::-1, None]
+    grid = np.geomspace(STAR_HULL_LAM_MIN, 1.0, resolution)[:, None]
 
     def member(z: np.ndarray) -> bool:
         if not np.any(z):
-            return inner(z)
-        return A.any_row(z / grid)
+            return A.membership(z)
+        return bool(A.row_membership(z / grid).any())
 
     flags = SetFlags(
         star_shaped=True,
@@ -354,7 +322,7 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     perms = np.array(list(itertools.permutations(range(space.n))), dtype=int)
 
     def member(x: np.ndarray) -> bool:
-        return A.all_rows(x[perms])
+        return bool(A.row_membership(x[perms]).all())
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped,

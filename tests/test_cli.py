@@ -332,6 +332,31 @@ def test_malformed_check_entries_exit_2(tmp_path):
         assert main(["check", "--scenario", scenario]) == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("entry", [
+    {"measure": {"measure": "std_dev"}, "trials": -3},
+    {"measure": {"measure": "std_dev"}, "trials": 0},
+    {"set": {"kind": "ball", "p": 2}, "trials": 0},
+    {"set": {"kind": "ball", "p": 2}, "properties": ["convex"], "trials": -1},
+], ids=["measure_negative", "measure_zero", "set_zero", "property_negative"])
+def test_check_without_a_trial_exits_2(tmp_path, capsys, entry):
+    doc = {"v": 1, "space": {"probs": [0.25, 0.75]}, "check": [entry]}
+    assert main(["check", "--scenario", write(tmp_path, "t.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2147483648"])
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
+    doc = {"v": 1, "space": {"probs": [0.25, 0.75]},
+           "check": [{"set": {"kind": "ball", "p": 2}, "trials": 5}]}
+    args = (["--scenario", write(tmp_path, "s.json", doc)] if command == "check"
+            else ["--only", "variance_normalisation"])
+    out = tmp_path / "out"
+    assert main([command, *args, f"--seed={seed}", "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert "--seed" in capsys.readouterr().err and not out.exists()
+
+
 def test_defect_inside_a_command_propagates(tmp_path, monkeypatch):
     """Only input errors map to exit 2: a TypeError raised by the library
     after the scenario has been read is a defect and must surface."""

@@ -61,7 +61,7 @@ def test_batch_membership_equals_row_by_row_answers():
             assert got.shape == (len(X),) and got.dtype == bool
             assert got.tolist() == [P.contains(x, tol=tol) for x in X]
         A = P.as_acceptance_set()
-        assert A.rowwise
+        assert A.row_membership is A.membership
         assert A.row_membership(X).tolist() == [A.membership(x) for x in X]
 
 

@@ -1,6 +1,7 @@
 """Gauge and cogauge solvers: extended-real semantics, brackets, budgets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from minkdev.gauge import (
 )
 from minkdev.duality import Polytope
 from minkdev.market import MarketError, MarketSpace
-from minkdev.sets import AcceptanceSet, SetFlags, add_constants, ball_set, sublevel_set
+from minkdev.sets import (
+    AcceptanceSet,
+    SetFlags,
+    add_constants,
+    ball_set,
+    law_invariant_hull,
+    star_hull,
+    sublevel_set,
+)
 
 BINARY = MarketSpace(np.array([0.25, 0.75]))
 UNIFORM3 = MarketSpace(np.full(3, 1.0 / 3.0))
@@ -86,10 +95,10 @@ def test_boundary_point_and_attainment():
     x = np.array([2.0, -1.0, 0.5])
     res = minkowski_gauge(A, x, TIGHT)
     assert res.attained == "yes"
-    assert A.contains(res.boundary_point)
+    assert A.membership(res.boundary_point)
     # just inside the bracket on the non-member side
-    assert not A.contains(x / (res.value * (1 - 1e-6)))
-    assert A.contains(x / (res.value * (1 + 1e-6)))
+    assert not A.membership(x / (res.value * (1 - 1e-6)))
+    assert A.membership(x / (res.value * (1 + 1e-6)))
 
 
 def test_oracle_budget_raises_with_bracket(monkeypatch):
@@ -305,7 +314,7 @@ def test_table_equals_each_cell_over_the_catalogue(opts, scale_range, monkeypatc
                 for name, kw in CATALOGUE for k in (0.5, 2.0)]
         sets += [ball_set(space, p, 1.3) for p in (1.0, 2.0, 3.0, math.inf)]
         sets.append(_halfspace_polytope(space, rng).as_acceptance_set())
-        assert all(A.rowwise and A.flags.star_shaped is True for A in sets)
+        assert all(A.flags.star_shaped is True for A in sets)
         _assert_table_equals_cells(sets, _positions(rng, 25, n), opts)
 
 
@@ -320,7 +329,7 @@ def test_suite_sets_answer_batches_row_by_row_and_tabulate_cell_by_cell():
     assert [A.flags.convex for A in admissible] == [True, True, None, None]
     assert {A.flags.convex for A in bodies} == {True, None}      # one norm and two
     for A in admissible + bodies:
-        assert A.rowwise and A.flags.star_shaped is True
+        assert A.flags.star_shaped is True
         X = _positions(rng, 30, A.space.n)
         assert A.row_membership(X).tolist() == [bool(A.membership(x)) for x in X]
         _assert_table_equals_cells([A], X, SUITE)
@@ -419,9 +428,10 @@ def test_table_never_asks_a_finished_row_again():
     assert batches == [int(np.sum(calls >= t)) for t in range(1, calls.max() + 1)]
 
 
-def test_table_asks_the_constructor_oracle_not_a_replaced_membership():
-    from dataclasses import replace
+K = gauge.LOCKSTEP_MIN_CELLS
 
+
+def test_table_asks_the_constructor_oracle_not_a_replaced_membership():
     ball = ball_set(UNIFORM3, p=2.0)
     asked = []
 
@@ -429,9 +439,67 @@ def test_table_asks_the_constructor_oracle_not_a_replaced_membership():
         asked.append(x.shape)
         return bool(ball.membership(x))
     watched = replace(ball, membership=one_position)
-    X = _positions(np.random.default_rng(15), 5, 3)
-    [column] = gauge_table([watched], X, SUITE)
-    assert asked == [] and all(_same(a, minkowski_gauge(ball, x, SUITE)) for a, x in zip(column, X))
+    rng = np.random.default_rng(15)
+    for rows in (K - 1, K):
+        asked.clear()
+        X = _positions(rng, rows, 3)
+        [column] = gauge_table([watched], X, SUITE)
+        assert all(_same(a, minkowski_gauge(ball, x, SUITE)) for a, x in zip(column, X))
+        if rows < K:   # cell by cell: the wrapper, one position per call
+            assert asked and set(asked) == {(3,)}
+        else:          # lockstep: only the constructor's row oracle
+            assert asked == []
+
+
+@pytest.mark.parametrize("cells", [1, K - 1, K, K + 1])
+def test_table_equals_cells_on_both_sides_of_the_lockstep_size(cells):
+    rng = np.random.default_rng(16)
+    sd = sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0)
+    ball = ball_set(SPACE4, p=3.0, radius=0.5)
+    _assert_table_equals_cells([sd], _positions(rng, cells, 4), SUITE)          # one set
+    _assert_table_equals_cells([(sd, ball)[j % 2] for j in range(cells)],       # one row
+                               _positions(rng, 1, 4), SUITE)
+
+
+def test_table_below_the_lockstep_size_hands_row_membership_no_batch():
+    ball = ball_set(UNIFORM3, p=2.0)
+    batches = []
+
+    def rows(X):
+        batches.append(len(X))
+        return ball.membership(X)
+    A = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=ball.flags,
+                      row_membership=rows)
+    grid = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags(),
+                         row_membership=rows)                 # not star-shaped: never counted
+    rng = np.random.default_rng(18)
+    X = _positions(rng, K, 3)
+    below = [([A], X[:-1]), ([A] * (K - 1), X[:1]), ([A, grid], X[:-1]),
+             ([A], np.vstack([X[:-1], np.zeros(3)]))]         # a zero row is no cell
+    for sets, Y in below:
+        _assert_table_equals_cells(sets, Y, SUITE)
+        assert batches == []
+    _assert_table_equals_cells([A], X, SUITE)
+    assert batches and batches[0] == K
+
+
+def test_composites_in_a_lockstep_table_equal_each_cell():
+    rng = np.random.default_rng(19)
+    ball = ball_set(UNIFORM3, p=2.0)
+    composites = [
+        add_constants(ball),
+        star_hull(sublevel_set(UNIFORM3, builtin_deviation("lr"), 1.0), resolution=32),
+        law_invariant_hull(_halfspace_polytope(UNIFORM3, rng).as_acceptance_set()),
+        add_constants(star_hull(ball_set(UNIFORM3, p=1.0, center=[0.5, 0.0, 0.0]), resolution=2)),
+    ]
+    X = _positions(rng, K, 3)
+
+    def refuse(x):
+        raise AssertionError("a lockstep table asks only row_membership")
+    for C in composites:
+        assert C.flags.star_shaped is True
+        [column] = gauge_table([replace(C, membership=refuse)], X, SUITE)
+        assert all(_same(a, minkowski_gauge(C, x, SUITE)) for a, x in zip(column, X))
 
 
 # --- derived functionals ---------------------------------------------------------

@@ -8,6 +8,7 @@ against an independent loop rather than against itself.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from minkdev.sets import (
     SHIFT_CAP,
     SHIFT_GRID_POINTS,
     AcceptanceSet,
-    SetError,
     SetFlags,
     add_constants,
     ball_set,
@@ -87,30 +87,30 @@ def positions(space, count=60, seed=0):
 
 
 def assert_matches(C, reference, X):
-    """Single queries of ``C`` equal the scalar reference; a row-wise ``C``
-    answers the batch with the single answers, and ``any_row``/``all_rows``
-    agree with them on the members, the non-members and the whole batch."""
+    """Single queries of ``C`` equal the scalar reference, and
+    ``row_membership`` answers the batch with the single answers."""
     single = np.array([bool(C.membership(x)) for x in X])
     want = np.array([reference(x) for x in X])
     assert np.array_equal(single, want)
     assert 0 < want.sum() < len(want)  # both answers occur
-    if C.rowwise:
-        assert np.array_equal(C.membership(X), single)
-    assert C.all_rows(X[single]) and not C.any_row(X[~single])
-    assert C.any_row(X) and not C.all_rows(X)
+    assert np.array_equal(C.row_membership(X), single)
 
 
 # --- leaves --------------------------------------------------------------------
 
 def test_leaves_declare_row_oracles():
-    assert sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0).rowwise
-    assert sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0).rowwise
-    assert ball_set(SPACE4, p=3.0).rowwise
-    assert asymmetric_polytope(SPACE4).rowwise
+    # a leaf answers batches with the function that answers one position
     vertex_form = Polytope.from_vertices(UNIFORM3, np.vstack([np.eye(3), -np.eye(3)]))
-    assert vertex_form.as_acceptance_set().rowwise
-    projected = deviation_from_error(builtin_error("lp_norm", p=2.0))
-    assert not sublevel_set(SPACE4, projected, 1.0).rowwise
+    for A in (sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0),
+              sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0),
+              ball_set(SPACE4, p=3.0), asymmetric_polytope(SPACE4),
+              vertex_form.as_acceptance_set()):
+        assert A.row_membership is A.membership
+    # a scalar-only functional's sub-level set gets the row-by-row loop
+    projected = sublevel_set(SPACE4, deviation_from_error(builtin_error("lp_norm", p=2.0)), 1.0)
+    assert projected.row_membership is not projected.membership
+    X = positions(SPACE4, 20, seed=10)
+    assert projected.row_membership(X).tolist() == [bool(projected.membership(x)) for x in X]
 
 
 @pytest.mark.parametrize("make", [
@@ -196,7 +196,6 @@ def test_scale_and_combine_pass_batches_through():
     S = scale_set(A, 2.5)
     U = combine("union", A, B)
     I = combine("intersection", A, B)
-    assert S.rowwise and U.rowwise and I.rowwise
     a, b = scalar_inner(A), scalar_inner(B)
     assert_matches(S, lambda x: a(x / 2.5), X)
     assert_matches(U, lambda x: a(x) or b(x), X)
@@ -215,8 +214,8 @@ def test_combine_asks_second_operand_only_undecided_rows():
     A = ball_set(SPACE4, p=2.0, radius=0.5)
     X = positions(SPACE4, 50, seed=5)
     inside_a = A.membership(X)
-    combine("union", A, counted).membership(X)
-    combine("intersection", A, counted).membership(X)
+    combine("union", A, counted).row_membership(X)
+    combine("intersection", A, counted).row_membership(X)
     assert seen == [int((~inside_a).sum()), int(inside_a.sum())]
 
 
@@ -224,18 +223,18 @@ def test_composite_nested_in_composite():
     base = ball_set(SPACE4, p=2.0, radius=0.5, center=[1.0, 0.0, 0.0, 0.0])
     H = star_hull(base, resolution=32)
     AR = add_constants(H)                      # the shift batch reaches a composite
-    assert not H.rowwise and not AR.rowwise
     X = positions(SPACE4, 30, seed=6)
     assert_matches(AR, lambda x: ref_add_constants(H, x), X)
     # and the inner star hull itself still agrees with its scalar loop
     Z = np.vstack([x - float(SPACE4.probs @ x) for x in X])
     assert_matches(H, lambda z: ref_star_hull(base, z, resolution=32), Z)
-    # scale and combine around composites are scalar-only too
+    # scale and combine hand batches to composites, which answer row by row
     ball = ball_set(SPACE4, p=2.0)
     S = scale_set(add_constants(ball), 2.0)
     U = combine("union", ball_set(SPACE4, p=1.0, radius=0.3), H)
-    assert not S.rowwise and not U.rowwise
     assert_matches(S, lambda x: ref_add_constants(ball, x / 2.0), 2.0 * X)
+    small, h = scalar_inner(ball_set(SPACE4, p=1.0, radius=0.3)), scalar_inner(H)
+    assert_matches(U, lambda x: small(x) or h(x), 0.2 * X)
 
 
 def test_scalar_only_user_oracle_goes_through_loop_adapter():
@@ -247,50 +246,26 @@ def test_scalar_only_user_oracle_goes_through_loop_adapter():
         return float(np.sum(np.abs(x) ** 3)) <= 2.0
 
     user = AcceptanceSet(SPACE4, member, SetFlags(star_shaped=True, convex=True))
-    assert not user.rowwise
     X = positions(SPACE4, 40, seed=7)
-    answers = np.array([member(x) for x in X])
-    inside, outside = X[answers], X[~answers]
-    assert len(inside) > 3 and len(outside) > 3
+    answers = [member(x) for x in X]
+    assert 3 < sum(answers) < len(X) - 3
     calls.clear()
-    assert user.any_row(np.vstack([outside[:3], inside]))   # asked up to the first member
-    assert len(calls) == 4
-    calls.clear()
-    assert not user.all_rows(np.vstack([inside[:3], outside]))  # up to the first non-member
-    assert len(calls) == 4
+    assert user.row_membership(X).tolist() == answers  # every row, one call each
+    assert len(calls) == len(X)
     assert_matches(add_constants(user), lambda x: ref_add_constants(user, x), X)
     assert_matches(star_hull(user, resolution=16), lambda z: ref_star_hull(user, z, resolution=16), X)
 
 
-def test_composites_stop_at_first_deciding_inner_answer():
-    # over a scalar-only set each composite asks only up to the first inner
-    # answer that decides the query, like its scalar loop
-    asked = []
+@pytest.mark.parametrize("hull", [add_constants, star_hull, law_invariant_hull],
+                         ids=["add_constants", "star_hull", "law_invariant_hull"])
+def test_composites_over_a_replaced_membership_answer_as_over_the_set(hull):
+    # a one-position wrapper put in with ``replace`` is never handed a batch
     ball = ball_set(UNIFORM4, p=2.0, radius=1.0)
-
-    def member(x):
-        asked.append(x.copy())
-        return ball.membership(x)
-
-    user = AcceptanceSet(UNIFORM4, member, ball.flags)
-    inside = np.array([0.3, -0.2, 0.1, 0.0])
-    assert star_hull(user).membership(inside)
-    assert len(asked) == 1 and np.array_equal(asked[0], inside)  # lam = 1 first
-    asked.clear()
-    assert add_constants(user).membership(inside + 7.0)
-    assert len(asked) == 1                     # the midrange shift hits
-    asked.clear()
-    assert not law_invariant_hull(user).membership(np.array([3.0, 0.0, 0.0, 0.0]))
-    assert len(asked) == 1                     # the identity permutation fails
-
-
-def test_row_queries_reject_wrong_shapes():
-    A = ball_set(SPACE4, p=2.0)
-    for ask in (A.any_row, A.all_rows):
-        with pytest.raises(SetError):
-            ask(np.zeros(4))
-        with pytest.raises(SetError):
-            ask(np.zeros((3, 5)))
+    wrapped = replace(ball, membership=lambda x: bool(ball.membership(x)))
+    X = positions(UNIFORM4, 40, seed=11)
+    want = [hull(ball).membership(x) for x in X]
+    assert 0 < sum(want) < len(X)
+    assert [hull(wrapped).membership(x) for x in X] == want
 
 
 # --- closed forms over the last axis ---------------------------------------------

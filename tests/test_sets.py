@@ -27,13 +27,18 @@ UNIFORM3 = MarketSpace(np.full(3, 1.0 / 3.0))
 SPACE4 = MarketSpace(np.array([0.1, 0.2, 0.3, 0.4]))
 
 
+def member(A, x) -> bool:
+    """``A``'s answer for one position given as a list or an array."""
+    return bool(A.membership(np.asarray(x, dtype=float)))
+
+
 # --- sub-level sets -----------------------------------------------------------
 
 def test_sublevel_membership_and_flags():
     A = sublevel_set(BINARY, builtin_deviation("std_dev"), 1.0)
-    assert A.contains([0.0, 4.0 / math.sqrt(3.0)])        # sigma exactly 1
-    assert not A.contains([0.0, 4.0 / math.sqrt(3.0) + 1e-6])
-    assert A.contains([7.0, 7.0])                          # constants always
+    assert member(A, [0.0, 4.0 / math.sqrt(3.0)])        # sigma exactly 1
+    assert not member(A, [0.0, 4.0 / math.sqrt(3.0) + 1e-6])
+    assert member(A, [7.0, 7.0])                          # constants always
     f = A.flags
     assert f.star_shaped and f.convex and f.closed
     assert f.stable_scalar_add and f.radially_bounded_nonconst and f.contains_zero
@@ -62,7 +67,7 @@ def test_scale_set_membership():
     A = ball_set(UNIFORM3, p=2.0, radius=1.0)
     S = scale_set(A, 2.0)
     x = np.array([2.5, 0.0, 0.0])   # weighted norm 2.5/sqrt(3) ~ 1.44
-    assert S.contains(x) and not A.contains(x)
+    assert member(S, x) and not member(A, x)
 
 
 def test_combine_flag_logic():
@@ -74,7 +79,7 @@ def test_combine_flag_logic():
     assert U.flags.convex is None          # unions may lose convexity
     assert I.flags.convex is True
     x = np.array([0.0, 2.0])               # sigma = sqrt(3)/2 <= 1, range = 2 > 1
-    assert U.contains(x) and not I.contains(x)
+    assert member(U, x) and not member(I, x)
     with pytest.raises(SetError):
         combine("xor", A, B)
 
@@ -90,7 +95,7 @@ def test_add_constants_recovers_shift_stability():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.uniform(-4, 4, size=4)
-        assert AR.contains(x) == (sd.eval(SPACE4, x) <= 1.0)
+        assert member(AR, x) == (sd.eval(SPACE4, x) <= 1.0)
 
 
 def test_add_constants_grid_agreement():
@@ -102,7 +107,7 @@ def test_add_constants_grid_agreement():
     for x0 in np.linspace(-4, 4, 41):
         for x1 in np.linspace(-4, 4, 41):
             x = np.array([x0, x1])
-            assert AR.contains(x) == (sd.eval(BINARY, x) <= 1.0 + 1e-12)
+            assert member(AR, x) == (sd.eval(BINARY, x) <= 1.0 + 1e-12)
 
 
 # --- star hull ----------------------------------------------------------------------
@@ -113,10 +118,10 @@ def test_star_hull_of_offset_ball():
     H = star_hull(A)
     assert H.flags.star_shaped is True
     inside = np.array([2.0, 0.0])
-    assert H.contains(inside) and H.contains(inside * 0.3)
-    assert not A.contains(inside * 0.3)
-    assert not H.contains(np.array([-2.0, 0.0]))
-    assert not H.contains(inside * 1.8)      # beyond the set, not in [0,1]A
+    assert member(H, inside) and member(H, inside * 0.3)
+    assert not member(A, inside * 0.3)
+    assert not member(H, np.array([-2.0, 0.0]))
+    assert not member(H, inside * 1.8)      # beyond the set, not in [0,1]A
     with pytest.raises(SetError):
         star_hull(A, resolution=1)
 
@@ -137,8 +142,8 @@ def test_law_invariant_hull_membership():
                       flags=SetFlags(), label="halfspace")
     H = law_invariant_hull(A)
     assert H.flags.law_invariant is True
-    assert H.contains([0.5, 0.9, -3.0])
-    assert not H.contains([0.5, 2.0, 0.0])
+    assert member(H, [0.5, 0.9, -3.0])
+    assert not member(H, [0.5, 2.0, 0.0])
 
 
 # --- property falsifiers -------------------------------------------------------------------
@@ -151,7 +156,7 @@ def test_falsifier_finds_star_shape_violation():
     # counterexamples replay
     x = np.array(report.counterexample["x"])
     lam = report.counterexample["lam"]
-    assert A.contains(x) and not A.contains(lam * x)
+    assert member(A, x) and not member(A, lam * x)
 
 
 def test_falsifier_finds_shift_instability():
@@ -209,18 +214,18 @@ def replays(A, prop, ce):
     """Whether the counterexample ``ce`` shows ``prop`` failing on ``A``."""
     x = np.array(ce["x"])
     if prop == "radially_bounded_nonconst":
-        return np.ptp(x) > 0.0 and A.contains(x) and A.contains(x * ce["scale"])
+        return np.ptp(x) > 0.0 and member(A, x) and member(A, x * ce["scale"])
     if prop == "absorbing":
-        return not any(A.contains(x * s) for s in np.geomspace(1.0, 1e-10, 41))
+        return not any(member(A, x * s) for s in np.geomspace(1.0, 1e-10, 41))
     if prop == "law_invariant":
-        return A.contains(x) and not A.contains(x[ce["perm"]])
+        return member(A, x) and not member(A, x[ce["perm"]])
     y = np.array(ce["y"])
     if prop == "anti_monotone_dispersive":
-        return market.dispersive_leq(A.space, y, x) and A.contains(x) and not A.contains(y)
+        return market.dispersive_leq(A.space, y, x) and member(A, x) and not member(A, y)
     inside = prop != "complement_comonotone_convex"
     z = ce["lam"] * x + (1 - ce["lam"]) * y
     comonotone = prop == "convex" or market.is_comonotone(x, y)
-    return comonotone and (A.contains(x), A.contains(y), A.contains(z)) == (inside, inside, not inside)
+    return comonotone and (member(A, x), member(A, y), member(A, z)) == (inside, inside, not inside)
 
 
 @pytest.mark.parametrize("prop", sorted(NEGATIVE_CONTROLS))
@@ -245,9 +250,9 @@ def test_set_from_json_kinds():
         {"kind": "ball", "p": 2, "radius": 0.5},
     ]}
     A = set_from_json(BINARY, doc)
-    assert A.contains([0.1, 0.1])
+    assert member(A, [0.1, 0.1])
     doc = {"kind": "add_constants", "of": {"kind": "ball", "p": 2, "radius": 1.0}}
     A = set_from_json(BINARY, doc)
-    assert A.contains([5.0, 5.0])
+    assert member(A, [5.0, 5.0])
     with pytest.raises(SetError):
         set_from_json(BINARY, {"kind": "mystery"})
