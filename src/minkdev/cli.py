@@ -38,7 +38,7 @@ import numpy as np
 from . import duality, market, sets, suite
 from .deviations import MeasureError, check_axioms, measure_from_json
 from .duality import DualityError, Polytope
-from .gauge import GaugeError, GaugeOptions, gauge_table
+from .gauge import EPS, GaugeError, GaugeOptions, gauge_table
 from .lp import LPError
 from .market import MarketError
 from .sets import SetError
@@ -116,13 +116,13 @@ def _parsing_scenario():
 
 
 def _gauge_options(config: RunConfig) -> GaugeOptions:
-    if config.tol is not None:
-        eps = float(np.finfo(float).eps)
-        if not (math.isfinite(config.tol) and config.tol >= eps):
-            raise InputError(f"--tol must be finite and at least machine epsilon ({eps!r}), "
-                             f"got {config.tol}")
+    if config.tol is None:
+        return GaugeOptions()
+    try:
         return GaugeOptions(tol_rel=config.tol, tol_abs=min(config.tol, 1e-12))
-    return GaugeOptions()
+    except ValueError as exc:
+        raise InputError(f"--tol must be finite and at least machine epsilon ({EPS!r}), "
+                         f"got {config.tol}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +311,24 @@ OPTION_READERS = {
 }
 
 
+#: Built once: building it takes longer than parsing with it.
+_PARSER = argparse.ArgumentParser(
+    prog="minkdev",
+    description="Deviation measures as gauges of acceptance sets on finite markets.",
+)
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--scenario", help="path to a JSON scenario file")
+_PARSER.add_argument("--out", help="output path (default: stdout)")
+_PARSER.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
+_PARSER.add_argument("--tol", type=float,
+                     help="relative gauge tolerance, at least machine epsilon (eval, boundary)")
+_PARSER.add_argument("--rays", type=int, help="ray count for boundary profiles")
+_PARSER.add_argument("--only", help="comma-separated subset of suite checks")
+_PARSER.add_argument("--format", choices=["json", "csv"], default=None)
+
+
 def parse_args(argv=None) -> RunConfig:
-    parser = argparse.ArgumentParser(
-        prog="minkdev",
-        description="Deviation measures as gauges of acceptance sets on finite markets.",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--scenario", help="path to a JSON scenario file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
-    parser.add_argument("--tol", type=float,
-                        help="relative gauge tolerance, at least machine epsilon (eval, boundary)")
-    parser.add_argument("--rays", type=int, help="ray count for boundary profiles")
-    parser.add_argument("--only", help="comma-separated subset of suite checks")
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     for option, readers in OPTION_READERS.items():
         if getattr(ns, option) is not None and ns.command not in readers:
             raise InputError(f"--{option} is not an option of {ns.command} "

@@ -10,6 +10,11 @@ exponential bracket followed by bisection is exact up to tolerance.  The
 cogauge is the same search with the membership test mirrored.  Sets without
 the structure the search needs fall back to a geometric scan of the whole
 scale range and the result is flagged approximate.
+
+``gauge_table`` gives the gauge of many sets at many positions, each cell
+equal to ``minkowski_gauge``.  Once a table is large enough, its cells of
+star-shaped sets search in lockstep: each cell keeps only its live bracket,
+and each step asks every set one batch of its open cells.
 """
 
 from __future__ import annotations
@@ -41,23 +46,37 @@ class OracleBudgetError(GaugeError):
         self.bracket = bracket
 
 
+#: The float64 machine epsilon: the least relative tolerance bisection meets.
+EPS = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class GaugeOptions:
     """The bisection tolerance shared by the gauge and cogauge solvers: a
     bracket ``[lo, hi]`` is final once ``hi - lo <= max(tol_abs, tol_rel * hi)``.
 
-    The scale range ``[M_MIN, M_CAP]`` and the oracle budget
-    ``MAX_ORACLE_CALLS`` are module constants, read when a solver runs.
+    Both are finite, ``tol_abs >= 0`` and ``tol_rel`` at least the float64
+    machine epsilon, below which bisection cannot narrow a bracket any
+    further (``ValueError`` otherwise).  The scale range ``[M_MIN, M_CAP]``
+    and the oracle budget ``MAX_ORACLE_CALLS`` are module constants, read
+    when a solver runs.
     """
 
     tol_rel: float = 1e-10
     tol_abs: float = 1e-12
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_rel) and math.isfinite(self.tol_abs)
+                and self.tol_abs >= 0.0 and self.tol_rel >= EPS):
+            raise ValueError(f"gauge tolerances must be finite, tol_abs >= 0 and tol_rel at least "
+                             f"machine epsilon ({EPS!r}), got {self}")
+
 
 DEFAULT_OPTIONS = GaugeOptions()
 
 #: The scale range of the ray search: a bracket ``(0, M_MIN)`` means the
-#: value is 0, and ``(M_CAP, inf)`` that it is ``inf``.
+#: value is 0, and ``(M_CAP, inf)`` that it is ``inf``.  It contains 1,
+#: the scale every search asks first.
 M_MIN = 1e-12
 M_CAP = 1e12
 
@@ -257,13 +276,15 @@ def _bisect(past, lo: float, hi: float, opts: GaugeOptions):
 # ---------------------------------------------------------------------------
 
 #: Fewest star-shaped non-zero cells a table must have before
-#: ``gauge_table`` solves them in lockstep.  Measured on 1-12 catalogue
-#: sub-level sets and balls at 1-16 positions (4 outcomes; 2-core machine,
-#: one BLAS thread): lockstep costs 3.3-3.7 ms for one set at any row count
-#: and cell by cell 0.4 ms per cell, and the two cross between 6 and 12
-#: cells for one to four sets.  With 8-12 sets at one position lockstep
-#: stays about twice as slow.
-LOCKSTEP_MIN_CELLS = 8
+#: ``gauge_table`` solves them in lockstep.  Measured on the tables of the
+#: first 700 ``catalogue_eval`` requests (2-core machine, one BLAS thread):
+#: lockstep costs 1.5-2 ms for one set at 1-12 rows and cell by cell about
+#: 0.4 ms per cell.  Lockstep wins from about 6 rows for one set, 4 for
+#: two, 3 for three to six and 2 for more, and never at one row (12 sets:
+#: 7.3 against 5.3 ms).  Summed over those tables, 12 cells was 1-2 %
+#: faster than 8 cells at seeds 0 and 8191; the best rule on rows (at
+#: least 3) was 2-4 % slower at seed 0 and level at seed 8191.
+LOCKSTEP_MIN_CELLS = 12
 
 
 def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[GaugeResult]]:
@@ -272,10 +293,11 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
 
     When the table has at least ``LOCKSTEP_MIN_CELLS`` cells of sets that
     declare ``star_shaped`` at non-zero rows, those cells are solved
-    together (``_lockstep``), each set asked one ``row_membership`` batch per
-    step; every other cell calls ``minkowski_gauge``, which asks
-    ``membership``.  ``X`` is a ``(B, n)`` array of finite positions
-    (``MarketError`` otherwise).  If cells exhaust the oracle budget, the
+    together (``_lockstep``), each set asked one ``row_membership`` batch of
+    its open cells per step; every other cell (smaller tables, zero rows,
+    grid fallbacks) calls ``minkowski_gauge``, which asks ``membership``.
+    ``X`` is a ``(B, n)`` array of finite positions (``MarketError``
+    otherwise).  If cells exhaust the oracle budget, the
     ``OracleBudgetError`` of the first of them in position-major order is
     raised, as solving the cells one by one in that order would.
     """
@@ -303,85 +325,59 @@ def _as_rows(sets, X) -> np.ndarray:
     return X
 
 
-# What a lockstep cell asks next: ``lo`` while halving, ``hi`` while
-# doubling, the midpoint while bisecting; nothing once done.
-_HALVE, _DOUBLE, _BISECT, _DONE = range(4)
-
-
 def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
     """``_exponential_search`` then ``_bisect`` for every non-zero row of
     every set at once.
 
-    Cell ``c`` is row ``c % B`` of set ``c // B``, with its own bracket
-    ``[lo, hi]``, mode, call count and live bracket (what an
-    ``OracleBudgetError`` carries).  Each step asks each set one batch: its
-    unfinished rows, each divided by its cell's scale.  A cell starts
-    halving at ``(lo, hi) = (1, 2)``, so it first asks m = 1: a hit there
-    halves on, and a miss doubles on from ``(1, 2)``, as a miss while
-    doubling does.  Returns, per set, a ``GaugeResult`` or
-    ``OracleBudgetError`` per row, and ``None`` for the zero rows, which
-    ask the same point at every scale and are left to ``minkowski_gauge``.
+    Cell ``c`` is row ``c % B`` of set ``c // B``, and its only state is the
+    live bracket ``[lo, hi]``, from ``(0, inf)``: what an
+    ``OracleBudgetError`` carries, and what the scalar searches narrow.  A
+    cell asks 1 first, then ``2 lo`` while ``hi`` is infinite (doubling) and
+    ``(lo + hi) / 2`` otherwise (halving while ``lo`` is 0, bisecting after);
+    each answer moves one end.  Before a step a cell ends at the floor (it
+    would halve below ``M_MIN``), at the cap (it would double past
+    ``M_CAP``), settled (a finite bracket within tolerance) or, at
+    ``MAX_ORACLE_CALLS`` calls, out of budget.  Step ``t`` asks each set one
+    batch of its open cells' rows, each divided by its cell's scale, so every
+    open cell has made ``t`` calls.  Returns, per set, a ``GaugeResult`` or
+    ``OracleBudgetError`` per row, and ``None`` for the zero rows, which ask
+    the same point at every scale and are left to ``minkowski_gauge``.
     """
-    if not sets:
-        return []
     B = len(X)
-    nonzero = np.any(X, axis=1)
-    row = np.tile(np.arange(B), len(sets))
-    lo, hi = np.ones(row.size), np.full(row.size, 2.0)
-    live = np.zeros((row.size, 2))
-    live[:, 1] = math.inf
-    calls = np.zeros(row.size, dtype=int)
-    mode = np.where(nonzero[row], _HALVE, _DONE)
-    exhausted = np.zeros(row.size, dtype=bool)
-    starts = np.arange(len(sets) + 1) * B
-    while True:
-        act = np.flatnonzero(mode != _DONE)
-        spent = calls[act] >= MAX_ORACLE_CALLS
-        if spent.any():
-            exhausted[act[spent]] = True
-            mode[act[spent]] = _DONE
-            act = act[~spent]
-        if not act.size:
-            break
-        md, l, h = mode[act], lo[act], hi[act]
-        m = np.where(md == _HALVE, l, np.where(md == _DOUBLE, h, 0.5 * (l + h)))
-        Z = X[row[act]] / m[:, None]
-        past = np.empty(act.size, dtype=bool)
-        cuts = np.searchsorted(act, starts)
+    out = [[None] * B for _ in sets]
+    cell = np.flatnonzero(np.tile(np.any(X, axis=1), len(sets)))   # the open cells, set-major
+    rows, starts = X[cell % B], np.arange(len(sets) + 1) * B
+    cuts = np.searchsorted(cell, starts)
+    l, h, m = np.zeros(cell.size), np.full(cell.size, math.inf), np.ones(cell.size)
+    t = 0
+    while cell.size:
+        unbounded = h == math.inf
+        floor = (l == 0.0) & (m < M_MIN)
+        cap = unbounded & (m > M_CAP)
+        settled = (l > 0.0) & ~unbounded & (h - l <= np.maximum(opts.tol_abs, opts.tol_rel * h))
+        done = floor | cap | settled
+        ended = done | (t >= MAX_ORACLE_CALLS)
+        if ended.any():
+            for c, d, a, b in zip(cell[ended].tolist(), done[ended].tolist(),
+                                  np.where(cap, M_CAP, l)[ended].tolist(),
+                                  np.where(floor, M_MIN, h)[ended].tolist()):
+                j, i = divmod(c, B)
+                out[j][i] = (_result(sets[j], X[i], a, b, t) if d
+                             else _budget_error(MAX_ORACLE_CALLS, (a, b)))
+            keep = ~ended
+            cell, rows, l, h, m = cell[keep], rows[keep], l[keep], h[keep], m[keep]
+            if not cell.size:
+                break
+            cuts = np.searchsorted(cell, starts)
+        Z = rows / m[:, None]
+        past = np.empty(cell.size, dtype=bool)
         for A, a, b in zip(sets, cuts[:-1], cuts[1:]):
             if a < b:
                 past[a:b] = A.row_membership(Z[a:b])
-        calls[act] += 1
-        live[act, past.astype(int)] = m
         h = np.where(past, m, h)
         l = np.where(past, l, m)
-        shrink = past & (md == _HALVE)
-        grow = ~past & ((md == _DOUBLE) | ((md == _HALVE) & (calls[act] == 1)))
-        l[shrink] = m[shrink] / 2.0
-        h[grow] = m[grow] * 2.0
-        floor = shrink & (l < M_MIN)
-        cap = grow & (h > M_CAP)
-        l[floor], h[floor] = 0.0, M_MIN
-        l[cap], h[cap] = M_CAP, math.inf
-        md = np.where(shrink, _HALVE, np.where(grow, _DOUBLE, _BISECT))
-        settled = (md == _BISECT) & (h - l <= np.maximum(opts.tol_abs, opts.tol_rel * h))
-        md[floor | cap | settled] = _DONE
-        mode[act], lo[act], hi[act] = md, l, h
-
-    lo, hi, calls, live = lo.tolist(), hi.tolist(), calls.tolist(), live.tolist()
-    exhausted, nonzero = exhausted.tolist(), nonzero.tolist()
-    out = []
-    for j, A in enumerate(sets):
-        column = []
-        for i, x in enumerate(X):
-            c = j * B + i
-            if exhausted[c]:
-                column.append(_budget_error(MAX_ORACLE_CALLS, tuple(live[c])))
-            elif nonzero[i]:
-                column.append(_result(A, x, lo[c], hi[c], calls[c]))
-            else:
-                column.append(None)
-        out.append(column)
+        m = np.where(h == math.inf, 2.0 * l, 0.5 * (l + h))
+        t += 1
     return out
 
 

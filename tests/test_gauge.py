@@ -135,6 +135,29 @@ def test_cogauge_budget_bracket_contains_the_cogauge(monkeypatch):
     assert gauge.M_MIN < lo <= want <= hi < gauge.M_CAP
 
 
+@pytest.mark.parametrize("tols", [dict(tol_rel=math.nan), dict(tol_abs=math.nan),
+                                  dict(tol_rel=math.inf), dict(tol_abs=math.inf),
+                                  dict(tol_abs=-1e-12), dict(tol_rel=0.0, tol_abs=0.0),
+                                  dict(tol_rel=gauge.EPS / 2)],
+                         ids=["nan_rel", "nan_abs", "inf_rel", "inf_abs", "negative_abs",
+                              "zero", "below_eps"])
+def test_options_reject_tolerances_bisection_cannot_meet(tols):
+    # with a NaN tolerance the scalar search stops at once (max drops it)
+    # and the table runs to the budget (np.maximum keeps it); with 0 both
+    # run to the budget
+    with pytest.raises(ValueError):
+        GaugeOptions(**tols)
+
+
+def test_options_accept_machine_epsilon_and_zero_absolute_tolerance():
+    A = ball_set(UNIFORM3, p=2.0)
+    x = np.array([3.0, 1.0, -2.0])
+    for opts in (GaugeOptions(tol_rel=gauge.EPS, tol_abs=0.0),
+                 GaugeOptions(tol_rel=gauge.EPS, tol_abs=gauge.EPS)):
+        lo, hi = minkowski_gauge(A, x, opts).bracket
+        assert 0.0 < hi - lo <= gauge.EPS * hi
+
+
 BAD_POSITIONS = {
     "nan": [math.nan, 1.0, 2.0, 3.0],
     "inf": [1.0, math.inf, 2.0, 3.0],
@@ -426,6 +449,58 @@ def test_table_never_asks_a_finished_row_again():
     calls = np.array([res.oracle_calls for res in column])
     # step t asks exactly the rows whose solve needs a t-th call
     assert batches == [int(np.sum(calls >= t)) for t in range(1, calls.max() + 1)]
+
+
+def test_table_keeps_halving_below_a_large_absolute_tolerance():
+    # the gauges are about 1e-6, far below tol_abs: a cell halving from 1
+    # has hi < tol_abs long before it first misses, and must not stop there
+    rng = np.random.default_rng(22)
+    opts = GaugeOptions(tol_rel=1e-10, tol_abs=1e-3)
+    sets = [sublevel_set(SPACE4, builtin_deviation(name, **kw), 1.0) for name, kw in CATALOGUE]
+    X = rng.uniform(-1.0, 1.0, size=(4, 4)) * 1e-6
+    table = _assert_table_equals_cells(sets + [ball_set(SPACE4, p=2.0)], X, opts)
+    for res in (res for column in table for res in column):
+        lo, hi = res.bracket
+        assert 0.0 < lo < hi < 1e-3 and res.value == hi
+
+
+def test_table_at_machine_epsilon_as_the_cli_builds_it():
+    eps = gauge.EPS
+    opts = GaugeOptions(tol_rel=eps, tol_abs=min(eps, 1e-12))
+    rng = np.random.default_rng(23)
+    space = MarketSpace(np.array([0.15, 0.25, 0.6]))
+    sets = [sublevel_set(space, builtin_deviation(name, **kw), 2.0) for name, kw in CATALOGUE]
+    sets += [ball_set(space, p, 1.3) for p in (1.0, 2.0, math.inf)]
+    table = _assert_table_equals_cells(sets, _positions(rng, 6, 3), opts)
+    for res in (res for column in table for res in column):
+        lo, hi = res.bracket
+        assert 0.0 < hi - lo <= max(opts.tol_abs, eps * hi)
+
+
+def test_table_cells_floor_cap_settle_and_run_out_on_one_step(monkeypatch):
+    # scale range [1/8, 8], budget 4: every cell asks 4 scales, then the
+    # 0.01 row would halve below the floor, the 100 row double past the cap,
+    # the 1.3 row has narrowed to [1.25, 1.5], within tol_abs, and the 3.3
+    # row, at [3, 4], needs a fifth call
+    monkeypatch.setattr(gauge, "M_MIN", 0.125)
+    monkeypatch.setattr(gauge, "M_CAP", 8.0)
+    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 4)
+    opts = GaugeOptions(tol_rel=1e-10, tol_abs=0.25)
+    ball = ball_set(UNIFORM3, p=2.0)
+    d = np.array([3.0, 1.0, -2.0])
+    d /= math.sqrt(float(UNIFORM3.probs @ (d * d)))             # gauge 1
+    X = np.outer([0.01, 100.0, 1.3, 3.3], d)
+    [column] = gauge._lockstep([ball], X, opts)
+    floor, cap, settled, spent = column
+    for res, x in zip(column[:3], X):
+        assert res.oracle_calls == 4 and _same(res, minkowski_gauge(ball, x, opts))
+    assert (floor.bracket, cap.bracket, settled.bracket) == ((0.0, 0.125), (8.0, math.inf),
+                                                             (1.25, 1.5))
+    with pytest.raises(OracleBudgetError) as exc:
+        minkowski_gauge(ball, X[3], opts)
+    assert isinstance(spent, OracleBudgetError)
+    assert (str(spent), spent.bracket) == (str(exc.value), exc.value.bracket) == \
+        ("oracle budget of 4 calls exhausted", (3.0, 4.0))
 
 
 K = gauge.LOCKSTEP_MIN_CELLS
