@@ -5,16 +5,19 @@ The gauge of a set ``A`` at a position ``x`` is
 cogauge is ``sup { m > 0 : x / m in A }`` (supremum of the empty set is 0).
 
 For star-shaped sets the membership indicator along the ray ``m -> x / m``
-switches at most once (non-member below the gauge, member above), so an
-exponential bracket followed by bisection is exact up to tolerance.  The
-cogauge is the same search with the membership test mirrored.  Sets without
-the structure the search needs fall back to a geometric scan of the whole
-scale range and the result is flagged approximate.
+switches at most once (non-member below the gauge, member above), so one
+step rule finds the switch up to tolerance: keep the live bracket
+``[lo, hi]`` from ``(0, inf)``, ask 1, then ``2 lo`` while ``hi`` is
+infinite and ``(lo + hi) / 2`` otherwise, and move one end to each scale
+asked.  The cogauge walks the same rule with the membership test mirrored.
+Sets without the structure the walk needs seed its bracket by a geometric
+scan of the whole scale range, and the result is flagged approximate.
 
-``gauge_table`` gives the gauge of many sets at many positions, each cell
-equal to ``minkowski_gauge``.  Once a table is large enough, its cells of
-star-shaped sets search in lockstep: each cell keeps only its live bracket,
-and each step asks every set one batch of its open cells.
+Two solvers walk the rule.  ``minkowski_gauge`` and ``cogauge`` walk one
+cell, asking ``membership``.  ``gauge_table`` gives the gauge of many sets
+at many positions, each cell equal to ``minkowski_gauge``; once a table is
+large enough, its cells of star-shaped sets walk in lockstep, each step
+asking every set one batch of its open cells.
 """
 
 from __future__ import annotations
@@ -112,46 +115,8 @@ class GaugeResult:
     approximate: bool = False
 
 
-class _Oracle:
-    """Counts membership calls against ``MAX_ORACLE_CALLS`` and keeps the live
-    bracket ``[lo, hi]`` of the ray search; a call past the budget raises
-    ``OracleBudgetError`` with that bracket."""
-
-    def __init__(self, A: AcceptanceSet):
-        self._member = A.membership
-        self.calls = 0
-        self.bracket = [0.0, math.inf]
-
-    def __call__(self, z: np.ndarray) -> bool:
-        if self.calls >= MAX_ORACLE_CALLS:
-            raise _budget_error(MAX_ORACLE_CALLS, tuple(self.bracket))
-        self.calls += 1
-        return bool(self._member(z))
-
-    def ray(self, x: np.ndarray, cogauge: bool):
-        """``past(m) = member(x / m) != cogauge`` as a function of the scale ``m``.
-
-        ``past`` is false below the value and true above it: the gauge's
-        members lie above the gauge, the cogauge's below the cogauge.  Each
-        answer moves one end of the bracket to ``m``, the upper end when
-        ``past``.  The searches only ask scales inside the current bracket,
-        so it narrows as theirs does.
-        """
-        bracket = self.bracket
-
-        def past(m: float) -> bool:
-            beyond = self(x / m) != cogauge
-            bracket[beyond] = m
-            return beyond
-        return past
-
-
 def _budget_error(budget: int, bracket: tuple[float, float]) -> OracleBudgetError:
     return OracleBudgetError(f"oracle budget of {budget} calls exhausted", bracket=bracket)
-
-
-def _tolerance(opts: GaugeOptions, scale: float) -> float:
-    return max(opts.tol_abs, opts.tol_rel * scale)
 
 
 def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
@@ -174,32 +139,57 @@ def cogauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeR
 
 
 def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> GaugeResult:
-    """The one solver behind the gauge and the cogauge.
+    """The one solver behind the gauge and the cogauge: ``_lockstep``'s walk
+    for a single cell.
 
-    Both look for the switch of ``past`` (see ``_Oracle.ray``) along the ray:
-    an exponential search or a grid scan brackets it, bisection narrows the
-    bracket, and the value is its upper end for the gauge, its lower end for
-    the cogauge.  A bracket ``(0, M_MIN)`` means the value is 0, and
-    ``(M_CAP, inf)`` that it is ``inf``.
+    ``past(m) = member(x / m) != cogauge`` is false below the value and true
+    above it (the gauge's members lie above the gauge, the cogauge's below
+    the cogauge), and each answer moves one end of the live bracket
+    ``[lo, hi]`` to ``m``, the upper end when ``past``.  The bracket starts
+    at ``(0, inf)``, or where ``_grid_scan`` leaves it on sets without the
+    structure bisection needs.  The walk asks 1 first, then ``2 lo`` while
+    ``hi`` is infinite and ``(lo + hi) / 2`` otherwise.  It ends at the
+    floor, ``(0, M_MIN)`` and value 0; at the cap, ``(M_CAP, inf)`` and value
+    ``inf``; or settled, a finite bracket within tolerance whose upper end
+    is the gauge and lower end the cogauge.  A call past
+    ``MAX_ORACLE_CALLS`` raises ``OracleBudgetError`` with the live bracket.
     """
     x = as_position(A.space, x)
-    oracle = _Oracle(A)
-    flags = A.flags
+    member, flags = A.membership, A.flags
     if cogauge:
         approximate = flags.star_shaped is None and flags.convex is not True
     else:
         approximate = flags.star_shaped is not True
+    lo, hi, calls = 0.0, math.inf, 0
+
+    def past(m: float) -> bool:
+        nonlocal lo, hi, calls
+        if calls >= MAX_ORACLE_CALLS:
+            raise _budget_error(MAX_ORACLE_CALLS, (lo, hi))
+        calls += 1
+        beyond = bool(member(x / m)) != cogauge
+        if beyond:
+            hi = m
+        else:
+            lo = m
+        return beyond
+
     if not np.any(x):
         # every scale asks the same point, so the value is 0 or inf
-        hit = oracle(x)
-        value = 0.0 if hit != cogauge else math.inf
+        value = 0.0 if past(1.0) else math.inf
         return GaugeResult(value=value, bracket=(value, value),
-                           attained="yes" if hit else "no", oracle_calls=oracle.calls)
-    past = oracle.ray(x, cogauge)
-    lo, hi = _grid_scan(past, cogauge) if approximate else _exponential_search(past)
-    if lo > 0.0 and hi < math.inf:
-        lo, hi = _bisect(past, lo, hi, opts)
-    return _result(A, x, lo, hi, oracle.calls, cogauge, approximate)
+                           attained="yes" if (value == 0.0) != cogauge else "no", oracle_calls=calls)
+    if approximate:
+        lo, hi = _grid_scan(past, cogauge)
+    while True:
+        m = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo or 1.0)
+        if lo == 0.0 and m < M_MIN:
+            return _result(A, x, lo, M_MIN, calls, cogauge, approximate)
+        if hi == math.inf and m > M_CAP:
+            return _result(A, x, M_CAP, hi, calls, cogauge, approximate)
+        if lo > 0.0 and hi < math.inf and hi - lo <= max(opts.tol_abs, opts.tol_rel * hi):
+            return _result(A, x, lo, hi, calls, cogauge, approximate)
+        past(m)
 
 
 def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
@@ -217,24 +207,6 @@ def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
                        oracle_calls=calls,
                        boundary_point=x / value if closed is True else None,
                        approximate=approximate)
-
-
-def _exponential_search(past):
-    """Bracket the switch by halving the scale from 1 while ``past`` holds,
-    or doubling it while it does not."""
-    if past(1.0):
-        lo, hi = 0.5, 1.0
-        while lo >= M_MIN:
-            if not past(lo):
-                return lo, hi
-            lo, hi = lo / 2.0, lo
-        return 0.0, M_MIN
-    lo, hi = 1.0, 2.0
-    while hi <= M_CAP:
-        if past(hi):
-            return lo, hi
-        lo, hi = hi, hi * 2.0
-    return M_CAP, math.inf
 
 
 def _grid_scan(past, cogauge: bool):
@@ -256,19 +228,6 @@ def _grid_scan(past, cogauge: bool):
     if below == grid.size:
         return M_CAP, math.inf
     return float(grid[below - 1]), float(grid[below])
-
-
-def _bisect(past, lo: float, hi: float, opts: GaugeOptions):
-    """Shrink a bracket [lo, hi] with past(hi) and not past(lo)."""
-    tol = _tolerance(opts, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if past(mid):
-            hi = mid
-        else:
-            lo = mid
-        tol = _tolerance(opts, hi)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +285,15 @@ def _as_rows(sets, X) -> np.ndarray:
 
 
 def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
-    """``_exponential_search`` then ``_bisect`` for every non-zero row of
-    every set at once.
+    """``_ray_search``'s walk for every non-zero row of every set at once.
 
     Cell ``c`` is row ``c % B`` of set ``c // B``, and its only state is the
     live bracket ``[lo, hi]``, from ``(0, inf)``: what an
-    ``OracleBudgetError`` carries, and what the scalar searches narrow.  A
-    cell asks 1 first, then ``2 lo`` while ``hi`` is infinite (doubling) and
-    ``(lo + hi) / 2`` otherwise (halving while ``lo`` is 0, bisecting after);
-    each answer moves one end.  Before a step a cell ends at the floor (it
-    would halve below ``M_MIN``), at the cap (it would double past
+    ``OracleBudgetError`` carries.  A cell asks 1 first, then ``2 lo`` while
+    ``hi`` is infinite (doubling) and ``(lo + hi) / 2`` otherwise (halving
+    while ``lo`` is 0, bisecting after); each answer moves one end.  Before
+    a step a cell ends, on the scalar walk's tests in its order, at the
+    floor (it would halve below ``M_MIN``), at the cap (it would double past
     ``M_CAP``), settled (a finite bracket within tolerance) or, at
     ``MAX_ORACLE_CALLS`` calls, out of budget.  Step ``t`` asks each set one
     batch of its open cells' rows, each divided by its cell's scale, so every

@@ -35,15 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from . import market
 from .market import MarketSpace
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .duality import Polytope
 
 
 class SetError(ValueError):
@@ -88,7 +85,6 @@ class AcceptanceSet:
     space: MarketSpace
     membership: Callable[[np.ndarray], bool]
     flags: SetFlags = field(default_factory=SetFlags)
-    exact_form: "Polytope | None" = None
     label: str = ""
     row_membership: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -232,7 +228,14 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     ``max(1, 2 * range of x)``, both capped at ``SHIFT_CAP`` in magnitude.
     One query asks ``A`` about all candidate shifts in one batch, and about
     the shift grid in a second batch only when no candidate is a member.
+
+    A set declared ``stable_scalar_add`` already contains every shift of its
+    members, so ``A + R = A``: it is returned with its own oracles and flags,
+    relabelled.
     """
+    label = f"({A.label})+R" if A.label else ""
+    if A.flags.stable_scalar_add is True:
+        return replace(A, label=label)
     space = A.space
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
@@ -257,12 +260,7 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
         law_invariant=A.flags.law_invariant,
         contains_zero=True if A.flags.contains_zero is True else None,
     )
-    return AcceptanceSet(
-        space=space,
-        membership=member,
-        flags=flags,
-        label=f"({A.label})+R" if A.label else "",
-    )
+    return AcceptanceSet(space=space, membership=member, flags=flags, label=label)
 
 
 #: Smallest scale ``lam`` of the star hull's search grid.
@@ -303,6 +301,20 @@ def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     )
 
 
+def _permutations(space: MarketSpace, what: str) -> np.ndarray:
+    """Every outcome permutation of a uniform space, as an ``(n!, n)`` index
+    array in ``itertools.permutations`` order; ``SetError`` on a non-uniform
+    space or above ``market.MAX_PERMUTATION_OUTCOMES`` outcomes."""
+    if not space.is_uniform():
+        raise SetError(f"{what} requires a uniform space")
+    if space.n > market.MAX_PERMUTATION_OUTCOMES:
+        raise SetError(
+            f"{what} enumerates n! permutations; n={space.n} exceeds "
+            f"the cap of {market.MAX_PERMUTATION_OUTCOMES}"
+        )
+    return np.array(list(itertools.permutations(range(space.n))), dtype=int)
+
+
 def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     """Largest law-invariant subset of ``A`` on a uniform space.
 
@@ -312,14 +324,7 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     is asked of ``A`` as one ``(n!, n)`` batch.
     """
     space = A.space
-    if not space.is_uniform():
-        raise SetError("law-invariant hull requires a uniform space")
-    if space.n > market.MAX_PERMUTATION_OUTCOMES:
-        raise SetError(
-            f"law-invariant hull enumerates n! permutations; n={space.n} exceeds "
-            f"the cap of {market.MAX_PERMUTATION_OUTCOMES}"
-        )
-    perms = np.array(list(itertools.permutations(range(space.n))), dtype=int)
+    perms = _permutations(space, "law-invariant hull")
 
     def member(x: np.ndarray) -> bool:
         return bool(A.row_membership(x[perms]).all())
@@ -489,16 +494,16 @@ def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0
             if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
                 return fail(t, x=x)
     elif prop == "law_invariant":
-        if not A.space.is_uniform():
-            raise SetError("law invariance is only checked on uniform spaces")
-        perms = [np.asarray(p, dtype=int) for p in itertools.permutations(range(n))]
+        # each member's whole orbit is one batch; the first non-member in
+        # enumeration order is the counterexample
+        perms = _permutations(A.space, "the law-invariance check")
         for t in range(trials):
             x = _sample_member(A, rng)
             if x is None:
                 continue
-            for p in perms:
-                if not A.membership(x[p]):
-                    return fail(t, x=x, perm=[int(i) for i in p])
+            outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
+            if outside.any():
+                return fail(t, x=x, perm=perms[int(np.argmax(outside))].tolist())
     elif prop in ("comonotone_convex", "complement_comonotone_convex"):
         if prop == "comonotone_convex":
             member = A.membership

@@ -345,6 +345,13 @@ def test_check_without_a_trial_exits_2(tmp_path, capsys, entry):
     assert captured.out == "" and "trials" in captured.err
 
 
+def test_check_of_a_law_invariant_set_past_the_permutation_cap_exits_2(tmp_path, capsys):
+    doc = {"v": 1, "space": {"probs": [1.0 / 9.0] * 9},
+           "check": [{"set": {"kind": "sublevel", "measure": {"measure": "std_dev"}}, "trials": 1}]}
+    assert main(["check", "--scenario", write(tmp_path, "t.json", doc)]) == EXIT_INPUT_ERROR
+    assert "permutations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", "-2147483648"])
 @pytest.mark.parametrize("command", ["check", "suite"])
 def test_negative_seed_exits_2(tmp_path, capsys, command, seed):

@@ -3,8 +3,10 @@ or the benchmark, or exported, or named below with its reason.
 
 A public top-level function or class, or a public method of such a class,
 counts as referenced when a ``Name``, an ``Attribute`` or an import in
-``src/minkdev/*.py`` or ``benchmarks/*.py`` names it.  Tests do not count:
-code that only its own tests call is dead.
+``src/minkdev/*.py`` or ``benchmarks/*.py`` names it.  An annotated field
+of a top-level class counts as used when that code names it as an attribute
+or as a keyword argument.  Tests do not count: code that only its own tests
+call is dead.
 """
 
 import ast
@@ -54,6 +56,29 @@ def _scan():
     defined = [(f"{path.stem}.{qualname}", name)
                for path in LIBRARY for qualname, name in _public_definitions(trees[path])]
     return defined, set().union(*map(_referenced_names, trees.values()))
+
+
+def _fields(tree: ast.Module):
+    """``(qualified name, name)`` of each annotated field of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _attributes_and_keywords(tree: ast.Module) -> set[str]:
+    return {node.attr if isinstance(node, ast.Attribute) else node.arg
+            for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.keyword))}
+
+
+def test_every_field_is_named_by_library_or_benchmark_code():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY + BENCHMARKS]
+    fields = [(f"{path.stem}.{qualname}", name)
+              for path, tree in zip(LIBRARY, trees) for qualname, name in _fields(tree)]
+    named = set().union(*map(_attributes_and_keywords, trees))
+    assert fields
+    assert [qualname for qualname, name in fields if name not in named] == []
 
 
 def test_every_public_definition_runs_or_is_exported():

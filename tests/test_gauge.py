@@ -503,6 +503,47 @@ def test_table_cells_floor_cap_settle_and_run_out_on_one_step(monkeypatch):
         ("oracle budget of 4 calls exhausted", (3.0, 4.0))
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1e-3, 1.0, 7.5, 1e13])   # floor, bisect, cap
+def test_scalar_walk_asks_the_scales_of_a_one_row_lockstep_table(scale):
+    ball = ball_set(UNIFORM3, p=2.0)
+    asked = []
+
+    def member(Z):
+        asked.append(np.reshape(Z, -1).tolist())
+        return ball.membership(Z)
+    A = AcceptanceSet(space=UNIFORM3, membership=member, flags=ball.flags, row_membership=member)
+    x = scale * np.array([3.0, 1.0, -2.0])
+    for opts in (SUITE, GaugeOptions(tol_rel=1e-6, tol_abs=1e-3)):
+        asked.clear()
+        res = minkowski_gauge(A, x, opts)
+        scalar = list(asked)
+        asked.clear()
+        [[cell]] = gauge._lockstep([A], x[None, :], opts)
+        assert asked == scalar and _same(cell, res)
+
+
+@pytest.mark.parametrize("budget", [1, 100])
+def test_budget_spent_in_a_grid_scan_raises_with_the_live_bracket(budget, monkeypatch):
+    ball = ball_set(UNIFORM3, p=2.0)
+    blank = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags())
+    outside = AcceptanceSet(space=UNIFORM3, membership=lambda z: not ball.membership(z),
+                            flags=SetFlags())
+    x = np.array([3.0, 1.0, -2.0])                    # gauge and cogauge about 2.2
+    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
+    for A, solve, co in ((blank, minkowski_gauge, False), (outside, cogauge, True)):
+        scanned = []
+
+        def never_a_member(m):
+            scanned.append(m)
+            return co
+        gauge._grid_scan(never_a_member, co)          # the scan's order of scales
+        with pytest.raises(OracleBudgetError) as exc:
+            solve(A, x)
+        m = scanned[budget - 1]                       # the last scale asked
+        # the gauge scans up through non-members, the cogauge down
+        assert exc.value.bracket == ((0.0, m) if co else (m, math.inf))
+
+
 K = gauge.LOCKSTEP_MIN_CELLS
 
 
@@ -601,6 +642,18 @@ def test_shift_infimum_matches_add_constants_route():
         via_set = minkowski_gauge(AR, x, TIGHT).value
         via_shift = shift_infimum_gauge(A, x, TIGHT).value
         assert via_shift == pytest.approx(via_set, abs=1e-6)
+
+
+def test_add_constants_of_a_shift_stable_set_is_that_set():
+    A = sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0, label="sd")
+    AR = add_constants(A)                             # A + R = A
+    assert (AR.membership, AR.row_membership, AR.flags, AR.label) == \
+        (A.membership, A.row_membership, A.flags, "(sd)+R")
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = rng.uniform(-4, 4, size=4)
+        res = minkowski_gauge(AR, x, TIGHT)
+        assert res.attained == "yes" and _same(res, minkowski_gauge(A, x, TIGHT))
 
 
 def test_shift_infimum_of_ball_is_std_dev():

@@ -1,5 +1,6 @@
 """Acceptance-set constructors, flag propagation, and property falsifiers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -234,6 +235,22 @@ def test_falsifier_fires_on_a_known_false_set(prop):
     report = check_property(A, prop)
     assert report.passed is False
     assert replays(A, prop, report.counterexample), report.counterexample
+
+
+def test_law_invariance_check_refuses_orbits_past_the_permutation_cap():
+    n = market.MAX_PERMUTATION_OUTCOMES + 1
+    A = sublevel_set(MarketSpace(np.full(n, 1.0 / n)), builtin_deviation("std_dev"), 1.0)
+    with pytest.raises(SetError, match="permutations"):
+        check_property(A, "law_invariant", trials=1)
+
+
+def test_law_invariance_counterexample_is_the_first_failing_permutation():
+    A = NEGATIVE_CONTROLS["law_invariant"]
+    report = check_property(A, "law_invariant", seed=5)
+    x = np.array(report.counterexample["x"])
+    orbit = [list(p) for p in itertools.permutations(range(3))]
+    first = next(p for p in orbit if not member(A, x[p]))
+    assert member(A, x) and report.counterexample["perm"] == first
 
 
 def test_unknown_property_raises():
