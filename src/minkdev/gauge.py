@@ -176,13 +176,14 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
 
     if not np.any(x):
         # every scale asks the same point, so the value is 0 or inf
-        value = 0.0 if past(1.0) else math.inf
+        hit = past(1.0) != cogauge
+        value = 0.0 if hit != cogauge else math.inf
         return GaugeResult(value=value, bracket=(value, value),
-                           attained="yes" if (value == 0.0) != cogauge else "no", oracle_calls=calls)
+                           attained="yes" if hit else "no", oracle_calls=calls)
     if approximate:
         lo, hi = _grid_scan(past, cogauge)
     while True:
-        m = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo or 1.0)
+        m = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo or 1.0)  # 1 while lo is still 0
         if lo == 0.0 and m < M_MIN:
             return _result(A, x, lo, M_MIN, calls, cogauge, approximate)
         if hi == math.inf and m > M_CAP:
