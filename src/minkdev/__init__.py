@@ -9,15 +9,8 @@ tying the routes together round out the toolbox.
 
 from .market import MarketSpace, as_position, expectation, left_quantile
 from .sets import AcceptanceSet, SetFlags, sublevel_set, add_constants, star_hull
-from .gauge import GaugeOptions, GaugeResult, minkowski_gauge, cogauge, shift_infimum_gauge
-from .deviations import (
-    AxiomFlags,
-    DeviationFunctional,
-    ErrorFunctional,
-    builtin_deviation,
-    builtin_error,
-    deviation_from_error,
-)
+from .gauge import GaugeOptions, GaugeResult, minkowski_gauge, shift_infimum_gauge
+from .deviations import AxiomFlags, DeviationFunctional, builtin_deviation, builtin_error
 from .duality import Polytope, PolarForm, polar, support_function
 
 __all__ = [
@@ -33,14 +26,11 @@ __all__ = [
     "GaugeOptions",
     "GaugeResult",
     "minkowski_gauge",
-    "cogauge",
     "shift_infimum_gauge",
     "AxiomFlags",
     "DeviationFunctional",
-    "ErrorFunctional",
     "builtin_deviation",
     "builtin_error",
-    "deviation_from_error",
     "Polytope",
     "PolarForm",
     "polar",

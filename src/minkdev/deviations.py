@@ -11,11 +11,10 @@ convex.  This module provides the standard catalogue in closed form:
   ``esd(alpha) = es(alpha) applied to the centred position``,
 
 together with error measures (``lp_norm(p)``, the asymmetric piecewise
-linear ``kb(alpha)``, and ``sup_range = 2 ||.||_inf``) and the projection
-``deviation_from_error`` that turns an error into a deviation by minimising
-over constant shifts.  ``check_axioms`` audits the axioms a functional
-declares on sampled positions, and ``measure_from_json`` reads the measure
-descriptions of scenario files.
+linear ``kb(alpha)``, and ``sup_range = 2 ||.||_inf``), whose sub-level
+sets criterion 3 shifts along the constants.  ``check_axioms`` audits the
+axioms a functional declares on sampled positions, and
+``measure_from_json`` reads the measure descriptions of scenario files.
 
 Quantile integrals are evaluated exactly on the step quantile function, so
 shortfall values carry no quadrature error.  Identities between measures
@@ -56,7 +55,7 @@ class AxiomFlags:
 @dataclass(frozen=True)
 class DeviationFunctional:
     """A named functional on positions with declared axioms: a deviation
-    measure, or an error measure (``ErrorFunctional`` is the same class).
+    measure, or an error measure.
 
     ``homogeneity_degree`` is the exponent ``d`` with
     ``D(lam x) = lam^d D(x)`` when one exists (2 for variance, 1 for the
@@ -78,9 +77,6 @@ class DeviationFunctional:
         if x.ndim != 1 and not self.rowwise:
             raise MeasureError(f"{self.label} evaluates one position at a time")
         return market.float_or_rows(self.eval_fn(space, x))
-
-
-ErrorFunctional = DeviationFunctional
 
 
 # ---------------------------------------------------------------------------
@@ -290,107 +286,6 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             rowwise=True,
         )
     raise MeasureError(f"unknown error measure {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Error -> deviation projection
-# ---------------------------------------------------------------------------
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimiser of a unimodal function on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool, tol: float,
-                   grid_points: int = 0):
-    """``(c, f(c))`` for a shift ``c`` minimising ``f``, a function of ``x - c``.
-
-    Candidate shifts (entries, mean, median, midrange) are probed exactly —
-    they contain the minimiser for the piecewise-linear and quadratic
-    builtin families — and the first one that attains the least value is
-    kept unless a search finds a smaller one.  The search runs over the data
-    range padded by ``max(1, range)``: golden-section for a convex ``f``,
-    otherwise, when ``grid_points`` is positive, a uniform scan of that many
-    shifts with golden refinement around the best cell.  ``f`` is evaluated
-    once per distinct shift.
-    """
-    lo_x, hi_x = float(np.min(x)), float(np.max(x))
-    pad = max(1.0, hi_x - lo_x)
-    lo_c, hi_c = lo_x - pad, hi_x + pad
-
-    cache: dict[float, float] = {}
-
-    def value(c: float) -> float:
-        if c not in cache:
-            cache[c] = f(c)
-        return cache[c]
-
-    candidates = {float(v) for v in x}
-    candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
-    best = min(candidates, key=value)
-
-    if convex:
-        found = [_golden(value, lo_c, hi_c, tol)]
-    elif grid_points:
-        grid = np.linspace(lo_c, hi_c, grid_points)
-        i = int(np.argmin([value(float(c)) for c in grid]))
-        a = float(grid[max(0, i - 1)])
-        b = float(grid[min(grid_points - 1, i + 1)])
-        found = [_golden(value, a, b, tol), float(grid[i])]
-    else:
-        found = []
-    for c in found:
-        if value(c) < value(best):
-            best = c
-    return best, value(best)
-
-
-def minimal_shift_error(error: DeviationFunctional, space: MarketSpace, x: np.ndarray) -> float:
-    """``min_c error(x - c)`` over scalar shifts, by ``minimise_shift``: the
-    candidate shifts, then a golden-section search for convex errors."""
-    x = np.asarray(x, dtype=float)
-    _, best = minimise_shift(lambda c: error.eval(space, x - c), space, x,
-                             convex=error.axioms.convex is True, tol=1e-10)
-    return best
-
-
-def deviation_from_error(error: DeviationFunctional) -> DeviationFunctional:
-    """Project an error measure to a deviation: ``D(x) = min_c error(x - c)``.
-
-    Translation insensitivity and (for convex, homogeneous errors)
-    convexity/homogeneity hold by construction; nonnegativity at
-    non-constants is not assumed and stays unknown until audited.
-    """
-    ax = AxiomFlags(
-        nonnegative=None,
-        translation_insensitive=True,
-        positive_homogeneous=error.axioms.positive_homogeneous,
-        convex=error.axioms.convex,
-        comonotone_additive=None,
-        law_invariant=error.axioms.law_invariant,
-        lower_range_dominated=None,
-    )
-    return DeviationFunctional(
-        label=f"proj({error.label})",
-        eval_fn=lambda space, x: minimal_shift_error(error, space, x),
-        axioms=ax,
-        homogeneity_degree=error.homogeneity_degree,
-    )
 
 
 # ---------------------------------------------------------------------------

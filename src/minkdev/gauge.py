@@ -1,23 +1,23 @@
-"""Minkowski gauges and cogauges of acceptance sets.
+"""Minkowski gauges of acceptance sets.
 
 The gauge of a set ``A`` at a position ``x`` is
-``inf { m > 0 : x / m in A }`` (infimum of the empty set is ``+inf``); the
-cogauge is ``sup { m > 0 : x / m in A }`` (supremum of the empty set is 0).
+``inf { m > 0 : x / m in A }`` (infimum of the empty set is ``+inf``).
 
 For star-shaped sets the membership indicator along the ray ``m -> x / m``
 switches at most once (non-member below the gauge, member above), so one
 step rule finds the switch up to tolerance: keep the live bracket
 ``[lo, hi]`` from ``(0, inf)``, ask 1, then ``2 lo`` while ``hi`` is
 infinite and ``(lo + hi) / 2`` otherwise, and move one end to each scale
-asked.  The cogauge walks the same rule with the membership test mirrored.
-Sets without the structure the walk needs seed its bracket by a geometric
-scan of the whole scale range, and the result is flagged approximate.
+asked.  Sets without a star-shape declaration seed the bracket by a
+geometric scan of the whole scale range, and the result is flagged
+approximate.
 
-Two solvers walk the rule.  ``minkowski_gauge`` and ``cogauge`` walk one
-cell, asking ``membership``.  ``gauge_table`` gives the gauge of many sets
-at many positions, each cell equal to ``minkowski_gauge``; once a table is
-large enough, its cells of star-shaped sets walk in lockstep, each step
-asking every set one batch of its open cells.
+Two solvers walk the rule.  ``minkowski_gauge`` walks one cell, asking
+``membership``.  ``gauge_table`` gives the gauge of many sets at many
+positions, each cell equal to ``minkowski_gauge``; once a table is large
+enough, its cells of star-shaped sets walk in lockstep, each step asking
+every set one batch of its open cells.  ``shift_infimum_gauge`` minimises
+the gauge over constant shifts of the position.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviations import AxiomFlags, DeviationFunctional, minimise_shift
+from .deviations import AxiomFlags, DeviationFunctional
 from .market import MarketSpace, as_position, as_positions
 from .sets import AcceptanceSet
 
@@ -55,8 +55,8 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class GaugeOptions:
-    """The bisection tolerance shared by the gauge and cogauge solvers: a
-    bracket ``[lo, hi]`` is final once ``hi - lo <= max(tol_abs, tol_rel * hi)``.
+    """The bisection tolerance of the gauge solvers: a bracket ``[lo, hi]``
+    is final once ``hi - lo <= max(tol_abs, tol_rel * hi)``.
 
     Both are finite, ``tol_abs >= 0`` and ``tol_rel`` at least the float64
     machine epsilon, below which bisection cannot narrow a bracket any
@@ -120,46 +120,24 @@ def _budget_error(budget: int, bracket: tuple[float, float]) -> OracleBudgetErro
 
 
 def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
-    """Compute ``inf { m > 0 : x / m in A }``.
+    """Compute ``inf { m > 0 : x / m in A }``: ``_lockstep``'s walk for a
+    single cell.
 
-    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
-    """
-    return _ray_search(A, x, opts, cogauge=False)
-
-
-def cogauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
-    """Compute ``sup { m > 0 : x / m in A }``.
-
-    The search assumes membership along the scale ray is a single interval
-    (true for star-shaped sets and their complements); the grid fallback
-    handles undeclared structure approximately.
-    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
-    """
-    return _ray_search(A, x, opts, cogauge=True)
-
-
-def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> GaugeResult:
-    """The one solver behind the gauge and the cogauge: ``_lockstep``'s walk
-    for a single cell.
-
-    ``past(m) = member(x / m) != cogauge`` is false below the value and true
-    above it (the gauge's members lie above the gauge, the cogauge's below
-    the cogauge), and each answer moves one end of the live bracket
-    ``[lo, hi]`` to ``m``, the upper end when ``past``.  The bracket starts
-    at ``(0, inf)``, or where ``_grid_scan`` leaves it on sets without the
-    structure bisection needs.  The walk asks 1 first, then ``2 lo`` while
-    ``hi`` is infinite and ``(lo + hi) / 2`` otherwise.  It ends at the
-    floor, ``(0, M_MIN)`` and value 0; at the cap, ``(M_CAP, inf)`` and value
-    ``inf``; or settled, a finite bracket within tolerance whose upper end
-    is the gauge and lower end the cogauge.  A call past
-    ``MAX_ORACLE_CALLS`` raises ``OracleBudgetError`` with the live bracket.
+    ``past(m) = member(x / m)`` is false below the gauge and true above it,
+    and each answer moves one end of the live bracket ``[lo, hi]`` to ``m``,
+    the upper end when ``past``.  The bracket starts at ``(0, inf)``, or
+    where ``_grid_scan`` leaves it on sets not declared star-shaped.  The
+    walk asks 1 first, then ``2 lo`` while ``hi`` is infinite and
+    ``(lo + hi) / 2`` otherwise.  It ends at the floor, ``(0, M_MIN)`` and
+    value 0; at the cap, ``(M_CAP, inf)`` and value ``inf``; or settled, a
+    finite bracket within tolerance whose upper end is the gauge.  A call
+    past ``MAX_ORACLE_CALLS`` raises ``OracleBudgetError`` with the live
+    bracket.  ``x`` must be a finite position of ``A.space``
+    (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
-    member, flags = A.membership, A.flags
-    if cogauge:
-        approximate = flags.star_shaped is None and flags.convex is not True
-    else:
-        approximate = flags.star_shaped is not True
+    member = A.membership
+    approximate = A.flags.star_shaped is not True
     lo, hi, calls = 0.0, math.inf, 0
 
     def past(m: float) -> bool:
@@ -167,63 +145,58 @@ def _ray_search(A: AcceptanceSet, x, opts: GaugeOptions, cogauge: bool) -> Gauge
         if calls >= MAX_ORACLE_CALLS:
             raise _budget_error(MAX_ORACLE_CALLS, (lo, hi))
         calls += 1
-        beyond = bool(member(x / m)) != cogauge
-        if beyond:
+        hit = bool(member(x / m))
+        if hit:
             hi = m
         else:
             lo = m
-        return beyond
+        return hit
 
     if not np.any(x):
         # every scale asks the same point, so the value is 0 or inf
-        hit = past(1.0) != cogauge
-        value = 0.0 if hit != cogauge else math.inf
+        hit = past(1.0)
+        value = 0.0 if hit else math.inf
         return GaugeResult(value=value, bracket=(value, value),
                            attained="yes" if hit else "no", oracle_calls=calls)
     if approximate:
-        lo, hi = _grid_scan(past, cogauge)
+        lo, hi = _grid_scan(past)
     while True:
         m = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo or 1.0)  # 1 while lo is still 0
         if lo == 0.0 and m < M_MIN:
-            return _result(A, x, lo, M_MIN, calls, cogauge, approximate)
+            return _result(A, x, lo, M_MIN, calls, approximate)
         if hi == math.inf and m > M_CAP:
-            return _result(A, x, M_CAP, hi, calls, cogauge, approximate)
+            return _result(A, x, M_CAP, hi, calls, approximate)
         if lo > 0.0 and hi < math.inf and hi - lo <= max(opts.tol_abs, opts.tol_rel * hi):
-            return _result(A, x, lo, hi, calls, cogauge, approximate)
+            return _result(A, x, lo, hi, calls, approximate)
         past(m)
 
 
 def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
-            cogauge: bool = False, approximate: bool = False) -> GaugeResult:
+            approximate: bool = False) -> GaugeResult:
     """The ``GaugeResult`` of a final bracket: ``(0, M_MIN)`` means 0,
-    ``(M_CAP, inf)`` means inf, and otherwise the value is the bracket's
-    upper end for the gauge, its lower end for the cogauge."""
+    ``(M_CAP, inf)`` means inf, and otherwise the value is its upper end."""
     if lo == 0.0 or hi == math.inf:
         return GaugeResult(value=0.0 if lo == 0.0 else math.inf, bracket=(lo, hi),
                            attained="no", oracle_calls=calls, approximate=approximate)
-    value = lo if cogauge else hi
     closed = A.flags.closed
-    return GaugeResult(value=value, bracket=(lo, hi),
+    return GaugeResult(value=hi, bracket=(lo, hi),
                        attained="yes" if closed is True else ("no" if closed is False else "unknown"),
                        oracle_calls=calls,
-                       boundary_point=x / value if closed is True else None,
+                       boundary_point=x / hi if closed is True else None,
                        approximate=approximate)
 
 
-def _grid_scan(past, cogauge: bool):
-    """Geometric-scan fallback for sets without the structure bisection needs.
+def _grid_scan(past):
+    """Geometric-scan fallback for sets not declared star-shaped.
 
-    Scans ``RAY_GRID`` scales per decade across ``[M_MIN, M_CAP]`` for the
-    first member: upward for the gauge, downward for the cogauge.  That
-    member and the non-member scanned just before it bracket the switch,
-    which is only grid-accurate, hence flagged approximate.
+    Scans ``RAY_GRID`` scales per decade upward across ``[M_MIN, M_CAP]``
+    for the first member.  That member and the non-member scanned just
+    before it bracket the switch, which is only grid-accurate, hence
+    flagged approximate.
     """
     decades = math.log10(M_CAP) - math.log10(M_MIN)
     grid = np.geomspace(M_MIN, M_CAP, max(2, int(RAY_GRID * decades)))
-    scales = grid[::-1] if cogauge else grid
-    # a member is where past(m) != cogauge
-    i = next((i for i, m in enumerate(scales) if past(float(m)) != cogauge), grid.size)
-    below = grid.size - i if cogauge else i  # grid scales before the switch
+    below = next((i for i, m in enumerate(grid) if past(float(m))), grid.size)
     if below == 0:
         return 0.0, M_MIN
     if below == grid.size:
@@ -286,7 +259,7 @@ def _as_rows(sets, X) -> np.ndarray:
 
 
 def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
-    """``_ray_search``'s walk for every non-zero row of every set at once.
+    """``minkowski_gauge``'s walk for every non-zero row of every set at once.
 
     Cell ``c`` is row ``c % B`` of set ``c // B``, and its only state is the
     live bracket ``[lo, hi]``, from ``(0, inf)``: what an
@@ -391,19 +364,74 @@ class ShiftGaugeResult:
 
 def shift_infimum_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> ShiftGaugeResult:
     """Compute ``inf_c gauge(A, x - c)``, the gauge of ``A + R`` evaluated
-    through the shifted-position route.
-
-    When ``A`` is declared convex, ``c -> gauge(A, x - c)`` is convex and a
-    golden-section search is used; otherwise a uniform scan of
-    ``SHIFT_SCAN_POINTS`` shifts with local golden refinement around the best
-    cell.  Deterministic candidate shifts (entries, mean, median, midrange)
-    are always probed as well, since they are exact minimisers for the
-    quadratic and piecewise-linear families.
+    through the shifted-position route: candidate shifts, then a
+    golden-section search if ``A`` is declared convex and a scan with golden
+    refinement otherwise (``_minimise_shift``).
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
-    best_c, _ = minimise_shift(lambda c: minkowski_gauge(A, x - c, opts).value, A.space, x,
-                               convex=A.flags.convex is True, tol=SHIFT_TOL,
-                               grid_points=SHIFT_SCAN_POINTS)
+    best_c = _minimise_shift(lambda c: minkowski_gauge(A, x - c, opts).value, A.space, x,
+                             convex=A.flags.convex is True)
     result = minkowski_gauge(A, x - best_c, opts)
     return ShiftGaugeResult(value=result.value, shift=best_c, gauge=result)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(f, a: float, b: float) -> float:
+    """Golden-section minimiser of a unimodal function on [a, b], to ``SHIFT_TOL``."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > SHIFT_TOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool) -> float:
+    """A shift ``c`` minimising ``f``, a function of ``x - c``.
+
+    Candidate shifts (entries, mean, median, midrange) are probed exactly —
+    they contain the minimiser for the piecewise-linear and quadratic
+    families — and the first one that attains the least value is kept
+    unless the search finds a smaller one.  The search runs over the data
+    range padded by ``max(1, range)``: golden-section for a convex ``f``,
+    otherwise a uniform scan of ``SHIFT_SCAN_POINTS`` shifts with golden
+    refinement around the best cell.  ``f`` is evaluated once per distinct
+    shift.
+    """
+    lo_x, hi_x = float(np.min(x)), float(np.max(x))
+    pad = max(1.0, hi_x - lo_x)
+    lo_c, hi_c = lo_x - pad, hi_x + pad
+
+    cache: dict[float, float] = {}
+
+    def value(c: float) -> float:
+        if c not in cache:
+            cache[c] = f(c)
+        return cache[c]
+
+    candidates = {float(v) for v in x}
+    candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
+    best = min(candidates, key=value)
+
+    if convex:
+        found = [_golden(value, lo_c, hi_c)]
+    else:
+        grid = np.linspace(lo_c, hi_c, SHIFT_SCAN_POINTS)
+        i = int(np.argmin([value(float(c)) for c in grid]))
+        a = float(grid[max(0, i - 1)])
+        b = float(grid[min(SHIFT_SCAN_POINTS - 1, i + 1)])
+        found = [_golden(value, a, b), float(grid[i])]
+    for c in found:
+        if value(c) < value(best):
+            best = c
+    return best

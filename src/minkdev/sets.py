@@ -25,9 +25,9 @@ construction a ``row_membership`` that asks ``membership`` row by row.
 batch to their inner set's ``row_membership`` (two for ``add_constants``:
 the candidate shifts, then the shift grid only if no candidate is a
 member); a fan-out nested in another is asked every row of that batch,
-one at a time.  ``minkowski_gauge`` and ``cogauge`` ask ``membership``
-one position at a time; ``gauge.gauge_table`` asks ``row_membership``
-one batch of rows per bisection step when its table is large enough.
+one at a time.  ``minkowski_gauge`` asks ``membership`` one position at
+a time; ``gauge.gauge_table`` asks ``row_membership`` one batch of rows
+per bisection step when its table is large enough.
 """
 
 from __future__ import annotations
@@ -211,23 +211,23 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     )
 
 
-# ``add_constants``'s shift search: the size of its uniform grid, and the
-# largest shift magnitude it reaches.
+#: Shifts in ``add_constants``'s uniform grid.
 SHIFT_GRID_POINTS = 256
-SHIFT_CAP = 1e6
 
 
 def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     """The Minkowski sum ``A + R`` of a set with the constants line.
 
     The membership question "is there a constant ``c`` with ``x - c in A``"
-    is decided by probing deterministic candidate shifts (the entries of
-    ``x``, its mean, median and midrange — exact minimisers for the
-    piecewise-linear and quadratic families) followed by a uniform grid of
-    ``SHIFT_GRID_POINTS`` shifts centred on the midrange, of radius
-    ``max(1, 2 * range of x)``, both capped at ``SHIFT_CAP`` in magnitude.
-    One query asks ``A`` about all candidate shifts in one batch, and about
-    the shift grid in a second batch only when no candidate is a member.
+    has the same answer for ``x`` and for its centred ``x - E[x]``, so the
+    search runs over shifts of the centred position, whatever the level of
+    ``x``; constants are members at every scale.  It probes deterministic
+    candidate shifts (the entries, mean, median and midrange — exact
+    minimisers for the piecewise-linear and quadratic families) followed by
+    a uniform grid of ``SHIFT_GRID_POINTS`` shifts centred on the midrange,
+    of radius ``max(1, 2 * range of x)``.  One query asks ``A`` about all
+    candidate shifts in one batch, and about the shift grid in a second
+    batch only when no candidate is a member.
 
     A set declared ``stable_scalar_add`` already contains every shift of its
     members, so ``A + R = A``: it is returned with its own oracles and flags,
@@ -239,16 +239,16 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     space = A.space
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
-        shifts = shifts[np.abs(shifts) <= SHIFT_CAP]
-        return shifts.size > 0 and bool(A.row_membership(x - shifts[:, None]).any())
+        return bool(A.row_membership(x - shifts[:, None]).any())
 
     def member(x: np.ndarray) -> bool:
+        x = x - market.expectation(space, x)
         lo, hi = float(np.min(x)), float(np.max(x))
         mid = 0.5 * (lo + hi)
         cands = np.concatenate(([mid, market.expectation(space, x), float(np.median(x))], x))
         if any_member(x, cands):
             return True
-        radius = min(max(1.0, 2.0 * (hi - lo)), SHIFT_CAP)
+        radius = max(1.0, 2.0 * (hi - lo))
         return any_member(x, np.linspace(mid - radius, mid + radius, SHIFT_GRID_POINTS))
 
     flags = SetFlags(
@@ -547,19 +547,13 @@ def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0
 def audit_flags(A: AcceptanceSet, trials: int = 200, seed: int = 0) -> list[PropertyReport]:
     """Run falsifiers for every flag declared ``True`` on ``A``, each with
     ``check_property``'s ``trials`` and ``seed``."""
-    mapping = {
-        "star_shaped": "star_shaped",
-        "convex": "convex",
-        "stable_scalar_add": "stable_scalar_add",
-        "radially_bounded_nonconst": "radially_bounded_nonconst",
-        "law_invariant": "law_invariant",
-    }
     reports = []
-    for flag, prop in mapping.items():
+    for flag in ("star_shaped", "convex", "stable_scalar_add", "radially_bounded_nonconst",
+                 "law_invariant"):
         if getattr(A.flags, flag) is True:
-            if prop == "law_invariant" and not A.space.is_uniform():
+            if flag == "law_invariant" and not A.space.is_uniform():
                 continue
-            reports.append(check_property(A, prop, trials, seed))
+            reports.append(check_property(A, flag, trials, seed))
     return reports
 
 

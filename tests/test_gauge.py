@@ -1,4 +1,4 @@
-"""Gauge and cogauge solvers: extended-real semantics, brackets, budgets."""
+"""Gauge solvers: extended-real semantics, brackets, budgets."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.gauge import (
     GaugeOptions,
     OracleBudgetError,
-    cogauge,
     deviation_from_set,
     gauge_table,
     minkowski_gauge,
@@ -122,19 +121,6 @@ def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget, monkeypatc
     assert hi - lo <= 1.0
 
 
-def test_cogauge_budget_bracket_contains_the_cogauge(monkeypatch):
-    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    complement = AcceptanceSet(space=UNIFORM3, membership=lambda x: not ball.membership(x),
-                               flags=SetFlags(star_shaped=False, closed=False))
-    x = np.array([3.0, 1.0, -2.0])
-    want = minkowski_gauge(ball, x, TIGHT).value
-    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 12)
-    with pytest.raises(OracleBudgetError) as exc:
-        cogauge(complement, x)
-    lo, hi = exc.value.bracket
-    assert gauge.M_MIN < lo <= want <= hi < gauge.M_CAP
-
-
 @pytest.mark.parametrize("tols", [dict(tol_rel=math.nan), dict(tol_abs=math.nan),
                                   dict(tol_rel=math.inf), dict(tol_abs=math.inf),
                                   dict(tol_abs=-1e-12), dict(tol_rel=0.0, tol_abs=0.0),
@@ -168,8 +154,8 @@ BAD_POSITIONS = {
 
 
 @pytest.mark.parametrize("bad", list(BAD_POSITIONS), ids=list(BAD_POSITIONS))
-@pytest.mark.parametrize("solver", [minkowski_gauge, cogauge, shift_infimum_gauge],
-                         ids=["gauge", "cogauge", "shift_infimum"])
+@pytest.mark.parametrize("solver", [minkowski_gauge, shift_infimum_gauge],
+                         ids=["gauge", "shift_infimum"])
 def test_solvers_reject_invalid_positions(solver, bad):
     A = ball_set(SPACE4, p=2.0, radius=1.0)
     with pytest.raises(MarketError):
@@ -197,62 +183,14 @@ def test_gauge_positive_homogeneity(values, lam):
     assert glx == pytest.approx(lam * gx, rel=1e-8, abs=1e-10)
 
 
-# --- cogauge -----------------------------------------------------------------
-
-def test_cogauge_extended_real_cases():
-    x = np.array([1.0, -1.0, 0.5])
-    assert cogauge(whole_space(UNIFORM3), x).value == math.inf
-    assert cogauge(empty_set(UNIFORM3), x).value == 0.0
-    assert cogauge(whole_space(UNIFORM3), np.zeros(3)).value == math.inf
-    assert cogauge(empty_set(UNIFORM3), np.zeros(3)).value == 0.0
-
-
-def test_cogauge_is_gauge_of_complement_for_star_shaped_sets():
-    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    complement = AcceptanceSet(
-        space=UNIFORM3,
-        membership=lambda x: not ball.membership(x),
-        flags=SetFlags(star_shaped=False, closed=False),
-        label="ball complement",
-    )
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.uniform(-4, 4, size=3)
-        g = minkowski_gauge(ball, x, TIGHT).value
-        w = cogauge(complement, x, TIGHT).value
-        assert w == pytest.approx(g, rel=1e-8, abs=1e-10)
-
-
-def _complement(A, flags):
-    return AcceptanceSet(space=A.space, membership=lambda x: not A.membership(x), flags=flags)
-
-
-def test_grid_fallback_cogauge_marks_approximate():
-    # the ball's complement with no structural declarations: forces the
-    # downward grid scan of the cogauge
-    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    exact = _complement(ball, SetFlags(star_shaped=False, closed=False))
-    blank = _complement(ball, SetFlags())
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        x = rng.uniform(-4, 4, size=3)
-        res = cogauge(blank, x)
-        want = cogauge(exact, x, TIGHT)
-        assert res.approximate and not want.approximate
-        assert res.value == pytest.approx(want.value, rel=1e-6)
-        lo, hi = res.bracket
-        assert lo == res.value
-        assert lo <= want.value * (1 + 1e-9) and want.value <= hi * (1 + 1e-9)
-
-
-def test_grid_fallback_cogauge_ends():
+def test_grid_fallback_ends():
     x = np.array([1.0, -1.0, 0.5])
     never = AcceptanceSet(space=UNIFORM3, membership=lambda z: False, flags=SetFlags())
     always = AcceptanceSet(space=UNIFORM3, membership=lambda z: True, flags=SetFlags())
-    zero, inf = cogauge(never, x), cogauge(always, x)
+    zero, inf = minkowski_gauge(always, x), minkowski_gauge(never, x)
     assert zero.approximate and zero.value == 0.0 and zero.bracket == (0.0, gauge.M_MIN)
+    assert zero.oracle_calls == 1  # the scan starts at the bottom of the grid
     assert inf.approximate and inf.value == math.inf and inf.bracket == (gauge.M_CAP, math.inf)
-    assert inf.oracle_calls == 1  # the scan starts at the top of the grid
 
 
 def _recording(A, flags=None):
@@ -266,20 +204,16 @@ def _recording(A, flags=None):
                          flags=A.flags if flags is None else flags), asked
 
 
-@pytest.mark.parametrize("path", ["gauge", "gauge_grid", "cogauge", "cogauge_grid"])
+@pytest.mark.parametrize("path", ["gauge", "gauge_grid"])
 def test_no_solve_asks_the_same_scale_twice(path):
-    ball = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    if path.startswith("gauge"):
-        solver, A = minkowski_gauge, ball
-    else:
-        solver, A = cogauge, _complement(ball, SetFlags(star_shaped=False, closed=False))
-    A, asked = _recording(A, SetFlags() if path.endswith("grid") else None)
+    A, asked = _recording(ball_set(UNIFORM3, p=2.0, radius=1.0),
+                          SetFlags() if path.endswith("grid") else None)
     rng = np.random.default_rng(6)
     # [3, 1, -2] misses at m = 1 (gauge 2.16), [0.2, -0.1, 0.3] hits there
     positions = [np.array([3.0, 1.0, -2.0]), np.array([0.2, -0.1, 0.3])]
     for x in positions + [rng.uniform(-8, 8, size=3) for _ in range(8)]:
         asked.clear()
-        res = solver(A, x, TIGHT)
+        res = minkowski_gauge(A, x, TIGHT)
         assert len(asked) == res.oracle_calls
         assert len(set(asked)) == len(asked)
 
@@ -526,22 +460,19 @@ def test_scalar_walk_asks_the_scales_of_a_one_row_lockstep_table(scale):
 def test_budget_spent_in_a_grid_scan_raises_with_the_live_bracket(budget, monkeypatch):
     ball = ball_set(UNIFORM3, p=2.0)
     blank = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags())
-    outside = AcceptanceSet(space=UNIFORM3, membership=lambda z: not ball.membership(z),
-                            flags=SetFlags())
-    x = np.array([3.0, 1.0, -2.0])                    # gauge and cogauge about 2.2
+    x = np.array([3.0, 1.0, -2.0])                    # gauge about 2.2
     monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
-    for A, solve, co in ((blank, minkowski_gauge, False), (outside, cogauge, True)):
-        scanned = []
+    scanned = []
 
-        def never_a_member(m):
-            scanned.append(m)
-            return co
-        gauge._grid_scan(never_a_member, co)          # the scan's order of scales
-        with pytest.raises(OracleBudgetError) as exc:
-            solve(A, x)
-        m = scanned[budget - 1]                       # the last scale asked
-        # the gauge scans up through non-members, the cogauge down
-        assert exc.value.bracket == ((0.0, m) if co else (m, math.inf))
+    def never_a_member(m):
+        scanned.append(m)
+        return False
+    gauge._grid_scan(never_a_member)                  # the scan's order of scales
+    with pytest.raises(OracleBudgetError) as exc:
+        minkowski_gauge(blank, x)
+    m = scanned[budget - 1]                           # the last scale asked
+    # the scan goes up through non-members
+    assert exc.value.bracket == (m, math.inf)
 
 
 K = gauge.LOCKSTEP_MIN_CELLS
@@ -654,6 +585,18 @@ def test_add_constants_of_a_shift_stable_set_is_that_set():
         x = rng.uniform(-4, 4, size=4)
         res = minkowski_gauge(AR, x, TIGHT)
         assert res.attained == "yes" and _same(res, minkowski_gauge(A, x, TIGHT))
+
+
+def test_add_constants_gauge_vanishes_at_constants_whatever_their_level():
+    AR = add_constants(ball_set(UNIFORM3, p=2.0))
+    for level in (1.5, -2.0, 1e7):
+        res = minkowski_gauge(AR, np.full(3, level))
+        assert res.value == 0.0 and res.bracket == (0.0, gauge.M_MIN)
+    # off the constants by 1e-9: the gauge is the L2 deviation, 4.71e-10,
+    # within the default absolute tolerance of 1e-12
+    x = np.array([1.5, 1.5, 1.5 + 1e-9])
+    want = builtin_deviation("std_dev").eval(UNIFORM3, x)
+    assert minkowski_gauge(AR, x).value == pytest.approx(want, rel=0.0, abs=2e-12)
 
 
 def test_shift_infimum_of_ball_is_std_dev():

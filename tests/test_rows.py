@@ -13,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minkdev.deviations import MeasureError, builtin_deviation, builtin_error, deviation_from_error
+from minkdev.deviations import DeviationFunctional, MeasureError, builtin_deviation, builtin_error
 from minkdev.duality import Polytope
 from minkdev.gauge import minkowski_gauge
 from minkdev.market import MarketSpace
 from minkdev.sets import (
-    SHIFT_CAP,
     SHIFT_GRID_POINTS,
     AcceptanceSet,
     SetFlags,
@@ -49,14 +48,15 @@ def scalar_inner(A):
 
 def ref_add_constants(A, x):
     inner = scalar_inner(A)
+    x = x - float(A.space.probs @ x)
     lo, hi = float(np.min(x)), float(np.max(x))
     mid = 0.5 * (lo + hi)
     cands = [mid, float(A.space.probs @ x), float(np.median(x))] + [float(v) for v in x]
-    if any(abs(c) <= SHIFT_CAP and inner(x - c) for c in cands):
+    if any(inner(x - c) for c in cands):
         return True
-    radius = min(max(1.0, 2.0 * (hi - lo)), SHIFT_CAP)
+    radius = max(1.0, 2.0 * (hi - lo))
     grid = np.linspace(mid - radius, mid + radius, SHIFT_GRID_POINTS)
-    return any(abs(c) <= SHIFT_CAP and inner(x - float(c)) for c in grid)
+    return any(inner(x - float(c)) for c in grid)
 
 
 def ref_star_hull(A, z, resolution=256, lam_min=1e-6):
@@ -69,6 +69,11 @@ def ref_star_hull(A, z, resolution=256, lam_min=1e-6):
 def ref_law_invariant_hull(A, x):
     inner = scalar_inner(A)
     return all(inner(x[list(p)]) for p in itertools.permutations(range(x.size)))
+
+
+def scalar_only(E):
+    """``E`` as a functional that does not declare ``rowwise``."""
+    return DeviationFunctional(label=E.label, eval_fn=E.eval_fn, axioms=E.axioms)
 
 
 def asymmetric_polytope(space, seed=5):
@@ -107,10 +112,10 @@ def test_leaves_declare_row_oracles():
               vertex_form.as_acceptance_set()):
         assert A.row_membership is A.membership
     # a scalar-only functional's sub-level set gets the row-by-row loop
-    projected = sublevel_set(SPACE4, deviation_from_error(builtin_error("lp_norm", p=2.0)), 1.0)
-    assert projected.row_membership is not projected.membership
+    scalar = sublevel_set(SPACE4, scalar_only(builtin_error("lp_norm", p=2.0)), 1.0)
+    assert scalar.row_membership is not scalar.membership
     X = positions(SPACE4, 20, seed=10)
-    assert projected.row_membership(X).tolist() == [bool(projected.membership(x)) for x in X]
+    assert scalar.row_membership(X).tolist() == [bool(scalar.membership(x)) for x in X]
 
 
 @pytest.mark.parametrize("make", [
@@ -294,7 +299,7 @@ def test_error_measures_row_by_row_equal_single_positions(E):
 
 
 def test_scalar_only_functional_refuses_a_batch():
-    D = deviation_from_error(builtin_error("kb", alpha=0.1))
+    D = scalar_only(builtin_error("kb", alpha=0.1))
     with pytest.raises(MeasureError):
         D.eval(SPACE4, np.zeros((2, 4)))
 
