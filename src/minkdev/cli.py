@@ -16,8 +16,8 @@ command whose usage line above does not show it is malformed input.
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
 command functions).  Exit codes: 0 success, 1 a property or invariant check
-failed, 2 malformed input, 3 a numerical failure (solver budget or
-iteration cap).  Any other exception is a defect and propagates.
+failed, 2 malformed input, 3 a numerical failure (the simplex iteration
+cap).  Any other exception is a defect and propagates.
 
 Output is deterministic for identical scenario and seed: no timestamps
 enter the payload and floats are serialised via ``repr``.  Infinite values
@@ -38,7 +38,7 @@ import numpy as np
 from . import duality, market, sets, suite
 from .deviations import MeasureError, check_axioms, measure_from_json
 from .duality import DualityError, Polytope
-from .gauge import EPS, GaugeError, GaugeOptions, gauge_table
+from .gauge import EPS, GaugeOptions, gauge_table
 from .lp import LPError
 from .market import MarketError
 from .sets import SetError
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except (GaugeError, LPError) as exc:
+    except LPError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

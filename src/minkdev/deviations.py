@@ -60,23 +60,19 @@ class DeviationFunctional:
     ``homogeneity_degree`` is the exponent ``d`` with
     ``D(lam x) = lam^d D(x)`` when one exists (2 for variance, 1 for the
     positively homogeneous measures, None when unknown); sub-level-set
-    constructions use it to justify star-shapedness.  ``rowwise`` declares
-    that ``eval_fn`` works over the last axis, so ``eval`` also accepts a
-    ``(B, n)`` batch and returns one value per row.
+    constructions use it to justify star-shapedness.  ``eval_fn`` works
+    over the last axis, so ``eval`` accepts one position or a ``(B, n)``
+    batch and returns one value per row.
     """
 
     label: str
-    eval_fn: Callable[[MarketSpace, np.ndarray], float]
+    eval_fn: Callable[[MarketSpace, np.ndarray], float | np.ndarray]
     axioms: AxiomFlags
     homogeneity_degree: float | None = 1.0
-    rowwise: bool = False
 
     def eval(self, space: MarketSpace, x):
         """A float for one position; a ``(B,)`` array for a batch of rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 and not self.rowwise:
-            raise MeasureError(f"{self.label} evaluates one position at a time")
-        return market.float_or_rows(self.eval_fn(space, x))
+        return market.float_or_rows(self.eval_fn(space, np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +176,32 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
             eval_fn=_variance,
             axioms=replace(_SUBLINEAR, positive_homogeneous=False),
             homogeneity_degree=2.0,
-            rowwise=True,
         )
     if name == "std_dev":
-        return DeviationFunctional(label="std_dev", eval_fn=_std_dev, axioms=_SUBLINEAR, rowwise=True)
+        return DeviationFunctional(label="std_dev", eval_fn=_std_dev, axioms=_SUBLINEAR)
     if name == "lower_semidev":
         return DeviationFunctional(
             label="lower_semidev",
             eval_fn=_lower_semidev,
             axioms=replace(_SUBLINEAR, lower_range_dominated=True),
-            rowwise=True,
         )
     if name == "lr":
         return DeviationFunctional(
             label="lr",
             eval_fn=_lower_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
-            rowwise=True,
         )
     if name == "ur":
         return DeviationFunctional(
             label="ur",
             eval_fn=_upper_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True),
-            rowwise=True,
         )
     if name == "frd":
         return DeviationFunctional(
             label="frd",
             eval_fn=_full_range,
             axioms=replace(_SUBLINEAR, comonotone_additive=True),
-            rowwise=True,
         )
     if name == "es":
         if alpha is None:
@@ -228,7 +219,6 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
                 law_invariant=True,
                 lower_range_dominated=False,
             ),
-            rowwise=True,
         )
     if name == "esd":
         if alpha is None:
@@ -238,7 +228,6 @@ def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctio
             label=f"esd({a:g})",
             eval_fn=lambda space, x: shortfall_deviation(space, x, a),
             axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
-            rowwise=True,
         )
     raise MeasureError(f"unknown deviation measure {name!r}")
 
@@ -262,7 +251,6 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             label=f"lp_norm({pp:g})",
             eval_fn=lambda space, x: market.lp_norm(space, x, pp),
             axioms=nonneg_convex,
-            rowwise=True,
         )
     if name == "kb":
         if alpha is None:
@@ -277,13 +265,12 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
             neg = np.maximum(-x, 0.0)
             return _dot(ratio * neg + pos, space.probs)
 
-        return DeviationFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex, rowwise=True)
+        return DeviationFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex)
     if name == "sup_range":
         return DeviationFunctional(
             label="sup_range",
             eval_fn=lambda space, x: 2.0 * np.abs(x).max(axis=-1),
             axioms=nonneg_convex,
-            rowwise=True,
         )
     raise MeasureError(f"unknown error measure {name!r}")
 

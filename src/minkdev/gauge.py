@@ -12,6 +12,19 @@ asked.  Sets without a star-shape declaration seed the bracket by a
 geometric scan of the whole scale range, and the result is flagged
 approximate.
 
+The walk needs no call budget: whatever the oracle answers, it asks at
+most 92 scales on a star-shaped set and 1,585 after the grid scan.  It
+asks 1 first.  It then doubles (or halves) at most
+``ceil(log2 M_CAP) - 1 = 39`` times, and ends once the next scale would
+pass ``M_CAP`` (or fall below ``M_MIN``) with the bracket still open.  A
+finite bracket it bisects until ``hi - lo <= max(tol_abs, tol_rel * hi)``,
+which one float gap meets because ``tol_rel >= EPS``.  Each step splits
+the ``g = (hi - lo) / ulp(lo)`` gaps of the bracket about in half, so it
+bisects at most ``ceil(log2 g)`` times: 52 from the power-of-two ends
+``[2^(k-1), 2^k]`` (``g = 2^52``), and 49 from a cell of the grid scan,
+whose ratio ``10^(24/1535)`` gives ``g < 2^48.3``.  The grid scan itself
+asks at most its 1,536 scales.
+
 Two solvers walk the rule.  ``minkowski_gauge`` walks one cell, asking
 ``membership``.  ``gauge_table`` gives the gauge of many sets at many
 positions, each cell equal to ``minkowski_gauge``; once a table is large
@@ -32,23 +45,6 @@ from .market import MarketSpace, as_position, as_positions
 from .sets import AcceptanceSet
 
 
-class GaugeError(RuntimeError):
-    """Raised when the solver cannot certify a value."""
-
-
-class OracleBudgetError(GaugeError):
-    """Raised when the membership-oracle budget is exhausted.
-
-    Carries the best bracket known at the point of failure: ``(0, inf)``
-    before any scale has been asked, then the bracket the ray search has
-    narrowed it to.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 #: The float64 machine epsilon: the least relative tolerance bisection meets.
 EPS = float(np.finfo(float).eps)
 
@@ -61,8 +57,7 @@ class GaugeOptions:
     Both are finite, ``tol_abs >= 0`` and ``tol_rel`` at least the float64
     machine epsilon, below which bisection cannot narrow a bracket any
     further (``ValueError`` otherwise).  The scale range ``[M_MIN, M_CAP]``
-    and the oracle budget ``MAX_ORACLE_CALLS`` are module constants, read
-    when a solver runs.
+    is a module constant, read when a solver runs.
     """
 
     tol_rel: float = 1e-10
@@ -82,9 +77,6 @@ DEFAULT_OPTIONS = GaugeOptions()
 #: the scale every search asks first.
 M_MIN = 1e-12
 M_CAP = 1e12
-
-#: Membership-oracle calls one cell may make before ``OracleBudgetError``.
-MAX_ORACLE_CALLS = 10_000
 
 #: Scales per decade of the grid-scan fallback.
 RAY_GRID = 64
@@ -115,10 +107,6 @@ class GaugeResult:
     approximate: bool = False
 
 
-def _budget_error(budget: int, bracket: tuple[float, float]) -> OracleBudgetError:
-    return OracleBudgetError(f"oracle budget of {budget} calls exhausted", bracket=bracket)
-
-
 def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> GaugeResult:
     """Compute ``inf { m > 0 : x / m in A }``: ``_lockstep``'s walk for a
     single cell.
@@ -130,10 +118,9 @@ def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -
     walk asks 1 first, then ``2 lo`` while ``hi`` is infinite and
     ``(lo + hi) / 2`` otherwise.  It ends at the floor, ``(0, M_MIN)`` and
     value 0; at the cap, ``(M_CAP, inf)`` and value ``inf``; or settled, a
-    finite bracket within tolerance whose upper end is the gauge.  A call
-    past ``MAX_ORACLE_CALLS`` raises ``OracleBudgetError`` with the live
-    bracket.  ``x`` must be a finite position of ``A.space``
-    (``MarketError`` otherwise).
+    finite bracket within tolerance whose upper end is the gauge, within
+    the number of calls the module docstring bounds.  ``x`` must be a
+    finite position of ``A.space`` (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
     member = A.membership
@@ -142,8 +129,6 @@ def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -
 
     def past(m: float) -> bool:
         nonlocal lo, hi, calls
-        if calls >= MAX_ORACLE_CALLS:
-            raise _budget_error(MAX_ORACLE_CALLS, (lo, hi))
         calls += 1
         hit = bool(member(x / m))
         if hit:
@@ -230,9 +215,7 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
     its open cells per step; every other cell (smaller tables, zero rows,
     grid fallbacks) calls ``minkowski_gauge``, which asks ``membership``.
     ``X`` is a ``(B, n)`` array of finite positions (``MarketError``
-    otherwise).  If cells exhaust the oracle budget, the
-    ``OracleBudgetError`` of the first of them in position-major order is
-    raised, as solving the cells one by one in that order would.
+    otherwise).
     """
     X = _as_rows(sets, X)
     batched = [A.flags.star_shaped is True for A in sets]
@@ -242,10 +225,7 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
     table = [next(solved) if b else [None] * len(X) for b in batched]
     for i, x in enumerate(X):
         for column, A in zip(table, sets):
-            cell = column[i]
-            if isinstance(cell, OracleBudgetError):
-                raise cell
-            if cell is None:
+            if column[i] is None:
                 column[i] = minkowski_gauge(A, x, opts)
     return table
 
@@ -262,18 +242,17 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
     """``minkowski_gauge``'s walk for every non-zero row of every set at once.
 
     Cell ``c`` is row ``c % B`` of set ``c // B``, and its only state is the
-    live bracket ``[lo, hi]``, from ``(0, inf)``: what an
-    ``OracleBudgetError`` carries.  A cell asks 1 first, then ``2 lo`` while
-    ``hi`` is infinite (doubling) and ``(lo + hi) / 2`` otherwise (halving
-    while ``lo`` is 0, bisecting after); each answer moves one end.  Before
-    a step a cell ends, on the scalar walk's tests in its order, at the
-    floor (it would halve below ``M_MIN``), at the cap (it would double past
-    ``M_CAP``), settled (a finite bracket within tolerance) or, at
-    ``MAX_ORACLE_CALLS`` calls, out of budget.  Step ``t`` asks each set one
-    batch of its open cells' rows, each divided by its cell's scale, so every
-    open cell has made ``t`` calls.  Returns, per set, a ``GaugeResult`` or
-    ``OracleBudgetError`` per row, and ``None`` for the zero rows, which ask
-    the same point at every scale and are left to ``minkowski_gauge``.
+    live bracket ``[lo, hi]``, from ``(0, inf)``.  A cell asks 1 first, then
+    ``2 lo`` while ``hi`` is infinite (doubling) and ``(lo + hi) / 2``
+    otherwise (halving while ``lo`` is 0, bisecting after); each answer
+    moves one end.  Before a step a cell ends, on the scalar walk's tests in
+    its order, at the floor (it would halve below ``M_MIN``), at the cap (it
+    would double past ``M_CAP``) or settled (a finite bracket within
+    tolerance), so no cell outlives the scalar walk's bound on calls.  Step
+    ``t`` asks each set one batch of its open cells' rows, each divided by
+    its cell's scale, so every open cell has made ``t`` calls.  Returns, per
+    set, a ``GaugeResult`` per row, and ``None`` for the zero rows, which
+    ask the same point at every scale and are left to ``minkowski_gauge``.
     """
     B = len(X)
     out = [[None] * B for _ in sets]
@@ -288,15 +267,12 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
         cap = unbounded & (m > M_CAP)
         settled = (l > 0.0) & ~unbounded & (h - l <= np.maximum(opts.tol_abs, opts.tol_rel * h))
         done = floor | cap | settled
-        ended = done | (t >= MAX_ORACLE_CALLS)
-        if ended.any():
-            for c, d, a, b in zip(cell[ended].tolist(), done[ended].tolist(),
-                                  np.where(cap, M_CAP, l)[ended].tolist(),
-                                  np.where(floor, M_MIN, h)[ended].tolist()):
+        if done.any():
+            for c, a, b in zip(cell[done].tolist(), np.where(cap, M_CAP, l)[done].tolist(),
+                               np.where(floor, M_MIN, h)[done].tolist()):
                 j, i = divmod(c, B)
-                out[j][i] = (_result(sets[j], X[i], a, b, t) if d
-                             else _budget_error(MAX_ORACLE_CALLS, (a, b)))
-            keep = ~ended
+                out[j][i] = _result(sets[j], X[i], a, b, t)
+            keep = ~done
             cell, rows, l, h, m = cell[keep], rows[keep], l[keep], h[keep], m[keep]
             if not cell.size:
                 break
@@ -324,7 +300,8 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     correspondences: star-shaped + radially bounded at non-constants +
     stable under scalar addition yields a deviation measure; convexity of
     the set yields convexity (and with star-shapedness sub-linearity) of the
-    gauge.
+    gauge.  The functional answers one position with ``minkowski_gauge``
+    and a ``(B, n)`` batch with ``gauge_table``.
     """
     f = A.flags
     admissible = (
@@ -342,8 +319,11 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
         lower_range_dominated=None,
     )
 
-    def evaluate(space: MarketSpace, x) -> float:
-        return minkowski_gauge(A, x, opts).value
+    def evaluate(space: MarketSpace, x: np.ndarray):
+        if x.ndim == 1:
+            return minkowski_gauge(A, x, opts).value
+        [column] = gauge_table([A], x, opts)
+        return np.array([res.value for res in column])
 
     return DeviationFunctional(
         label=f"gauge({A.label})" if A.label else "gauge",
@@ -370,9 +350,15 @@ def shift_infimum_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTION
     ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
     """
     x = as_position(A.space, x)
-    best_c = _minimise_shift(lambda c: minkowski_gauge(A, x - c, opts).value, A.space, x,
-                             convex=A.flags.convex is True)
-    result = minkowski_gauge(A, x - best_c, opts)
+    solved: dict[float, GaugeResult] = {}
+
+    def value(c: float) -> float:
+        if c not in solved:
+            solved[c] = minkowski_gauge(A, x - c, opts)
+        return solved[c].value
+
+    best_c = _minimise_shift(value, A.space, x, convex=A.flags.convex is True)
+    result = solved[best_c]
     return ShiftGaugeResult(value=result.value, shift=best_c, gauge=result)
 
 
@@ -405,33 +391,26 @@ def _minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool) -> float
     unless the search finds a smaller one.  The search runs over the data
     range padded by ``max(1, range)``: golden-section for a convex ``f``,
     otherwise a uniform scan of ``SHIFT_SCAN_POINTS`` shifts with golden
-    refinement around the best cell.  ``f`` is evaluated once per distinct
-    shift.
+    refinement around the best cell.  ``f`` is asked again at shifts it
+    has seen, so it should cache its values.
     """
     lo_x, hi_x = float(np.min(x)), float(np.max(x))
     pad = max(1.0, hi_x - lo_x)
     lo_c, hi_c = lo_x - pad, hi_x + pad
 
-    cache: dict[float, float] = {}
-
-    def value(c: float) -> float:
-        if c not in cache:
-            cache[c] = f(c)
-        return cache[c]
-
     candidates = {float(v) for v in x}
     candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
-    best = min(candidates, key=value)
+    best = min(candidates, key=f)
 
     if convex:
-        found = [_golden(value, lo_c, hi_c)]
+        found = [_golden(f, lo_c, hi_c)]
     else:
         grid = np.linspace(lo_c, hi_c, SHIFT_SCAN_POINTS)
-        i = int(np.argmin([value(float(c)) for c in grid]))
+        i = int(np.argmin([f(float(c)) for c in grid]))
         a = float(grid[max(0, i - 1)])
         b = float(grid[min(SHIFT_SCAN_POINTS - 1, i + 1)])
-        found = [_golden(value, a, b), float(grid[i])]
+        found = [_golden(f, a, b), float(grid[i])]
     for c in found:
-        if value(c) < value(best):
+        if f(c) < f(best):
             best = c
     return best

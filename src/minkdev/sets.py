@@ -100,22 +100,21 @@ class AcceptanceSet:
 # ---------------------------------------------------------------------------
 
 def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> AcceptanceSet:
-    """Sub-level set ``{ x : D(x) <= k }`` of a functional at level ``k > 0``.
+    """Sub-level set ``{ x : D(x) <= k }`` of a ``DeviationFunctional`` at
+    level ``k > 0``.
 
-    ``functional`` is any object with ``eval(space, x) -> float`` and an
-    ``axioms`` record (see :mod:`minkdev.deviations`); its axioms decide the
-    flags via the standard sub-level correspondences: positive homogeneity
-    (any positive degree) gives star-shapedness, translation insensitivity
-    gives stability under scalar addition, nonnegativity of the functional
-    gives radial boundedness at non-constants and ``0`` membership.
-    Non-finite functional values are treated as non-membership.  A batch is
-    answered in one call when the functional declares ``rowwise``;
-    membership is always decided by evaluating the functional.
+    The functional's axioms decide the flags via the standard sub-level
+    correspondences: positive homogeneity (any positive degree) gives
+    star-shapedness, translation insensitivity gives stability under scalar
+    addition, nonnegativity of the functional gives radial boundedness at
+    non-constants and ``0`` membership.  Non-finite functional values are
+    treated as non-membership.  Membership is always decided by evaluating
+    the functional, which answers a batch of rows in one call.
     """
     if not (k > 0.0) or not math.isfinite(k):
         raise SetError(f"sub-level threshold must be finite and positive, got {k}")
     ax = functional.axioms
-    degree = getattr(functional, "homogeneity_degree", None)
+    degree = functional.homogeneity_degree
 
     def member(x: np.ndarray):
         v = functional.eval(space, x)
@@ -134,8 +133,8 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
         space=space,
         membership=member,
         flags=flags,
-        label=label or f"sublevel({getattr(functional, 'label', 'D')}, {k:g})",
-        row_membership=member if getattr(functional, "rowwise", False) else None,
+        label=label or f"sublevel({functional.label}, {k:g})",
+        row_membership=member,
     )
 
 

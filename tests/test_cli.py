@@ -96,8 +96,8 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, tol):
 
 @pytest.mark.parametrize("command", ["eval", "boundary"])
 def test_tolerance_of_machine_epsilon_is_accepted(tmp_path, command):
-    # the smallest tolerance bisection can reach: below it a bracket never
-    # settles and every cell spends its whole oracle budget
+    # the smallest tolerance bisection can reach: below it a bracket of two
+    # adjacent floats would never settle
     doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0])
     scenario = write(tmp_path, "s.json", doc)
     out = tmp_path / "out"

@@ -6,8 +6,9 @@ counts as referenced when a ``Name``, an ``Attribute`` or an import in
 ``src/minkdev/*.py`` or ``benchmarks/*.py`` names it.  The package's
 ``__init__.py`` does not count: an export that nothing runs is dead.  An
 annotated field of a top-level class counts as used when that code names it
-as an attribute or as a keyword argument.  Tests do not count either: code
-that only its own tests call is dead.
+as an attribute or as a keyword argument, and a public module-level
+constant when that code reads it.  Tests do not count either: code that
+only its own tests call is dead.
 """
 
 import ast
@@ -89,3 +90,28 @@ def test_every_public_definition_runs():
     assert dead == []
     # an allowlisted definition that gained a caller, or was deleted, leaves the list
     assert set(ALLOWED) <= {name for _, name in defined} - referenced
+
+
+def _constants(tree: ast.Module):
+    """Names of the public module-level constants of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_public_constant_is_read_by_library_or_benchmark_code():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY + BENCHMARKS}
+    constants = [(path.stem, name) for path in LIBRARY if path.name != "__init__.py"
+                 for name in _constants(trees[path])]
+    read = set().union(*(_reads(tree) for path, tree in trees.items() if path.name != "__init__.py"))
+    assert constants
+    assert [f"{module}.{name}" for module, name in constants if name not in read] == []

@@ -1,5 +1,6 @@
-"""Gauge solvers: extended-real semantics, brackets, budgets."""
+"""Gauge solvers: extended-real semantics, brackets, the bound on oracle calls."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from minkdev import gauge
 from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.gauge import (
     GaugeOptions,
-    OracleBudgetError,
     deviation_from_set,
     gauge_table,
     minkowski_gauge,
@@ -100,27 +100,6 @@ def test_boundary_point_and_attainment():
     assert A.membership(x / (res.value * (1 + 1e-6)))
 
 
-def test_oracle_budget_raises_with_bracket(monkeypatch):
-    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 5)
-    A = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(A, np.array([3.0, 1.0, -2.0]))
-    assert exc.value.bracket[0] < exc.value.bracket[1]
-
-
-@pytest.mark.parametrize("budget", [6, 12, 30])
-def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget, monkeypatch):
-    A = ball_set(UNIFORM3, p=2.0, radius=1.0)
-    x = np.array([3.0, 1.0, -2.0])
-    want = math.sqrt(float(UNIFORM3.probs @ (x * x)))
-    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
-    with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(A, x)
-    lo, hi = exc.value.bracket
-    assert gauge.M_MIN < lo <= want <= hi < gauge.M_CAP
-    assert hi - lo <= 1.0
-
-
 @pytest.mark.parametrize("tols", [dict(tol_rel=math.nan), dict(tol_abs=math.nan),
                                   dict(tol_rel=math.inf), dict(tol_abs=math.inf),
                                   dict(tol_abs=-1e-12), dict(tol_rel=0.0, tol_abs=0.0),
@@ -128,9 +107,9 @@ def test_oracle_budget_bracket_is_live_and_contains_the_gauge(budget, monkeypatc
                          ids=["nan_rel", "nan_abs", "inf_rel", "inf_abs", "negative_abs",
                               "zero", "below_eps"])
 def test_options_reject_tolerances_bisection_cannot_meet(tols):
-    # with a NaN tolerance the scalar search stops at once (max drops it)
-    # and the table runs to the budget (np.maximum keeps it); with 0 both
-    # run to the budget
+    # with a NaN tolerance the scalar walk stops at once (max drops it)
+    # and the table never stops (np.maximum keeps it); with 0 neither stops
+    # once the bracket is two adjacent floats
     with pytest.raises(ValueError):
         GaugeOptions(**tols)
 
@@ -216,6 +195,113 @@ def test_no_solve_asks_the_same_scale_twice(path):
         res = minkowski_gauge(A, x, TIGHT)
         assert len(asked) == res.oracle_calls
         assert len(set(asked)) == len(asked)
+
+
+# --- the bound on oracle calls ------------------------------------------------
+
+#: The tightest tolerance ``GaugeOptions`` accepts, where bisection runs longest.
+FINEST = GaugeOptions(tol_rel=gauge.EPS, tol_abs=0.0)
+
+#: A direction of sup norm 1: with the oracle ``max|z| <= 1``, the gauge of
+#: ``g * RAY`` is ``g``.
+RAY = np.array([1.0, -0.5, 0.25])
+
+
+def _most_calls(grid: bool) -> int:
+    """The most membership calls one walk can make, from the module's
+    constants (the ``gauge`` docstring derives it)."""
+    steps = math.ceil(math.log2(gauge.M_CAP)) - 1                # doublings
+    assert steps == math.ceil(-math.log2(gauge.M_MIN)) - 1       # and halvings
+    if not grid:
+        # ask 1, double or halve, then bisect [2^(k-1), 2^k]: 1 / EPS float gaps
+        return 1 + steps + math.ceil(math.log2(1.0 / gauge.EPS))
+    scales = int(gauge.RAY_GRID * (math.log10(gauge.M_CAP) - math.log10(gauge.M_MIN)))
+    ratio = (gauge.M_CAP / gauge.M_MIN) ** (1.0 / (scales - 1))
+    # scan every scale, then bisect a cell of fewer than 2 (ratio - 1) / EPS gaps
+    return scales + math.ceil(math.log2(2.0 * (ratio - 1.0) / gauge.EPS))
+
+
+def _hashed(seed):
+    """Seeded coin flips, one per point asked, the same alone and in a batch."""
+    def member(Z):
+        rows = np.reshape(Z, (-1, Z.shape[-1]))
+        bits = [hashlib.sha256(seed.to_bytes(2, "little") + z.tobytes()).digest()[0] & 1
+                for z in rows]
+        return np.array(bits, dtype=bool).reshape(Z.shape[:-1])
+    return member
+
+
+def _alternating():
+    """Member on every other call, whatever is asked."""
+    calls = []
+
+    def member(Z):
+        calls.append(1)
+        return np.full(Z.shape[:-1], len(calls) % 2 == 0)
+    return member
+
+
+def _keeps_the_larger_half(lo, hi):
+    """The slowest answers for the ray ``RAY``: a threshold at scale ``hi``
+    until the walk brackets ``[lo, hi]``, then, at each midpoint, the answer
+    that leaves the larger half open (the lower half on a tie)."""
+    bracket = [None, None]
+
+    def member(Z):
+        z0 = np.ravel(Z)[0]                      # 1 / m, the scale asked
+        if None in bracket:
+            hit = bool(z0 <= 1.0 / hi)
+            if z0 == 1.0 / (hi if hit else lo):
+                bracket[hit] = hi if hit else lo
+            return np.full(Z.shape[:-1], hit)
+        a, b = bracket
+        m = 0.5 * (a + b)
+        assert z0 == 1.0 / m                     # the walk asks the midpoint
+        hit = m - a >= b - m
+        bracket[hit] = m
+        return np.full(Z.shape[:-1], hit)
+    return member
+
+
+def _adversaries(grid: bool):
+    """``(oracle, X)`` pairs: threshold sets whose gauges sweep past both ends
+    of ``[M_MIN, M_CAP]``, always and never members, alternating and
+    seeded-random answers, and the slowest answers in the cell bisected
+    last."""
+    k = np.arange(-40, 41, 13 if grid else 1)
+    rng = np.random.default_rng(24)
+    gauges = np.concatenate([1.5 * 2.0 ** k, 2.0 ** k * (1.0 + 2.0 ** -40),
+                             [gauge.M_MIN, gauge.M_CAP], np.exp(rng.uniform(-30.0, 30.0, 8))])
+    yield (lambda Z: np.max(np.abs(Z), axis=-1) <= 1.0), np.outer(gauges, RAY)
+    X = np.outer(np.exp(rng.uniform(-30.0, 30.0, 6)), RAY)
+    yield (lambda Z: np.ones(Z.shape[:-1], dtype=bool)), X
+    yield (lambda Z: np.zeros(Z.shape[:-1], dtype=bool)), X
+    yield _alternating(), X
+    for seed in range(4):
+        yield _hashed(seed), X
+    # the cell bisected last: the scan's top cell, or the last doubling's
+    scanned = []
+    gauge._grid_scan(lambda m: scanned.append(m))
+    cell = tuple(scanned[-2:]) if grid else (2.0 ** 38, 2.0 ** 39)
+    yield _keeps_the_larger_half(*cell), RAY[None, :]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "lockstep_one_row", "lockstep", "scalar_grid"])
+def test_every_walk_ends_within_the_call_bound(engine):
+    grid = engine.endswith("grid")
+    assert _most_calls(grid) == (1585 if grid else 92)          # the figures the docstring gives
+    flags = SetFlags() if grid else SetFlags(star_shaped=True)
+    calls = []
+    for member, X in _adversaries(grid):
+        A = AcceptanceSet(space=UNIFORM3, membership=member, flags=flags, row_membership=member)
+        if engine == "lockstep":
+            [column] = gauge._lockstep([A], X, FINEST)
+        elif engine == "lockstep_one_row":
+            column = [gauge._lockstep([A], x[None, :], FINEST)[0][0] for x in X]
+        else:
+            column = [minkowski_gauge(A, x, FINEST) for x in X]
+        calls += [res.oracle_calls for res in column]
+    assert max(calls) == _most_calls(grid)      # within the bound, which is reached
 
 
 # --- gauge table ---------------------------------------------------------------
@@ -332,43 +418,6 @@ def test_table_validates_rows():
     assert gauge_table([], np.ones((2, 4))) == []
 
 
-def _first_budget_error(sets, X, opts):
-    """The error solving cell by cell, row by row, raises first."""
-    for i, x in enumerate(X):
-        for j, A in enumerate(sets):
-            try:
-                minkowski_gauge(A, x, opts)
-            except OracleBudgetError as exc:
-                return (i, j), str(exc), exc.bracket
-    return None
-
-
-def test_table_budget_error_is_the_first_cell_in_position_major_order(monkeypatch):
-    rng = np.random.default_rng(13)
-    ball = ball_set(SPACE4, p=3.0)
-    user = AcceptanceSet(space=SPACE4, membership=lambda x: bool(ball.membership(x)),
-                         flags=ball.flags)                          # scalar path
-    small = ball_set(SPACE4, p=2.0, radius=1e-3)                 # more doubling steps
-    sets = [sublevel_set(SPACE4, builtin_deviation("esd", alpha=0.25), 1.0), user, small]
-    opts = GaugeOptions()
-    seen = set()
-    for _ in range(3):
-        X = np.vstack([_positions(rng, 3, 4), np.full(4, 1.5)])    # and a constant row
-        for budget in (0, 36, 38, 40, 44, 48, 60):
-            monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
-            want = _first_budget_error(sets, X, opts)
-            if want is None:
-                _assert_table_equals_cells(sets, X, opts)
-                continue
-            cell, message, bracket = want
-            seen.add(cell)
-            with pytest.raises(OracleBudgetError) as exc:
-                gauge_table(sets, X, opts)
-            assert (str(exc.value), exc.value.bracket) == (message, bracket), cell
-    # batched and scalar-path cells, in the first row and in later ones, raise first
-    assert {j for _, j in seen} == {0, 1, 2} and {i for i, _ in seen} > {0}
-
-
 def test_table_never_asks_a_finished_row_again():
     ball = ball_set(UNIFORM3, p=2.0)
     batches = []
@@ -412,29 +461,20 @@ def test_table_at_machine_epsilon_as_the_cli_builds_it():
 
 
 def test_table_cells_floor_cap_settle_and_run_out_on_one_step(monkeypatch):
-    # scale range [1/8, 8], budget 4: every cell asks 4 scales, then the
-    # 0.01 row would halve below the floor, the 100 row double past the cap,
-    # the 1.3 row has narrowed to [1.25, 1.5], within tol_abs, and the 3.3
-    # row, at [3, 4], needs a fifth call
+    # scale range [1/8, 8]: after 4 scales the 0.01 row would halve below
+    # the floor, the 100 row double past the cap, and the 1.3 row has
+    # narrowed to [1.25, 1.5], within tol_abs
     monkeypatch.setattr(gauge, "M_MIN", 0.125)
     monkeypatch.setattr(gauge, "M_CAP", 8.0)
-    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", 4)
     opts = GaugeOptions(tol_rel=1e-10, tol_abs=0.25)
     ball = ball_set(UNIFORM3, p=2.0)
     d = np.array([3.0, 1.0, -2.0])
     d /= math.sqrt(float(UNIFORM3.probs @ (d * d)))             # gauge 1
-    X = np.outer([0.01, 100.0, 1.3, 3.3], d)
+    X = np.outer([0.01, 100.0, 1.3], d)
     [column] = gauge._lockstep([ball], X, opts)
-    floor, cap, settled, spent = column
-    for res, x in zip(column[:3], X):
+    for res, x in zip(column, X):
         assert res.oracle_calls == 4 and _same(res, minkowski_gauge(ball, x, opts))
-    assert (floor.bracket, cap.bracket, settled.bracket) == ((0.0, 0.125), (8.0, math.inf),
-                                                             (1.25, 1.5))
-    with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(ball, X[3], opts)
-    assert isinstance(spent, OracleBudgetError)
-    assert (str(spent), spent.bracket) == (str(exc.value), exc.value.bracket) == \
-        ("oracle budget of 4 calls exhausted", (3.0, 4.0))
+    assert [res.bracket for res in column] == [(0.0, 0.125), (8.0, math.inf), (1.25, 1.5)]
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1e-3, 1.0, 7.5, 1e13])   # floor, bisect, cap
@@ -454,25 +494,6 @@ def test_scalar_walk_asks_the_scales_of_a_one_row_lockstep_table(scale):
         asked.clear()
         [[cell]] = gauge._lockstep([A], x[None, :], opts)
         assert asked == scalar and _same(cell, res)
-
-
-@pytest.mark.parametrize("budget", [1, 100])
-def test_budget_spent_in_a_grid_scan_raises_with_the_live_bracket(budget, monkeypatch):
-    ball = ball_set(UNIFORM3, p=2.0)
-    blank = AcceptanceSet(space=UNIFORM3, membership=ball.membership, flags=SetFlags())
-    x = np.array([3.0, 1.0, -2.0])                    # gauge about 2.2
-    monkeypatch.setattr(gauge, "MAX_ORACLE_CALLS", budget)
-    scanned = []
-
-    def never_a_member(m):
-        scanned.append(m)
-        return False
-    gauge._grid_scan(never_a_member)                  # the scan's order of scales
-    with pytest.raises(OracleBudgetError) as exc:
-        minkowski_gauge(blank, x)
-    m = scanned[budget - 1]                           # the last scale asked
-    # the scan goes up through non-members
-    assert exc.value.bracket == (m, math.inf)
 
 
 K = gauge.LOCKSTEP_MIN_CELLS
@@ -562,6 +583,10 @@ def test_deviation_from_set_propagates_axioms():
     for _ in range(10):
         x = rng.uniform(-4, 4, size=4)
         assert D.eval(SPACE4, x) == pytest.approx(sd.eval(SPACE4, x), abs=1e-8)
+    for rows in (3, K + 4):                           # cell by cell, and lockstep
+        X = rng.uniform(-4, 4, size=(rows, 4))
+        got = D.eval(SPACE4, X)
+        assert isinstance(got, np.ndarray) and got.tolist() == [D.eval(SPACE4, x) for x in X]
 
 
 def test_shift_infimum_matches_add_constants_route():
@@ -609,3 +634,21 @@ def test_shift_infimum_of_ball_is_std_dev():
         assert res.value == pytest.approx(sd.eval(SPACE4, x), abs=1e-8)
         # the optimal shift for the L2 ball is the mean
         assert res.shift == pytest.approx(float(SPACE4.probs @ x), abs=1e-4)
+
+
+def test_shift_search_solves_each_shifted_position_once(monkeypatch):
+    solved = []
+
+    def recording(A, x, opts=gauge.DEFAULT_OPTIONS):
+        solved.append(x.tobytes())
+        return minkowski_gauge(A, x, opts)
+    monkeypatch.setattr(gauge, "minkowski_gauge", recording)
+    ball = ball_set(SPACE4, p=2.0, radius=1.0)
+    scanned = replace(ball, flags=replace(ball.flags, convex=None))   # scan, then golden
+    rng = np.random.default_rng(25)
+    for A in (ball, scanned):
+        for _ in range(5):
+            solved.clear()
+            res = shift_infimum_gauge(A, rng.uniform(-4, 4, size=4), TIGHT)
+            assert len(solved) > 30 and len(set(solved)) == len(solved)
+            assert res.value == res.gauge.value

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minkdev.deviations import DeviationFunctional, MeasureError, builtin_deviation, builtin_error
+from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.duality import Polytope
 from minkdev.gauge import minkowski_gauge
 from minkdev.market import MarketSpace
@@ -71,11 +71,6 @@ def ref_law_invariant_hull(A, x):
     return all(inner(x[list(p)]) for p in itertools.permutations(range(x.size)))
 
 
-def scalar_only(E):
-    """``E`` as a functional that does not declare ``rowwise``."""
-    return DeviationFunctional(label=E.label, eval_fn=E.eval_fn, axioms=E.axioms)
-
-
 def asymmetric_polytope(space, seed=5):
     """Unequal coordinate bounds plus random facets: 0 inside, no symmetry."""
     rng = np.random.default_rng(seed)
@@ -111,11 +106,6 @@ def test_leaves_declare_row_oracles():
               ball_set(SPACE4, p=3.0), asymmetric_polytope(SPACE4),
               vertex_form.as_acceptance_set()):
         assert A.row_membership is A.membership
-    # a scalar-only functional's sub-level set gets the row-by-row loop
-    scalar = sublevel_set(SPACE4, scalar_only(builtin_error("lp_norm", p=2.0)), 1.0)
-    assert scalar.row_membership is not scalar.membership
-    X = positions(SPACE4, 20, seed=10)
-    assert scalar.row_membership(X).tolist() == [bool(scalar.membership(x)) for x in X]
 
 
 @pytest.mark.parametrize("make", [
@@ -279,7 +269,6 @@ def test_composites_over_a_replaced_membership_answer_as_over_the_set(hull):
 @pytest.mark.parametrize("space", [SPACE4, UNIFORM3, MarketSpace(np.array([0.25, 0.75]))],
                          ids=["space4", "uniform3", "binary"])
 def test_closed_forms_row_by_row_equal_single_positions(D, space):
-    assert D.rowwise
     X = positions(space, 100, seed=8)
     X[0] = 0.0                                 # a constant row and ties
     X[1] = X[1, 0]
@@ -296,12 +285,6 @@ def test_closed_forms_row_by_row_equal_single_positions(D, space):
 def test_error_measures_row_by_row_equal_single_positions(E):
     X = positions(SPACE4, 100, seed=9)
     assert np.array_equal(E.eval(SPACE4, X), [E.eval(SPACE4, x) for x in X])
-
-
-def test_scalar_only_functional_refuses_a_batch():
-    D = scalar_only(builtin_error("kb", alpha=0.1))
-    with pytest.raises(MeasureError):
-        D.eval(SPACE4, np.zeros((2, 4)))
 
 
 def test_batched_sublevel_set_still_bisects():
