@@ -115,6 +115,35 @@ class Polytope:
             inside = hull_membership_lp(self.vertices, x)
         return inside if x.ndim > 1 else bool(inside)
 
+    def _shift_interval(self, x):
+        """The constants ``c`` with ``x - c`` in a halfspace-form polytope.
+
+        Facet ``i`` holds at ``x - c`` iff ``c * s_i >= <row_i, x> - rhs_i -
+        slack``, where ``s_i = <row_i, 1>`` and ``slack`` is ``contains``'s
+        slack at its default tolerance, taken at ``x``.  Each facet bounds
+        ``c`` from below (``s_i > 0``) or above (``s_i < 0``), or holds for
+        every ``c`` or none (``s_i = 0``).  Returns ``(lo, hi)``, one bound
+        per position of ``x`` (``(n,)`` or ``(B, n)``); the interval is empty
+        when ``lo > hi``.  The pairings are summed as ``_facet_values`` sums
+        them, so each row of a batch gets the bits it gets alone.
+        """
+        W, s = self._shift_rows
+        x = np.asarray(x, dtype=float)
+        slack = 1e-13 + 1e-9 * np.max(np.abs(x), axis=-1, initial=0.0)
+        excess = _facet_values(x, W) - self.rhs - slack[..., None]
+        bound = excess / np.where(s == 0.0, 1.0, s)
+        lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
+        hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)
+        blocked = np.any((s == 0.0) & (excess > 0.0), axis=-1)
+        return np.where(blocked, math.inf, lo), hi
+
+    @functools.cached_property
+    def _shift_rows(self):
+        """Plain-coordinate facet normals ``W`` of the halfspace form and
+        their sums ``s = W 1``, for ``_shift_interval``."""
+        W = self.rows * self.space.probs
+        return W, _facet_values(np.ones(self.space.n), W)
+
     @functools.cached_property
     def _hull_facets(self):
         """Facet form of conv(vertices) via the standard Euclidean hull.
@@ -143,7 +172,8 @@ class Polytope:
 
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
         """View the polytope as a (closed convex) acceptance set; in both
-        forms one function answers a position or a batch."""
+        forms one function answers a position or a batch.  The halfspace
+        form also gives the set its ``shift_interval``."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -156,7 +186,8 @@ class Polytope:
         )
         member = lambda x: self.contains(x)
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
-                             label=label or "polytope", row_membership=member)
+                             label=label or "polytope", row_membership=member,
+                             shift_interval=self._shift_interval if self.rows is not None else None)
 
 
 def _facet_values(x: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -20,14 +20,22 @@ function that answers both shapes in one call; any other set, a
 user-built one or a composite that fans one query out, is given at
 construction a ``row_membership`` that asks ``membership`` row by row.
 ``scale_set`` and ``combine`` pass batches through to their operands'
-``row_membership``.  The fan-out composites — ``add_constants``,
-``star_hull`` and ``law_invariant_hull`` — answer each query with one
-batch to their inner set's ``row_membership`` (two for ``add_constants``:
-the candidate shifts, then the shift grid only if no candidate is a
-member); a fan-out nested in another is asked every row of that batch,
-one at a time.  ``minkowski_gauge`` asks ``membership`` one position at
-a time; ``gauge.gauge_table`` asks ``row_membership`` one batch of rows
-per bisection step when its table is large enough.
+``row_membership``.
+
+The fan-out composites — ``add_constants``, ``star_hull`` and
+``law_invariant_hull`` — answer exactly, with no fan-out, where the
+geometry allows.  ``star_hull`` of a set declared star-shaped and
+``law_invariant_hull`` of a set declared law-invariant are that set, so
+they answer with its own oracles.  ``add_constants`` over a set with a
+``shift_interval`` (halfspace polytopes, balls with ``p = 2`` or
+``p = inf``) answers a position or a batch with one call to it.
+Otherwise each query is one batch to the inner set's ``row_membership``:
+the scale grid, the permutation orbit, or the candidate shifts, followed
+by the shift grid only if no candidate is a member; a fan-out nested in
+another is asked every row of that batch, one at a time.
+``minkowski_gauge`` asks ``membership`` one position at a time;
+``gauge.gauge_table`` asks ``row_membership`` one batch of rows per
+bisection step when its table is large enough.
 """
 
 from __future__ import annotations
@@ -79,7 +87,12 @@ class AcceptanceSet:
     is never ``None``.  A copy made with ``dataclasses.replace`` keeps the
     ``row_membership`` it was built with: replacing ``membership`` alone (a
     wrapper written for one position, say) never hands the wrapper a batch.
-    Replace both to change what the set contains.
+    Replace both, and ``shift_interval``, to change what the set contains.
+
+    ``shift_interval``, when given, answers a position ``(n,)`` or a batch
+    ``(B, n)`` with ``(lo, hi)``, per row the closed interval of constants
+    ``c`` with ``x - c`` in the set (empty when ``lo > hi``); it is how
+    ``add_constants`` answers exactly.
     """
 
     space: MarketSpace
@@ -87,6 +100,7 @@ class AcceptanceSet:
     flags: SetFlags = field(default_factory=SetFlags)
     label: str = ""
     row_membership: Callable[[np.ndarray], np.ndarray] | None = None
+    shift_interval: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.row_membership is None:
@@ -218,24 +232,48 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     """The Minkowski sum ``A + R`` of a set with the constants line.
 
     The membership question "is there a constant ``c`` with ``x - c in A``"
-    has the same answer for ``x`` and for its centred ``x - E[x]``, so the
-    search runs over shifts of the centred position, whatever the level of
-    ``x``; constants are members at every scale.  It probes deterministic
-    candidate shifts (the entries, mean, median and midrange — exact
-    minimisers for the piecewise-linear and quadratic families) followed by
-    a uniform grid of ``SHIFT_GRID_POINTS`` shifts centred on the midrange,
-    of radius ``max(1, 2 * range of x)``.  One query asks ``A`` about all
-    candidate shifts in one batch, and about the shift grid in a second
-    batch only when no candidate is a member.
+    has the same answer for ``x`` and for its centred ``x - E[x]``, so it is
+    asked of the centred position, whatever the level of ``x``; constants
+    are members at every scale.
 
     A set declared ``stable_scalar_add`` already contains every shift of its
     members, so ``A + R = A``: it is returned with its own oracles and flags,
-    relabelled.
+    relabelled.  Over a set with a ``shift_interval`` the answer is exact:
+    ``x`` is a member iff the interval of its centred position is not
+    empty, one call for a position or a whole batch.
+
+    Over any other set the search probes deterministic candidate shifts (the
+    entries, mean, median and midrange — exact minimisers for the
+    piecewise-linear and quadratic families) followed by a uniform grid of
+    ``SHIFT_GRID_POINTS`` shifts centred on the midrange, of radius
+    ``max(1, 2 * range of x)``.  One query asks ``A`` about all candidate
+    shifts in one batch, and about the shift grid in a second batch only
+    when no candidate is a member.
     """
     label = f"({A.label})+R" if A.label else ""
     if A.flags.stable_scalar_add is True:
         return replace(A, label=label)
     space = A.space
+    interval = A.shift_interval
+    flags = SetFlags(
+        star_shaped=A.flags.star_shaped if A.flags.star_shaped is True else None,
+        convex=A.flags.convex,
+        closed=None,
+        stable_scalar_add=True,
+        radially_bounded_nonconst=None,
+        law_invariant=A.flags.law_invariant,
+        contains_zero=True if A.flags.contains_zero is True else None,
+    )
+
+    if interval is not None:
+        def exact(X: np.ndarray):
+            # the mean summed over the last axis: one row gets the bits it gets alone
+            lo, hi = interval(X - np.sum(space.probs * X, axis=-1, keepdims=True))
+            inside = lo <= hi
+            return inside if np.ndim(inside) else bool(inside)
+
+        return AcceptanceSet(space=space, membership=exact, flags=flags, label=label,
+                             row_membership=exact)
 
     def any_member(x: np.ndarray, shifts: np.ndarray) -> bool:
         return bool(A.row_membership(x - shifts[:, None]).any())
@@ -250,15 +288,6 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
         radius = max(1.0, 2.0 * (hi - lo))
         return any_member(x, np.linspace(mid - radius, mid + radius, SHIFT_GRID_POINTS))
 
-    flags = SetFlags(
-        star_shaped=A.flags.star_shaped if A.flags.star_shaped is True else None,
-        convex=A.flags.convex,
-        closed=None,
-        stable_scalar_add=True,
-        radially_bounded_nonconst=None,
-        law_invariant=A.flags.law_invariant,
-        contains_zero=True if A.flags.contains_zero is True else None,
-    )
     return AcceptanceSet(space=space, membership=member, flags=flags, label=label)
 
 
@@ -269,19 +298,25 @@ STAR_HULL_LAM_MIN = 1e-6
 def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     """The star hull ``st(A) = [0, 1] A``.
 
-    Membership of ``z != 0`` holds iff some ``lam in (0, 1]`` has
+    A set declared star-shaped is its own star hull, so ``st(A)`` answers
+    with ``A``'s own ``membership`` and ``row_membership``.  Otherwise
+    membership of ``z != 0`` holds iff some ``lam in (0, 1]`` has
     ``z / lam in A``; the search scans a geometric grid of ``resolution``
     points on ``[STAR_HULL_LAM_MIN, 1]``, asked of ``A`` as one batch.
     Membership of ``0`` falls back to ``0 in A``.
     """
     if resolution < 2:
         raise SetError(f"star hull resolution must be at least 2, got {resolution}")
-    grid = np.geomspace(STAR_HULL_LAM_MIN, 1.0, resolution)[:, None]
+    if A.flags.star_shaped is True:
+        member, rows = A.membership, A.row_membership
+    else:
+        grid = np.geomspace(STAR_HULL_LAM_MIN, 1.0, resolution)[:, None]
+        rows = None
 
-    def member(z: np.ndarray) -> bool:
-        if not np.any(z):
-            return A.membership(z)
-        return bool(A.row_membership(z / grid).any())
+        def member(z: np.ndarray) -> bool:
+            if not np.any(z):
+                return A.membership(z)
+            return bool(A.row_membership(z / grid).any())
 
     flags = SetFlags(
         star_shaped=True,
@@ -297,6 +332,7 @@ def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
         membership=member,
         flags=flags,
         label=f"st({A.label})" if A.label else "",
+        row_membership=rows,
     )
 
 
@@ -320,13 +356,19 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     A position belongs iff every outcome permutation of it belongs to ``A``.
     Requires uniform probabilities (permutations preserve the law only then)
     and a small outcome count so the full orbit can be enumerated; the orbit
-    is asked of ``A`` as one ``(n!, n)`` batch.
+    is asked of ``A`` as one ``(n!, n)`` batch.  A set declared
+    law-invariant is its own hull, so the hull then answers with ``A``'s
+    own ``membership`` and ``row_membership`` (the requirements still hold).
     """
     space = A.space
     perms = _permutations(space, "law-invariant hull")
+    if A.flags.law_invariant is True:
+        member, rows = A.membership, A.row_membership
+    else:
+        rows = None
 
-    def member(x: np.ndarray) -> bool:
-        return bool(A.row_membership(x[perms]).all())
+        def member(x: np.ndarray) -> bool:
+            return bool(A.row_membership(x[perms]).all())
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped,
@@ -342,11 +384,18 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
         membership=member,
         flags=flags,
         label=f"lawhull({A.label})" if A.label else "",
+        row_membership=rows,
     )
 
 
 def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, label: str = "") -> AcceptanceSet:
-    """Probability-weighted ``L^p`` ball ``{ x : ||x - center||_p <= radius }``."""
+    """Probability-weighted ``L^p`` ball ``{ x : ||x - center||_p <= radius }``.
+
+    For ``p = inf`` and ``p = 2`` the ball has a ``shift_interval``: with
+    ``y = x - center``, the shifts ``c`` with ``||y - c||_p <= radius`` are
+    ``[max(y) - radius, min(y) + radius]`` and
+    ``E[y] +- sqrt(radius^2 - Var(y))``.
+    """
     if not (radius > 0.0) or not math.isfinite(radius):
         raise SetError(f"radius must be finite and positive, got {radius}")
     c = np.zeros(space.n) if center is None else market.as_position(space, center)
@@ -354,6 +403,18 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
 
     def member(x: np.ndarray):
         return market.lp_norm(space, x - c, p) <= radius
+
+    def sup_interval(x: np.ndarray):
+        y = x - c
+        return np.max(y, axis=-1) - radius, np.min(y, axis=-1) + radius
+
+    def l2_interval(x: np.ndarray):
+        y = x - c
+        mean = np.sum(space.probs * y, axis=-1, keepdims=True)
+        room = radius ** 2 - np.sum(space.probs * (y - mean) ** 2, axis=-1)
+        half = np.sqrt(np.maximum(room, 0.0))
+        mean = mean[..., 0]
+        return np.where(room < 0.0, math.inf, mean - half), mean + half
 
     flags = SetFlags(
         star_shaped=True if centered_at_zero else None,
@@ -365,7 +426,8 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
         contains_zero=bool(market.lp_norm(space, -c, p) <= radius),
     )
     return AcceptanceSet(space=space, membership=member, flags=flags,
-                         label=label or f"ball(p={p:g}, r={radius:g})", row_membership=member)
+                         label=label or f"ball(p={p:g}, r={radius:g})", row_membership=member,
+                         shift_interval={math.inf: sup_interval, 2.0: l2_interval}.get(p))
 
 
 # ---------------------------------------------------------------------------

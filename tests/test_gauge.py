@@ -559,6 +559,11 @@ def test_composites_in_a_lockstep_table_equal_each_cell():
         star_hull(sublevel_set(UNIFORM3, builtin_deviation("lr"), 1.0), resolution=32),
         law_invariant_hull(_halfspace_polytope(UNIFORM3, rng).as_acceptance_set()),
         add_constants(star_hull(ball_set(UNIFORM3, p=1.0, center=[0.5, 0.0, 0.0]), resolution=2)),
+        # exact: a shift interval of the centred rows, or the hull's own base
+        add_constants(ball_set(UNIFORM3, p=math.inf, radius=0.8)),
+        add_constants(_halfspace_polytope(UNIFORM3, np.random.default_rng(20)).as_acceptance_set()),
+        star_hull(ball_set(UNIFORM3, p=3.0)),
+        law_invariant_hull(sublevel_set(UNIFORM3, builtin_deviation("esd", alpha=0.25), 1.0)),
     ]
     X = _positions(rng, K, 3)
 

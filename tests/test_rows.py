@@ -1,9 +1,13 @@
-"""Row-wise membership oracles against scalar references.
+"""Row-wise membership oracles against scalar and exact references.
 
-Each composite answers one query with a batched call to its inner set.
-The references below answer the same query the scalar way, one inner call
-per candidate shift, scale or permutation, so the batched route is checked
-against an independent loop rather than against itself.
+A composite without an exact answer fans one query out in a batched call
+to its inner set.  The scalar references below answer the same query one
+inner call per candidate shift, scale or permutation, so the batched route
+is checked against an independent loop rather than against itself.  Where
+the answer is exact (``add_constants`` over a set with a shift interval,
+hulls of sets that are their own hull), the reference is the set's
+definition: the standard deviation, the range, or the least value of the
+piecewise-linear shift function of a polytope's facets.
 """
 
 import itertools
@@ -15,11 +19,12 @@ import pytest
 
 from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.duality import Polytope
-from minkdev.gauge import minkowski_gauge
+from minkdev.gauge import GaugeOptions, minkowski_gauge
 from minkdev.market import MarketSpace
 from minkdev.sets import (
     SHIFT_GRID_POINTS,
     AcceptanceSet,
+    SetError,
     SetFlags,
     add_constants,
     ball_set,
@@ -73,11 +78,70 @@ def ref_law_invariant_hull(A, x):
 
 def asymmetric_polytope(space, seed=5):
     """Unequal coordinate bounds plus random facets: 0 inside, no symmetry."""
+    return asymmetric_halfspaces(space, seed).as_acceptance_set(label="asym")
+
+
+def asymmetric_halfspaces(space, seed):
     rng = np.random.default_rng(seed)
     n = space.n
     rows = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(n, n))])
     rhs = rng.uniform(0.5, 2.0, size=rows.shape[0])
-    return Polytope.from_halfspaces(space, rows, rhs).as_acceptance_set(label="asym")
+    return Polytope.from_halfspaces(space, rows, rhs)
+
+
+def widening_halfspaces(space, seed):
+    """A polytope around 0 that widens along the constants up to a far cap.
+
+    Each side facet ``<g_i, y> - k_i E[y] <= b_i`` has ``<g_i, 1> = 0`` and
+    a small random tilt ``k_i``; ``-1/2 <= E[y] <= cap`` closes the ends.
+    The widest cross-section is at ``E[y] = cap``, so the best shift of a
+    position lies near ``-cap``, far outside its own range.
+    """
+    rng = np.random.default_rng(seed)
+    n = space.n
+    g = rng.normal(size=(n + 1, n))
+    g = np.vstack([g, -g.sum(axis=0)])         # sums to 0: the sides close around the axis
+    g -= (g @ space.probs)[:, None]
+    tilt = rng.uniform(0.02, 0.1, size=(n + 2, 1))
+    rows = np.vstack([g - tilt, np.ones(n), -np.ones(n)])
+    rhs = np.concatenate([rng.uniform(0.5, 2.0, size=n + 2), [rng.uniform(5.0, 40.0), 0.5]])
+    return Polytope.from_halfspaces(space, rows, rhs)
+
+
+def shift_lines(P, x):
+    """The facets of ``P + R`` at ``x``, as lines in the shift.
+
+    Facet ``i`` holds at ``x / m - c / m`` iff ``icept_i - c slope_i <= m``
+    with ``icept_i = (<row_i, x> - 1e-9 max|x|) / (rhs_i + 1e-13)`` and
+    ``slope_i = <row_i, 1> / (rhs_i + 1e-13)``, for ``x`` centred: the slack
+    of ``Polytope.contains`` at its default tolerance, taken at the centred
+    position as ``add_constants`` takes it.  Needs 0 inside ``P`` (every
+    ``rhs_i > 0``).
+    """
+    probs = P.space.probs
+    xc = x - probs @ x
+    weights = P.rows * probs
+    b = P.rhs + 1e-13
+    return (weights @ xc - 1e-9 * np.max(np.abs(xc))) / b, weights.sum(axis=1) / b
+
+
+def ref_shift_minimum(P, x):
+    """``gauge(P + R)(x)``: the least value of the convex piecewise-linear
+    ``c -> max(0, max_i icept_i - c slope_i)``, found where two of its
+    lines (0 included) cross."""
+    icept, slope = (np.append(v, 0.0) for v in shift_lines(P, x))
+    i, j = np.triu_indices(icept.size, k=1)
+    cross = slope[i] != slope[j]
+    shifts = (icept[i] - icept[j])[cross] / (slope[i] - slope[j])[cross]
+    return float(np.max(icept[None, :] - shifts[:, None] * slope[None, :], axis=1).min())
+
+
+def feasible_shifts(P, x, m):
+    """The interval of shifts ``c`` with ``x_c / m - c`` in ``P``, ``x_c``
+    the centred ``x``, from ``shift_lines``."""
+    icept, slope = shift_lines(P, x)
+    edge = (icept - m) / (m * slope)
+    return float(np.max(edge[slope > 0], initial=-math.inf)), float(np.min(edge[slope < 0], initial=math.inf))
 
 
 def positions(space, count=60, seed=0):
@@ -133,16 +197,24 @@ def test_polytope_slack_is_relative_per_row():
 
 # --- composites -----------------------------------------------------------------
 
-@pytest.mark.parametrize("make_inner", [
-    lambda: ball_set(SPACE4, p=2.0, radius=1.0),
-    lambda: ball_set(SPACE4, p=math.inf, radius=0.8),
-    lambda: asymmetric_polytope(SPACE4),
-], ids=["ball2", "ballinf", "asymmetric_polytope"])
-def test_add_constants_matches_scalar_shift_loop(make_inner):
+def std_dev(space, x):
+    return math.sqrt(float(space.probs @ (x - space.probs @ x) ** 2))
+
+
+@pytest.mark.parametrize("make_inner, reference", [
+    (lambda: ball_set(SPACE4, p=2.0, radius=1.0), lambda A, x: std_dev(SPACE4, x) <= 1.0),
+    (lambda: ball_set(SPACE4, p=math.inf, radius=0.8), lambda A, x: np.ptp(x) <= 1.6),
+    (lambda: asymmetric_polytope(SPACE4),
+     lambda A, x: ref_shift_minimum(asymmetric_halfspaces(SPACE4, 5), x) <= 1.0),
+    (lambda: ball_set(SPACE4, p=3.0, radius=0.8), ref_add_constants),
+], ids=["ball2", "ballinf", "asymmetric_polytope", "ball3"])
+def test_add_constants_matches_scalar_shift_loop(make_inner, reference):
+    # exact sets against their definition; a base without a shift interval
+    # (the p = 3 ball) against the scalar candidates-then-grid loop
     A = make_inner()
     AR = add_constants(A)
     X = positions(SPACE4, 80, seed=1)
-    assert_matches(AR, lambda x: ref_add_constants(A, x), X)
+    assert_matches(AR, lambda x: reference(A, x), X)
 
 
 def test_add_constants_skips_grid_after_candidate_hit():
@@ -261,6 +333,144 @@ def test_composites_over_a_replaced_membership_answer_as_over_the_set(hull):
     want = [hull(ball).membership(x) for x in X]
     assert 0 < sum(want) < len(X)
     assert [hull(wrapped).membership(x) for x in X] == want
+
+
+# --- exact composites ------------------------------------------------------------
+
+TIGHT = GaugeOptions(tol_rel=1e-12, tol_abs=0.0)
+SPACE3 = MarketSpace(np.array([0.5, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("space", [SPACE4, SPACE3], ids=["space4", "space3"])
+@pytest.mark.parametrize("make", [asymmetric_halfspaces, widening_halfspaces],
+                         ids=["asymmetric", "widening"])
+def test_add_constants_gauge_over_halfspaces_is_the_exact_shift_minimum(make, space):
+    far = 0
+    for seed in range(3):
+        P = make(space, seed)
+        AR = add_constants(P.as_acceptance_set())
+        for x in positions(space, 30, seed=10 + seed):
+            g = minkowski_gauge(AR, x, TIGHT).value
+            assert g == pytest.approx(ref_shift_minimum(P, x), rel=1e-9)
+            if g == 0.0:                       # a direction in which P is unbounded
+                continue
+            # just above the gauge, the shifts that put x / m in P + R against
+            # max(1, 2 range) about the midrange, where a shift grid would look
+            m = g * (1.0 + 1e-6)
+            lo, hi = feasible_shifts(P, x, m)
+            z = (x - space.probs @ x) / m
+            mid, radius = 0.5 * (z.min() + z.max()), max(1.0, 2.0 * np.ptp(z))
+            assert lo <= hi
+            far += hi < mid - radius or lo > mid + radius
+    if make is widening_halfspaces:
+        assert far >= 30                       # of 90 positions
+
+
+@pytest.mark.parametrize("center", [None, 2.5], ids=["origin", "constant_centre"])
+@pytest.mark.parametrize("p, radius", [(2.0, 0.7), (math.inf, 1.6)], ids=["p2", "pinf"])
+def test_add_constants_gauge_over_balls(p, radius, center):
+    # a constant centre moves the ball along the constants: the same A + R,
+    # but not declared star-shaped, so its gauge seeds from the grid scan
+    AR = add_constants(ball_set(SPACE4, p, radius, None if center is None else np.full(4, center)))
+    for x in positions(SPACE4, 20, seed=12):
+        want = std_dev(SPACE4, x) / radius if p == 2.0 else np.ptp(x) / (2.0 * radius)
+        assert minkowski_gauge(AR, x, TIGHT).value == pytest.approx(want, rel=1e-9)
+
+
+def interval_sets(space):
+    centre = np.linspace(-0.5, 0.7, space.n)
+    return [ball_set(space, 2.0, 0.9), ball_set(space, math.inf, 0.6),
+            ball_set(space, 2.0, 1.2, center=centre), ball_set(space, math.inf, 0.8, center=centre),
+            asymmetric_halfspaces(space, 7).as_acceptance_set(),
+            widening_halfspaces(space, 8).as_acceptance_set()]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("space", [MarketSpace(np.array([0.25, 0.75])), UNIFORM3, SPACE4,
+                                   MarketSpace(np.arange(1.0, 10.0) / 45.0)],
+                         ids=["binary", "uniform3", "space4", "space9"])
+def test_shift_intervals_answer_each_row_as_alone(space):
+    X = positions(space, 300, seed=13)
+    X[0] = 0.0
+    X[1] = 3.0                                 # a constant row
+    centred = X - (X @ space.probs)[:, None]
+    step = 1e-3 * (1.0 + np.max(np.abs(centred), axis=1))
+    for A in interval_sets(space):
+        lo, hi = A.shift_interval(X)
+        alone = [A.shift_interval(x) for x in X]
+        assert bits(lo) == bits([a for a, _ in alone]) and bits(hi) == bits([b for _, b in alone])
+        AR = add_constants(A)
+        single = [AR.membership(x) for x in X]
+        assert all(type(v) is bool for v in single) and 0 < sum(single) < len(X)
+        assert np.array_equal(AR.row_membership(X), single)
+        # the interval is the set's own: its midpoint is a member, a step
+        # past either end is not
+        lo, hi = A.shift_interval(centred)
+        wide = hi - lo > step
+        assert wide.any()
+        Z, lo, hi, s = centred[wide], lo[wide], hi[wide], step[wide]
+        assert A.row_membership(Z - (0.5 * (lo + hi))[:, None]).all()
+        assert not A.row_membership(Z - (lo - s)[:, None]).any()
+        assert not A.row_membership(Z - (hi + s)[:, None]).any()
+
+
+def counted(A):
+    """A copy of ``A`` that logs the shape of every query to its oracles."""
+    asked = []
+
+    def one(x):
+        asked.append(x.shape)
+        return A.membership(x)
+
+    def rows(X):
+        asked.append(X.shape)
+        return A.row_membership(X)
+    return AcceptanceSet(A.space, one, A.flags, A.label, rows), asked
+
+
+@pytest.mark.parametrize("hull, make", [
+    (star_hull, lambda: sublevel_set(UNIFORM4, builtin_deviation("esd", alpha=0.25), 1.0)),
+    (star_hull, lambda: ball_set(UNIFORM4, p=1.5)),
+    (star_hull, lambda: asymmetric_polytope(UNIFORM4)),
+    (law_invariant_hull, lambda: sublevel_set(UNIFORM4, builtin_deviation("std_dev"), 1.0)),
+    (law_invariant_hull, lambda: ball_set(UNIFORM4, p=math.inf, radius=0.8)),
+], ids=["star_hull(sublevel)", "star_hull(ball)", "star_hull(polytope)",
+        "law_invariant_hull(sublevel)", "law_invariant_hull(ball)"])
+def test_a_hull_of_a_set_that_is_its_own_hull_asks_each_query_once(hull, make):
+    A = make()
+    inner, asked = counted(A)
+    H = hull(inner)
+    X = positions(UNIFORM4, 40, seed=14)
+    assert [H.membership(x) for x in X] == [A.membership(x) for x in X]
+    assert asked == [(4,)] * 40                # one call, the query's own row
+    asked.clear()
+    assert np.array_equal(H.row_membership(X), A.row_membership(X))
+    assert asked == [(40, 4)]
+    # it declares what the scanning hull of a set without the declaration does
+    undeclared = "star_shaped" if hull is star_hull else "law_invariant"
+    scanning = hull(replace(A, flags=replace(A.flags, **{undeclared: None})))
+    assert (H.flags, H.label) == (scanning.flags, scanning.label)
+
+
+def test_star_hull_of_an_off_centre_ball_still_scans_its_grid():
+    A = ball_set(SPACE4, p=2.0, radius=0.5, center=[1.0, 1.2, 0.9, 1.1])
+    assert A.flags.star_shaped is None
+    inner, asked = counted(A)
+    H = star_hull(inner, resolution=64)
+    H.membership(np.array([0.3, 0.4, 0.2, 0.5]))
+    assert asked == [(64, 4)]
+
+
+def test_law_invariant_hull_still_checks_its_space():
+    not_uniform = sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0)
+    above_the_cap = ball_set(MarketSpace(np.full(9, 1.0 / 9.0)), p=2.0)
+    for A in (not_uniform, above_the_cap):
+        assert A.flags.law_invariant is True
+        with pytest.raises(SetError):
+            law_invariant_hull(A)
 
 
 # --- closed forms over the last axis ---------------------------------------------
