@@ -9,6 +9,14 @@ containing the origin, which gives an LP route to the gauge that is fully
 independent of the bisection solver — the two are compared, never merged:
 ``dual_representation_check`` compares them on sampled positions, and
 ``bipolar_check`` compares the bipolar with ``conv(P U {0})``.
+
+A polytope in vertex form answers membership through the facets of its
+convex hull.  For ``n <= MAX_ENUM_DIM`` they come from ``enumerate_facets``,
+which works from the vertices alone (never from the LP, the polar or the
+support function, so bisection and LP stay independent routes).  Above that
+dimension, or for a hull with more vertices than its subset search takes
+(``FACET_SUBSETS_MAX``), they come from qhull, the module's only use of
+scipy, imported on first use.
 """
 
 from __future__ import annotations
@@ -30,12 +38,28 @@ class DualityError(ValueError):
     """Raised for malformed polytopes or unsupported dimensions."""
 
 
-#: Largest dimension for which vertices are enumerated from halfspaces by
-#: intersecting constraint subsets (combinatorial in the dimension).
+#: Largest dimension for which vertices are enumerated from halfspaces, and
+#: facets from vertices, by trying constraint or point subsets
+#: (combinatorial in the dimension).
 MAX_ENUM_DIM = 4
 
 #: Slack with which an enumerated corner must satisfy every halfspace.
 VERTEX_TOL = 1e-9
+
+# Tolerances of ``enumerate_facets``, relative to the largest distance of a
+# vertex from the centroid.  A vertex set whose centroid lies within FLAT_TOL
+# of a facet (or of every point subset's plane) is flat.  A hyperplane is a facet when no
+# vertex lies beyond it by more than FACET_TOL, plus the rounding error of
+# its normal; a point subset whose normal is that uncertain by more than
+# NORMAL_ERR_MAX is skipped.  FACET_BLOCK bounds the subsets tried at once,
+# FACET_SUBSETS_MAX those tried in all (about 0.1 s of work), and
+# PROBE_BLOCK the pairings of points with probe directions held at once.
+FLAT_TOL = 1e-7
+FACET_TOL = 1e-10
+NORMAL_ERR_MAX = 1e-6
+FACET_BLOCK = 4096
+FACET_SUBSETS_MAX = 65536
+PROBE_BLOCK = 1 << 20
 
 # Tolerances of the dual-route checks: the largest gap between gauge and
 # support function, and bipolar membership slack; CHECK_OPTS are their
@@ -116,21 +140,23 @@ class Polytope:
         return inside if x.ndim > 1 else bool(inside)
 
     def _shift_interval(self, x):
-        """The constants ``c`` with ``x - c`` in a halfspace-form polytope.
+        """The constants ``c`` with ``x - c`` in the polytope.
 
-        Facet ``i`` holds at ``x - c`` iff ``c * s_i >= <row_i, x> - rhs_i -
-        slack``, where ``s_i = <row_i, 1>`` and ``slack`` is ``contains``'s
-        slack at its default tolerance, taken at ``x``.  Each facet bounds
-        ``c`` from below (``s_i > 0``) or above (``s_i < 0``), or holds for
-        every ``c`` or none (``s_i = 0``).  Returns ``(lo, hi)``, one bound
-        per position of ``x`` (``(n,)`` or ``(B, n)``); the interval is empty
-        when ``lo > hi``.  The pairings are summed as ``_facet_values`` sums
-        them, so each row of a batch gets the bits it gets alone.
+        With the plain-coordinate facets ``<w_i, y> <= r_i`` (the halfspace
+        form, else the hull facets of the vertex form), facet ``i`` holds at
+        ``x - c`` iff ``c * s_i >= <w_i, x> - r_i - slack``, where ``s_i =
+        <w_i, 1>`` and ``slack`` is ``contains``'s slack at its default
+        tolerance, taken at ``x``.  Each facet bounds ``c`` from below
+        (``s_i > 0``) or above (``s_i < 0``), or holds for every ``c`` or
+        none (``s_i = 0``).  Returns ``(lo, hi)``, one bound per position of
+        ``x`` (``(n,)`` or ``(B, n)``); the interval is empty when ``lo >
+        hi``.  The pairings are summed as ``_facet_values`` sums them, so each
+        row of a batch gets the bits it gets alone.
         """
-        W, s = self._shift_rows
+        W, r, s = self._shift_rows
         x = np.asarray(x, dtype=float)
         slack = 1e-13 + 1e-9 * np.max(np.abs(x), axis=-1, initial=0.0)
-        excess = _facet_values(x, W) - self.rhs - slack[..., None]
+        excess = _facet_values(x, W) - r - slack[..., None]
         bound = excess / np.where(s == 0.0, 1.0, s)
         lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
         hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)
@@ -139,21 +165,34 @@ class Polytope:
 
     @functools.cached_property
     def _shift_rows(self):
-        """Plain-coordinate facet normals ``W`` of the halfspace form and
-        their sums ``s = W 1``, for ``_shift_interval``."""
-        W = self.rows * self.space.probs
-        return W, _facet_values(np.ones(self.space.n), W)
+        """Plain-coordinate facets ``<W_i, y> <= r_i`` and the sums ``s =
+        W 1``, for ``_shift_interval``: the halfspace form, else the hull
+        facets ``A y + b <= 0`` as ``W = A``, ``r = -b``."""
+        if self.rows is not None:
+            W, r = self.rows * self.space.probs, self.rhs
+        else:
+            W, b = self._hull_facets
+            r = -b
+        return W, r, _facet_values(np.ones(self.space.n), W)
 
     @functools.cached_property
     def _hull_facets(self):
-        """Facet form of conv(vertices) via the standard Euclidean hull.
+        """Facet form of conv(vertices): ``(A, b)`` with unit outward
+        normals and membership ``A x + b <= 0``.
 
-        ``(A, b)`` with membership ``A x + b <= 0``, or None when the hull is
-        degenerate (flat); callers then fall back to the LP route.  Computed
+        For ``n <= MAX_ENUM_DIM`` from ``enumerate_facets``; above, or for
+        a hull with too many vertices for its subset search, from qhull
+        (scipy, imported here on first use).  None when the hull is flat
+        (or qhull fails); callers then fall back to the LP route.  Computed
         on first use.
         """
         if self.vertices is None:
             return None
+        if self.space.n <= MAX_ENUM_DIM:
+            try:
+                return enumerate_facets(self.vertices)
+            except DualityError:
+                pass  # more subsets than FACET_SUBSETS_MAX
         try:
             from scipy.spatial import ConvexHull
 
@@ -173,7 +212,8 @@ class Polytope:
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
         """View the polytope as a (closed convex) acceptance set; in both
         forms one function answers a position or a batch.  The halfspace
-        form also gives the set its ``shift_interval``."""
+        form, and the vertex form when its hull has facets, also give the
+        set its ``shift_interval``."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -187,7 +227,8 @@ class Polytope:
         member = lambda x: self.contains(x)
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
                              label=label or "polytope", row_membership=member,
-                             shift_interval=self._shift_interval if self.rows is not None else None)
+                             shift_interval=None if self.rows is None and self._hull_facets is None
+                             else self._shift_interval)
 
 
 def _facet_values(x: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -234,6 +275,198 @@ def enumerate_vertices(space: MarketSpace, rows, rhs) -> np.ndarray:
     if not found:
         raise DualityError("halfspace system has no vertices (empty or unbounded without corners)")
     return np.vstack(found)
+
+
+def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
+    """Facets of ``conv(vertices)`` (small dimensions only), the mirror of
+    ``enumerate_vertices``.
+
+    Returns ``(A, b)``: unit outward normals and offsets in plain
+    coordinates, with membership ``A x + b <= 0`` (the form of qhull's
+    ``equations``, one row per facet), or None when the vertices are flat:
+    every plane through ``n`` of them has them all on both sides, or their
+    centroid lies within ``FLAT_TOL`` (relative) of a facet.  Only the
+    vertices are used:
+
+    1. The points are centred, and the maximisers of fixed probe directions
+       (the non-zero points of ``{-2, ..., 2}^n``) form the working
+       set ``Q``; each lies on the hull's boundary.
+    2. For each ``n``-subset of ``Q`` not tried before, the hyperplane
+       through it (the generalised cross product of its edge vectors) is
+       kept, outward, when every point of ``Q`` lies on one side of it
+       within ``FACET_TOL`` plus the rounding error of its normal.  The
+       subsets are tried in blocks of at most ``FACET_BLOCK``.
+    3. The points strictly inside every kept plane lie in ``conv(Q)`` and
+       are dropped.  If other points lie beyond a kept plane, the point
+       furthest beyond each such plane (a vertex) joins ``Q``, the planes
+       the newcomers cross are dropped, and step 2 runs on the subsets that
+       contain a newcomer.  Otherwise the kept planes are the facets.
+
+    A facet through more than ``n`` vertices is found once per subset;
+    planes with the same vertices on them are kept once.  Each offset puts
+    its facet through the outermost vertex.  The cost grows with the number
+    of hull vertices as ``C(vertices, n)``: ``DualityError`` when the search
+    would try more than ``FACET_SUBSETS_MAX`` subsets, as it does above
+    ``MAX_ENUM_DIM``.
+    """
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    k, n = V.shape
+    if n > MAX_ENUM_DIM:
+        raise DualityError(f"facet enumeration supports n <= {MAX_ENUM_DIM}, got n = {n}")
+    Y = V - np.sum(V, axis=0) / k
+    scale = math.sqrt(np.max(np.sum(Y * Y, axis=1)))
+    if not scale > 0.0:
+        return None
+    err = 16.0 * np.finfo(float).eps * (2.0 * scale) ** n  # bounds an unnormalised normal's error
+    probes, step = _probe_directions(n), max(1, PROBE_BLOCK // k)
+    hit = np.zeros(k, dtype=bool)
+    for j in range(0, probes.shape[1], step):
+        h = Y @ probes[:, j:j + step]
+        hit |= np.any(h == np.max(h, axis=0), axis=1)
+    Y = Y[np.argsort(~hit, kind="stable")]  # Q is Y[:q]
+    q, lo, tried = int(np.count_nonzero(hit)), 0, 0
+    while True:
+        tried += math.comb(q, n) - math.comb(lo, n)
+        if tried > FACET_SUBSETS_MAX:
+            raise DualityError(f"facet enumeration would try more than {FACET_SUBSETS_MAX} point subsets")
+        N2, off2, tol2, flat = _supporting_planes(Y[:q], lo, scale, err)
+        if lo:  # the earlier planes that no newcomer crosses stay
+            old = np.all(Y[lo:q] @ N - off <= tol, axis=0)
+            N = np.concatenate([N[:, old], N2], axis=1)
+            off, tol = np.concatenate([off[old], off2]), np.concatenate([tol[old], tol2])
+        else:
+            N, off, tol = N2, off2, tol2
+        if q == len(Y):
+            if flat or not tol.size:
+                return None
+            break
+        if flat or not tol.size:  # conv(Q) is flat: try every subset of every point
+            lo, q = 0, len(Y)
+            continue
+        rest = Y[q:] @ N - off
+        beyond = rest > tol
+        if not beyond.any():
+            break
+        far = np.unique(np.argmax(rest[:, beyond.any(axis=0)], axis=0))
+        inside = np.all(rest < -tol, axis=1)
+        inside[far] = True
+        Y = np.concatenate([Y[:q], Y[q + far], Y[q:][~inside]])
+        lo, q = q, q + far.size
+    if np.min(off) <= FLAT_TOL * scale:  # the centroid (at 0) next to a facet
+        return None
+    # planes through one facet's vertices have normals equal up to rounding:
+    # screen for such pairs, then keep one plane per set of vertices on it
+    if np.count_nonzero(N.T @ N > 1.0 - 1e-9) > N.shape[1]:
+        _, first = np.unique((Y @ N - off >= -tol).T, axis=0, return_index=True)
+        N = N[:, np.sort(first)]
+    return N.T, -np.max(V @ N, axis=0)
+
+
+def _supporting_planes(Y: np.ndarray, lo: int, scale: float, err: float):
+    """The hyperplanes through the ``n``-subsets of the rows of ``Y`` whose
+    last row is at least ``lo`` that have every row on one side.
+
+    Returns unit outward normals ``N`` (``(n, F)``) and offsets ``off`` with
+    ``y @ N <= off + tol`` for every row, the tolerances ``tol``, and
+    whether some plane has every row on both sides (the rows are flat).
+    """
+    q, n = Y.shape
+    YT = Y.T
+    min_norm = err / (NORMAL_ERR_MAX * scale)
+    parts = []
+    for idx, first in _subset_blocks(q, n, lo):
+        P = np.take(YT, idx, axis=1)  # P[:, i, m]: point i of subset m
+        N = _cross(P[:, 1:] - P[:, :1])
+        norm = np.sqrt(np.sum(N * N, axis=0))
+        d = Y @ N
+        off = d.ravel().take(first)  # the pairing with the subset's first row
+        d -= off
+        tol = FACET_TOL * scale * norm + err
+        ahead, behind = np.max(d, axis=0), -np.min(d, axis=0)  # the furthest rows either side
+        keep = np.flatnonzero((np.minimum(ahead, behind) <= tol) & (norm > min_norm))
+        ahead, behind, tol, norm = ahead[keep], behind[keep], tol[keep], norm[keep]
+        f = np.where(ahead <= tol, 1.0, -1.0) / norm
+        parts.append((N[:, keep] * f, off[keep] * f, tol / norm,
+                      bool(np.any(np.maximum(ahead, behind) <= tol))))
+    if len(parts) == 1:
+        return parts[0]
+    *arrays, flat = zip(*parts)
+    return (*(np.concatenate(a, axis=-1) for a in arrays), any(flat))
+
+
+def _cross(D: np.ndarray) -> np.ndarray:
+    """Generalised cross products: ``D[:, r, m]`` is edge ``r`` of subset
+    ``m``; returns ``(n, M)`` normals, each orthogonal to its ``n - 1``
+    edges, with norm the volume they span.  Component ``j`` is ``(-1)^j``
+    times the minor without column ``j``, by Laplace expansion row by row."""
+    n, _, M = D.shape
+    if n == 1:
+        return np.ones((1, M))
+    levels, last, sign = _cross_plan(n)
+    minors = D[:, 0]
+    for r, (col, sub, sg) in enumerate(levels, start=1):
+        minors = np.sum(D[col, r] * minors[sub] * sg, axis=0)
+    return minors[last] * sign
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_plan(n: int):
+    """For ``_cross``: per minor order ``r = 2 .. n-1`` (one array each), the
+    column of row ``r`` and the sub-minor each term takes, with its sign;
+    then the minor and sign of each component."""
+    levels = []
+    prev = {(a,): a for a in range(n)}
+    for r in range(2, n):
+        subs = list(itertools.combinations(range(n), r))
+        col = np.array(subs, dtype=np.intp).T
+        sub = np.array([[prev[S[:t] + S[t + 1:]] for S in subs] for t in range(r)], dtype=np.intp)
+        sign = np.array([-1.0 if (r - 1 + t) % 2 else 1.0 for t in range(r)])[:, None, None]
+        levels.append((col, sub, sign))
+        prev = {S: i for i, S in enumerate(subs)}
+    last = np.array([prev[tuple(c for c in range(n) if c != j)] for j in range(n)], dtype=np.intp)
+    return levels, last, np.array([-1.0 if j % 2 else 1.0 for j in range(n)])[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_directions(n: int) -> np.ndarray:
+    """The non-zero points of ``{-2, ..., 2}^n``, as columns."""
+    steps = np.arange(-2.0, 3.0)
+    return np.array([v for v in itertools.product(steps, repeat=n) if any(v)]).T
+
+
+def _subset_blocks(k: int, n: int, lo: int):
+    """The ``n``-subsets of ``range(k)`` whose largest member is at least
+    ``lo``, in blocks of at most ``FACET_BLOCK``: per block the ``(n, M)``
+    member indices and, for a ``(k, M)`` array, the flat index of each
+    subset's first member.  Small tables are kept for reuse."""
+    if math.comb(k, n) <= FACET_BLOCK:
+        yield _subset_table(k, n, lo)
+        return
+    combos = _colex_subsets(k, n, lo)
+    while len(rows := np.fromiter(itertools.islice(combos, FACET_BLOCK), dtype=(np.intp, n))):
+        yield _subset_block(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_table(k: int, n: int, lo: int):
+    return _subset_block(np.fromiter(_colex_subsets(k, n, lo), dtype=(np.intp, n)))
+
+
+def _subset_block(rows: np.ndarray):
+    idx = rows.T.copy()
+    first = idx[0] * idx.shape[1] + np.arange(idx.shape[1])
+    idx.setflags(write=False)
+    first.setflags(write=False)
+    return idx, first
+
+
+def _colex_subsets(k: int, n: int, lo: int):
+    """``n``-subsets of ``range(k)`` with largest member at least ``lo``, by
+    largest member first: the subsets of ``range(m)`` come before any
+    subset that contains ``m``."""
+    for m in range(max(lo, n - 1), k):
+        for c in itertools.combinations(range(m), n - 1):
+            yield c + (m,)
 
 
 # ---------------------------------------------------------------------------

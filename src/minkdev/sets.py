@@ -27,8 +27,9 @@ The fan-out composites — ``add_constants``, ``star_hull`` and
 geometry allows.  ``star_hull`` of a set declared star-shaped and
 ``law_invariant_hull`` of a set declared law-invariant are that set, so
 they answer with its own oracles.  ``add_constants`` over a set with a
-``shift_interval`` (halfspace polytopes, balls with ``p = 2`` or
-``p = inf``) answers a position or a batch with one call to it.
+``shift_interval`` (polytopes in halfspace form or with hull facets,
+balls with ``p = 2`` or ``p = inf``, and scalings of these) answers a
+position or a batch with one call to it.
 Otherwise each query is one batch to the inner set's ``row_membership``:
 the scale grid, the permutation orbit, or the candidate shifts, followed
 by the shift grid only if no candidate is a member; a fan-out nested in
@@ -153,16 +154,28 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
 
 
 def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
-    """The scaled set ``lam * A`` (membership: ``x / lam in A``), ``lam > 0``."""
+    """The scaled set ``lam * A`` (membership: ``x / lam in A``), ``lam > 0``.
+
+    When ``A`` has a ``shift_interval`` ``I``, so does ``lam * A``: ``x - c``
+    is in ``lam * A`` iff ``x / lam - c / lam`` is in ``A``, so its interval
+    is ``lam * I(x / lam)``.
+    """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise SetError(f"scaling factor must be finite and positive, got {lam}")
     inner = A.membership
+    interval = A.shift_interval
+
+    def scaled_interval(x):
+        lo, hi = interval(x / lam)
+        return lam * lo, lam * hi
+
     return AcceptanceSet(
         space=A.space,
         membership=lambda x: inner(x / lam),
         flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
         row_membership=lambda X: A.row_membership(X / lam),
+        shift_interval=None if interval is None else scaled_interval,
     )
 
 
@@ -240,7 +253,10 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     members, so ``A + R = A``: it is returned with its own oracles and flags,
     relabelled.  Over a set with a ``shift_interval`` the answer is exact:
     ``x`` is a member iff the interval of its centred position is not
-    empty, one call for a position or a whole batch.
+    empty, one call for a position or a whole batch.  Such a sum contains 0
+    iff the interval at 0 is not empty, and then, over a set declared
+    convex, it is star-shaped too (a convex set holding 0 is), whatever
+    ``A`` declares.
 
     Over any other set the search probes deterministic candidate shifts (the
     entries, mean, median and midrange — exact minimisers for the
@@ -255,14 +271,19 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
         return replace(A, label=label)
     space = A.space
     interval = A.shift_interval
+    contains_zero = A.flags.contains_zero is True
+    if interval is not None:
+        lo, hi = interval(np.zeros(space.n))
+        contains_zero = bool(lo <= hi)
     flags = SetFlags(
-        star_shaped=A.flags.star_shaped if A.flags.star_shaped is True else None,
+        star_shaped=True if A.flags.star_shaped is True or (contains_zero and A.flags.convex is True)
+        else None,
         convex=A.flags.convex,
         closed=None,
         stable_scalar_add=True,
         radially_bounded_nonconst=None,
         law_invariant=A.flags.law_invariant,
-        contains_zero=True if A.flags.contains_zero is True else None,
+        contains_zero=True if contains_zero else None,
     )
 
     if interval is not None:
@@ -630,6 +651,7 @@ def set_from_json(space: MarketSpace, doc, measure_parser=None) -> AcceptanceSet
         {"kind": "sublevel", "measure": {...}, "k": 1.0}
         {"kind": "ball", "p": 2, "radius": 1.0, "center": [...]}
         {"kind": "halfspaces", "rows": [[...], ...], "rhs": [...]}
+        {"kind": "vertices", "vertices": [[...], ...]}
         {"kind": "scale", "of": {...}, "factor": 2.0}
         {"kind": "combine", "op": "union"|"intersection", "of": [{...}, {...}]}
         {"kind": "add_constants", "of": {...}}
@@ -661,6 +683,9 @@ def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceS
         from .duality import Polytope  # local: avoids a module cycle
         P = Polytope.from_halfspaces(space, np.asarray(doc["rows"], float), np.asarray(doc["rhs"], float))
         return P.as_acceptance_set()
+    if kind == "vertices":
+        from .duality import Polytope  # local: avoids a module cycle
+        return Polytope.from_vertices(space, np.asarray(doc["vertices"], float)).as_acceptance_set()
     if kind == "scale":
         return scale_set(set_from_json(space, doc["of"], measure_parser), float(doc["factor"]))
     if kind == "combine":

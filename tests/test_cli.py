@@ -150,6 +150,7 @@ def test_eval_cells_equal_the_single_position_solver(tmp_path, capsys):
         {"kind": "ball", "p": 3, "radius": 0.7, "label": "ball3"},
         {"kind": "star_hull", "of": {"kind": "ball", "p": 1, "center": [0.5, 0.0]},
          "label": "hull"},                                         # scalar-only
+        {"kind": "vertices", "vertices": [[2, 0], [0, 2], [-2, 0], [0, -1]], "label": "kite"},
     ])
     assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
     rows = {r["position"]: r for r in json.loads(capsys.readouterr().out)["results"]}
@@ -183,6 +184,7 @@ def test_eval_labels_every_set_kind(tmp_path, capsys):
         "add_constants": {"kind": "add_constants", "of": ball},
         "star_hull": {"kind": "star_hull", "of": ball, "resolution": 16},
         "law_invariant_hull": {"kind": "law_invariant_hull", "of": ball},
+        "vertices": {"kind": "vertices", "vertices": [[1, 0], [0, 1], [-1, -1]]},
     }
     doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "positions": {"X": [1.0, -0.5]},
            "sets": [dict(d, label=kind) for kind, d in labelled.items()]}
@@ -298,6 +300,7 @@ NON_FINITE_SETS = {
                             "rhs": [1.0, None, 1.0, 1.0], "label": "h"},
     "halfspaces_inf_row": {"kind": "halfspaces", "rows": [[1, 0], [-1, math.inf]],
                            "rhs": [1.0, 1.0], "label": "h"},
+    "vertices_nan": {"kind": "vertices", "vertices": [[1, 0], [0, math.nan], [-1, -1]], "label": "v"},
 }
 
 

@@ -1,18 +1,26 @@
 """Polars, support functions, dual representations, and the quantile form
 of the dual representation as a test oracle."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minkdev.duality import (
     CHECK_OPTS,
+    MAX_ENUM_DIM,
     DualityError,
     Polytope,
     bipolar_check,
     dual_representation_check,
+    enumerate_facets,
     enumerate_vertices,
+    hull_membership_lp,
     polar,
     polar_vertices,
     support_function,
@@ -63,6 +71,116 @@ def test_batch_membership_equals_row_by_row_answers():
         A = P.as_acceptance_set()
         assert A.row_membership is A.membership
         assert A.row_membership(X).tolist() == [A.membership(x) for x in X]
+
+
+def weighted_space(n):
+    return MarketSpace(np.arange(1.0, n + 1.0) / (n * (n + 1) / 2.0))
+
+
+def hull_cases(n):
+    """Named vertex sets on ``n`` outcomes, each full-dimensional."""
+    rng = np.random.default_rng(n)
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    cross = np.vstack([np.eye(n), -np.eye(n)])
+    random = rng.uniform(-3.0, 3.0, size=(n + 6, n))
+    sphere = rng.normal(size=(40 if n < 4 else 30, n))
+    return {
+        "random": np.vstack([random, 0.5 * np.eye(n), -0.5 * np.eye(n)]),
+        "zero_vertex": np.vstack([rng.uniform(0.2, 3.0, size=(n + 4, n)), np.zeros((1, n))]),
+        "duplicates": np.vstack([random, random[:3], random[:1]]),
+        "cube": 1.5 * cube + 0.25,
+        "cross": 2.0 * cross,
+        "nearly_coplanar": cube * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, size=cube.shape)),
+        # more point subsets than one block holds
+        "sphere": sphere / np.linalg.norm(sphere, axis=1, keepdims=True),
+    }
+
+
+def slack(X):
+    return 1e-13 + 1e-9 * np.max(np.abs(X), axis=-1)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_ENUM_DIM + 1))
+def test_enumerate_facets_agrees_with_qhull(n):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(10 + n)
+    for name, V in hull_cases(n).items():
+        P = Polytope.from_vertices(weighted_space(n), V)
+        A, b = enumerate_facets(V)
+        assert np.allclose(np.linalg.norm(A, axis=1), 1.0), name
+        hull = ConvexHull(V)
+        W, c = hull.equations[:, :-1], hull.equations[:, -1]
+        # facet centroids of qhull's (triangulated) facets, on the boundary
+        # and pushed 1e-6 along their normal either way
+        on = V[hull.simplices].mean(axis=1)
+        size = np.max(np.abs(V))
+        X = np.vstack([
+            rng.uniform(-1.3 * size, 1.3 * size, size=(400, n)),
+            on, on + 1e-6 * size * W, on - 1e-6 * size * W,
+            *(f * V for f in (0.5, 0.999, 1.0, 1.001, 2.0)),
+        ])
+        want = np.all(X @ W.T + c <= slack(X)[:, None], axis=1)
+        assert P.contains(X).tolist() == want.tolist(), name
+        assert np.all(V @ A.T + b <= slack(V)[:, None]), name
+        if name in ("cube", "cross"):   # facets through more than n vertices, kept once
+            assert len(A) == (2 * n if name == "cube" else 2 ** n), name
+
+
+@pytest.mark.parametrize("V", [
+    [[1.0, 1.0], [-1.0, -1.0], [3.0, 3.0]],                                # a segment
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [2.0, 2.0, 0.0]],  # a plane in 3-space
+    [[1.0, 2.0, 3.0, 6.0], [0.0, 1.0, 0.0, 1.0], [2.0, -1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 3.0],
+     [-1.0, 0.0, 2.0, 1.0], [3.0, 3.0, -2.0, 4.0]],                       # x3 = x0 + x1 + x2
+    [[0.5, 0.5, 0.5]] * 5,                                                 # one point
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],                   # too few points
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-12], [1.0, 1e-12]],                   # flat but for rounding
+], ids=["segment", "plane", "hyperplane4", "point", "too_few", "sliver"])
+def test_enumerate_facets_of_a_flat_set_is_none(V):
+    assert enumerate_facets(V) is None
+    V = np.asarray(V, dtype=float)
+    P = Polytope.from_vertices(weighted_space(V.shape[1]), V)
+    assert P._hull_facets is None
+    assert P.contains(V).all()                 # the LP route answers instead
+
+
+def test_enumerate_facets_caps_its_dimension_and_its_subsets():
+    with pytest.raises(DualityError):
+        enumerate_facets(np.eye(5))
+    # 60 points on the 3-sphere: every point a vertex, C(60, 4) subsets;
+    # the polytope takes its facets from qhull instead
+    V = np.random.default_rng(6).normal(size=(60, 4))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    with pytest.raises(DualityError):
+        enumerate_facets(V)
+    P = Polytope.from_vertices(weighted_space(4), V)
+    assert P._hull_facets is not None
+    X = np.vstack([np.random.default_rng(7).uniform(-1.1, 1.1, size=(300, 4)), V, 0.99 * V, 1.01 * V])
+    assert P.contains(X).tolist() == [hull_membership_lp(V, x) for x in X]
+
+
+def test_vertex_form_answers_each_row_as_alone():
+    rng = np.random.default_rng(8)
+    for n in range(2, MAX_ENUM_DIM + 1):
+        for name, V in hull_cases(n).items():
+            P = Polytope.from_vertices(weighted_space(n), V)
+            X = np.vstack([rng.uniform(-3.0, 3.0, size=(30, n)), 1e-14 * rng.uniform(-1.0, 1.0, size=(2, n)),
+                           np.zeros((1, n)), V])
+            assert P.contains(X).tolist() == [P.contains(x) for x in X], name
+            lo, hi = P._shift_interval(X)
+            alone = np.array([P._shift_interval(x) for x in X])
+            assert lo.tobytes() == alone[:, 0].tobytes() and hi.tobytes() == alone[:, 1].tobytes(), name
+
+
+def test_vertex_form_work_never_imports_scipy():
+    # a fresh process: dual and bipolar checks, minkdev eval and polar on a
+    # vertex-form scenario with n <= MAX_ENUM_DIM, then scipy not imported
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(root / "tests" / "cold_start.py")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_enumerate_vertices_of_halfspace_diamond():

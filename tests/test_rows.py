@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from minkdev.deviations import builtin_deviation, builtin_error
-from minkdev.duality import Polytope
+from minkdev.duality import MAX_ENUM_DIM, Polytope
 from minkdev.gauge import GaugeOptions, minkowski_gauge
 from minkdev.market import MarketSpace
 from minkdev.sets import (
@@ -366,11 +366,40 @@ def test_add_constants_gauge_over_halfspaces_is_the_exact_shift_minimum(make, sp
         assert far >= 30                       # of 90 positions
 
 
+def test_add_constants_gauge_through_vertex_form_and_scaling_is_the_halfspace_one():
+    # the shift interval comes from the hull facets of the vertex form, and
+    # lam * I(x / lam) for 2P; the vertex form's slack is measured along
+    # unit normals, the halfspace form's along its rows, hence rel=1e-7
+    P = widening_halfspaces(SPACE4, 0)
+    exact = add_constants(P.as_acceptance_set())
+    vertex_form = add_constants(Polytope.from_vertices(SPACE4, P.vertex_form()).as_acceptance_set())
+    doubled = add_constants(scale_set(P.as_acceptance_set(), 2.0))
+    for x in positions(SPACE4, 5, seed=10):
+        want = minkowski_gauge(exact, x, TIGHT).value
+        assert minkowski_gauge(vertex_form, x, TIGHT).value == pytest.approx(want, rel=1e-7)
+        assert 2.0 * minkowski_gauge(doubled, x, TIGHT).value == pytest.approx(want, rel=1e-9)
+
+
+def test_add_constants_over_a_convex_set_holding_zero_is_star_shaped():
+    # a ball about a constant is not declared star-shaped, but its A + R is
+    # the centred ball's, which holds 0, and it is convex
+    x = np.array([0.3, -1.0, 0.5, 2.0])
+    AR = add_constants(ball_set(SPACE4, 2.0, 1.0, np.full(4, 0.7)))
+    assert (AR.flags.star_shaped, AR.flags.contains_zero) == (True, True)
+    got = minkowski_gauge(AR, x)
+    assert got.value == pytest.approx(minkowski_gauge(add_constants(ball_set(SPACE4, 2.0, 1.0)), x).value,
+                                      abs=1e-9)
+    assert got.oracle_calls <= 92 and got.approximate is False
+    # a centre whose spread exceeds the radius: 0 is not in A + R
+    far = add_constants(ball_set(SPACE4, 2.0, 1.0, [3.0, -3.0, 3.0, -3.0]))
+    assert (far.flags.star_shaped, far.flags.contains_zero) == (None, None)
+
+
 @pytest.mark.parametrize("center", [None, 2.5], ids=["origin", "constant_centre"])
 @pytest.mark.parametrize("p, radius", [(2.0, 0.7), (math.inf, 1.6)], ids=["p2", "pinf"])
 def test_add_constants_gauge_over_balls(p, radius, center):
     # a constant centre moves the ball along the constants: the same A + R,
-    # but not declared star-shaped, so its gauge seeds from the grid scan
+    # declared star-shaped because it is convex and holds 0
     AR = add_constants(ball_set(SPACE4, p, radius, None if center is None else np.full(4, center)))
     for x in positions(SPACE4, 20, seed=12):
         want = std_dev(SPACE4, x) / radius if p == 2.0 else np.ptp(x) / (2.0 * radius)
@@ -379,10 +408,14 @@ def test_add_constants_gauge_over_balls(p, radius, center):
 
 def interval_sets(space):
     centre = np.linspace(-0.5, 0.7, space.n)
-    return [ball_set(space, 2.0, 0.9), ball_set(space, math.inf, 0.6),
+    widening = widening_halfspaces(space, 8)
+    sets = [ball_set(space, 2.0, 0.9), ball_set(space, math.inf, 0.6),
             ball_set(space, 2.0, 1.2, center=centre), ball_set(space, math.inf, 0.8, center=centre),
             asymmetric_halfspaces(space, 7).as_acceptance_set(),
-            widening_halfspaces(space, 8).as_acceptance_set()]
+            widening.as_acceptance_set(), scale_set(widening.as_acceptance_set(), 0.3)]
+    if space.n <= MAX_ENUM_DIM:                # vertices from halfspaces, then hull facets
+        sets.append(Polytope.from_vertices(space, widening.vertex_form()).as_acceptance_set())
+    return sets
 
 
 def bits(values):
