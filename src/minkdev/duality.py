@@ -14,9 +14,10 @@ A polytope in vertex form answers membership through the facets of its
 convex hull.  For ``n <= MAX_ENUM_DIM`` they come from ``enumerate_facets``,
 which works from the vertices alone (never from the LP, the polar or the
 support function, so bisection and LP stay independent routes).  Above that
-dimension, or for a hull with more vertices than its subset search takes
-(``FACET_SUBSETS_MAX``), they come from qhull, the module's only use of
-scipy, imported on first use.
+dimension, or for more points than ``enumerate_facets`` takes
+(``FACET_POINTS_MAX``, ``FACET_SUBSETS_MAX``), they come from qhull, the
+module's only use of scipy, imported on first use; without scipy such a
+polytope warns and answers membership through an LP.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +50,18 @@ VERTEX_TOL = 1e-9
 
 # Tolerances of ``enumerate_facets``, relative to the largest distance of a
 # vertex from the centroid.  A vertex set whose centroid lies within FLAT_TOL
-# of a facet (or of every point subset's plane) is flat.  A hyperplane is a facet when no
-# vertex lies beyond it by more than FACET_TOL, plus the rounding error of
-# its normal; a point subset whose normal is that uncertain by more than
-# NORMAL_ERR_MAX is skipped.  FACET_BLOCK bounds the subsets tried at once,
-# FACET_SUBSETS_MAX those tried in all (about 0.1 s of work), and
-# PROBE_BLOCK the pairings of points with probe directions held at once.
+# of a facet (or of every point subset's plane) is flat.  A hyperplane is a
+# facet when no vertex lies beyond it by more than FACET_TOL, plus the
+# rounding error of its normal; a point subset whose normal has a relative
+# rounding error above NORMAL_ERR_MAX is skipped.  FACET_POINTS_MAX bounds
+# the points taken (their pairings with the probe directions are held at
+# once), FACET_SUBSETS_MAX the point subsets tried (about 0.1 s of work).
 FLAT_TOL = 1e-7
 FACET_TOL = 1e-10
 NORMAL_ERR_MAX = 1e-6
-FACET_BLOCK = 4096
+FACET_POINTS_MAX = 4096
 FACET_SUBSETS_MAX = 65536
-PROBE_BLOCK = 1 << 20
+_ROUNDING = 16.0 * np.finfo(float).eps  # see _normals
 
 # Tolerances of the dual-route checks: the largest gap between gauge and
 # support function, and bipolar membership slack; CHECK_OPTS are their
@@ -126,13 +128,13 @@ class Polytope:
         form answers it row by row through ``hull_membership_lp``.
         """
         x = np.asarray(x, dtype=float)
-        slack = 1e-13 + tol * np.max(np.abs(x), axis=-1, initial=0.0)
+        slack = 1e-13 + tol * np.abs(x).max(axis=-1, initial=0.0)
         if self.rows is not None:
             lhs = x @ (self.rows * self.space.probs).T
-            inside = np.all(lhs <= self.rhs + slack[..., None], axis=-1)
+            inside = (lhs <= self.rhs + slack[..., None]).all(axis=-1)
         elif self._hull_facets is not None:
             A, b = self._hull_facets
-            inside = np.all(_facet_values(x, A) + b <= slack[..., None], axis=-1)
+            inside = (_facet_values(x, A) + b <= slack[..., None]).all(axis=-1)
         elif x.ndim > 1:
             inside = np.array([hull_membership_lp(self.vertices, row) for row in x], dtype=bool)
         else:
@@ -181,10 +183,10 @@ class Polytope:
         normals and membership ``A x + b <= 0``.
 
         For ``n <= MAX_ENUM_DIM`` from ``enumerate_facets``; above, or for
-        a hull with too many vertices for its subset search, from qhull
-        (scipy, imported here on first use).  None when the hull is flat
-        (or qhull fails); callers then fall back to the LP route.  Computed
-        on first use.
+        more points than it takes, from qhull (scipy, imported here on first
+        use).  None when the hull is flat, or when qhull is needed and scipy
+        is missing (with a ``RuntimeWarning`` naming the ``hull`` extra);
+        callers then fall back to the LP route.  Computed on first use.
         """
         if self.vertices is None:
             return None
@@ -192,12 +194,17 @@ class Polytope:
             try:
                 return enumerate_facets(self.vertices)
             except DualityError:
-                pass  # more subsets than FACET_SUBSETS_MAX
+                pass  # more points or subsets than enumerate_facets takes
         try:
             from scipy.spatial import ConvexHull
-
+        except ImportError:
+            warnings.warn(f"the facets of {len(self.vertices)} vertices on {self.space.n} outcomes need "
+                          "scipy (pip install minkdev[hull]); membership falls back to one LP per query",
+                          RuntimeWarning, stacklevel=3)
+            return None
+        try:
             hull = ConvexHull(self.vertices)
-        except Exception:
+        except RuntimeError:  # QhullError: a flat set
             return None
         return hull.equations[:, :-1].copy(), hull.equations[:, -1].copy()
 
@@ -237,7 +244,7 @@ def _facet_values(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     which BLAS matrix-vector and matrix-matrix products do not promise."""
     total = x[..., :1] * A[:, 0]
     for j in range(1, A.shape[1]):
-        total = total + x[..., j:j + 1] * A[:, j]
+        total += x[..., j:j + 1] * A[:, j]
     return total
 
 
@@ -294,8 +301,8 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
     2. For each ``n``-subset of ``Q`` not tried before, the hyperplane
        through it (the generalised cross product of its edge vectors) is
        kept, outward, when every point of ``Q`` lies on one side of it
-       within ``FACET_TOL`` plus the rounding error of its normal.  The
-       subsets are tried in blocks of at most ``FACET_BLOCK``.
+       within ``FACET_TOL`` plus the rounding error of its normal, which is
+       bounded from the subset's own edges.
     3. The points strictly inside every kept plane lie in ``conv(Q)`` and
        are dropped.  If other points lie beyond a kept plane, the point
        furthest beyond each such plane (a vertex) joins ``Q``, the planes
@@ -305,33 +312,31 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
     A facet through more than ``n`` vertices is found once per subset;
     planes with the same vertices on them are kept once.  Each offset puts
     its facet through the outermost vertex.  The cost grows with the number
-    of hull vertices as ``C(vertices, n)``: ``DualityError`` when the search
-    would try more than ``FACET_SUBSETS_MAX`` subsets, as it does above
-    ``MAX_ENUM_DIM``.
+    of hull vertices as ``C(vertices, n)``: ``DualityError`` for more than
+    ``FACET_POINTS_MAX`` points, when the search would try more than
+    ``FACET_SUBSETS_MAX`` subsets, and above ``MAX_ENUM_DIM``.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     k, n = V.shape
     if n > MAX_ENUM_DIM:
         raise DualityError(f"facet enumeration supports n <= {MAX_ENUM_DIM}, got n = {n}")
-    Y = V - np.sum(V, axis=0) / k
-    scale = math.sqrt(np.max(np.sum(Y * Y, axis=1)))
+    if k > FACET_POINTS_MAX:
+        raise DualityError(f"facet enumeration takes at most {FACET_POINTS_MAX} points, got {k}")
+    Y = V - V.sum(axis=0) / k
+    scale = math.sqrt((Y * Y).sum(axis=1).max())
     if not scale > 0.0:
         return None
-    err = 16.0 * np.finfo(float).eps * (2.0 * scale) ** n  # bounds an unnormalised normal's error
-    probes, step = _probe_directions(n), max(1, PROBE_BLOCK // k)
-    hit = np.zeros(k, dtype=bool)
-    for j in range(0, probes.shape[1], step):
-        h = Y @ probes[:, j:j + step]
-        hit |= np.any(h == np.max(h, axis=0), axis=1)
+    h = Y @ _probe_directions(n)
+    hit = (h == h.max(axis=0)).any(axis=1)
     Y = Y[np.argsort(~hit, kind="stable")]  # Q is Y[:q]
-    q, lo, tried = int(np.count_nonzero(hit)), 0, 0
+    q, lo, tried = int(hit.sum()), 0, 0
     while True:
         tried += math.comb(q, n) - math.comb(lo, n)
         if tried > FACET_SUBSETS_MAX:
             raise DualityError(f"facet enumeration would try more than {FACET_SUBSETS_MAX} point subsets")
-        N2, off2, tol2, flat = _supporting_planes(Y[:q], lo, scale, err)
+        N2, off2, tol2, flat = _supporting_planes(Y[:q], lo, scale)
         if lo:  # the earlier planes that no newcomer crosses stay
-            old = np.all(Y[lo:q] @ N - off <= tol, axis=0)
+            old = (Y[lo:q] @ N - off <= tol).all(axis=0)
             N = np.concatenate([N[:, old], N2], axis=1)
             off, tol = np.concatenate([off[old], off2]), np.concatenate([tol[old], tol2])
         else:
@@ -347,51 +352,85 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
         beyond = rest > tol
         if not beyond.any():
             break
-        far = np.unique(np.argmax(rest[:, beyond.any(axis=0)], axis=0))
-        inside = np.all(rest < -tol, axis=1)
+        far = np.unique(rest[:, beyond.any(axis=0)].argmax(axis=0))
+        inside = (rest < -tol).all(axis=1)
         inside[far] = True
         Y = np.concatenate([Y[:q], Y[q + far], Y[q:][~inside]])
         lo, q = q, q + far.size
-    if np.min(off) <= FLAT_TOL * scale:  # the centroid (at 0) next to a facet
+    if off.min() <= FLAT_TOL * scale:  # the centroid (at 0) next to a facet
         return None
     # planes through one facet's vertices have normals equal up to rounding:
     # screen for such pairs, then keep one plane per set of vertices on it
     if np.count_nonzero(N.T @ N > 1.0 - 1e-9) > N.shape[1]:
         _, first = np.unique((Y @ N - off >= -tol).T, axis=0, return_index=True)
         N = N[:, np.sort(first)]
-    return N.T, -np.max(V @ N, axis=0)
+    return N.T, -(V @ N).max(axis=0)
 
 
-def _supporting_planes(Y: np.ndarray, lo: int, scale: float, err: float):
+def _supporting_planes(Y: np.ndarray, lo: int, scale: float):
     """The hyperplanes through the ``n``-subsets of the rows of ``Y`` whose
     last row is at least ``lo`` that have every row on one side.
 
     Returns unit outward normals ``N`` (``(n, F)``) and offsets ``off`` with
     ``y @ N <= off + tol`` for every row, the tolerances ``tol``, and
     whether some plane has every row on both sides (the rows are flat).
+
+    A subset's normal is the cross product of ``n - 1`` edges that span the
+    subset as a tree, the same for every such tree up to sign; each
+    component, a minor of the edges ``D_r``, is computed with a rounding
+    error below ``16 eps prod_r |D_r|_1`` (``_normals``).  The edges from
+    the subset's first point are tried first.  Where that error is not small
+    against ``FACET_TOL``, the tree with the least product is taken, so a
+    subset with some points close together (a small facet, or a facet
+    through a cluster) gets an error relative to its own size.  The pairing
+    of a row with the normal then errs by at most ``4 scale`` times the
+    bound (the rows lie within ``scale`` of 0, and ``n <= 4``).
     """
     q, n = Y.shape
-    YT = Y.T
-    min_norm = err / (NORMAL_ERR_MAX * scale)
-    parts = []
-    for idx, first in _subset_blocks(q, n, lo):
-        P = np.take(YT, idx, axis=1)  # P[:, i, m]: point i of subset m
-        N = _cross(P[:, 1:] - P[:, :1])
-        norm = np.sqrt(np.sum(N * N, axis=0))
-        d = Y @ N
-        off = d.ravel().take(first)  # the pairing with the subset's first row
-        d -= off
-        tol = FACET_TOL * scale * norm + err
-        ahead, behind = np.max(d, axis=0), -np.min(d, axis=0)  # the furthest rows either side
-        keep = np.flatnonzero((np.minimum(ahead, behind) <= tol) & (norm > min_norm))
-        ahead, behind, tol, norm = ahead[keep], behind[keep], tol[keep], norm[keep]
-        f = np.where(ahead <= tol, 1.0, -1.0) / norm
-        parts.append((N[:, keep] * f, off[keep] * f, tol / norm,
-                      bool(np.any(np.maximum(ahead, behind) <= tol))))
-    if len(parts) == 1:
-        return parts[0]
-    *arrays, flat = zip(*parts)
-    return (*(np.concatenate(a, axis=-1) for a in arrays), any(flat))
+    idx = _subsets(q, n, lo)
+    M = idx.shape[1]
+    P = Y.T.take(idx, axis=1)  # P[:, i, m]: point i of subset m
+    N, err = _normals(P[:, 1:] - P[:, :1])
+    norm = np.sqrt((N * N).sum(axis=0))
+    redo = (err > FACET_TOL / 4.0 * norm).nonzero()[0]
+    if redo.size:
+        tail, head, trees = _spanning_trees(n)
+        E = P.take(redo, axis=2)
+        E = E[:, head] - E[:, tail]  # every edge of every subset redone
+        best = np.abs(E).sum(axis=0)[trees].prod(axis=1).argmin(axis=0)
+        N[:, redo], err[redo] = _normals(E[:, trees[best].T, np.arange(redo.size)])
+        norm[redo] = np.sqrt((N[:, redo] ** 2).sum(axis=0))
+    d = Y @ N
+    off = d.ravel().take(idx[0] * M + np.arange(M))  # the pairing with the subset's first row
+    d -= off
+    tol = FACET_TOL * scale * norm + 4.0 * scale * err
+    ahead, behind = d.max(axis=0), -d.min(axis=0)  # the furthest rows either side
+    keep = ((np.minimum(ahead, behind) <= tol) & (err < NORMAL_ERR_MAX * norm)).nonzero()[0]
+    ahead, behind, tol, norm = ahead[keep], behind[keep], tol[keep], norm[keep]
+    f = np.where(ahead <= tol, 1.0, -1.0) / norm
+    return N[:, keep] * f, off[keep] * f, tol / norm, bool((np.maximum(ahead, behind) <= tol).any())
+
+
+@functools.lru_cache(maxsize=None)
+def _spanning_trees(n: int):
+    """The edges ``(tail, head)`` between ``n`` points, and the spanning
+    trees of those points as rows of ``n - 1`` edge indices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    trees = []
+    for edges in itertools.combinations(range(len(pairs)), n - 1):
+        reach = {0}  # n - 1 edges that reach every point from point 0 form a tree
+        for _ in range(n):
+            reach |= {b for e in edges for a, b in (pairs[e], pairs[e][::-1]) if a in reach}
+        if len(reach) == n:
+            trees.append(edges)
+    tail, head = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return tail, head, np.array(trees, dtype=np.intp).reshape(len(trees), n - 1)
+
+
+def _normals(D: np.ndarray):
+    """The cross products of edges ``D`` (as ``_cross``) and a bound on the
+    rounding error of each of their components."""
+    return _cross(D), _ROUNDING * np.abs(D).sum(axis=0).prod(axis=0)
 
 
 def _cross(D: np.ndarray) -> np.ndarray:
@@ -405,7 +444,7 @@ def _cross(D: np.ndarray) -> np.ndarray:
     levels, last, sign = _cross_plan(n)
     minors = D[:, 0]
     for r, (col, sub, sg) in enumerate(levels, start=1):
-        minors = np.sum(D[col, r] * minors[sub] * sg, axis=0)
+        minors = (D[col, r] * minors[sub] * sg).sum(axis=0)
     return minors[last] * sign
 
 
@@ -434,39 +473,24 @@ def _probe_directions(n: int) -> np.ndarray:
     return np.array([v for v in itertools.product(steps, repeat=n) if any(v)]).T
 
 
-def _subset_blocks(k: int, n: int, lo: int):
+#: Per dimension ``n``, the ``n``-subsets of ``range(k)`` for the largest
+#: ``k`` asked so far, as ``(n, C(k, n))`` member indices in colex order.
+_SUBSETS: dict[int, np.ndarray] = {}
+
+
+def _subsets(k: int, n: int, lo: int) -> np.ndarray:
     """The ``n``-subsets of ``range(k)`` whose largest member is at least
-    ``lo``, in blocks of at most ``FACET_BLOCK``: per block the ``(n, M)``
-    member indices and, for a ``(k, M)`` array, the flat index of each
-    subset's first member.  Small tables are kept for reuse."""
-    if math.comb(k, n) <= FACET_BLOCK:
-        yield _subset_table(k, n, lo)
-        return
-    combos = _colex_subsets(k, n, lo)
-    while len(rows := np.fromiter(itertools.islice(combos, FACET_BLOCK), dtype=(np.intp, n))):
-        yield _subset_block(rows)
-
-
-@functools.lru_cache(maxsize=64)
-def _subset_table(k: int, n: int, lo: int):
-    return _subset_block(np.fromiter(_colex_subsets(k, n, lo), dtype=(np.intp, n)))
-
-
-def _subset_block(rows: np.ndarray):
-    idx = rows.T.copy()
-    first = idx[0] * idx.shape[1] + np.arange(idx.shape[1])
-    idx.setflags(write=False)
-    first.setflags(write=False)
-    return idx, first
-
-
-def _colex_subsets(k: int, n: int, lo: int):
-    """``n``-subsets of ``range(k)`` with largest member at least ``lo``, by
-    largest member first: the subsets of ``range(m)`` come before any
-    subset that contains ``m``."""
-    for m in range(max(lo, n - 1), k):
-        for c in itertools.combinations(range(m), n - 1):
-            yield c + (m,)
+    ``lo``, as ``(n, M)`` member indices.  In colex order (by largest member
+    first) they are the tail of the subsets of ``range(k)``, which are in
+    turn the head of those of any larger range, so one table per ``n``
+    serves every call; ``FACET_SUBSETS_MAX`` keeps it small."""
+    table = _SUBSETS.get(n)
+    if table is None or table.shape[1] < math.comb(k, n):
+        rows = (c + (m,) for m in range(n - 1, k) for c in itertools.combinations(range(m), n - 1))
+        table = np.fromiter(rows, dtype=(np.intp, n)).T.copy()
+        table.setflags(write=False)
+        _SUBSETS[n] = table
+    return table[:, math.comb(lo, n):math.comb(k, n)]
 
 
 # ---------------------------------------------------------------------------

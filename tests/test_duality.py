@@ -13,6 +13,7 @@ import pytest
 
 from minkdev.duality import (
     CHECK_OPTS,
+    FACET_POINTS_MAX,
     MAX_ENUM_DIM,
     DualityError,
     Polytope,
@@ -84,6 +85,9 @@ def hull_cases(n):
     cross = np.vstack([np.eye(n), -np.eye(n)])
     random = rng.uniform(-3.0, 3.0, size=(n + 6, n))
     sphere = rng.normal(size=(40 if n < 4 else 30, n))
+    # a cube with its corner (1, ..., 1) cut off: the cut facet's vertices
+    # lie delta apart, far closer than the cube's
+    corner = lambda delta: np.vstack([cube[:-1], 1.0 - delta * np.eye(n)])
     return {
         "random": np.vstack([random, 0.5 * np.eye(n), -0.5 * np.eye(n)]),
         "zero_vertex": np.vstack([rng.uniform(0.2, 3.0, size=(n + 4, n)), np.zeros((1, n))]),
@@ -91,8 +95,10 @@ def hull_cases(n):
         "cube": 1.5 * cube + 0.25,
         "cross": 2.0 * cross,
         "nearly_coplanar": cube * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, size=cube.shape)),
-        # more point subsets than one block holds
+        # every point a vertex
         "sphere": sphere / np.linalg.norm(sphere, axis=1, keepdims=True),
+        "corner": corner(1e-3),
+        "tiny_corner": corner(1e-6),
     }
 
 
@@ -112,12 +118,12 @@ def test_enumerate_facets_agrees_with_qhull(n):
         hull = ConvexHull(V)
         W, c = hull.equations[:, :-1], hull.equations[:, -1]
         # facet centroids of qhull's (triangulated) facets, on the boundary
-        # and pushed 1e-6 along their normal either way
+        # and pushed 1e-6 and 1e-8 along their normal either way
         on = V[hull.simplices].mean(axis=1)
         size = np.max(np.abs(V))
         X = np.vstack([
             rng.uniform(-1.3 * size, 1.3 * size, size=(400, n)),
-            on, on + 1e-6 * size * W, on - 1e-6 * size * W,
+            on, *(on + push * size * W for push in (1e-6, -1e-6, 1e-8, -1e-8)),
             *(f * V for f in (0.5, 0.999, 1.0, 1.001, 2.0)),
         ])
         want = np.all(X @ W.T + c <= slack(X)[:, None], axis=1)
@@ -125,6 +131,10 @@ def test_enumerate_facets_agrees_with_qhull(n):
         assert np.all(V @ A.T + b <= slack(V)[:, None]), name
         if name in ("cube", "cross"):   # facets through more than n vertices, kept once
             assert len(A) == (2 * n if name == "cube" else 2 ** n), name
+
+
+SPHERE60 = np.random.default_rng(6).normal(size=(60, 4))
+SPHERE60 /= np.linalg.norm(SPHERE60, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("V", [
@@ -147,15 +157,29 @@ def test_enumerate_facets_of_a_flat_set_is_none(V):
 def test_enumerate_facets_caps_its_dimension_and_its_subsets():
     with pytest.raises(DualityError):
         enumerate_facets(np.eye(5))
+    with pytest.raises(DualityError):
+        enumerate_facets(np.zeros((FACET_POINTS_MAX + 1, 2)))
     # 60 points on the 3-sphere: every point a vertex, C(60, 4) subsets;
     # the polytope takes its facets from qhull instead
-    V = np.random.default_rng(6).normal(size=(60, 4))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    V = SPHERE60
     with pytest.raises(DualityError):
         enumerate_facets(V)
     P = Polytope.from_vertices(weighted_space(4), V)
     assert P._hull_facets is not None
     X = np.vstack([np.random.default_rng(7).uniform(-1.1, 1.1, size=(300, 4)), V, 0.99 * V, 1.01 * V])
+    assert P.contains(X).tolist() == [hull_membership_lp(V, x) for x in X]
+
+
+@pytest.mark.parametrize("n, V", [
+    (5, np.vstack([np.eye(5), -np.eye(5), np.full((1, 5), 0.3)])),          # above MAX_ENUM_DIM
+    (4, SPHERE60),                                                            # past FACET_SUBSETS_MAX
+], ids=["n5", "many_vertices"])
+def test_vertex_form_without_scipy_warns_and_answers_through_the_lp(monkeypatch, n, V):
+    monkeypatch.setitem(sys.modules, "scipy.spatial", None)  # makes the import fail
+    P = Polytope.from_vertices(weighted_space(n), V)
+    with pytest.warns(RuntimeWarning, match=r"minkdev\[hull\]"):
+        assert P._hull_facets is None
+    X = np.vstack([np.random.default_rng(9).uniform(-1.5, 1.5, size=(20, n)), 0.99 * V[:3], 1.01 * V[:3]])
     assert P.contains(X).tolist() == [hull_membership_lp(V, x) for x in X]
 
 
