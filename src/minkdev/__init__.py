@@ -11,7 +11,7 @@ from .market import MarketSpace, as_position, expectation, left_quantile
 from .sets import AcceptanceSet, SetFlags, sublevel_set, add_constants, star_hull
 from .gauge import GaugeOptions, GaugeResult, minkowski_gauge, shift_infimum_gauge
 from .deviations import AxiomFlags, DeviationFunctional, builtin_deviation, builtin_error
-from .duality import Polytope, PolarForm, polar, support_function
+from .duality import Polytope, polar, support_function
 
 __all__ = [
     "MarketSpace",
@@ -32,7 +32,6 @@ __all__ = [
     "builtin_deviation",
     "builtin_error",
     "Polytope",
-    "PolarForm",
     "polar",
     "support_function",
 ]

@@ -213,13 +213,7 @@ def cmd_polar(config: RunConfig) -> int:
         pdoc = doc.get("polytope")
         if not isinstance(pdoc, dict):
             raise InputError('polar scenarios need a "polytope" entry')
-        if "vertices" in pdoc:
-            P = Polytope.from_vertices(space, np.asarray(pdoc["vertices"], float))
-        elif "rows" in pdoc:
-            P = Polytope.from_halfspaces(space, np.asarray(pdoc["rows"], float),
-                                         np.asarray(pdoc["rhs"], float))
-        else:
-            raise InputError('polytope needs "vertices" or "rows"/"rhs"')
+        P = Polytope.from_json(space, pdoc)
     F = duality.polar(P)
     payload = {
         "v": SCHEMA_VERSION,
@@ -227,7 +221,7 @@ def cmd_polar(config: RunConfig) -> int:
     }
     if space.n <= duality.MAX_ENUM_DIM:
         try:
-            payload["polar"]["extreme_points"] = duality.polar_vertices(F)
+            payload["polar"]["extreme_points"] = F.vertex_form()
         except DualityError:
             pass  # unbounded polar: halfspace form is still exact
     _write(_dump_json(payload), config.out)

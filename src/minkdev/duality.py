@@ -3,21 +3,23 @@
 All dual objects live under the probability-weighted pairing
 ``<x, y> = sum_i p_i x_i y_i``.  The polar of a set ``A`` is
 ``A* = { y : <x, y> <= 1 for all x in A }``; for a polytope given by
-vertices ``v_j`` this is exactly the halfspace system ``<v_j, y> <= 1``.
-The support function of the polar equals the gauge of closed convex sets
-containing the origin, which gives an LP route to the gauge that is fully
-independent of the bisection solver — the two are compared, never merged:
-``dual_representation_check`` compares them on sampled positions, and
-``bipolar_check`` compares the bipolar with ``conv(P U {0})``.
+vertices ``v_j`` this is exactly the halfspace system ``<v_j, y> <= 1``,
+which ``polar`` returns as a ``Polytope`` in halfspace form.  The support
+function of the polar equals the gauge of closed convex sets containing the
+origin, which gives an LP route to the gauge that is fully independent of
+the bisection solver (the LP reads the polar's rows, bisection ``P``'s
+facets) — the two are compared, never merged: ``dual_representation_check``
+compares them on sampled positions, and ``bipolar_check`` compares the
+bipolar with ``conv(P U {0})``.
 
-A polytope in vertex form answers membership through the facets of its
-convex hull.  For ``n <= MAX_ENUM_DIM`` they come from ``enumerate_facets``,
-which works from the vertices alone (never from the LP, the polar or the
-support function, so bisection and LP stay independent routes).  Above that
-dimension, or for more points than ``enumerate_facets`` takes
+A polytope answers membership and shift intervals from one facet system,
+through one pairing kernel and one slack rule: the halfspace form from its
+rows, the vertex form from its hull facets.  For ``n <= MAX_ENUM_DIM`` those
+come from ``enumerate_facets``, which works from the vertices alone.  Above
+that dimension, or for more points than ``enumerate_facets`` takes
 (``FACET_POINTS_MAX``, ``FACET_SUBSETS_MAX``), they come from qhull, the
 module's only use of scipy, imported on first use; without scipy such a
-polytope warns and answers membership through an LP.
+polytope warns and answers membership through an LP, as does a flat hull.
 """
 
 from __future__ import annotations
@@ -115,26 +117,30 @@ class Polytope:
     def from_halfspaces(cls, space: MarketSpace, rows, rhs) -> "Polytope":
         return cls(space=space, rows=np.asarray(rows, dtype=float), rhs=np.asarray(rhs, dtype=float))
 
+    @classmethod
+    def from_json(cls, space: MarketSpace, doc: dict) -> "Polytope":
+        """A polytope from ``{"vertices": [[...], ...]}`` or ``{"rows": [[...],
+        ...], "rhs": [...]}`` (the vertices when both are given)."""
+        if "vertices" in doc:
+            return cls.from_vertices(space, np.asarray(doc["vertices"], float))
+        if "rows" in doc:
+            return cls.from_halfspaces(space, np.asarray(doc["rows"], float), np.asarray(doc["rhs"], float))
+        raise DualityError('polytope needs "vertices" or "rows"/"rhs"')
+
     # -- membership ---------------------------------------------------------
 
     def contains(self, x, tol: float = 1e-9):
-        """Membership up to a tolerance scaled by the query's magnitude.
+        """Membership up to a slack of ``tol * max|x|`` on every facet.
 
-        The relative scaling matters for gauge queries: vertices at the
-        origin put facets through 0, and a fixed absolute slack would admit
-        every sufficiently shrunken point, silently turning infinite gauges
-        into huge finite ones.  A ``(B, n)`` batch gives a ``(B,)`` bool
-        array, each row with its own relative slack; a flat hull in vertex
-        form answers it row by row through ``hull_membership_lp``.
+        The slack has no absolute part: vertices at the origin put facets
+        through 0, and any fixed slack would admit every far-shrunk point,
+        turning infinite gauges into huge finite ones.  A ``(B, n)`` batch
+        gives a ``(B,)`` bool array, each row with the bits it gets alone; a
+        flat hull answers row by row through ``hull_membership_lp``.
         """
         x = np.asarray(x, dtype=float)
-        slack = 1e-13 + tol * np.abs(x).max(axis=-1, initial=0.0)
-        if self.rows is not None:
-            lhs = x @ (self.rows * self.space.probs).T
-            inside = (lhs <= self.rhs + slack[..., None]).all(axis=-1)
-        elif self._hull_facets is not None:
-            A, b = self._hull_facets
-            inside = (_facet_values(x, A) + b <= slack[..., None]).all(axis=-1)
+        if self._facets is not None:
+            inside = (self._excess(x, tol) <= 0.0).all(axis=-1)
         elif x.ndim > 1:
             inside = np.array([hull_membership_lp(self.vertices, row) for row in x], dtype=bool)
         else:
@@ -144,38 +150,47 @@ class Polytope:
     def _shift_interval(self, x):
         """The constants ``c`` with ``x - c`` in the polytope.
 
-        With the plain-coordinate facets ``<w_i, y> <= r_i`` (the halfspace
-        form, else the hull facets of the vertex form), facet ``i`` holds at
-        ``x - c`` iff ``c * s_i >= <w_i, x> - r_i - slack``, where ``s_i =
-        <w_i, 1>`` and ``slack`` is ``contains``'s slack at its default
-        tolerance, taken at ``x``.  Each facet bounds ``c`` from below
-        (``s_i > 0``) or above (``s_i < 0``), or holds for every ``c`` or
-        none (``s_i = 0``).  Returns ``(lo, hi)``, one bound per position of
-        ``x`` (``(n,)`` or ``(B, n)``); the interval is empty when ``lo >
-        hi``.  The pairings are summed as ``_facet_values`` sums them, so each
-        row of a batch gets the bits it gets alone.
+        Facet ``i`` of ``_facets`` holds at ``x - c`` iff ``c * s_i >=
+        excess_i``, the excess of ``x`` over the facet less ``contains``'s
+        slack at its default tolerance, taken at ``x``.  Each facet bounds
+        ``c`` from below (``s_i > 0``) or above (``s_i < 0``), or holds for
+        every ``c`` or none (``s_i = 0``).  Returns ``(lo, hi)``, one bound per
+        position of ``x`` (``(n,)`` or ``(B, n)``); the interval is empty when
+        ``lo > hi``.
         """
-        W, r, s = self._shift_rows
-        x = np.asarray(x, dtype=float)
-        slack = 1e-13 + 1e-9 * np.max(np.abs(x), axis=-1, initial=0.0)
-        excess = _facet_values(x, W) - r - slack[..., None]
+        s = self._facets[2]
+        excess = self._excess(np.asarray(x, dtype=float))
         bound = excess / np.where(s == 0.0, 1.0, s)
         lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
         hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)
         blocked = np.any((s == 0.0) & (excess > 0.0), axis=-1)
         return np.where(blocked, math.inf, lo), hi
 
+    def _excess(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """``<W_i, x> - r_i - tol * max|x|`` for every facet of ``_facets``,
+        positive where ``x`` lies beyond the facet by more than the slack."""
+        W, r, _ = self._facets
+        return _pairings(x, W) - r - (tol * np.abs(x).max(axis=-1, initial=0.0))[..., None]
+
     @functools.cached_property
-    def _shift_rows(self):
-        """Plain-coordinate facets ``<W_i, y> <= r_i`` and the sums ``s =
-        W 1``, for ``_shift_interval``: the halfspace form, else the hull
-        facets ``A y + b <= 0`` as ``W = A``, ``r = -b``."""
+    def _facets(self):
+        """The facets ``<W_i, y> <= r_i`` in plain coordinates and their sums
+        ``s = W 1``, or None for a flat hull in vertex form.
+
+        The halfspace form gives ``W = rows * probs``, ``r = rhs``; the vertex
+        form its hull facets ``A y + b <= 0`` as ``W = A``, ``r = -b``, with an
+        offset within ``1e-12 * max|v|`` of 0 taken as 0: a facet through a
+        vertex at the origin then passes through it exactly, so no shrunken
+        point beyond the facet is admitted.
+        """
         if self.rows is not None:
             W, r = self.rows * self.space.probs, self.rhs
+        elif self._hull_facets is None:
+            return None
         else:
             W, b = self._hull_facets
-            r = -b
-        return W, r, _facet_values(np.ones(self.space.n), W)
+            r = np.where(np.abs(b) <= 1e-12 * np.abs(self.vertices).max(), 0.0, -b)
+        return W, r, _pairings(np.ones(self.space.n), W)
 
     @functools.cached_property
     def _hull_facets(self):
@@ -218,9 +233,9 @@ class Polytope:
 
     def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
         """View the polytope as a (closed convex) acceptance set; in both
-        forms one function answers a position or a batch.  The halfspace
-        form, and the vertex form when its hull has facets, also give the
-        set its ``shift_interval``."""
+        forms one function answers a position or a batch.  A polytope with
+        facets (any but a flat hull) also gives the set its
+        ``shift_interval``."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -234,18 +249,15 @@ class Polytope:
         member = lambda x: self.contains(x)
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
                              label=label or "polytope", row_membership=member,
-                             shift_interval=None if self.rows is None and self._hull_facets is None
-                             else self._shift_interval)
+                             shift_interval=None if self._facets is None else self._shift_interval)
 
 
-def _facet_values(x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """``x @ A.T`` for one position or a ``(B, n)`` batch, summed one
-    coordinate at a time: each row of a batch gets the bits it gets alone,
-    which BLAS matrix-vector and matrix-matrix products do not promise."""
-    total = x[..., :1] * A[:, 0]
-    for j in range(1, A.shape[1]):
-        total += x[..., j:j + 1] * A[:, j]
-    return total
+def _pairings(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``x @ W.T`` for one position or a ``(B, n)`` batch, as one 1-d dot
+    product per row and facet: each row of a batch gets the bits it gets
+    alone, which BLAS matrix-vector and matrix-matrix products do not
+    promise."""
+    return np.vecdot(x[..., None, :], W)
 
 
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
@@ -497,20 +509,11 @@ def _subsets(k: int, n: int, lo: int) -> np.ndarray:
 # Polars and support functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolarForm:
-    """The polar of a polytope: halfspaces ``<v_j, y> <= 1`` (one per vertex),
-    in the probability-weighted pairing."""
-
-    space: MarketSpace
-    rows: np.ndarray  # the primal vertices, acting as constraint normals
-    rhs: np.ndarray
-
-
-def polar(P: Polytope) -> PolarForm:
-    """Polar of a polytope from its vertex form."""
+def polar(P: Polytope) -> Polytope:
+    """Polar of a polytope, in halfspace form: ``<v_j, y> <= 1`` for each
+    vertex ``v_j`` of ``P``."""
     V = P.vertex_form()
-    return PolarForm(space=P.space, rows=V, rhs=np.ones(V.shape[0]))
+    return Polytope.from_halfspaces(P.space, V, np.ones(V.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -522,11 +525,12 @@ class SupportValue:
     outcome: lp.LPOutcome
 
 
-def support_function(F: PolarForm, x) -> SupportValue:
-    """``h(x) = sup { <x, y> : y in polar }`` via the simplex solver.
+def support_function(F: Polytope, x) -> SupportValue:
+    """``h(x) = sup { <x, y> : y in F }`` via the simplex solver, for ``F`` in
+    halfspace form (``DualityError`` otherwise), such as ``polar(P)``.
 
     Free variables are split into positive and negative parts.  An unbounded
-    LP certifies ``h(x) = +inf`` (the polar has a recession direction with
+    LP certifies ``h(x) = +inf`` (``F`` has a recession direction with
     positive pairing against ``x``).  ``x`` must be a finite position of
     ``F.space`` (``MarketError`` otherwise).
     """
@@ -535,7 +539,7 @@ def support_function(F: PolarForm, x) -> SupportValue:
     return _support_value(F, out)
 
 
-def support_values(F: PolarForm, X) -> list[SupportValue]:
+def support_values(F: Polytope, X) -> list[SupportValue]:
     """``support_function(F, x)`` for every row ``x`` of a ``(B, n)`` batch,
     as one lockstep solve (``lp.solve_lps``); entry ``i`` equals
     ``support_function(F, X[i])``.  Every row must be a finite position of
@@ -545,14 +549,16 @@ def support_values(F: PolarForm, X) -> list[SupportValue]:
     return [_support_value(F, out) for out in outs]
 
 
-def _polar_rows(F: PolarForm) -> np.ndarray:
-    """The polar's constraints on the split variables ``(y+, y-)``:
-    ``<v_j, y> = (v_j * p) . y``."""
+def _polar_rows(F: Polytope) -> np.ndarray:
+    """The halfspaces of ``F`` on the split variables ``(y+, y-)``:
+    ``<a_j, y> = (a_j * p) . y``."""
+    if F.rows is None:
+        raise DualityError("the support-function LP takes a polytope in halfspace form, such as polar(P)")
     W = F.rows * F.space.probs
     return np.hstack([W, -W])
 
 
-def _support_value(F: PolarForm, out: lp.LPOutcome) -> SupportValue:
+def _support_value(F: Polytope, out: lp.LPOutcome) -> SupportValue:
     if out.status == "unbounded":
         return SupportValue(value=math.inf, maximiser=None, outcome=out)
     if out.status != "optimal":
@@ -560,11 +566,6 @@ def _support_value(F: PolarForm, out: lp.LPOutcome) -> SupportValue:
     n = F.space.n
     y = out.point[:n] - out.point[n:]
     return SupportValue(value=float(out.value), maximiser=y, outcome=out)
-
-
-def polar_vertices(F: PolarForm) -> np.ndarray:
-    """Extreme points of a bounded polar, by constraint-subset enumeration."""
-    return enumerate_vertices(F.space, F.rows, F.rhs)
 
 
 # ---------------------------------------------------------------------------

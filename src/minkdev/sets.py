@@ -679,13 +679,10 @@ def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceS
     if kind == "ball":
         p = math.inf if doc.get("p") in ("inf", None) else float(doc["p"])
         return ball_set(space, p, float(doc.get("radius", 1.0)), doc.get("center"))
-    if kind == "halfspaces":
+    if kind in ("halfspaces", "vertices"):
         from .duality import Polytope  # local: avoids a module cycle
-        P = Polytope.from_halfspaces(space, np.asarray(doc["rows"], float), np.asarray(doc["rhs"], float))
-        return P.as_acceptance_set()
-    if kind == "vertices":
-        from .duality import Polytope  # local: avoids a module cycle
-        return Polytope.from_vertices(space, np.asarray(doc["vertices"], float)).as_acceptance_set()
+        keys = ("rows", "rhs") if kind == "halfspaces" else ("vertices",)  # only the kind's own form
+        return Polytope.from_json(space, {key: doc[key] for key in keys}).as_acceptance_set()
     if kind == "scale":
         return scale_set(set_from_json(space, doc["of"], measure_parser), float(doc["factor"]))
     if kind == "combine":

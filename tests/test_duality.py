@@ -23,7 +23,6 @@ from minkdev.duality import (
     enumerate_vertices,
     hull_membership_lp,
     polar,
-    polar_vertices,
     support_function,
     support_values,
 )
@@ -184,16 +183,25 @@ def test_vertex_form_without_scipy_warns_and_answers_through_the_lp(monkeypatch,
 
 
 def test_vertex_form_answers_each_row_as_alone():
+    # both forms of each hull: the vertex form, and its hull facets as a
+    # halfspace system.  The facet centroids pushed out by the relative
+    # slack, and 1e-13 beyond it, sit where rounding decides membership
     rng = np.random.default_rng(8)
     for n in range(2, MAX_ENUM_DIM + 1):
         for name, V in hull_cases(n).items():
             P = Polytope.from_vertices(weighted_space(n), V)
+            A, b = P._hull_facets
+            H = Polytope.from_halfspaces(P.space, A / P.space.probs, -b)
+            on = np.abs(V @ A.T + b) <= 1e-9 * np.abs(V).max()
+            C = (on.T @ V) / on.sum(axis=0)[:, None]
             X = np.vstack([rng.uniform(-3.0, 3.0, size=(30, n)), 1e-14 * rng.uniform(-1.0, 1.0, size=(2, n)),
-                           np.zeros((1, n)), V])
-            assert P.contains(X).tolist() == [P.contains(x) for x in X], name
-            lo, hi = P._shift_interval(X)
-            alone = np.array([P._shift_interval(x) for x in X])
-            assert lo.tobytes() == alone[:, 0].tobytes() and hi.tobytes() == alone[:, 1].tobytes(), name
+                           np.zeros((1, n)), V, C,
+                           *(C + (1e-9 * np.abs(C).max(axis=1, keepdims=True) + t) * A for t in (0.0, 1e-13))])
+            for form, Q in (("vertices", P), ("halfspaces", H)):
+                assert Q.contains(X).tolist() == [Q.contains(x) for x in X], (name, form)
+                lo, hi = Q._shift_interval(X)
+                alone = np.array([Q._shift_interval(x) for x in X])
+                assert lo.tobytes() == alone[:, 0].tobytes() and hi.tobytes() == alone[:, 1].tobytes(), (name, form)
 
 
 def test_vertex_form_work_never_imports_scipy():
@@ -225,7 +233,7 @@ def test_enumerate_vertices_dimension_cap():
 
 def test_polar_of_diamond_is_box():
     F = polar(DIAMOND)
-    V = polar_vertices(F)
+    V = F.vertex_form()
     got = {tuple(np.round(v, 8)) for v in V}
     assert got == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
 
@@ -266,6 +274,38 @@ def test_support_values_equal_support_function_row_by_row():
             assert got.outcome.iterations == want.outcome.iterations
     assert support_values(polar(seg), X)[-1].value == math.inf
     assert support_values(polar(DIAMOND), np.empty((0, 2))) == []
+
+
+def test_support_lp_reads_the_polar_rows_alone():
+    # the LP route never builds hull facets, so it stays independent of
+    # bisection; a polytope in vertex form is not a halfspace system
+    X = np.random.default_rng(7).uniform(-4, 4, size=(10, 2))
+    P = Polytope.from_vertices(UNIFORM2, DIAMOND.vertices)
+    F = polar(P)
+    support_values(F, X)
+    support_function(F, X[0])
+    assert "_hull_facets" not in vars(F) and "_facets" not in vars(F)
+    for call in (lambda: support_function(P, X[0]), lambda: support_values(P, X)):
+        with pytest.raises(DualityError):
+            call()
+    assert "_hull_facets" not in vars(P)
+
+
+def test_cone_gauge_is_infinite_where_the_polar_lp_is_unbounded():
+    # 0 is a vertex: positions just outside the edge from 0 to (1, 0.5) meet
+    # no scaled copy of the polytope, however far shrunk, in either form
+    V = [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [2.0, 2.0]]
+    cone = Polytope.from_vertices(UNIFORM2, V)
+    halfspaces = Polytope.from_halfspaces(UNIFORM2, [[2.0, -4.0], [-4.0, 2.0], [3.0, -2.0], [-2.0, 3.0]],
+                                          [0.0, 0.0, 1.0, 1.0])
+    for P in (cone, halfspaces):
+        A = P.as_acceptance_set()
+        assert A.flags.contains_zero
+        for x in ([1.0, 0.49], [2.0, 0.99], [1.0, 0.45], [0.49, 1.0]):
+            assert support_function(polar(cone), x).value == math.inf
+            assert minkowski_gauge(A, np.array(x)).value == math.inf, x
+        assert minkowski_gauge(A, np.array([0.3, 0.6])).value == pytest.approx(0.6, rel=1e-8)
+        assert dual_representation_check(P, trials=200, seed=0).disagreements == 0
 
 
 @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf],
@@ -314,7 +354,7 @@ def quantile_rep_gap(P, trials, seed):
     space = P.space
     if not space.is_uniform():
         raise DualityError("quantile representation requires a uniform space")
-    ext_sorted = np.sort(polar_vertices(polar(P)), axis=1)
+    ext_sorted = np.sort(polar(P).vertex_form(), axis=1)
     X = np.random.default_rng(seed).uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(trials, space.n))
     A = P.as_acceptance_set()
     max_gap = 0.0

@@ -112,17 +112,16 @@ def shift_lines(P, x):
     """The facets of ``P + R`` at ``x``, as lines in the shift.
 
     Facet ``i`` holds at ``x / m - c / m`` iff ``icept_i - c slope_i <= m``
-    with ``icept_i = (<row_i, x> - 1e-9 max|x|) / (rhs_i + 1e-13)`` and
-    ``slope_i = <row_i, 1> / (rhs_i + 1e-13)``, for ``x`` centred: the slack
-    of ``Polytope.contains`` at its default tolerance, taken at the centred
+    with ``icept_i = (<row_i, x> - 1e-9 max|x|) / rhs_i`` and ``slope_i =
+    <row_i, 1> / rhs_i``, for ``x`` centred: the slack of
+    ``Polytope.contains`` at its default tolerance, taken at the centred
     position as ``add_constants`` takes it.  Needs 0 inside ``P`` (every
     ``rhs_i > 0``).
     """
     probs = P.space.probs
     xc = x - probs @ x
     weights = P.rows * probs
-    b = P.rhs + 1e-13
-    return (weights @ xc - 1e-9 * np.max(np.abs(xc))) / b, weights.sum(axis=1) / b
+    return (weights @ xc - 1e-9 * np.max(np.abs(xc))) / P.rhs, weights.sum(axis=1) / P.rhs
 
 
 def ref_shift_minimum(P, x):
