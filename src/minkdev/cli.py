@@ -8,16 +8,19 @@ Usage (entry point ``minkdev``)::
     minkdev check    --scenario scenario.json [--seed 0] [--out file]
     minkdev suite    [--seed 0] [--only name,name] [--out file]
 
-``--tol`` sets the relative tolerance of the gauge bisection; it must be
-finite and at least the float64 machine epsilon (about 2.2e-16), below which
-bisection cannot narrow a bracket any further.  An option given to a
-command whose usage line above does not show it is malformed input.
+Options follow the command, and each command accepts only the options
+its usage line above shows (``minkdev CMD --help`` lists them); any other
+option, or one written before the command, is malformed input.  ``--tol``
+sets the relative tolerance of the gauge bisection; it must be finite and
+at least the float64 machine epsilon (about 2.2e-16), below which
+bisection cannot narrow a bracket any further.
 
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
-command functions).  Exit codes: 0 success, 1 a property or invariant check
-failed, 2 malformed input, 3 a numerical failure (the simplex iteration
-cap).  Any other exception is a defect and propagates.
+command functions).  ``"v"``, ``"rays"`` and ``"trials"`` are JSON integers.
+Exit codes: 0 success, 1 a property or invariant check failed, 2 malformed
+input, 3 a numerical failure (the simplex iteration cap).  Any other
+exception is a defect and propagates.
 
 Output is deterministic for identical scenario and seed: no timestamps
 enter the payload and floats are serialised via ``repr``.  Infinite values
@@ -31,14 +34,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import duality, market, sets, suite
 from .deviations import MeasureError, check_axioms, measure_from_json
 from .duality import DualityError, Polytope
-from .gauge import EPS, GaugeOptions, gauge_table
+from .gauge import DEFAULT_OPTIONS, EPS, GaugeOptions, gauge_table
 from .lp import LPError
 from .market import MarketError
 from .sets import SetError
@@ -52,25 +54,11 @@ EXIT_NUMERICAL = 3
 
 
 class InputError(ValueError):
-    """Scenario or argument errors that map to exit code 2."""
+    """Scenario errors that map to exit code 2."""
 
 
 #: The library's errors about its input, all mapped to exit code 2.
 INPUT_ERRORS = (InputError, MarketError, SetError, MeasureError, DualityError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation."""
-
-    command: str  # eval | boundary | polar | check | suite
-    scenario: str | None = None
-    out: str | None = None
-    seed: int = 0
-    tol: float | None = None
-    rays: int | None = None
-    only: tuple[str, ...] = ()
-    format: str = "json"
 
 
 def _dump_json(payload) -> str:
@@ -85,20 +73,19 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_scenario(path: str | None) -> dict:
-    if not path:
-        raise InputError("this command requires --scenario")
+def _scenario(path: str) -> dict:
+    """Read the ``--scenario`` file: a JSON object with ``"v": 1`` and a ``"space"``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
-        raise InputError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("v") != SCHEMA_VERSION:
-        raise InputError(f'scenario must declare schema version "v": {SCHEMA_VERSION}')
+        raise argparse.ArgumentTypeError(f"scenario file not found: {path}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        raise argparse.ArgumentTypeError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] != SCHEMA_VERSION:
+        raise argparse.ArgumentTypeError(f'scenario must declare schema version "v": {SCHEMA_VERSION}')
     if "space" not in doc:
-        raise InputError('scenario must contain a "space" entry')
+        raise argparse.ArgumentTypeError('scenario must contain a "space" entry')
     return doc
 
 
@@ -115,23 +102,13 @@ def _parsing_scenario():
         raise InputError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
 
 
-def _gauge_options(config: RunConfig) -> GaugeOptions:
-    if config.tol is None:
-        return GaugeOptions()
-    try:
-        return GaugeOptions(tol_rel=config.tol, tol_abs=min(config.tol, 1e-12))
-    except ValueError as exc:
-        raise InputError(f"--tol must be finite and at least machine epsilon ({EPS!r}), "
-                         f"got {config.tol}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_eval(config: argparse.Namespace) -> int:
     """Evaluate measures and set gauges on the scenario's positions."""
-    doc = _load_scenario(config.scenario)
+    doc = config.scenario
     with _parsing_scenario():
         space = market.space_from_json(doc["space"])
         positions = market.positions_from_json(space, doc.get("positions", {}))
@@ -146,7 +123,7 @@ def cmd_eval(config: RunConfig) -> int:
                          "and list each measure once")
     names = sorted(positions)
     X = np.array([positions[name] for name in names], dtype=float).reshape(len(names), space.n)
-    table = gauge_table(acc_sets, X, _gauge_options(config))
+    table = gauge_table(acc_sets, X, config.opts)
 
     rows = []
     for i, name in enumerate(names):
@@ -176,18 +153,18 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def cmd_boundary(config: RunConfig) -> int:
+def cmd_boundary(config: argparse.Namespace) -> int:
     """Write the radial boundary profile of a set on a two-outcome space."""
-    doc = _load_scenario(config.scenario)
+    doc = config.scenario
     with _parsing_scenario():
         space = market.space_from_json(doc["space"])
         if "set" not in doc:
             raise InputError('boundary scenarios need a "set" entry')
         A = sets.set_from_json(space, doc["set"])
-        rays = config.rays if config.rays is not None else int(doc.get("rays", 720))
-    if rays < 4:
-        raise InputError(f"need at least 4 rays, got {rays}")
-    profile = suite.ray_profile(A, rays, opts=_gauge_options(config))
+        rays = config.rays if config.rays is not None else doc.get("rays", 720)
+    if type(rays) is not int or rays < 4:  # a bool or 16.5 is not a ray count
+        raise InputError(f"need a whole number of at least 4 rays, got {rays!r}")
+    profile = suite.ray_profile(A, rays, opts=config.opts)
 
     if config.format == "json":
         rows = [{"theta": t, "x0": x0, "x1": x1, "finite": fin}
@@ -204,10 +181,9 @@ def cmd_boundary(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_polar(config: RunConfig) -> int:
-    """Compute the polar of a polytope (halfspace form, plus extreme points
-    when the dimension permits enumeration)."""
-    doc = _load_scenario(config.scenario)
+def cmd_polar(config: argparse.Namespace) -> int:
+    """Compute the polar of a polytope: its halfspaces, and its extreme points on few outcomes."""
+    doc = config.scenario
     with _parsing_scenario():
         space = market.space_from_json(doc["space"])
         pdoc = doc.get("polytope")
@@ -228,21 +204,20 @@ def cmd_polar(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(config: argparse.Namespace) -> int:
     """Run property falsifiers for sets (and axiom audits for measures)."""
-    doc = _load_scenario(config.scenario)
+    doc = config.scenario
     with _parsing_scenario():
         space = market.space_from_json(doc["space"])
         targets = doc.get("check", [])
     if not targets:
         raise InputError('check scenarios need a non-empty "check" list')
     reports = []
-    any_failed = False
     for item in targets:
         with _parsing_scenario():
-            trials = int(item.get("trials", 200))
-            if trials < 1:
-                raise InputError(f'"trials" must be at least 1, got {trials}')
+            trials = item.get("trials", 200)
+            if type(trials) is not int or trials < 1:
+                raise InputError(f'"trials" must be a whole number of at least 1, got {trials!r}')
             if "set" in item:
                 A = sets.set_from_json(space, item["set"])
                 props = list(item.get("properties") or ())
@@ -256,24 +231,22 @@ def cmd_check(config: RunConfig) -> int:
             else:
                 results = sets.audit_flags(A, trials, config.seed)
             for r in results:
-                any_failed = any_failed or not r.passed
                 reports.append({"target": A.label or "set", "property": r.property,
                                 "passed": r.passed, "trials": r.trials,
                                 "counterexample": r.counterexample})
         else:
             for r in check_axioms(D, space, trials=trials, seed=config.seed):
-                any_failed = any_failed or not r.passed
                 reports.append({"target": D.label, "axiom": r.axiom, "passed": r.passed,
                                 "trials": r.trials, "worst_gap": r.worst_gap,
                                 "counterexample": r.counterexample})
     _write(_dump_json({"v": SCHEMA_VERSION, "reports": reports}), config.out)
-    return EXIT_CHECK_FAILED if any_failed else EXIT_OK
+    return EXIT_OK if all(r["passed"] for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_suite(config: RunConfig) -> int:
+def cmd_suite(config: argparse.Namespace) -> int:
     """Run the cross-module invariant suite and write its JSON report."""
     try:
-        reports, timings = suite.run_suite(seed=config.seed, only=list(config.only) or None)
+        reports, timings = suite.run_suite(seed=config.seed, only=config.only or None)
     except KeyError as exc:
         raise InputError(str(exc)) from exc
     payload = {"v": SCHEMA_VERSION, "seed": config.seed, "reports": reports}
@@ -286,60 +259,67 @@ def cmd_suite(config: RunConfig) -> int:
     return EXIT_OK if all(r.get("passed") for r in reports) else EXIT_CHECK_FAILED
 
 
-COMMANDS = {
-    "eval": cmd_eval,
-    "boundary": cmd_boundary,
-    "polar": cmd_polar,
-    "check": cmd_check,
-    "suite": cmd_suite,
-}
+def _tolerance(text: str) -> GaugeOptions:
+    try:
+        tol = float(text)
+        return GaugeOptions(tol_rel=tol, tol_abs=min(tol, 1e-12))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least machine epsilon ({EPS!r}), got {text}") from None
 
-#: The commands that read each command-specific option.
-OPTION_READERS = {
-    "scenario": ("eval", "boundary", "polar", "check"),
-    "seed": ("check", "suite"),
-    "tol": ("eval", "boundary"),
-    "rays": ("boundary",),
-    "only": ("suite",),
-    "format": ("eval", "boundary"),
-}
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several commands read."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
+_SCENARIO = _option("--scenario", required=True, type=_scenario, metavar="scenario.json",
+                    help="path to a JSON scenario file")
+_TOL = _option("--tol", type=_tolerance, default=DEFAULT_OPTIONS, dest="opts", metavar="T",
+               help="relative gauge tolerance, at least machine epsilon")
+_SEED = _option("--seed", type=_seed, default=0, help="seed for sampled checks (default 0)")
+_OUT = _option("--out", metavar="file", help="output path (default: stdout)")
 
 #: Built once: building it takes longer than parsing with it.
 _PARSER = argparse.ArgumentParser(
-    prog="minkdev",
-    description="Deviation measures as gauges of acceptance sets on finite markets.",
-)
-_PARSER.add_argument("command", choices=sorted(COMMANDS))
-_PARSER.add_argument("--scenario", help="path to a JSON scenario file")
-_PARSER.add_argument("--out", help="output path (default: stdout)")
-_PARSER.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
-_PARSER.add_argument("--tol", type=float,
-                     help="relative gauge tolerance, at least machine epsilon (eval, boundary)")
-_PARSER.add_argument("--rays", type=int, help="ray count for boundary profiles")
-_PARSER.add_argument("--only", help="comma-separated subset of suite checks")
-_PARSER.add_argument("--format", choices=["json", "csv"], default=None)
+    prog="minkdev", description="Deviation measures as gauges of acceptance sets on finite markets.")
+_COMMANDS = _PARSER.add_subparsers(required=True, metavar="command")
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = _PARSER.parse_args(argv)
-    for option, readers in OPTION_READERS.items():
-        if getattr(ns, option) is not None and ns.command not in readers:
-            raise InputError(f"--{option} is not an option of {ns.command} "
-                             f"(only of {', '.join(readers)})")
-    if ns.seed is not None and ns.seed < 0:
-        raise InputError(f"--seed must be non-negative, got {ns.seed}")
-    fmt = ns.format or ("csv" if ns.command == "boundary" else "json")
-    only = tuple(s for s in (ns.only or "").split(",") if s)
-    return RunConfig(command=ns.command, scenario=ns.scenario, out=ns.out,
-                     seed=ns.seed or 0, tol=ns.tol, rays=ns.rays, only=only, format=fmt)
+def _command(name: str, run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = _COMMANDS.add_parser(name, parents=[*parents, _OUT], help=run.__doc__,
+                                  description=run.__doc__)
+    parser.set_defaults(run=run)
+    return parser
+
+
+_command("eval", cmd_eval, _SCENARIO, _TOL).add_argument(
+    "--format", choices=("json", "csv"), default="json", help="output format (default: json)")
+_BOUNDARY = _command("boundary", cmd_boundary, _SCENARIO, _TOL)
+_BOUNDARY.add_argument("--rays", type=int, help='ray count (default: the scenario\'s "rays", else 720)')
+_BOUNDARY.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default: csv)")
+_command("polar", cmd_polar, _SCENARIO)
+_command("check", cmd_check, _SCENARIO, _SEED)
+_command("suite", cmd_suite, _SEED).add_argument(
+    "--only", type=lambda text: [name for name in text.split(",") if name], metavar="name,name",
+    help="comma-separated subset of suite checks")
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
-        return COMMANDS[config.command](config)
-    except SystemExit as exc:  # argparse error -> input error
+        config = _PARSER.parse_args(argv)
+        return config.run(config)
+    except SystemExit as exc:  # argparse error -> input error, --help -> 0
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

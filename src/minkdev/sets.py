@@ -49,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import market
+from .deviations import measure_from_json
 from .market import MarketSpace
 
 
@@ -643,7 +644,7 @@ def audit_flags(A: AcceptanceSet, trials: int = 200, seed: int = 0) -> list[Prop
 # JSON set descriptions
 # ---------------------------------------------------------------------------
 
-def set_from_json(space: MarketSpace, doc, measure_parser=None) -> AcceptanceSet:
+def set_from_json(space: MarketSpace, doc) -> AcceptanceSet:
     """Build an acceptance set from a JSON description.
 
     Supported kinds::
@@ -659,22 +660,19 @@ def set_from_json(space: MarketSpace, doc, measure_parser=None) -> AcceptanceSet
         {"kind": "law_invariant_hull", "of": {...}}
 
     Every kind takes an optional ``"label"``; without one, a set is labelled
-    from its parts.  ``measure_parser`` maps a measure description to a
-    functional; by default the builtin deviation measures are used.
+    from its parts.
     """
-    if measure_parser is None:
-        from .deviations import measure_from_json as measure_parser  # local: avoids cycle
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SetError('set description must be an object with a "kind"')
-    A = _set_from_json(space, doc, measure_parser)
+    A = _set_from_json(space, doc)
     label = str(doc.get("label", ""))
     return replace(A, label=label) if label else A
 
 
-def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceSet:
+def _set_from_json(space: MarketSpace, doc: dict) -> AcceptanceSet:
     kind = doc["kind"]
     if kind == "sublevel":
-        D = measure_parser(doc["measure"])
+        D = measure_from_json(doc["measure"])
         return sublevel_set(space, D, float(doc.get("k", 1.0)))
     if kind == "ball":
         p = math.inf if doc.get("p") in ("inf", None) else float(doc["p"])
@@ -684,9 +682,9 @@ def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceS
         keys = ("rows", "rhs") if kind == "halfspaces" else ("vertices",)  # only the kind's own form
         return Polytope.from_json(space, {key: doc[key] for key in keys}).as_acceptance_set()
     if kind == "scale":
-        return scale_set(set_from_json(space, doc["of"], measure_parser), float(doc["factor"]))
+        return scale_set(set_from_json(space, doc["of"]), float(doc["factor"]))
     if kind == "combine":
-        parts = [set_from_json(space, d, measure_parser) for d in doc["of"]]
+        parts = [set_from_json(space, d) for d in doc["of"]]
         if len(parts) < 2:
             raise SetError("combine needs at least two operands")
         out = parts[0]
@@ -694,9 +692,9 @@ def _set_from_json(space: MarketSpace, doc: dict, measure_parser) -> AcceptanceS
             out = combine(doc["op"], out, part)
         return out
     if kind == "add_constants":
-        return add_constants(set_from_json(space, doc["of"], measure_parser))
+        return add_constants(set_from_json(space, doc["of"]))
     if kind == "star_hull":
-        return star_hull(set_from_json(space, doc["of"], measure_parser), int(doc.get("resolution", 256)))
+        return star_hull(set_from_json(space, doc["of"]), int(doc.get("resolution", 256)))
     if kind == "law_invariant_hull":
-        return law_invariant_hull(set_from_json(space, doc["of"], measure_parser))
+        return law_invariant_hull(set_from_json(space, doc["of"]))
     raise SetError(f"unknown set kind {kind!r}")

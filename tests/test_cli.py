@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from minkdev import cli
 from minkdev.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -105,7 +107,18 @@ def test_tolerance_of_machine_epsilon_is_accepted(tmp_path, command):
     assert main([command, "--scenario", scenario, f"--tol={tol}", "--out", str(out)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("command, option", [
+#: Each command's options, as the usage block of the ``cli`` docstring shows them.
+USAGE = {command: set(re.findall(r"--\w+", line))
+         for command, line in re.findall(r"^ +minkdev (\w+)(.*)$", cli.__doc__, re.M)}
+OPTIONS = set().union(*USAGE.values())
+
+#: A scenario every command that takes one reads without error.
+ANY_COMMAND_DOC = dict(EVAL_DOC, set=EVAL_DOC["sets"][0],
+                       polytope={"vertices": [[1, 0], [0, 1], [-1, -1]]},
+                       check=[{"set": {"kind": "ball", "p": 2}, "trials": 5}])
+
+#: The option pairs no usage line shows, each with a value.
+REFUSED = [
     ("polar", ["--tol", "nan"]),
     ("polar", ["--tol", "1e-30"]),
     ("polar", ["--rays", "0"]),
@@ -121,17 +134,44 @@ def test_tolerance_of_machine_epsilon_is_accepted(tmp_path, command):
     ("eval", ["--seed", "3"]),
     ("polar", ["--seed", "3"]),
     ("suite", ["--scenario", "s.json"]),
-])
+    ("check", ["--rays", "8"]),
+    ("check", ["--only", "bipolar"]),
+    ("boundary", ["--seed", "3"]),
+    ("suite", ["--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("command", sorted(USAGE))
+def test_each_command_takes_the_options_its_usage_line_shows(tmp_path, capsys, command):
+    assert len(USAGE) == 5 and len(OPTIONS) == 7
+    assert main([command, "--help"]) == EXIT_OK
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"} == USAGE[command]
+    scenario, out = write(tmp_path, "s.json", ANY_COMMAND_DOC), str(tmp_path / "out")
+    values = {"--scenario": scenario, "--tol": "1e-9", "--seed": "3", "--rays": "8",
+              "--only": "variance_normalisation", "--format": "json", "--out": out}
+    # the suite runs one quick check, not in full
+    base = ["--scenario", scenario] if command != "suite" else ["--only", "variance_normalisation"]
+    for option in sorted(USAGE[command]):
+        assert main([command, *base, option, values[option], "--out", out]) == EXIT_OK, option
+    # the other pairs of the matrix are the refused cases below
+    assert {option[0] for c, option in REFUSED if c == command} == OPTIONS - USAGE[command]
+
+
+@pytest.mark.parametrize("command, option", REFUSED)
 def test_options_a_command_does_not_read_exit_2(tmp_path, capsys, command, option):
-    doc = dict(EVAL_DOC, set=EVAL_DOC["sets"][0], polytope={"vertices": [[1, 0], [0, 1], [-1, -1]]},
-               check=[{"set": {"kind": "ball", "p": 2}}])
     out = tmp_path / "out"
     scenario = []
     if command != "suite":  # the suite would run in full
-        scenario = ["--scenario", write(tmp_path, "s.json", doc)]
+        scenario = ["--scenario", write(tmp_path, "s.json", ANY_COMMAND_DOC)]
         assert main([command, *scenario, "--out", str(out)]) == EXIT_OK
     assert main([command, *scenario, *option, "--out", str(out)]) == EXIT_INPUT_ERROR
     assert option[0] in capsys.readouterr().err
+
+
+def test_options_before_the_command_exit_2(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "suite"]) == EXIT_INPUT_ERROR
+    assert not out.exists()
 
 
 def test_boundary_rejects_zero_rays(tmp_path, capsys):
@@ -265,6 +305,9 @@ def test_input_errors(tmp_path):
     assert main(["eval", "--scenario", unversioned]) == EXIT_INPUT_ERROR
     nospace = write(tmp_path, "ns.json", {"v": 1})
     assert main(["eval", "--scenario", nospace]) == EXIT_INPUT_ERROR
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"v": 1, "space": "\u00e9"}'.encode("latin-1"))
+    assert main(["eval", "--scenario", str(latin1)]) == EXIT_INPUT_ERROR
     assert main(["suite", "--only", "not_a_check"]) == EXIT_INPUT_ERROR
     assert main(["frobnicate"]) == EXIT_INPUT_ERROR                # unknown command
 
@@ -346,6 +389,26 @@ def test_check_without_a_trial_exits_2(tmp_path, capsys, entry):
     assert main(["check", "--scenario", write(tmp_path, "t.json", doc)]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and "trials" in captured.err
+
+
+NON_INTEGERS = {
+    "v_true": ("polar", {"v": True, "polytope": {"vertices": [[1, 0], [0, 1], [-1, -1]]}}),
+    "v_float": ("polar", {"v": 1.0, "polytope": {"vertices": [[1, 0], [0, 1], [-1, -1]]}}),
+    "rays_float": ("boundary", {"set": {"kind": "ball", "p": 2}, "rays": 16.5}),
+    "rays_string": ("boundary", {"set": {"kind": "ball", "p": 2}, "rays": "16"}),
+    "trials_float": ("check", {"check": [{"set": {"kind": "ball", "p": 2}, "trials": 2.5}]}),
+    "trials_true": ("check", {"check": [{"measure": {"measure": "std_dev"}, "trials": True}]}),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INTEGERS), ids=list(NON_INTEGERS))
+def test_scenario_integers_must_be_json_integers(tmp_path, capsys, name):
+    # 16.5 rays must not become 16, nor true one trial
+    command, fields = NON_INTEGERS[name]
+    doc = {"v": 1, "space": {"probs": [0.25, 0.75]}, **fields}
+    assert main([command, "--scenario", write(tmp_path, "i.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_check_of_a_law_invariant_set_past_the_permutation_cap_exits_2(tmp_path, capsys):
