@@ -17,7 +17,9 @@ bisection cannot narrow a bracket any further.
 
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
-command functions).  ``"v"``, ``"rays"`` and ``"trials"`` are JSON integers.
+command functions), and ``market.Field`` reads every field.  ``"v"``,
+``"rays"``, ``"trials"`` and ``"resolution"`` are JSON integers, the last three
+at most ``MAX_RAYS``, ``MAX_TRIALS`` and ``sets.MAX_RESOLUTION``.
 Exit codes: 0 success, 1 a property or invariant check failed, 2 malformed
 input, 3 a numerical failure (the simplex iteration cap).  Any other
 exception is a defect and propagates.
@@ -33,7 +35,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,6 +52,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
+
+#: Largest ``"rays"`` (or ``--rays``) and ``"trials"`` a scenario may ask for.
+MAX_RAYS = 100_000
+MAX_TRIALS = 100_000
 
 
 class InputError(ValueError):
@@ -73,33 +78,19 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _scenario(path: str) -> dict:
-    """Read the ``--scenario`` file: a JSON object with ``"v": 1`` and a ``"space"``."""
+def _scenario(path: str) -> market.Field:
+    """Read the ``--scenario`` file: a JSON object with ``"v": 1``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = market.Field(json.load(fh))
+        doc["v"].whole(SCHEMA_VERSION, SCHEMA_VERSION, "(the schema version)")
     except FileNotFoundError as exc:
         raise argparse.ArgumentTypeError(f"scenario file not found: {path}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise argparse.ArgumentTypeError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or type(doc.get("v")) is not int or doc["v"] != SCHEMA_VERSION:
-        raise argparse.ArgumentTypeError(f'scenario must declare schema version "v": {SCHEMA_VERSION}')
-    if "space" not in doc:
-        raise argparse.ArgumentTypeError('scenario must contain a "space" entry')
+    except MarketError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return doc
-
-
-@contextmanager
-def _parsing_scenario():
-    """Turn a ``KeyError``, ``TypeError`` or ``ValueError`` raised while
-    reading scenario fields (a missing key, ``"k": "abc"``) into an
-    ``InputError``; the library's own input errors pass through unchanged."""
-    try:
-        yield
-    except INPUT_ERRORS:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +100,12 @@ def _parsing_scenario():
 def cmd_eval(config: argparse.Namespace) -> int:
     """Evaluate measures and set gauges on the scenario's positions."""
     doc = config.scenario
-    with _parsing_scenario():
-        space = market.space_from_json(doc["space"])
-        positions = market.positions_from_json(space, doc.get("positions", {}))
-        measures = [measure_from_json(m) for m in doc.get("measures", [])]
-        set_docs = doc.get("sets", [])
-        acc_sets = [sets.set_from_json(space, d) for d in set_docs]
-    columns = [f"gauge({A.label or d.get('kind', 'set')})" for d, A in zip(set_docs, acc_sets)]
+    space = market.space_from_json(doc["space"])
+    positions = market.positions_from_json(space, doc.get("positions", {}))
+    measures = [measure_from_json(m) for m in doc.get("measures", []).items()]
+    set_docs = doc.get("sets", []).items()
+    acc_sets = [sets.set_from_json(space, d) for d in set_docs]
+    columns = [f"gauge({A.label or d['kind'].value})" for d, A in zip(set_docs, acc_sets)]
     labels = ["position"] + [D.label for D in measures] + columns
     repeated = sorted({k for k in labels if labels.count(k) > 1})
     if repeated:
@@ -156,15 +146,10 @@ def _format_cell(v) -> str:
 def cmd_boundary(config: argparse.Namespace) -> int:
     """Write the radial boundary profile of a set on a two-outcome space."""
     doc = config.scenario
-    with _parsing_scenario():
-        space = market.space_from_json(doc["space"])
-        if "set" not in doc:
-            raise InputError('boundary scenarios need a "set" entry')
-        A = sets.set_from_json(space, doc["set"])
-        rays = config.rays if config.rays is not None else doc.get("rays", 720)
-    if type(rays) is not int or rays < 4:  # a bool or 16.5 is not a ray count
-        raise InputError(f"need a whole number of at least 4 rays, got {rays!r}")
-    profile = suite.ray_profile(A, rays, opts=config.opts)
+    space = market.space_from_json(doc["space"])
+    A = sets.set_from_json(space, doc["set"])
+    rays = doc.get("rays", 720) if config.rays is None else market.Field(config.rays, "--rays")
+    profile = suite.ray_profile(A, rays.whole(4, MAX_RAYS, "rays"), opts=config.opts)
 
     if config.format == "json":
         rows = [{"theta": t, "x0": x0, "x1": x1, "finite": fin}
@@ -184,12 +169,8 @@ def cmd_boundary(config: argparse.Namespace) -> int:
 def cmd_polar(config: argparse.Namespace) -> int:
     """Compute the polar of a polytope: its halfspaces, and its extreme points on few outcomes."""
     doc = config.scenario
-    with _parsing_scenario():
-        space = market.space_from_json(doc["space"])
-        pdoc = doc.get("polytope")
-        if not isinstance(pdoc, dict):
-            raise InputError('polar scenarios need a "polytope" entry')
-        P = Polytope.from_json(space, pdoc)
+    space = market.space_from_json(doc["space"])
+    P = Polytope.from_json(space, doc["polytope"])
     F = duality.polar(P)
     payload = {
         "v": SCHEMA_VERSION,
@@ -207,25 +188,16 @@ def cmd_polar(config: argparse.Namespace) -> int:
 def cmd_check(config: argparse.Namespace) -> int:
     """Run property falsifiers for sets (and axiom audits for measures)."""
     doc = config.scenario
-    with _parsing_scenario():
-        space = market.space_from_json(doc["space"])
-        targets = doc.get("check", [])
+    space = market.space_from_json(doc["space"])
+    targets = doc.get("check", []).items()
     if not targets:
         raise InputError('check scenarios need a non-empty "check" list')
     reports = []
     for item in targets:
-        with _parsing_scenario():
-            trials = item.get("trials", 200)
-            if type(trials) is not int or trials < 1:
-                raise InputError(f'"trials" must be a whole number of at least 1, got {trials!r}')
-            if "set" in item:
-                A = sets.set_from_json(space, item["set"])
-                props = list(item.get("properties") or ())
-            elif "measure" in item:
-                D = measure_from_json(item["measure"])
-            else:
-                raise InputError('each check entry needs a "set" or a "measure"')
+        trials = item.get("trials", 200).whole(1, MAX_TRIALS, "trials")
         if "set" in item:
+            A = sets.set_from_json(space, item["set"])
+            props = [p.string() for p in item.get("properties", []).items()]
             if props:
                 results = [sets.check_property(A, p, trials, config.seed) for p in props]
             else:
@@ -235,6 +207,7 @@ def cmd_check(config: argparse.Namespace) -> int:
                                 "passed": r.passed, "trials": r.trials,
                                 "counterexample": r.counterexample})
         else:
+            D = measure_from_json(item["measure"])
             for r in check_axioms(D, space, trials=trials, seed=config.seed):
                 reports.append({"target": D.label, "axiom": r.axiom, "passed": r.passed,
                                 "trials": r.trials, "worst_gap": r.worst_gap,

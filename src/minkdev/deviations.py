@@ -393,9 +393,8 @@ def check_axioms(
 
 def measure_from_json(doc) -> DeviationFunctional:
     """Parse ``{"measure": name, "alpha"?: a}`` (or a bare name string)."""
-    if isinstance(doc, str):
-        doc = {"measure": doc}
-    if not isinstance(doc, dict) or "measure" not in doc:
-        raise MeasureError('measure description must be an object with a "measure" name')
-    return builtin_deviation(doc["measure"], alpha=doc.get("alpha"))
-
+    doc = market.Field.of(doc, "measure")
+    if type(doc.value) is str:
+        return builtin_deviation(doc.value)
+    alpha = doc["alpha"].number() if "alpha" in doc else None
+    return builtin_deviation(doc["measure"].string(), alpha=alpha)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lp
 from .gauge import GaugeOptions, gauge_table
-from .market import SAMPLE_RANGE, MarketSpace, as_position, as_positions
+from .market import SAMPLE_RANGE, Field, MarketSpace, as_position, as_positions
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -118,14 +118,14 @@ class Polytope:
         return cls(space=space, rows=np.asarray(rows, dtype=float), rhs=np.asarray(rhs, dtype=float))
 
     @classmethod
-    def from_json(cls, space: MarketSpace, doc: dict) -> "Polytope":
+    def from_json(cls, space: MarketSpace, doc) -> "Polytope":
         """A polytope from ``{"vertices": [[...], ...]}`` or ``{"rows": [[...],
-        ...], "rhs": [...]}`` (the vertices when both are given)."""
-        if "vertices" in doc:
-            return cls.from_vertices(space, np.asarray(doc["vertices"], float))
-        if "rows" in doc:
-            return cls.from_halfspaces(space, np.asarray(doc["rows"], float), np.asarray(doc["rhs"], float))
-        raise DualityError('polytope needs "vertices" or "rows"/"rhs"')
+        ...], "rhs": [...]}``, never both."""
+        doc = Field.of(doc, "polytope")
+        if "vertices" not in doc:
+            return cls.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
+        doc.expect("rows" not in doc and "rhs" not in doc, '"vertices" or "rows" and "rhs", not both')
+        return cls.from_vertices(space, doc["vertices"].matrix())
 
     # -- membership ---------------------------------------------------------
 

@@ -19,7 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,20 +201,84 @@ def sample_comonotone_pair(
     return x[perm], y[perm]
 
 
+class Field:
+    """A scenario value and its JSON path, such as ``sets[0].of.radius``.
+    Its accessors alone decide what is well formed, and each error is a
+    ``MarketError`` whose message starts with the path: a member is present
+    or absent, and ``null`` is no value; a number is a finite JSON number,
+    not a bool or a string; a whole number is a JSON integer."""
+
+    def __init__(self, value, path: str = ""):
+        self.value, self.path = value, path
+
+    @classmethod
+    def of(cls, doc, path: str) -> "Field":
+        """``doc`` if it is a ``Field``, else the plain JSON value ``doc`` at ``path``."""
+        return doc if isinstance(doc, Field) else cls(doc, path)
+
+    def expect(self, ok: bool, expected: str):
+        """The value if ``ok``, else an error that it is not what was ``expected``."""
+        if not ok:
+            shown = json.dumps(self.value, default=repr)
+            shown = shown if len(shown) <= 60 else shown[:57] + "..."
+            raise MarketError(f"{self.path or 'scenario'}: expected {expected}, got {shown}")
+        return self.value
+
+    def object(self) -> dict:
+        return self.expect(type(self.value) is dict, "an object")
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.object()
+
+    def get(self, key: str, default=None) -> "Field":
+        """The member ``key``; only one with a ``default`` may be absent."""
+        path = f"{self.path}.{key}" if self.path else key
+        value = self.object().get(key, default)
+        if value is None and key not in self.value:
+            raise MarketError(f"{path}: missing")
+        return Field(value, path)
+
+    __getitem__ = get
+
+    def items(self) -> list["Field"]:
+        entries = self.expect(type(self.value) is list, "a list")
+        return [Field(v, f"{self.path}[{i}]") for i, v in enumerate(entries)]
+
+    def string(self) -> str:
+        return self.expect(type(self.value) is str, "a string")
+
+    def number(self) -> float:
+        return float(self.expect(_is_number(self.value), "a number"))
+
+    def whole(self, lo: int, hi: int, noun: str) -> int:
+        """A JSON integer from ``lo`` to ``hi``, a count of ``noun``."""
+        v = self.expect(type(self.value) is int, "a whole number")
+        return self.expect(lo <= v <= hi, f"at least {lo} {noun}" if v < lo else f"at most {hi} {noun}")
+
+    def numbers(self) -> np.ndarray:
+        """A list of numbers, as a 1-d float array."""
+        ok = type(self.value) is list and all(map(_is_number, self.value))
+        return np.array(self.expect(ok, "a list of numbers"), dtype=float)
+
+    def matrix(self) -> np.ndarray:
+        """A list of equal-length lists of numbers, as a 2-d float array."""
+        rows = [row.numbers() for row in self.items()]
+        self.expect(len({row.size for row in rows}) < 2, "a list of equal-length lists of numbers")
+        return np.array(rows, dtype=float)
+
+
+def _is_number(v) -> bool:
+    """A JSON number of finite float value: not a bool, NaN or a huge integer."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def space_from_json(doc) -> MarketSpace:
-    """Build a space from ``{"probs": [...]}`` (or a bare probability list)."""
-    if isinstance(doc, dict):
-        if "probs" not in doc:
-            raise MarketError('space object must contain "probs"')
-        doc = doc["probs"]
-    if not isinstance(doc, (list, tuple)):
-        raise MarketError("probabilities must be a list")
-    return MarketSpace(np.asarray(doc, dtype=float))
+    """Build a space from ``{"probs": [...]}`` or a bare probability list."""
+    doc = Field.of(doc, "space")
+    return MarketSpace((doc["probs"] if type(doc.value) is dict else doc).numbers())
 
 
 def positions_from_json(space: MarketSpace, doc) -> dict[str, np.ndarray]:
     """Parse ``{"name": [values...], ...}`` into validated positions."""
-    if not isinstance(doc, dict):
-        raise MarketError("positions must be an object of name -> values")
-    return {str(name): as_position(space, vals) for name, vals in doc.items()}
-
+    doc = Field.of(doc, "positions")
+    return {name: as_position(space, doc[name].numbers()) for name in doc.object()}

@@ -316,6 +316,9 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
 #: Smallest scale ``lam`` of the star hull's search grid.
 STAR_HULL_LAM_MIN = 1e-6
 
+#: Largest star-hull ``"resolution"`` a scenario may ask for.
+MAX_RESOLUTION = 65_536
+
 
 def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     """The star hull ``st(A) = [0, 1] A``.
@@ -433,7 +436,7 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
     def l2_interval(x: np.ndarray):
         y = x - c
         mean = np.sum(space.probs * y, axis=-1, keepdims=True)
-        room = radius ** 2 - np.sum(space.probs * (y - mean) ** 2, axis=-1)
+        room = radius * radius - np.sum(space.probs * (y - mean) ** 2, axis=-1)
         half = np.sqrt(np.maximum(room, 0.0))
         mean = mean[..., 0]
         return np.where(room < 0.0, math.inf, mean - half), mean + half
@@ -659,42 +662,41 @@ def set_from_json(space: MarketSpace, doc) -> AcceptanceSet:
         {"kind": "star_hull", "of": {...}, "resolution": 256}
         {"kind": "law_invariant_hull", "of": {...}}
 
-    Every kind takes an optional ``"label"``; without one, a set is labelled
-    from its parts.
+    Every kind takes an optional ``"label"`` string; without one, a set is
+    labelled from its parts.  Fields follow ``market.Field``'s rules;
+    ``"p": "inf"``, the default, is the one spelling of infinity, and
+    ``"resolution"`` is a whole number from 2 to ``MAX_RESOLUTION``.
     """
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SetError('set description must be an object with a "kind"')
-    A = _set_from_json(space, doc)
-    label = str(doc.get("label", ""))
-    return replace(A, label=label) if label else A
-
-
-def _set_from_json(space: MarketSpace, doc: dict) -> AcceptanceSet:
-    kind = doc["kind"]
+    doc = market.Field.of(doc, "set")
+    kind = doc["kind"].string()
     if kind == "sublevel":
-        D = measure_from_json(doc["measure"])
-        return sublevel_set(space, D, float(doc.get("k", 1.0)))
-    if kind == "ball":
-        p = math.inf if doc.get("p") in ("inf", None) else float(doc["p"])
-        return ball_set(space, p, float(doc.get("radius", 1.0)), doc.get("center"))
-    if kind in ("halfspaces", "vertices"):
+        A = sublevel_set(space, measure_from_json(doc["measure"]), doc.get("k", 1.0).number())
+    elif kind == "ball":
+        p = doc.get("p", "inf")
+        A = ball_set(space, math.inf if p.value == "inf" else p.number(), doc.get("radius", 1.0).number(),
+                     doc["center"].numbers() if "center" in doc else None)
+    elif kind in ("halfspaces", "vertices"):
         from .duality import Polytope  # local: avoids a module cycle
-        keys = ("rows", "rhs") if kind == "halfspaces" else ("vertices",)  # only the kind's own form
-        return Polytope.from_json(space, {key: doc[key] for key in keys}).as_acceptance_set()
-    if kind == "scale":
-        return scale_set(set_from_json(space, doc["of"]), float(doc["factor"]))
-    if kind == "combine":
-        parts = [set_from_json(space, d) for d in doc["of"]]
-        if len(parts) < 2:
-            raise SetError("combine needs at least two operands")
-        out = parts[0]
+        P = (Polytope.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
+             if kind == "halfspaces" else Polytope.from_vertices(space, doc["vertices"].matrix()))
+        A = P.as_acceptance_set()
+    elif kind == "scale":
+        A = scale_set(set_from_json(space, doc["of"]), doc["factor"].number())
+    elif kind == "combine":
+        parts = [set_from_json(space, d) for d in doc["of"].items()]
+        doc["of"].expect(len(parts) >= 2, "at least two operands")
+        op = doc["op"].string()
+        A = parts[0]
         for part in parts[1:]:
-            out = combine(doc["op"], out, part)
-        return out
-    if kind == "add_constants":
-        return add_constants(set_from_json(space, doc["of"]))
-    if kind == "star_hull":
-        return star_hull(set_from_json(space, doc["of"]), int(doc.get("resolution", 256)))
-    if kind == "law_invariant_hull":
-        return law_invariant_hull(set_from_json(space, doc["of"]))
-    raise SetError(f"unknown set kind {kind!r}")
+            A = combine(op, A, part)
+    elif kind == "add_constants":
+        A = add_constants(set_from_json(space, doc["of"]))
+    elif kind == "star_hull":
+        resolution = doc.get("resolution", 256).whole(2, MAX_RESOLUTION, "grid points")
+        A = star_hull(set_from_json(space, doc["of"]), resolution)
+    elif kind == "law_invariant_hull":
+        A = law_invariant_hull(set_from_json(space, doc["of"]))
+    else:
+        raise SetError(f"{doc.path}: unknown set kind {kind!r}")
+    label = doc.get("label", "").string()
+    return replace(A, label=label) if label else A

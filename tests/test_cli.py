@@ -431,11 +431,34 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
 
 
 def test_defect_inside_a_command_propagates(tmp_path, monkeypatch):
-    """Only input errors map to exit 2: a TypeError raised by the library
-    after the scenario has been read is a defect and must surface."""
+    """Only input errors map to exit 2: a TypeError raised by the library,
+    while the scenario is read or after, is a defect and must surface."""
     def broken(*args, **kwargs):
         raise TypeError("defect")
 
     monkeypatch.setattr("minkdev.cli.gauge_table", broken)
     with pytest.raises(TypeError, match="defect"):
         main(["eval", "--scenario", write(tmp_path, "s.json", EVAL_DOC)])
+    monkeypatch.undo()
+    monkeypatch.setattr("minkdev.sets.ball_set", broken)  # a constructor the reader calls
+    doc = dict(EVAL_DOC, sets=[{"kind": "ball", "p": 2, "label": "b"}])
+    with pytest.raises(TypeError, match="defect"):
+        main(["eval", "--scenario", write(tmp_path, "b.json", doc)])
+
+
+def test_eval_of_constants_over_a_huge_l2_ball(tmp_path, capsys):
+    # the squared radius is past the float range; the ball holds every shift
+    doc = dict(EVAL_DOC, sets=[{"kind": "add_constants", "label": "big",
+                                "of": {"kind": "ball", "p": 2, "radius": 1e200}}])
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert all(r["gauge(big)"] <= 1e-12 for r in rows)
+
+
+def test_polar_refuses_a_polytope_in_both_forms(tmp_path, capsys):
+    # an entry in both forms is ambiguous: neither form may silently win
+    polytope = {"vertices": [[2, 0], [0, 2], [-2, 0], [0, -2]], "rows": "junk"}
+    doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "polytope": polytope}
+    assert main(["polar", "--scenario", write(tmp_path, "p.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: polytope: ")
