@@ -392,9 +392,11 @@ def check_axioms(
 # ---------------------------------------------------------------------------
 
 def measure_from_json(doc) -> DeviationFunctional:
-    """Parse ``{"measure": name, "alpha"?: a}`` (or a bare name string)."""
+    """Parse ``{"measure": name, "alpha"?: a}`` (or a bare name string); an
+    error names the description's path."""
     doc = market.Field.of(doc, "measure")
-    if type(doc.value) is str:
-        return builtin_deviation(doc.value)
-    alpha = doc["alpha"].number() if "alpha" in doc else None
-    return builtin_deviation(doc["measure"].string(), alpha=alpha)
+    with doc.blame(MeasureError):
+        if type(doc.value) is str:
+            return builtin_deviation(doc.value)
+        alpha = doc["alpha"].number() if "alpha" in doc else None
+        return builtin_deviation(doc["measure"].string(), alpha=alpha)

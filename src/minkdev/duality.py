@@ -120,12 +120,13 @@ class Polytope:
     @classmethod
     def from_json(cls, space: MarketSpace, doc) -> "Polytope":
         """A polytope from ``{"vertices": [[...], ...]}`` or ``{"rows": [[...],
-        ...], "rhs": [...]}``, never both."""
+        ...], "rhs": [...]}``, never both; an error names the polytope's path."""
         doc = Field.of(doc, "polytope")
-        if "vertices" not in doc:
-            return cls.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
-        doc.expect("rows" not in doc and "rhs" not in doc, '"vertices" or "rows" and "rhs", not both')
-        return cls.from_vertices(space, doc["vertices"].matrix())
+        with doc.blame(DualityError):
+            if "vertices" not in doc:
+                return cls.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
+            doc.expect("rows" not in doc and "rhs" not in doc, '"vertices" or "rows" and "rhs", not both')
+            return cls.from_vertices(space, doc["vertices"].matrix())
 
     # -- membership ---------------------------------------------------------
 
@@ -152,19 +153,22 @@ class Polytope:
 
         Facet ``i`` of ``_facets`` holds at ``x - c`` iff ``c * s_i >=
         excess_i``, the excess of ``x`` over the facet less ``contains``'s
-        slack at its default tolerance, taken at ``x``.  Each facet bounds
-        ``c`` from below (``s_i > 0``) or above (``s_i < 0``), or holds for
-        every ``c`` or none (``s_i = 0``).  Returns ``(lo, hi)``, one bound per
-        position of ``x`` (``(n,)`` or ``(B, n)``); the interval is empty when
-        ``lo > hi``.
+        slack at its default tolerance, taken at ``x``.  The excess is
+        computed once and read through the cached partition
+        (``_shift_partition``): ``lo`` is the largest ``excess_i / s_i`` over
+        the facets with ``s_i > 0``, ``hi`` the smallest over those with
+        ``s_i < 0``, and a facet with ``s_i = 0`` holds for every ``c`` or
+        none, so one with positive excess sets ``lo`` to ``inf``.  Returns
+        ``(lo, hi)``, one bound per position of ``x`` (``(n,)`` or ``(B,
+        n)``); the interval is empty when ``lo > hi``.
         """
-        s = self._facets[2]
+        up, down, s_up, s_down = self._shift_partition
         excess = self._excess(np.asarray(x, dtype=float))
-        bound = excess / np.where(s == 0.0, 1.0, s)
-        lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
-        hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)
-        blocked = np.any((s == 0.0) & (excess > 0.0), axis=-1)
-        return np.where(blocked, math.inf, lo), hi
+        lo = (excess[..., :up] / s_up).max(axis=-1, initial=-math.inf)
+        hi = (excess[..., down:] / s_down).min(axis=-1, initial=math.inf)
+        if down > up:
+            lo = np.where((excess[..., up:down] > 0.0).any(axis=-1), math.inf, lo)
+        return lo, hi
 
     def _excess(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """``<W_i, x> - r_i - tol * max|x|`` for every facet of ``_facets``,
@@ -181,7 +185,9 @@ class Polytope:
         form its hull facets ``A y + b <= 0`` as ``W = A``, ``r = -b``, with an
         offset within ``1e-12 * max|v|`` of 0 taken as 0: a facet through a
         vertex at the origin then passes through it exactly, so no shrunken
-        point beyond the facet is admitted.
+        point beyond the facet is admitted.  The facets are stored in the
+        order of the sign of ``s``, keeping their order within each sign:
+        first those with ``s > 0``, then ``s = 0``, then ``s < 0``.
         """
         if self.rows is not None:
             W, r = self.rows * self.space.probs, self.rhs
@@ -190,7 +196,19 @@ class Polytope:
         else:
             W, b = self._hull_facets
             r = np.where(np.abs(b) <= 1e-12 * np.abs(self.vertices).max(), 0.0, -b)
-        return W, r, _pairings(np.ones(self.space.n), W)
+        s = _pairings(np.ones(self.space.n), W)
+        order = np.argsort(-np.sign(s), kind="stable")
+        return W[order], r[order], s[order]
+
+    @functools.cached_property
+    def _shift_partition(self):
+        """``(up, down, s_up, s_down)``: the facets ``[:up]`` of ``_facets``
+        have ``s > 0`` and bound a shift from below, ``[up:down]`` have ``s =
+        0``, ``[down:]`` have ``s < 0`` and bound it from above; ``s_up`` and
+        ``s_down`` are their sums."""
+        s = self._facets[2]
+        up, down = np.count_nonzero(s > 0.0), s.size - np.count_nonzero(s < 0.0)
+        return up, down, s[:up], s[down:]
 
     @functools.cached_property
     def _hull_facets(self):
@@ -307,9 +325,11 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
     centroid lies within ``FLAT_TOL`` (relative) of a facet.  Only the
     vertices are used:
 
-    1. The points are centred, and the maximisers of fixed probe directions
-       (the non-zero points of ``{-2, ..., 2}^n``) form the working
-       set ``Q``; each lies on the hull's boundary.
+    1. The points are scaled by a power of two, which is exact, to
+       ``max|V|`` in ``[0.5, 1)``, so that no square or product of
+       coordinates overflows, and centred.  The maximisers of fixed probe
+       directions (the non-zero points of ``{-2, ..., 2}^n``) form the
+       working set ``Q``; each lies on the hull's boundary.
     2. For each ``n``-subset of ``Q`` not tried before, the hyperplane
        through it (the generalised cross product of its edge vectors) is
        kept, outward, when every point of ``Q`` lies on one side of it
@@ -334,7 +354,10 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
         raise DualityError(f"facet enumeration supports n <= {MAX_ENUM_DIM}, got n = {n}")
     if k > FACET_POINTS_MAX:
         raise DualityError(f"facet enumeration takes at most {FACET_POINTS_MAX} points, got {k}")
-    Y = V - V.sum(axis=0) / k
+    # every test below is relative, so the scaling changes no plane found
+    # where nothing over- or underflows unscaled
+    U = np.ldexp(V, -math.frexp(np.abs(V).max())[1])
+    Y = U - U.sum(axis=0) / k
     scale = math.sqrt((Y * Y).sum(axis=1).max())
     if not scale > 0.0:
         return None
@@ -364,7 +387,10 @@ def enumerate_facets(vertices) -> tuple[np.ndarray, np.ndarray] | None:
         beyond = rest > tol
         if not beyond.any():
             break
-        far = np.unique(rest[:, beyond.any(axis=0)].argmax(axis=0))
+        # the furthest point beyond each plane, each once and in order (a
+        # bincount, since a 1-d np.unique imports numpy.ma)
+        far = rest[:, beyond.any(axis=0)].argmax(axis=0)
+        far = np.flatnonzero(np.bincount(far, minlength=len(rest)))
         inside = (rest < -tol).all(axis=1)
         inside[far] = True
         Y = np.concatenate([Y[:q], Y[q + far], Y[q:][~inside]])

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -118,12 +119,12 @@ def float_or_rows(v):
 def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
     """Probability-weighted L^p norm over the last axis, ``p in [1, inf]``."""
     if p == math.inf:
-        return float_or_rows(np.max(np.abs(x), axis=-1))
+        return float_or_rows(np.abs(x).max(axis=-1))
     if not p >= 1:  # NaN fails this test too
         raise MarketError(f"lp_norm requires p >= 1, got {p}")
     # np.power takes the root by the same route for one position and for a
     # batch; the scalar ``**`` of a numpy float may differ in the last bit.
-    return float_or_rows(np.power(np.sum(space.probs * np.abs(x) ** p, axis=-1), 1.0 / p))
+    return float_or_rows(np.power((space.probs * np.abs(x) ** p).sum(axis=-1), 1.0 / p))
 
 
 def sorted_distribution(space: MarketSpace, x: np.ndarray):
@@ -224,6 +225,18 @@ class Field:
             raise MarketError(f"{self.path or 'scenario'}: expected {expected}, got {shown}")
         return self.value
 
+    @contextlib.contextmanager
+    def blame(self, *errors: type[ValueError]):
+        """Raise each of ``errors`` raised inside again with this field's
+        path in front, unless it already names this field or one of its
+        members, as the accessors' errors do."""
+        try:
+            yield
+        except errors as exc:
+            if str(exc).startswith(tuple(self.path + c for c in ":.[")):
+                raise
+            raise type(exc)(f"{self.path}: {exc}") from exc
+
     def object(self) -> dict:
         return self.expect(type(self.value) is dict, "an object")
 
@@ -275,10 +288,16 @@ def _is_number(v) -> bool:
 def space_from_json(doc) -> MarketSpace:
     """Build a space from ``{"probs": [...]}`` or a bare probability list."""
     doc = Field.of(doc, "space")
-    return MarketSpace((doc["probs"] if type(doc.value) is dict else doc).numbers())
+    with doc.blame(MarketError):
+        return MarketSpace((doc["probs"] if type(doc.value) is dict else doc).numbers())
 
 
 def positions_from_json(space: MarketSpace, doc) -> dict[str, np.ndarray]:
-    """Parse ``{"name": [values...], ...}`` into validated positions."""
+    """Parse ``{"name": [values...], ...}`` into validated positions; an
+    error names the position's path."""
     doc = Field.of(doc, "positions")
-    return {name: as_position(space, doc[name].numbers()) for name in doc.object()}
+    positions = {}
+    for name in doc.object():
+        with doc[name].blame(MarketError):
+            positions[name] = as_position(space, doc[name].numbers())
+    return positions

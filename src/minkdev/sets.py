@@ -20,7 +20,7 @@ function that answers both shapes in one call; any other set, a
 user-built one or a composite that fans one query out, is given at
 construction a ``row_membership`` that asks ``membership`` row by row.
 ``scale_set`` and ``combine`` pass batches through to their operands'
-``row_membership``.
+``row_membership``, and ``law_invariant_hull`` its batch's orbits.
 
 The fan-out composites — ``add_constants``, ``star_hull`` and
 ``law_invariant_hull`` — answer exactly, with no fan-out, where the
@@ -32,8 +32,10 @@ balls with ``p = 2`` or ``p = inf``, and scalings of these) answers a
 position or a batch with one call to it.
 Otherwise each query is one batch to the inner set's ``row_membership``:
 the scale grid, the permutation orbit, or the candidate shifts, followed
-by the shift grid only if no candidate is a member; a fan-out nested in
-another is asked every row of that batch, one at a time.
+by the shift grid only if no candidate is a member.  ``law_invariant_hull``
+asks the orbits of a whole batch as one batch (sliced past
+``ORBIT_ROWS_MAX`` rows); the other two, nested in a
+fan-out, are asked every row of its batch, one at a time.
 ``minkowski_gauge`` asks ``membership`` one position at a time;
 ``gauge.gauge_table`` asks ``row_membership`` one batch of rows per
 bisection step when its table is large enough.
@@ -253,8 +255,11 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     A set declared ``stable_scalar_add`` already contains every shift of its
     members, so ``A + R = A``: it is returned with its own oracles and flags,
     relabelled.  Over a set with a ``shift_interval`` the answer is exact:
-    ``x`` is a member iff the interval of its centred position is not
-    empty, one call for a position or a whole batch.  Such a sum contains 0
+    ``x`` is a member iff the interval ``(lo, hi)`` of its centred position
+    is not empty (``lo <= hi``), one call for a position or a whole batch.
+    Nothing is cached here: a polytope reads the interval from the facet
+    partition it caches with its facets, and a ball from ``max``/``min`` or
+    mean and variance of the position.  Such a sum contains 0
     iff the interval at 0 is not empty, and then, over a set declared
     convex, it is star-shaped too (a convex set holding 0 is), whatever
     ``A`` declares.
@@ -290,7 +295,7 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     if interval is not None:
         def exact(X: np.ndarray):
             # the mean summed over the last axis: one row gets the bits it gets alone
-            lo, hi = interval(X - np.sum(space.probs * X, axis=-1, keepdims=True))
+            lo, hi = interval(X - (space.probs * X).sum(axis=-1, keepdims=True))
             inside = lo <= hi
             return inside if np.ndim(inside) else bool(inside)
 
@@ -375,13 +380,21 @@ def _permutations(space: MarketSpace, what: str) -> np.ndarray:
     return np.array(list(itertools.permutations(range(space.n))), dtype=int)
 
 
+#: Most rows ``law_invariant_hull`` asks of its base in one batch: a batch
+#: whose orbits hold more is asked in slices of whole orbits, at least one.
+ORBIT_ROWS_MAX = 16_384
+
+
 def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     """Largest law-invariant subset of ``A`` on a uniform space.
 
     A position belongs iff every outcome permutation of it belongs to ``A``.
     Requires uniform probabilities (permutations preserve the law only then)
     and a small outcome count so the full orbit can be enumerated; the orbit
-    is asked of ``A`` as one ``(n!, n)`` batch.  A set declared
+    is asked of ``A`` as one ``(n!, n)`` batch, and the orbits of a ``(B,
+    n)`` batch as one ``(B n!, n)`` batch, in slices of at most
+    ``ORBIT_ROWS_MAX`` rows or one orbit, so memory stays bounded at any
+    batch size.  A set declared
     law-invariant is its own hull, so the hull then answers with ``A``'s
     own ``membership`` and ``row_membership`` (the requirements still hold).
     """
@@ -390,10 +403,18 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     if A.flags.law_invariant is True:
         member, rows = A.membership, A.row_membership
     else:
-        rows = None
-
         def member(x: np.ndarray) -> bool:
             return bool(A.row_membership(x[perms]).all())
+
+        def orbits(X: np.ndarray) -> np.ndarray:
+            return A.row_membership(X[:, perms].reshape(-1, space.n)).reshape(len(X), len(perms)).all(axis=1)
+
+        step = max(1, ORBIT_ROWS_MAX // len(perms))
+
+        def rows(X: np.ndarray) -> np.ndarray:
+            if len(X) <= step:
+                return orbits(X)
+            return np.concatenate([orbits(X[i:i + step]) for i in range(0, len(X), step)])
 
     flags = SetFlags(
         star_shaped=A.flags.star_shaped,
@@ -427,16 +448,16 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
     centered_at_zero = not np.any(c)
 
     def member(x: np.ndarray):
-        return market.lp_norm(space, x - c, p) <= radius
+        return market.lp_norm(space, x if centered_at_zero else x - c, p) <= radius
 
     def sup_interval(x: np.ndarray):
-        y = x - c
-        return np.max(y, axis=-1) - radius, np.min(y, axis=-1) + radius
+        y = x if centered_at_zero else x - c
+        return y.max(axis=-1) - radius, y.min(axis=-1) + radius
 
     def l2_interval(x: np.ndarray):
-        y = x - c
-        mean = np.sum(space.probs * y, axis=-1, keepdims=True)
-        room = radius * radius - np.sum(space.probs * (y - mean) ** 2, axis=-1)
+        y = x if centered_at_zero else x - c
+        mean = (space.probs * y).sum(axis=-1, keepdims=True)
+        room = radius * radius - (space.probs * (y - mean) ** 2).sum(axis=-1)
         half = np.sqrt(np.maximum(room, 0.0))
         mean = mean[..., 0]
         return np.where(room < 0.0, math.inf, mean - half), mean + half
@@ -665,38 +686,41 @@ def set_from_json(space: MarketSpace, doc) -> AcceptanceSet:
     Every kind takes an optional ``"label"`` string; without one, a set is
     labelled from its parts.  Fields follow ``market.Field``'s rules;
     ``"p": "inf"``, the default, is the one spelling of infinity, and
-    ``"resolution"`` is a whole number from 2 to ``MAX_RESOLUTION``.
+    ``"resolution"`` is a whole number from 2 to ``MAX_RESOLUTION``.  An
+    error raised building a set names the set's path, as in ``sets[0]:
+    radius must be finite and positive, got -1.0``.
     """
     doc = market.Field.of(doc, "set")
-    kind = doc["kind"].string()
-    if kind == "sublevel":
-        A = sublevel_set(space, measure_from_json(doc["measure"]), doc.get("k", 1.0).number())
-    elif kind == "ball":
-        p = doc.get("p", "inf")
-        A = ball_set(space, math.inf if p.value == "inf" else p.number(), doc.get("radius", 1.0).number(),
-                     doc["center"].numbers() if "center" in doc else None)
-    elif kind in ("halfspaces", "vertices"):
-        from .duality import Polytope  # local: avoids a module cycle
-        P = (Polytope.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
-             if kind == "halfspaces" else Polytope.from_vertices(space, doc["vertices"].matrix()))
-        A = P.as_acceptance_set()
-    elif kind == "scale":
-        A = scale_set(set_from_json(space, doc["of"]), doc["factor"].number())
-    elif kind == "combine":
-        parts = [set_from_json(space, d) for d in doc["of"].items()]
-        doc["of"].expect(len(parts) >= 2, "at least two operands")
-        op = doc["op"].string()
-        A = parts[0]
-        for part in parts[1:]:
-            A = combine(op, A, part)
-    elif kind == "add_constants":
-        A = add_constants(set_from_json(space, doc["of"]))
-    elif kind == "star_hull":
-        resolution = doc.get("resolution", 256).whole(2, MAX_RESOLUTION, "grid points")
-        A = star_hull(set_from_json(space, doc["of"]), resolution)
-    elif kind == "law_invariant_hull":
-        A = law_invariant_hull(set_from_json(space, doc["of"]))
-    else:
-        raise SetError(f"{doc.path}: unknown set kind {kind!r}")
+    from .duality import DualityError, Polytope  # local: avoids a module cycle
+    with doc.blame(SetError, market.MarketError, DualityError):
+        kind = doc["kind"].string()
+        if kind == "sublevel":
+            A = sublevel_set(space, measure_from_json(doc["measure"]), doc.get("k", 1.0).number())
+        elif kind == "ball":
+            p = doc.get("p", "inf")
+            A = ball_set(space, math.inf if p.value == "inf" else p.number(), doc.get("radius", 1.0).number(),
+                         doc["center"].numbers() if "center" in doc else None)
+        elif kind in ("halfspaces", "vertices"):
+            P = (Polytope.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
+                 if kind == "halfspaces" else Polytope.from_vertices(space, doc["vertices"].matrix()))
+            A = P.as_acceptance_set()
+        elif kind == "scale":
+            A = scale_set(set_from_json(space, doc["of"]), doc["factor"].number())
+        elif kind == "combine":
+            parts = [set_from_json(space, d) for d in doc["of"].items()]
+            doc["of"].expect(len(parts) >= 2, "at least two operands")
+            op = doc["op"].string()
+            A = parts[0]
+            for part in parts[1:]:
+                A = combine(op, A, part)
+        elif kind == "add_constants":
+            A = add_constants(set_from_json(space, doc["of"]))
+        elif kind == "star_hull":
+            resolution = doc.get("resolution", 256).whole(2, MAX_RESOLUTION, "grid points")
+            A = star_hull(set_from_json(space, doc["of"]), resolution)
+        elif kind == "law_invariant_hull":
+            A = law_invariant_hull(set_from_json(space, doc["of"]))
+        else:
+            raise SetError(f"unknown set kind {kind!r}")
     label = doc.get("label", "").string()
     return replace(A, label=label) if label else A

@@ -6,9 +6,12 @@ Usage: ``PYTHONPATH=src python tests/cold_start.py``
 Imports ``minkdev`` and ``minkdev.cli``, runs ``dual_representation_check``
 and ``bipolar_check`` on the polytope of ``data/vertex_scenario.json``, and
 ``minkdev eval`` and ``minkdev polar`` on that scenario (a vertex-form set
-and its ``add_constants``).  Exits 0 when every step succeeded and
-``scipy`` is not in ``sys.modules``; otherwise prints what went wrong and
-exits 1.  ``tests/test_duality.py`` runs it in a fresh process.
+and its ``add_constants``).  It then asks for the hull facets of a cloud of
+``CLOUD_POINTS`` points on the scenario's space, whose hull vertices are not
+all found by the first probe of ``enumerate_facets``.  Exits 0 when every
+step succeeded and neither ``scipy`` nor ``numpy.ma`` is in
+``sys.modules``; otherwise prints what went wrong and exits 1.
+``tests/test_duality.py`` runs it in a fresh process.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import minkdev.cli as cli
 from minkdev import duality, market
 
 SCENARIO = Path(__file__).resolve().parent / "data" / "vertex_scenario.json"
+CLOUD_POINTS = 40
 
 
 def main() -> int:
@@ -43,8 +47,12 @@ def main() -> int:
             code = cli.main([command, "--scenario", str(SCENARIO)])
         if code != cli.EXIT_OK:
             problems.append(f"minkdev {command} exited {code}")
-    if "scipy" in sys.modules:
-        problems.append("scipy was imported")
+    cloud = np.random.default_rng(0).normal(size=(CLOUD_POINTS, space.n))
+    if duality.Polytope.from_vertices(space, cloud)._hull_facets is None:
+        problems.append("the cloud got no hull facets")
+    for module in ("scipy", "numpy.ma"):
+        if module in sys.modules:
+            problems.append(f"{module} was imported")
     for problem in problems:
         print(problem)
     return 1 if problems else 0

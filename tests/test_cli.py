@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -462,3 +463,35 @@ def test_polar_refuses_a_polytope_in_both_forms(tmp_path, capsys):
     assert main(["polar", "--scenario", write(tmp_path, "p.json", doc)]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: polytope: ")
+
+
+def test_unknown_measure_error_names_its_path(tmp_path, capsys):
+    doc = dict(EVAL_DOC, measures=["std_dev", "nope"])
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: measures[1]: unknown deviation measure 'nope'\n"
+
+
+def test_wrong_length_position_error_names_its_path(tmp_path, capsys):
+    doc = dict(EVAL_DOC, positions={"X": [0.0, 1.0], "Y": [1.0, 2.0, 3.0]})
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: positions.Y: position must have 2 entries, got shape (3,)\n"
+
+
+def test_negative_radius_error_names_its_path(tmp_path, capsys):
+    # the path of the set whose constructor refused it, however deep
+    ball = {"kind": "ball", "radius": -1}
+    doc = dict(EVAL_DOC, sets=[{"kind": "ball"}, {"kind": "scale", "factor": 2.0, "of": ball}])
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: sets[1].of: radius must be finite and positive, got -1.0\n"
+
+
+def test_eval_of_a_hull_at_the_float_limit(tmp_path, capsys):
+    # the facet search squared coordinates up to 1e308 and kept NaN planes,
+    # dividing inf by inf; it now scales the points first, so no plane is NaN
+    doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "positions": {"x": [1e308, -0.5]},
+           "sets": [{"kind": "vertices", "vertices": [[1e308, 0], [0, 1], [-1, -1]], "label": "hull"}]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
+    assert not [w for w in caught if "invalid value" in str(w.message)]
+    assert json.loads(capsys.readouterr().out)["results"][0]["gauge(hull)"] >= 1.0

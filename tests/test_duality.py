@@ -25,9 +25,11 @@ from minkdev.duality import (
     polar,
     support_function,
     support_values,
+    _pairings,
 )
 from minkdev.gauge import GaugeOptions, minkowski_gauge
 from minkdev.market import SAMPLE_RANGE, MarketError, MarketSpace, pairing
+from minkdev.sets import scale_set
 
 UNIFORM2 = MarketSpace(np.array([0.5, 0.5]))
 BINARY = MarketSpace(np.array([0.25, 0.75]))
@@ -132,6 +134,26 @@ def test_enumerate_facets_agrees_with_qhull(n):
             assert len(A) == (2 * n if name == "cube" else 2 ** n), name
 
 
+@pytest.mark.parametrize("n", range(2, MAX_ENUM_DIM + 1))
+def test_enumerate_facets_commutes_with_scaling_by_powers_of_two(n):
+    # the search scales the points to max|V| in [0.5, 1) first, so a hull
+    # near the float limit, or far below 1, gets the planes of its copy at
+    # unit size: the same normals and offsets scaled exactly.  Squares of
+    # coordinates past about 1e154 used to overflow and leave NaN planes
+    rng = np.random.default_rng(20 + n)
+    for name, V in hull_cases(n).items():
+        A, b = enumerate_facets(V)
+        P = Polytope.from_vertices(weighted_space(n), V)
+        size = np.abs(V).max()
+        X = np.vstack([rng.uniform(-size, size, size=(100, n)), V, 1.001 * V])
+        for e in (1020 - math.frexp(size)[1], 500, -600):  # pairings with X stay finite
+            big = np.ldexp(V, e)
+            got = enumerate_facets(big)
+            assert got[0].tobytes() == A.tobytes() and got[1].tobytes() == np.ldexp(b, e).tobytes(), (name, e)
+            Q = Polytope.from_vertices(P.space, big)
+            assert Q.contains(np.ldexp(X, e)).tolist() == P.contains(X).tolist(), (name, e)
+
+
 SPHERE60 = np.random.default_rng(6).normal(size=(60, 4))
 SPHERE60 /= np.linalg.norm(SPHERE60, axis=1, keepdims=True)
 
@@ -202,6 +224,62 @@ def test_vertex_form_answers_each_row_as_alone():
                 lo, hi = Q._shift_interval(X)
                 alone = np.array([Q._shift_interval(x) for x in X])
                 assert lo.tobytes() == alone[:, 0].tobytes() and hi.tobytes() == alone[:, 1].tobytes(), (name, form)
+
+
+def masked_shift_interval(P, x):
+    """The shift interval by the masked formula ``Polytope`` used before it
+    cached its facet partition, kept verbatim, on the facets in the order
+    the form gives them."""
+    if P.rows is not None:
+        W, r = P.rows * P.space.probs, P.rhs
+    else:
+        W, b = P._hull_facets
+        r = np.where(np.abs(b) <= 1e-12 * np.abs(P.vertices).max(), 0.0, -b)
+    s = _pairings(np.ones(P.space.n), W)
+    x = np.asarray(x, dtype=float)
+    excess = _pairings(x, W) - r - (1e-9 * np.abs(x).max(axis=-1, initial=0.0))[..., None]
+    bound = excess / np.where(s == 0.0, 1.0, s)
+    lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
+    hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)
+    blocked = np.any((s == 0.0) & (excess > 0.0), axis=-1)
+    return np.where(blocked, math.inf, lo), hi
+
+
+def partition_cases():
+    """Polytopes in both forms whose facets have every mix of signs of
+    ``s = W 1``, by name."""
+    space3 = weighted_space(3)
+    diamond_rows = [[1, 1], [1, -1], [-1, 1], [-1, -1]]      # two facets along e1 - e2: s = 0
+    cases = {
+        "vertices": Polytope.from_vertices(space3, hull_cases(3)["random"]),
+        "zero_vertex": Polytope.from_vertices(space3, hull_cases(3)["zero_vertex"]),
+        "vertex_diamond": DIAMOND,
+        "halfspaces": Polytope.from_halfspaces(space3, np.random.default_rng(3).normal(size=(9, 3)), np.ones(9)),
+        "flat_facets": Polytope.from_halfspaces(UNIFORM2, diamond_rows, np.ones(4)),
+        "no_up": Polytope.from_halfspaces(UNIFORM2, [[-1, -1], [-3, 1], [1, -2]], [1.0, 2.0, 0.5]),
+        "no_down": Polytope.from_halfspaces(UNIFORM2, [[1, 1], [3, -1], [-1, 2]], [1.0, 2.0, 0.5]),
+        "flat_only": Polytope.from_halfspaces(UNIFORM2, [[1, -1], [-1, 1]], [0.5, 0.5]),
+    }
+    s = {name: P._facets[2] for name, P in cases.items()}
+    assert (s["flat_facets"] == 0.0).sum() == 2 and (s["flat_only"] == 0.0).all()
+    assert (s["no_up"] < 0.0).all() and (s["no_down"] > 0.0).all()
+    return cases
+
+
+@pytest.mark.parametrize("name", list(partition_cases()))
+def test_shift_interval_has_the_bits_of_the_masked_formula(name):
+    # lo and hi read from the cached partition equal, byte for byte, those
+    # of the masked formula, for one position and a batch, alone and scaled
+    P = partition_cases()[name]
+    n = P.space.n
+    X = np.vstack([np.random.default_rng(4).uniform(-3.0, 3.0, size=(40, n)), np.zeros((1, n)),
+                   np.full((1, n), 1.5), np.full((1, n), -0.75)])
+    A = P.as_acceptance_set()
+    for lam in (1.0, 0.3):
+        interval = A.shift_interval if lam == 1.0 else scale_set(A, lam).shift_interval
+        for Z in (X, *X):
+            want = [np.asarray(lam * v).tobytes() for v in masked_shift_interval(P, Z / lam)]
+            assert [np.asarray(v).tobytes() for v in interval(Z)] == want, (lam, Z)
 
 
 def test_vertex_form_work_never_imports_scipy():

@@ -20,6 +20,7 @@ import pytest
 from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.duality import MAX_ENUM_DIM, Polytope
 from minkdev.gauge import GaugeOptions, minkowski_gauge
+from minkdev import sets
 from minkdev.market import MarketSpace
 from minkdev.sets import (
     SHIFT_GRID_POINTS,
@@ -253,6 +254,45 @@ def test_law_invariant_hull_matches_scalar_permutation_loop(make_inner):
     H = law_invariant_hull(A)
     X = positions(UNIFORM4, 60, seed=3)
     assert_matches(H, lambda x: ref_law_invariant_hull(A, x), X)
+
+
+def test_law_invariant_hull_asks_a_batch_of_orbits_in_one_call():
+    # the base is not law-invariant, so every row's whole orbit is asked
+    A = asymmetric_polytope(UNIFORM4)
+    assert A.flags.law_invariant is not True
+    inner, asked = counted(A)
+    H = law_invariant_hull(inner)
+    X = positions(UNIFORM4, 40, seed=15)
+    single = [H.membership(x) for x in X]
+    assert 0 < sum(single) < len(X)
+    asked.clear()
+    assert H.row_membership(X).tolist() == single
+    assert asked == [(40 * 24, 4)]
+    asked.clear()
+    empty = H.row_membership(np.empty((0, 4)))
+    assert empty.shape == (0,) and empty.dtype == bool
+    assert asked == [(0, 4)]
+
+
+def test_law_invariant_hull_slices_a_large_batch_of_orbits(monkeypatch):
+    # past ORBIT_ROWS_MAX rows the orbits go in slices of whole orbits
+    monkeypatch.setattr(sets, "ORBIT_ROWS_MAX", 7 * 24 + 5)
+    inner, asked = counted(asymmetric_polytope(UNIFORM4))
+    H = law_invariant_hull(inner)
+    X = positions(UNIFORM4, 40, seed=15)
+    single = [H.membership(x) for x in X]
+    asked.clear()
+    assert H.row_membership(X).tolist() == single
+    assert asked == [(7 * 24, 4)] * 5 + [(5 * 24, 4)]
+    asked.clear()
+    assert H.row_membership(X[:7]).tolist() == single[:7]
+    assert asked == [(7 * 24, 4)]
+    # an orbit larger than the cap is still asked whole
+    monkeypatch.setattr(sets, "ORBIT_ROWS_MAX", 10)
+    H = law_invariant_hull(inner)
+    asked.clear()
+    assert H.row_membership(X[:3]).tolist() == single[:3]
+    assert asked == [(24, 4)] * 3
 
 
 def test_scale_and_combine_pass_batches_through():
