@@ -170,11 +170,31 @@ class Polytope:
             lo = np.where((excess[..., up:down] > 0.0).any(axis=-1), math.inf, lo)
         return lo, hi
 
-    def _excess(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def _orbit_contains(self, x):
+        """Whether every outcome permutation of ``x`` passes ``contains`` at
+        its default tolerance, for one position or a ``(B, n)`` batch, each
+        row with the bits it gets alone.
+
+        By the rearrangement inequality the largest pairing of a facet
+        normal ``W_i`` with a permutation of ``x`` is ``<sort(W_i),
+        sort(x)>``, and the slack ``tol * max|x|`` is the same for every
+        permutation, so one sorted pairing per facet decides the whole orbit
+        (the sorted normals are cached, ``_sorted_normals``).  The pairing is
+        summed in another order than the best permutation's own, so the
+        answer can differ from asking each permutation only within
+        rounding, at a facet.
+        """
+        x = np.asarray(x, dtype=float)
+        inside = (self._excess(np.sort(x, axis=-1), normals=self._sorted_normals) <= 0.0).all(axis=-1)
+        return inside if x.ndim > 1 else bool(inside)
+
+    def _excess(self, x: np.ndarray, tol: float = 1e-9, normals=None) -> np.ndarray:
         """``<W_i, x> - r_i - tol * max|x|`` for every facet of ``_facets``,
-        positive where ``x`` lies beyond the facet by more than the slack."""
+        positive where ``x`` lies beyond the facet by more than the slack;
+        ``normals``, when given, is paired with ``x`` in place of ``W``."""
         W, r, _ = self._facets
-        return _pairings(x, W) - r - (tol * np.abs(x).max(axis=-1, initial=0.0))[..., None]
+        slack = tol * np.abs(x).max(axis=-1, initial=0.0)
+        return _pairings(x, W if normals is None else normals) - r - slack[..., None]
 
     @functools.cached_property
     def _facets(self):
@@ -199,6 +219,12 @@ class Polytope:
         s = _pairings(np.ones(self.space.n), W)
         order = np.argsort(-np.sign(s), kind="stable")
         return W[order], r[order], s[order]
+
+    @functools.cached_property
+    def _sorted_normals(self):
+        """The normals ``W`` of ``_facets``, each sorted ascending, for
+        ``_orbit_contains``."""
+        return np.sort(self._facets[0], axis=1)
 
     @functools.cached_property
     def _shift_partition(self):
@@ -253,7 +279,7 @@ class Polytope:
         """View the polytope as a (closed convex) acceptance set; in both
         forms one function answers a position or a batch.  A polytope with
         facets (any but a flat hull) also gives the set its
-        ``shift_interval``."""
+        ``shift_interval`` and its ``orbit_membership``."""
         contains_zero = self.contains(np.zeros(self.space.n))
         flags = SetFlags(
             star_shaped=True if contains_zero else None,
@@ -265,9 +291,11 @@ class Polytope:
             contains_zero=contains_zero,
         )
         member = lambda x: self.contains(x)
+        faceted = self._facets is not None
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
                              label=label or "polytope", row_membership=member,
-                             shift_interval=None if self._facets is None else self._shift_interval)
+                             shift_interval=self._shift_interval if faceted else None,
+                             orbit_membership=self._orbit_contains if faceted else None)
 
 
 def _pairings(x: np.ndarray, W: np.ndarray) -> np.ndarray:

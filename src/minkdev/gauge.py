@@ -12,9 +12,9 @@ asked.  Sets without a star-shape declaration seed the bracket by a
 geometric scan of the whole scale range, and the result is flagged
 approximate.
 
-The walk needs no call budget: whatever the oracle answers, it asks at
-most 92 scales on a star-shaped set and 1,585 after the grid scan.  It
-asks 1 first.  It then doubles (or halves) at most
+The walk needs no call budget: whatever the oracle answers, its path
+holds at most 92 scales on a star-shaped set and 1,585 after the grid
+scan.  It asks 1 first.  It then doubles (or halves) at most
 ``ceil(log2 M_CAP) - 1 = 39`` times, and ends once the next scale would
 pass ``M_CAP`` (or fall below ``M_MIN``) with the bracket still open.  A
 finite bracket it bisects until ``hi - lo <= max(tol_abs, tol_rel * hi)``,
@@ -25,12 +25,18 @@ bisects at most ``ceil(log2 g)`` times: 52 from the power-of-two ends
 whose ratio ``10^(24/1535)`` gives ``g < 2^48.3``.  The grid scan itself
 asks at most its 1,536 scales.
 
-Two solvers walk the rule.  ``minkowski_gauge`` walks one cell, asking
-``membership``.  ``gauge_table`` gives the gauge of many sets at many
-positions, each cell equal to ``minkowski_gauge``; once a table is large
-enough, its cells of star-shaped sets walk in lockstep, each step asking
-every set one batch of its open cells.  ``shift_infimum_gauge`` minimises
-the gauge over constant shifts of the position.
+Two solvers walk the rule.  ``minkowski_gauge`` walks one cell.  On a
+star-shaped set whose ``membership`` is its ``row_membership`` (a one-call
+set) it asks, in one call, every scale its next ``WALK_DEPTH`` steps could
+ask, and reads the answers along its own path: a round of at most 15
+rows, and at most 24 rounds a solve, 10 doubling the scale and 13
+bisecting, or 1 asking 1 and 23 halving and bisecting (``_ask_round``).
+Any other set it asks one position per ``membership`` call.
+``gauge_table`` gives the gauge of many sets at many positions, each cell
+equal to ``minkowski_gauge``; once a table is large enough, its cells of
+star-shaped sets walk in lockstep, each step asking every set one batch of
+its open cells.  ``shift_infimum_gauge`` minimises the gauge over constant
+shifts of the position.
 """
 
 from __future__ import annotations
@@ -81,6 +87,22 @@ M_CAP = 1e12
 #: Scales per decade of the grid-scan fallback.
 RAY_GRID = 64
 
+#: Steps of the walk that ``minkowski_gauge`` asks a one-call set in one
+#: round.  Measured in-process on the first 120 ``composite_eval`` requests
+#: at seed 0 (2-core machine, one BLAS thread, each request the least of 5
+#: passes, two runs): depth 3 took 0.119-0.127 s, depth 4 0.106-0.115 s
+#: and depth 5 0.108-0.124 s.
+WALK_DEPTH = 4
+
+# A round's scales, from the scale ``m`` its first step asks: the next
+# WALK_DEPTH doublings while the bracket is open above, and otherwise the
+# 2^WALK_DEPTH - 1 points at multiples of ``(hi - lo) / 2^WALK_DEPTH``,
+# written as offsets from the midpoint ``m``.  Built from Python floats:
+# numpy's integer loops, run here first, added about 0.3 MB to the
+# resident set at import.
+_DOUBLINGS = np.array([2.0 ** i for i in range(WALK_DEPTH)])
+_SPLITS = np.array([(j - 2 ** (WALK_DEPTH - 1)) / 2 ** WALK_DEPTH for j in range(1, 2 ** WALK_DEPTH)])
+
 # ``shift_infimum_gauge``'s search: the size of its uniform scan on a set
 # not declared convex, and the bracket width its golden sections stop at.
 SHIFT_SCAN_POINTS = 129
@@ -95,6 +117,9 @@ class GaugeResult:
     ``math.inf`` (no member up to ``M_CAP``), or a finite positive number
     bracketed by ``bracket``.  ``attained`` is ``"yes"`` only when the set is
     declared closed; ``boundary_point`` is then ``x / value``.
+    ``oracle_calls`` counts the scales on the walk's path, the answers it
+    read, whether they came one per oracle call or several per round
+    (``minkowski_gauge``); the bound of the module docstring applies to it.
     ``approximate`` marks grid-scan results on sets without a star-shape
     declaration.
     """
@@ -121,23 +146,40 @@ def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -
     finite bracket within tolerance whose upper end is the gauge, within
     the number of calls the module docstring bounds.  ``x`` must be a
     finite position of ``A.space`` (``MarketError`` otherwise).
+
+    A star-shaped set whose ``membership`` is its ``row_membership`` is
+    asked in rounds (``_ask_round``): the walk looks each scale up in the
+    answers of the last round, and asks a new round from a scale it does
+    not find.  It so asks the scales one at a time would, and reads the
+    same answers wherever the oracle answers a row of a batch as it answers
+    the row alone, so every field of the result is the same.  Any other set
+    (a fan-out, whose batch would multiply its inner rows, or one not
+    declared star-shaped, whose scanned bracket is not dyadic) is asked one
+    position per call.
     """
     x = as_position(A.space, x)
     member = A.membership
     approximate = A.flags.star_shaped is not True
+    nonzero = bool(np.any(x))
+    rounds = nonzero and not approximate and A.row_membership is member
     lo, hi, calls = 0.0, math.inf, 0
+    answers: dict[float, bool] = {}
 
     def past(m: float) -> bool:
-        nonlocal lo, hi, calls
+        nonlocal lo, hi, calls, answers
         calls += 1
-        hit = bool(member(x / m))
+        if not rounds:
+            hit = bool(member(x / m))
+        elif (hit := answers.get(m)) is None:
+            answers = _ask_round(member, x, m, lo, hi)
+            hit = answers[m]
         if hit:
             hi = m
         else:
             lo = m
         return hit
 
-    if not np.any(x):
+    if not nonzero:
         # every scale asks the same point, so the value is 0 or inf
         hit = past(1.0)
         value = 0.0 if hit else math.inf
@@ -154,6 +196,37 @@ def minkowski_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -
         if lo > 0.0 and hi < math.inf and hi - lo <= max(opts.tol_abs, opts.tol_rel * hi):
             return _result(A, x, lo, hi, calls, approximate)
         past(m)
+
+
+def _ask_round(member, x: np.ndarray, m: float, lo: float, hi: float) -> dict[float, bool]:
+    """``member``'s answers, asked in one call, at every scale the
+    star-shaped walk could ask in its ``d = WALK_DEPTH`` steps from the
+    bracket ``[lo, hi]``, whose next scale is ``m``: a dict from scale to
+    answer, of at most ``2^d - 1`` rows.
+
+    While ``hi`` is infinite the steps double: ``m, 2m, 4m, 8m``, read up
+    to the first member or the cap.  Once it is finite they bisect, and the
+    round asks the ``2^d - 1`` points ``lo + (hi - lo) j / 2^d``, computed
+    as ``m + (hi - lo) (j - 2^(d-1)) / 2^d``, which hold every midpoint the
+    next ``d`` steps could compute, bit for bit.  Proof: the walk asks 1,
+    then doubles or halves, so it bisects first ``[0, 2^k]`` (halving) or
+    ``[2^(k-1), 2^k]``.  In the first case every point is ``2^k j / 2^d``
+    (exact, as ``m = 2^(k-1)``).  In the second, after ``t`` steps the
+    ends are multiples of ``2^(k-1-t)`` in ``[2^(k-1), 2^k]``, so ``hi -
+    lo = 2^(k-1-t)`` is exact (the ends are within a factor 2) and so is
+    its product with ``(j - 2^(d-1)) / 2^d``.  The midpoint of step ``t +
+    s`` (``s < d``) is a multiple of ``2^(k-2-t-s)`` in ``[2^(k-1),
+    2^k]``, so its sum is exact wherever it is a float: a multiple of
+    ``2^(k-53)``, which it is while ``t + s <= 51``.  The walk computes it
+    as ``0.5 * (lo' + hi')``, whose sum (a multiple of ``2^(k-1-t-s)`` in
+    ``[2^k, 2^(k+1)]``) and halving are exact there too.  And since
+    ``tol_rel >= EPS``, the walk has settled by step 52, as the module
+    docstring shows.  A scale it does not find (none, by this proof) it
+    asks in a new round from there.
+    """
+    scales = m * _DOUBLINGS if hi == math.inf else m + (hi - lo) * _SPLITS
+    hits = np.asarray(member(x / scales[:, None]), dtype=bool)
+    return dict(zip(scales.tolist(), hits.tolist()))
 
 
 def _result(A: AcceptanceSet, x: np.ndarray, lo: float, hi: float, calls: int,
@@ -195,13 +268,17 @@ def _grid_scan(past):
 
 #: Fewest star-shaped non-zero cells a table must have before
 #: ``gauge_table`` solves them in lockstep.  Measured on the tables of the
-#: first 700 ``catalogue_eval`` requests (2-core machine, one BLAS thread):
-#: lockstep costs 1.5-2 ms for one set at 1-12 rows and cell by cell about
-#: 0.4 ms per cell.  Lockstep wins from about 6 rows for one set, 4 for
-#: two, 3 for three to six and 2 for more, and never at one row (12 sets:
-#: 7.3 against 5.3 ms).  Summed over those tables, 12 cells was 1-2 %
-#: faster than 8 cells at seeds 0 and 8191; the best rule on rows (at
-#: least 3) was 2-4 % slower at seed 0 and level at seed 8191.
+#: first 700 ``catalogue_eval`` requests at seeds 0 and 8191 (2-core
+#: machine, one BLAS thread, each table the least of 9 runs): lockstep
+#: costs 1.0-1.2 ms for one set at 1-7 rows, and cell by cell, walking in
+#: rounds, about 0.19 ms per one-row cell.  Lockstep wins from about 8 rows
+#: for one set, 4-5 for two and 3 for five to twelve, and never at one or
+#: two rows for up to twelve sets (12 sets at one row: 4.3-6.6 against
+#: 2.1-2.9 ms).  Summed over those tables, in two runs per seed, 16 cells
+#: was 1.5-1.6 % faster than 12 at seed 8191 but only 0.1-0.3 % at seed 0,
+#: inside the noise of the measurement, so the seeds do not agree on a gain
+#: and the threshold stays at 12; 14 was level with 16, and 20 and 24
+#: slower.
 LOCKSTEP_MIN_CELLS = 12
 
 

@@ -16,17 +16,26 @@ Membership oracles.  Every set answers one position ``(n,)`` through
 ``membership(x)``, a bool, and a ``(B, n)`` batch through
 ``row_membership(X)``, a ``(B,)`` bool array.  The leaves (sub-level sets
 of row-wise functionals, balls, polytopes in either form) pass one
-function that answers both shapes in one call; any other set, a
-user-built one or a composite that fans one query out, is given at
-construction a ``row_membership`` that asks ``membership`` row by row.
-``scale_set`` and ``combine`` pass batches through to their operands'
+function that answers both shapes in one call, and so do the exact
+``add_constants``, the hulls that answer with such an oracle, and
+``scale_set`` and ``combine`` over such sets; any other set, a user-built one or a
+composite that fans one query out, is given at construction a
+``row_membership`` that asks ``membership`` row by row.  ``scale_set``
+and ``combine`` pass batches through to their operands'
 ``row_membership``, and ``law_invariant_hull`` its batch's orbits.
+``gauge.minkowski_gauge`` asks a set whose ``membership`` is its
+``row_membership`` the scales of several steps of its walk in one batch,
+and any other set one position per call; ``gauge.gauge_table`` asks
+``row_membership`` one batch of rows per bisection step when its table
+is large enough.
 
 The fan-out composites — ``add_constants``, ``star_hull`` and
 ``law_invariant_hull`` — answer exactly, with no fan-out, where the
 geometry allows.  ``star_hull`` of a set declared star-shaped and
 ``law_invariant_hull`` of a set declared law-invariant are that set, so
-they answer with its own oracles.  ``add_constants`` over a set with a
+they answer with its own oracles.  ``law_invariant_hull`` of a set with
+an ``orbit_membership`` (a polytope with facets, and scalings of one)
+answers with it.  ``add_constants`` over a set with a
 ``shift_interval`` (polytopes in halfspace form or with hull facets,
 balls with ``p = 2`` or ``p = inf``, and scalings of these) answers a
 position or a batch with one call to it.
@@ -36,13 +45,11 @@ by the shift grid only if no candidate is a member.  ``law_invariant_hull``
 asks the orbits of a whole batch as one batch (sliced past
 ``ORBIT_ROWS_MAX`` rows); the other two, nested in a
 fan-out, are asked every row of its batch, one at a time.
-``minkowski_gauge`` asks ``membership`` one position at a time;
-``gauge.gauge_table`` asks ``row_membership`` one batch of rows per
-bisection step when its table is large enough.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -91,12 +98,16 @@ class AcceptanceSet:
     is never ``None``.  A copy made with ``dataclasses.replace`` keeps the
     ``row_membership`` it was built with: replacing ``membership`` alone (a
     wrapper written for one position, say) never hands the wrapper a batch.
-    Replace both, and ``shift_interval``, to change what the set contains.
+    Replace both, and ``shift_interval`` and ``orbit_membership``, to change
+    what the set contains.
 
     ``shift_interval``, when given, answers a position ``(n,)`` or a batch
     ``(B, n)`` with ``(lo, hi)``, per row the closed interval of constants
     ``c`` with ``x - c`` in the set (empty when ``lo > hi``); it is how
-    ``add_constants`` answers exactly.
+    ``add_constants`` answers exactly.  ``orbit_membership``, when given,
+    answers a position or a batch, as ``membership`` and ``row_membership``
+    do, with whether every outcome permutation of it is in the set; it is
+    how ``law_invariant_hull`` answers exactly.
     """
 
     space: MarketSpace
@@ -105,6 +116,7 @@ class AcceptanceSet:
     label: str = ""
     row_membership: Callable[[np.ndarray], np.ndarray] | None = None
     shift_interval: Callable[[np.ndarray], tuple] | None = None
+    orbit_membership: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.row_membership is None:
@@ -159,14 +171,18 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
 def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
     """The scaled set ``lam * A`` (membership: ``x / lam in A``), ``lam > 0``.
 
-    When ``A`` has a ``shift_interval`` ``I``, so does ``lam * A``: ``x - c``
-    is in ``lam * A`` iff ``x / lam - c / lam`` is in ``A``, so its interval
-    is ``lam * I(x / lam)``.
+    Each oracle of ``A`` is passed on, asked at ``x / lam``: when ``A``
+    answers both shapes with one function, so does ``lam * A``, and
+    ``A``'s ``orbit_membership`` becomes ``lam * A``'s (permutations commute
+    with scaling).  When ``A`` has a ``shift_interval`` ``I``, so does ``lam
+    * A``: ``x - c`` is in ``lam * A`` iff ``x / lam - c / lam`` is in
+    ``A``, so its interval is ``lam * I(x / lam)``.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise SetError(f"scaling factor must be finite and positive, got {lam}")
-    inner = A.membership
-    interval = A.shift_interval
+    inner, inner_rows = A.membership, A.row_membership
+    interval, orbit = A.shift_interval, A.orbit_membership
+    member = lambda x: inner(x / lam)
 
     def scaled_interval(x):
         lo, hi = interval(x / lam)
@@ -174,11 +190,12 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
 
     return AcceptanceSet(
         space=A.space,
-        membership=lambda x: inner(x / lam),
+        membership=member,
         flags=A.flags,
         label=f"{lam:g}*({A.label})" if A.label else "",
-        row_membership=lambda X: A.row_membership(X / lam),
+        row_membership=member if inner_rows is inner else lambda X: inner_rows(X / lam),
         shift_interval=None if interval is None else scaled_interval,
+        orbit_membership=None if orbit is None else lambda x: orbit(x / lam),
     )
 
 
@@ -188,7 +205,9 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     Intersections of convex sets stay convex; unions of star-shaped sets
     stay star-shaped but convexity may be lost, so it degrades to unknown.
     The second operand is only asked about positions the first leaves
-    undecided, one at a time or as the undecided rows of a batch.
+    undecided, one at a time or as the undecided rows of a batch.  When
+    each operand answers both shapes with one function, so does the
+    combination.
     """
     if A.space is not B.space and not np.array_equal(A.space.probs, B.space.probs):
         raise SetError("combine requires sets over the same market space")
@@ -231,12 +250,16 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
             out[open_rows] = B.row_membership(X[open_rows])
         return out
 
+    def either(X: np.ndarray):
+        return rows(X) if np.ndim(X) > 1 else member(X)
+
+    one_call = A.row_membership is A.membership and B.row_membership is B.membership
     return AcceptanceSet(
         space=A.space,
-        membership=member,
+        membership=either if one_call else member,
         flags=flags,
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
-        row_membership=rows,
+        row_membership=either if one_call else rows,
     )
 
 
@@ -366,10 +389,10 @@ def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
     )
 
 
-def _permutations(space: MarketSpace, what: str) -> np.ndarray:
-    """Every outcome permutation of a uniform space, as an ``(n!, n)`` index
-    array in ``itertools.permutations`` order; ``SetError`` on a non-uniform
-    space or above ``market.MAX_PERMUTATION_OUTCOMES`` outcomes."""
+def _check_permutable(space: MarketSpace, what: str) -> None:
+    """``SetError`` unless ``what`` may enumerate the outcome permutations of
+    ``space``: it must be uniform, with at most
+    ``market.MAX_PERMUTATION_OUTCOMES`` outcomes."""
     if not space.is_uniform():
         raise SetError(f"{what} requires a uniform space")
     if space.n > market.MAX_PERMUTATION_OUTCOMES:
@@ -377,7 +400,15 @@ def _permutations(space: MarketSpace, what: str) -> np.ndarray:
             f"{what} enumerates n! permutations; n={space.n} exceeds "
             f"the cap of {market.MAX_PERMUTATION_OUTCOMES}"
         )
-    return np.array(list(itertools.permutations(range(space.n))), dtype=int)
+
+
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of ``n`` outcomes, as a read-only ``(n!, n)`` index
+    array in ``itertools.permutations`` order, built once per ``n``."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    perms.flags.writeable = False
+    return perms
 
 
 #: Most rows ``law_invariant_hull`` asks of its base in one batch: a batch
@@ -390,19 +421,27 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
 
     A position belongs iff every outcome permutation of it belongs to ``A``.
     Requires uniform probabilities (permutations preserve the law only then)
-    and a small outcome count so the full orbit can be enumerated; the orbit
-    is asked of ``A`` as one ``(n!, n)`` batch, and the orbits of a ``(B,
-    n)`` batch as one ``(B n!, n)`` batch, in slices of at most
-    ``ORBIT_ROWS_MAX`` rows or one orbit, so memory stays bounded at any
-    batch size.  A set declared
-    law-invariant is its own hull, so the hull then answers with ``A``'s
-    own ``membership`` and ``row_membership`` (the requirements still hold).
+    and at most ``market.MAX_PERMUTATION_OUTCOMES`` outcomes (``SetError``
+    otherwise), checked whichever way the hull answers:
+
+    * a set declared law-invariant is its own hull, so the hull answers
+      with ``A``'s own ``membership`` and ``row_membership``;
+    * a set with an ``orbit_membership`` (a polytope with facets, or a
+      scaling of one) answers both shapes with it, in one call;
+    * otherwise the orbit is asked of ``A`` as one ``(n!, n)`` batch, and
+      the orbits of a ``(B, n)`` batch as one ``(B n!, n)`` batch, in slices
+      of at most ``ORBIT_ROWS_MAX`` rows or one orbit, so memory stays
+      bounded at any batch size.  Only this way builds the permutations.
     """
     space = A.space
-    perms = _permutations(space, "law-invariant hull")
+    _check_permutable(space, "law-invariant hull")
     if A.flags.law_invariant is True:
         member, rows = A.membership, A.row_membership
+    elif A.orbit_membership is not None:
+        member = rows = A.orbit_membership
     else:
+        perms = _permutations(space.n)
+
         def member(x: np.ndarray) -> bool:
             return bool(A.row_membership(x[perms]).all())
 
@@ -603,7 +642,8 @@ def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0
     elif prop == "law_invariant":
         # each member's whole orbit is one batch; the first non-member in
         # enumeration order is the counterexample
-        perms = _permutations(A.space, "the law-invariance check")
+        _check_permutable(A.space, "the law-invariance check")
+        perms = _permutations(A.space.n)
         for t in range(trials):
             x = _sample_member(A, rng)
             if x is None:

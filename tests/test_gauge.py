@@ -25,7 +25,9 @@ from minkdev.sets import (
     SetFlags,
     add_constants,
     ball_set,
+    combine,
     law_invariant_hull,
+    scale_set,
     star_hull,
     sublevel_set,
 )
@@ -263,11 +265,13 @@ def _keeps_the_larger_half(lo, hi):
     return member
 
 
-def _adversaries(grid: bool):
+def _adversaries(grid: bool, pure: bool = False):
     """``(oracle, X)`` pairs: threshold sets whose gauges sweep past both ends
     of ``[M_MIN, M_CAP]``, always and never members, alternating and
     seeded-random answers, and the slowest answers in the cell bisected
-    last."""
+    last.  ``pure`` leaves out the two that answer by the count of calls
+    (alternating and slowest), so each oracle left answers a point the same
+    whatever else it is asked."""
     k = np.arange(-40, 41, 13 if grid else 1)
     rng = np.random.default_rng(24)
     gauges = np.concatenate([1.5 * 2.0 ** k, 2.0 ** k * (1.0 + 2.0 ** -40),
@@ -276,9 +280,12 @@ def _adversaries(grid: bool):
     X = np.outer(np.exp(rng.uniform(-30.0, 30.0, 6)), RAY)
     yield (lambda Z: np.ones(Z.shape[:-1], dtype=bool)), X
     yield (lambda Z: np.zeros(Z.shape[:-1], dtype=bool)), X
-    yield _alternating(), X
+    if not pure:
+        yield _alternating(), X
     for seed in range(4):
         yield _hashed(seed), X
+    if pure:
+        return
     # the cell bisected last: the scan's top cell, or the last doubling's
     scanned = []
     gauge._grid_scan(lambda m: scanned.append(m))
@@ -302,6 +309,189 @@ def test_every_walk_ends_within_the_call_bound(engine):
             column = [minkowski_gauge(A, x, FINEST) for x in X]
         calls += [res.oracle_calls for res in column]
     assert max(calls) == _most_calls(grid)      # within the bound, which is reached
+
+
+# --- the walk in rounds ----------------------------------------------------------
+
+def sequential_gauge(A, x, opts):
+    """The reference walk: ``minkowski_gauge``'s step rule, asking one scale
+    per ``membership`` call."""
+    x = np.asarray(x, dtype=float)
+    member = A.membership
+    approximate = A.flags.star_shaped is not True
+    lo, hi, calls = 0.0, math.inf, 0
+
+    def past(m):
+        nonlocal lo, hi, calls
+        calls += 1
+        hit = bool(member(x / m))
+        if hit:
+            hi = m
+        else:
+            lo = m
+        return hit
+
+    if not np.any(x):
+        hit = past(1.0)
+        value = 0.0 if hit else math.inf
+        return gauge.GaugeResult(value=value, bracket=(value, value),
+                                 attained="yes" if hit else "no", oracle_calls=calls)
+    if approximate:
+        lo, hi = gauge._grid_scan(past)
+    while True:
+        m = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo or 1.0)
+        if lo == 0.0 and m < gauge.M_MIN:
+            return gauge._result(A, x, lo, gauge.M_MIN, calls, approximate)
+        if hi == math.inf and m > gauge.M_CAP:
+            return gauge._result(A, x, gauge.M_CAP, hi, calls, approximate)
+        if lo > 0.0 and hi < math.inf and hi - lo <= max(opts.tol_abs, opts.tol_rel * hi):
+            return gauge._result(A, x, lo, hi, calls, approximate)
+        past(m)
+
+
+def _bits(res):
+    """Every field of a ``GaugeResult``, ``boundary_point`` as its bytes."""
+    point = None if res.boundary_point is None else res.boundary_point.tobytes()
+    return (res.value, res.bracket, res.attained, res.oracle_calls, point, res.approximate)
+
+
+def _parity_sets(space, rng):
+    """The catalogue's sets and the composite kinds, on ``space``."""
+    n = space.n
+    sets = [sublevel_set(space, builtin_deviation(name, **kw), k)
+            for (name, kw), k in zip(CATALOGUE, (0.5, 2.0, 1.0, 0.7, 1.3, 1.0, 0.9, 1.6))]
+    sets += [ball_set(space, p, 1.3) for p in (1.0, 2.0, 3.0, math.inf)]
+    halfspaces = _halfspace_polytope(space, rng).as_acceptance_set()
+    sublevel = sublevel_set(space, builtin_deviation("lr"), 1.0)
+    sets += [halfspaces, add_constants(ball_set(space, 2.0, 0.8)),
+             add_constants(ball_set(space, math.inf, 1.2)), add_constants(halfspaces),
+             star_hull(sublevel), star_hull(ball_set(space, 3.0)),
+             combine("union", ball_set(space, 1.0, 0.5), star_hull(sublevel)),
+             scale_set(add_constants(ball_set(space, 2.0, 1.1)), 2.5),
+             scale_set(star_hull(halfspaces), 0.4)]
+    if space.is_uniform():
+        sets += [law_invariant_hull(halfspaces),
+                 combine("intersection", halfspaces, law_invariant_hull(sublevel))]
+    return sets
+
+
+def _parity_rows(rng, n):
+    """Random rows over many decades, the zero row, constant rows, and one
+    direction at scales from 1e-15 to 1e14."""
+    d = rng.uniform(-1.0, 1.0, size=n)
+    return np.vstack([_positions(rng, 4, n), np.zeros(n), np.full(n, 2.5), np.full(n, -1e-3),
+                      np.outer(10.0 ** np.array([-15, -11, -7, -3, 0, 3, 7, 11, 14]), d)])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_walk_in_rounds_has_the_bits_of_the_sequential_walk(n):
+    rng = np.random.default_rng(40 + n)
+    spaces = [MarketSpace(np.full(n, 1.0 / n))]
+    if n <= 4:
+        w = rng.uniform(0.5, 1.5, size=n)
+        spaces.append(MarketSpace(w / w.sum()))
+    batched = 0
+    for space in spaces:
+        X = _parity_rows(rng, n)
+        for A in _parity_sets(space, rng):
+            batched += A.row_membership is A.membership and A.flags.star_shaped is True
+            for opts in (gauge.DEFAULT_OPTIONS, GaugeOptions(tol_rel=1e-6, tol_abs=1e-3), FINEST):
+                for x in X:
+                    assert _bits(minkowski_gauge(A, x, opts)) == _bits(sequential_gauge(A, x, opts)), \
+                        (A.label, x, opts)
+    assert batched >= 16 * len(spaces)            # most of them walk in rounds
+
+
+@pytest.mark.parametrize("scale_range", [(0.3, 1.5), (0.125, 8.0), (1e-3, 1e5)])
+def test_walk_in_rounds_has_the_bits_of_the_sequential_walk_in_other_scale_ranges(scale_range,
+                                                                                   monkeypatch):
+    monkeypatch.setattr(gauge, "M_MIN", scale_range[0])
+    monkeypatch.setattr(gauge, "M_CAP", scale_range[1])
+    rng = np.random.default_rng(47)
+    space = MarketSpace(np.full(4, 0.25))
+    X = _parity_rows(rng, 4)
+    for A in _parity_sets(space, rng):
+        for opts in (gauge.DEFAULT_OPTIONS, FINEST):
+            for x in X:
+                assert _bits(minkowski_gauge(A, x, opts)) == _bits(sequential_gauge(A, x, opts))
+
+
+def test_walk_in_rounds_has_the_bits_of_the_sequential_walk_on_adversaries():
+    # the oracles that answer each point the same whatever else is asked:
+    # thresholds past both ends of the scale range, always, never, and
+    # seeded coin flips (not monotone along the ray)
+    for member, X in _adversaries(grid=False, pure=True):
+        A = AcceptanceSet(space=UNIFORM3, membership=member, flags=SetFlags(star_shaped=True),
+                          row_membership=member)
+        for x in X:
+            assert _bits(minkowski_gauge(A, x, FINEST)) == _bits(sequential_gauge(A, x, FINEST))
+
+
+def _logged(A, one_call=False):
+    """A copy of ``A`` that logs the shape of every query to its oracles,
+    answering both shapes with one function when ``one_call``."""
+    asked = []
+
+    def member(Z):
+        asked.append(np.shape(Z))
+        return A.membership(Z)
+
+    def rows(Z):
+        asked.append(Z.shape)
+        return A.row_membership(Z)
+    return AcceptanceSet(A.space, member, A.flags, A.label, member if one_call else rows), asked
+
+
+def test_walk_asks_in_rounds_only_a_one_call_set():
+    # a fan-out would multiply its inner rows by a round's, and a set whose
+    # membership is not its row oracle may answer one position only: each is
+    # asked one position per call
+    rng = np.random.default_rng(48)
+    space = MarketSpace(np.full(4, 0.25))
+    ball = ball_set(space, 2.0)
+    off_centre, asked_scan = _logged(ball_set(space, 2.0, 0.5, center=[0.3, 0.0, -0.2, 0.1]))
+    polytope, asked_orbit = _logged(_halfspace_polytope(space, rng).as_acceptance_set())
+    ball3, asked_shifts = _logged(ball_set(space, 3.0, 0.8))
+    assert polytope.orbit_membership is None and ball3.shift_interval is None
+    fan_outs = [(star_hull(off_centre, resolution=32), asked_scan, {(32, 4)}),
+                (law_invariant_hull(polytope), asked_orbit, {(24, 4)}),
+                (add_constants(ball3), asked_shifts, {(7, 4), (256, 4)})]
+    asked_one = []
+
+    def one(x):
+        asked_one.append(x.shape)
+        return bool(ball.membership(x))
+    single = [AcceptanceSet(space, one, ball.flags),                     # membership alone
+              replace(ball, membership=one),                             # replaced membership
+              AcceptanceSet(space, one, SetFlags(), row_membership=one)]  # not star-shaped
+    X = _positions(rng, 6, 4)
+    for C, asked, shapes in fan_outs:
+        assert C.flags.star_shaped is True and C.row_membership is not C.membership
+        for x in X:
+            asked.clear()
+            res = minkowski_gauge(C, x)
+            # one fan-out per position asked: its batch, and the shift grid
+            # only after the candidates
+            assert set(asked) <= shapes and asked.count(min(shapes)) == res.oracle_calls
+    for A in single:
+        for x in X:
+            asked_one.clear()
+            res = minkowski_gauge(A, x)
+            assert asked_one == [(4,)] * res.oracle_calls
+    # a one-call set is asked rounds of at most 15 rows; at the finest
+    # tolerance the adversaries' walks reach the bound of 92 scales on their
+    # path, in at most 24 rounds
+    most_rounds = 0
+    for member, X in _adversaries(grid=False, pure=True):
+        A, asked = _logged(AcceptanceSet(UNIFORM3, member, SetFlags(star_shaped=True),
+                                         row_membership=member), one_call=True)
+        for x in X:
+            asked.clear()
+            res = minkowski_gauge(A, x, FINEST)
+            assert all(len(shape) == 2 and 1 <= shape[0] <= 15 for shape in asked)
+            assert len(asked) <= res.oracle_calls
+            most_rounds = max(most_rounds, len(asked))
+    assert most_rounds == 24
 
 
 # --- gauge table ---------------------------------------------------------------
@@ -479,21 +669,32 @@ def test_table_cells_floor_cap_settle_and_run_out_on_one_step(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-14, 1e-3, 1.0, 7.5, 1e13])   # floor, bisect, cap
 def test_scalar_walk_asks_the_scales_of_a_one_row_lockstep_table(scale):
+    # the scalar walk asks a one-call set in rounds, so its calls are not
+    # the lockstep's one row per step: the lockstep asks exactly the scales
+    # on the walk's path, which the reference walk asks one per call, in
+    # its order, each a row of one of the scalar walk's rounds
     ball = ball_set(UNIFORM3, p=2.0)
     asked = []
 
     def member(Z):
-        asked.append(np.reshape(Z, -1).tolist())
+        asked.append(np.reshape(Z, (-1, Z.shape[-1])).tolist())
         return ball.membership(Z)
     A = AcceptanceSet(space=UNIFORM3, membership=member, flags=ball.flags, row_membership=member)
     x = scale * np.array([3.0, 1.0, -2.0])
     for opts in (SUITE, GaugeOptions(tol_rel=1e-6, tol_abs=1e-3)):
         asked.clear()
         res = minkowski_gauge(A, x, opts)
-        scalar = list(asked)
+        rounds = list(asked)
+        asked.clear()
+        sequential_gauge(A, x, opts)
+        path = list(asked)
         asked.clear()
         [[cell]] = gauge._lockstep([A], x[None, :], opts)
-        assert asked == scalar and _same(cell, res)
+        assert asked == path and len(path) == res.oracle_calls and _same(cell, res)
+        b = 0                                    # each step in the current round or a later one
+        for [row] in path:
+            b = next(k for k in range(b, len(rounds)) if row in rounds[k])
+        assert len(rounds) < len(path)
 
 
 K = gauge.LOCKSTEP_MIN_CELLS

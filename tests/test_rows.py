@@ -306,6 +306,10 @@ def test_scale_and_combine_pass_batches_through():
     assert_matches(S, lambda x: a(x / 2.5), X)
     assert_matches(U, lambda x: a(x) or b(x), X)
     assert_matches(I, lambda x: a(x) and b(x), X)
+    # over operands that answer both shapes with one function, so do they
+    assert all(C.row_membership is C.membership for C in (S, U, I))
+    fan_out = combine("union", A, star_hull(ball_set(SPACE4, p=2.0, center=[1.0, 0.0, 0.0, 0.0])))
+    assert fan_out.row_membership is not fan_out.membership
 
 
 def test_combine_asks_second_operand_only_undecided_rows():
@@ -543,6 +547,76 @@ def test_law_invariant_hull_still_checks_its_space():
         assert A.flags.law_invariant is True
         with pytest.raises(SetError):
             law_invariant_hull(A)
+
+
+# --- the law-invariant hull of a polytope, from sorted facets ---------------------
+
+def near_a_facet(P, x):
+    """Whether the best permutation of ``x`` lies within 1e-12 relative of a
+    facet of ``P``: the sorted pairing's excess over the facet, summed
+    exactly, against the size of its terms.  There the sorted pairing and
+    the orbit's own sums may round to different answers."""
+    W, r, _ = P._facets
+    terms = np.sort(W, axis=1) * np.sort(x)
+    slack = 1e-9 * np.max(np.abs(x))
+    excess = np.array([math.fsum(t) for t in terms]) - r - slack
+    return bool((np.abs(excess) < 1e-12 * (np.abs(terms).sum(axis=1) + np.abs(r) + slack)).any())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_law_invariant_hull_of_a_polytope_equals_the_permutation_loop(n):
+    space = MarketSpace(np.full(n, 1.0 / n))
+    rng = np.random.default_rng(30 + n)
+    polytopes = [asymmetric_halfspaces(space, seed) for seed in (5, 6)]
+    if n <= MAX_ENUM_DIM:
+        vertices = np.vstack([rng.normal(size=(2 * n, n)), 1.5 * np.eye(n), -1.5 * np.eye(n)])
+        polytopes.append(Polytope.from_vertices(space, vertices))
+    count = 60 if n < 6 else 15                                    # 720 permutations each
+    ties = rng.integers(-2, 3, size=(count, n)) * rng.uniform(0.2, 1.5, size=(count, 1))
+    X = np.vstack([positions(space, count, seed=n), ties, np.zeros(n), np.full(n, 0.7), np.full(n, -3.0)])
+    excluded = 0
+    for P in polytopes:
+        # a batch gets each row's excess bit for bit as the row alone
+        sorted_rows = np.sort(X, axis=1)
+        batch = P._excess(sorted_rows, normals=P._sorted_normals)
+        assert all(batch[i].tobytes() == P._excess(row, normals=P._sorted_normals).tobytes()
+                   for i, row in enumerate(sorted_rows))
+        for lam in (1.0, 0.37):
+            A = P.as_acceptance_set() if lam == 1.0 else scale_set(P.as_acceptance_set(), lam)
+            H = law_invariant_hull(A)
+            assert H.row_membership is H.membership              # one call for both shapes
+            near = np.array([near_a_facet(P, x / lam) for x in X])
+            assert not near[-3:].any()                           # zero and constant rows
+            excluded += int(near.sum())
+            kept = X[~near]
+            want = [ref_law_invariant_hull(A, x) for x in kept]
+            assert 0 < sum(want) < len(want)
+            assert [H.membership(x) for x in kept] == want
+            assert H.row_membership(X).tolist() == [H.membership(x) for x in X]
+    assert excluded == 0
+
+
+def test_law_invariant_hull_builds_permutations_only_to_ask_an_orbit(monkeypatch):
+    built = []
+    permutations = sets._permutations
+    monkeypatch.setattr(sets, "_permutations", lambda n: built.append(n) or permutations(n))
+    P = asymmetric_polytope(UNIFORM4)
+    X = positions(UNIFORM4, 10, seed=16)
+    for A in (P, scale_set(P, 2.0), sublevel_set(UNIFORM4, builtin_deviation("std_dev"), 1.0)):
+        H = law_invariant_hull(A)
+        H.row_membership(X)
+        H.membership(X[0])
+    assert built == []
+    orbit, _ = counted(P)                       # no orbit_membership: the orbit is asked
+    law_invariant_hull(orbit).membership(X[0])
+    assert built == [4]
+    # one read-only array per outcome count
+    perms = permutations(4)
+    assert perms is permutations(4) and perms.shape == (24, 4) and not perms.flags.writeable
+    # the space is still checked, before any oracle is chosen
+    for space in (SPACE4, MarketSpace(np.full(9, 1.0 / 9.0))):
+        with pytest.raises(SetError):
+            law_invariant_hull(asymmetric_polytope(space))
 
 
 # --- closed forms over the last axis ---------------------------------------------
