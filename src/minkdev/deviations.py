@@ -26,7 +26,7 @@ intersection and scaling by ``check_gauge_algebra``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -292,98 +292,101 @@ class AxiomReport:
     counterexample: dict | None = None
 
 
+# Each witness draws one sampled case for its axiom and returns the gap the
+# case shows, with the positions and scalars that replay it.
+
+def _draw(space: MarketSpace, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=space.n)
+
+
+def _nonnegative(D, space, rng):
+    x = _draw(space, rng)
+    v = D.eval(space, x)
+    off_constants = AXIOM_TOL * 2 if np.ptp(x) > 1e-6 and v <= AXIOM_TOL else 0.0  # must be positive there
+    c = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE)
+    return max(0.0, -v, off_constants, abs(D.eval(space, np.full(space.n, c)))), {"x": x.tolist()}
+
+
+def _translation_insensitive(D, space, rng):
+    x = _draw(space, rng)
+    c = rng.uniform(-2 * market.SAMPLE_RANGE, 2 * market.SAMPLE_RANGE)
+    return abs(D.eval(space, x + c) - D.eval(space, x)), {"x": x.tolist(), "c": float(c)}
+
+
+def _positive_homogeneous(D, space, rng):
+    x = _draw(space, rng)
+    lam = rng.uniform(0.1, 5.0)
+    base = D.eval(space, x)
+    gap = abs(D.eval(space, lam * x) - lam * base) / max(1.0, lam * abs(base))
+    return gap, {"x": x.tolist(), "lam": float(lam)}
+
+
+def _convex(D, space, rng):
+    x, y = _draw(space, rng), _draw(space, rng)
+    lam = rng.uniform(0.0, 1.0)
+    lhs = D.eval(space, lam * x + (1 - lam) * y)
+    rhs = lam * D.eval(space, x) + (1 - lam) * D.eval(space, y)
+    return max(0.0, lhs - rhs), {"x": x.tolist(), "y": y.tolist(), "lam": float(lam)}
+
+
+def _comonotone_additive(D, space, rng):
+    x, y = market.sample_comonotone_pair(rng, space, scale=market.SAMPLE_RANGE)
+    gap = abs(D.eval(space, x + y) - D.eval(space, x) - D.eval(space, y))
+    return gap, {"x": x.tolist(), "y": y.tolist()}
+
+
+def _law_invariant(D, space, rng):
+    x = _draw(space, rng)
+    perm = rng.permutation(space.n)
+    return abs(D.eval(space, x[perm]) - D.eval(space, x)), {"x": x.tolist(), "perm": perm.tolist()}
+
+
+def _lower_range_dominated(D, space, rng):
+    x = _draw(space, rng)
+    return max(0.0, D.eval(space, x) - float(space.probs @ x - np.min(x))), {"x": x.tolist()}
+
+
+#: One witness per ``AxiomFlags`` field.
+WITNESSES = {
+    "nonnegative": _nonnegative,
+    "translation_insensitive": _translation_insensitive,
+    "positive_homogeneous": _positive_homogeneous,
+    "convex": _convex,
+    "comonotone_additive": _comonotone_additive,
+    "law_invariant": _law_invariant,
+    "lower_range_dominated": _lower_range_dominated,
+}
+
+
 def check_axioms(
     D: DeviationFunctional,
     space: MarketSpace,
     trials: int = 200,
     seed: int = 0,
 ) -> list[AxiomReport]:
-    """Sampled audit of every axiom declared ``True`` on ``D``.
+    """Sampled audit of every axiom declared ``True`` on ``D``, in
+    ``AxiomFlags`` order, each by its ``WITNESSES`` entry; law invariance
+    only on a uniform space.
 
     Reports carry the worst violation gap, and an axiom passes when it is at
     most ``AXIOM_TOL``; a returned failure includes a replayable
     counterexample.
     """
-    box = market.SAMPLE_RANGE
     rng = np.random.default_rng(seed)
     reports: list[AxiomReport] = []
-    ax = D.axioms
-
-    def run(axiom: str, witness) -> None:
+    for axiom in (f.name for f in fields(AxiomFlags)):
+        if getattr(D.axioms, axiom) is not True or (axiom == "law_invariant" and not space.is_uniform()):
+            continue
         worst = 0.0
         ce = None
         for t in range(trials):
-            gap, payload = witness(t)
+            gap, payload = WITNESSES[axiom](D, space, rng)
             if gap > worst:
                 worst = gap
                 if gap > AXIOM_TOL:
                     ce = dict(payload, trial=t, seed=seed, gap=gap)
         reports.append(AxiomReport(axiom=axiom, passed=worst <= AXIOM_TOL, trials=trials,
                                    worst_gap=worst, counterexample=ce))
-
-    def draw():
-        return rng.uniform(-box, box, size=space.n)
-
-    if ax.nonnegative is True:
-        def nonneg(t):
-            x = draw()
-            v = D.eval(space, x)
-            gap = max(0.0, -v)
-            if np.ptp(x) > 1e-6 and v <= AXIOM_TOL:
-                gap = max(gap, AXIOM_TOL * 2)  # deviation must be positive off constants
-            c = rng.uniform(-box, box)
-            gap = max(gap, abs(D.eval(space, np.full(space.n, c))))
-            return gap, {"x": x.tolist()}
-        run("nonnegative", nonneg)
-
-    if ax.translation_insensitive is True:
-        def translation(t):
-            x = draw()
-            c = rng.uniform(-2 * box, 2 * box)
-            gap = abs(D.eval(space, x + c) - D.eval(space, x))
-            return gap, {"x": x.tolist(), "c": float(c)}
-        run("translation_insensitive", translation)
-
-    if ax.positive_homogeneous is True:
-        def homogeneous(t):
-            x = draw()
-            lam = rng.uniform(0.1, 5.0)
-            base = D.eval(space, x)
-            gap = abs(D.eval(space, lam * x) - lam * base) / max(1.0, lam * abs(base))
-            return gap, {"x": x.tolist(), "lam": float(lam)}
-        run("positive_homogeneous", homogeneous)
-
-    if ax.convex is True:
-        def convex(t):
-            x, y = draw(), draw()
-            lam = rng.uniform(0.0, 1.0)
-            lhs = D.eval(space, lam * x + (1 - lam) * y)
-            rhs = lam * D.eval(space, x) + (1 - lam) * D.eval(space, y)
-            return max(0.0, lhs - rhs), {"x": x.tolist(), "y": y.tolist(), "lam": float(lam)}
-        run("convex", convex)
-
-    if ax.comonotone_additive is True:
-        def comonotone(t):
-            x, y = market.sample_comonotone_pair(rng, space, scale=box)
-            gap = abs(D.eval(space, x + y) - D.eval(space, x) - D.eval(space, y))
-            return gap, {"x": x.tolist(), "y": y.tolist()}
-        run("comonotone_additive", comonotone)
-
-    if ax.law_invariant is True and space.is_uniform():
-        def law(t):
-            x = draw()
-            perm = rng.permutation(space.n)
-            gap = abs(D.eval(space, x[perm]) - D.eval(space, x))
-            return gap, {"x": x.tolist(), "perm": perm.tolist()}
-        run("law_invariant", law)
-
-    if ax.lower_range_dominated is True:
-        def dominated(t):
-            x = draw()
-            lr = float(space.probs @ x - np.min(x))
-            return max(0.0, D.eval(space, x) - lr), {"x": x.tolist()}
-        run("lower_range_dominated", dominated)
-
     return reports
 
 

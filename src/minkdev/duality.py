@@ -137,7 +137,8 @@ class Polytope:
         through 0, and any fixed slack would admit every far-shrunk point,
         turning infinite gauges into huge finite ones.  A ``(B, n)`` batch
         gives a ``(B,)`` bool array, each row with the bits it gets alone; a
-        flat hull answers row by row through ``hull_membership_lp``.
+        flat hull answers row by row through ``hull_membership_lp``, which
+        may take a point ``1e-100 max|x|`` outside for a member.
         """
         x = np.asarray(x, dtype=float)
         if self._facets is not None:
@@ -309,7 +310,11 @@ def _pairings(x: np.ndarray, W: np.ndarray) -> np.ndarray:
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
     """Convex-combination feasibility: is ``x`` in conv(vertices)?
 
-    Solved as a pure phase-one LP over barycentric weights.
+    Solved as a pure phase-one LP over barycentric weights, with absolute
+    tolerances, so huge coordinates hide small distances: against the
+    vertices ``[[L, 0], [0, 1], [-1, -1]]``, ``(L, -0.5)``, 0.5 outside
+    (``0.5 / L`` relative to ``max|x|``, within ``Polytope.contains``'s
+    slack), is answered inside for ``L >= 1e100`` (and at ``1e50``).
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     k, n = V.shape

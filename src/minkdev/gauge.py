@@ -370,30 +370,33 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
 # Derived functionals
 # ---------------------------------------------------------------------------
 
+#: The set flags that, declared together, make the gauge a deviation
+#: measure: nonnegative, and zero exactly on the constants.
+ADMISSIBLE_FLAGS = ("star_shaped", "radially_bounded_nonconst", "stable_scalar_add")
+
+#: Each set flag that carries over to the gauge, and the axiom it gives.
+FLAG_AXIOMS = {
+    "stable_scalar_add": "translation_insensitive",
+    "convex": "convex",
+    "law_invariant": "law_invariant",
+}
+
+
 def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     """Wrap the gauge of ``A`` as a deviation-style functional.
 
-    Axiom flags are propagated from the set flags via the standard
-    correspondences: star-shaped + radially bounded at non-constants +
-    stable under scalar addition yields a deviation measure; convexity of
-    the set yields convexity (and with star-shapedness sub-linearity) of the
-    gauge.  The functional answers one position with ``minkowski_gauge``
-    and a ``(B, n)`` batch with ``gauge_table``.
+    Its axioms are the set-to-measure correspondence above: the gauge is
+    positively homogeneous by construction, nonnegative when ``A`` declares
+    every one of ``ADMISSIBLE_FLAGS``, and has the axiom of each
+    ``FLAG_AXIOMS`` flag ``A`` declares; every other axiom is unknown.  The
+    functional answers one position with ``minkowski_gauge`` and a
+    ``(B, n)`` batch with ``gauge_table``.
     """
-    f = A.flags
-    admissible = (
-        f.star_shaped is True
-        and f.radially_bounded_nonconst is True
-        and f.stable_scalar_add is True
-    )
+    declared = lambda flag: getattr(A.flags, flag) is True
     axioms = AxiomFlags(
-        nonnegative=True if admissible else None,
-        translation_insensitive=True if f.stable_scalar_add is True else None,
-        positive_homogeneous=True,  # gauges are positively homogeneous by construction
-        convex=True if f.convex is True else None,
-        comonotone_additive=None,
-        law_invariant=True if f.law_invariant is True else None,
-        lower_range_dominated=None,
+        nonnegative=True if all(map(declared, ADMISSIBLE_FLAGS)) else None,
+        positive_homogeneous=True,
+        **{axiom: True for flag, axiom in FLAG_AXIOMS.items() if declared(flag)},
     )
 
     def evaluate(space: MarketSpace, x: np.ndarray):

@@ -5,8 +5,10 @@ represented by a membership predicate plus tri-state structural flags
 (``True`` = known to hold, ``False`` = known to fail, ``None`` = unknown).
 Flags are trusted by downstream numerics — e.g. the gauge solver only uses
 bisection when ``star_shaped`` is declared — so constructors propagate them
-conservatively and ``check_property`` provides sampling falsifiers to audit
-declarations.
+conservatively, and a composite declares ``False`` only where it inherits it.
+``FALSIFIERS`` holds one sampling falsifier per property: ``check_property``
+runs one, and ``audit_flags`` those of the flags declared ``True``.
+``gauge.deviation_from_set`` carries flags over to the gauge's axioms.
 
 Set constructors cover sub-level sets of functionals, scalar scaling,
 unions/intersections, the Minkowski sum with the constants line
@@ -85,6 +87,15 @@ def _and3(a: bool | None, b: bool | None) -> bool | None:
         return False
     if a is True and b is True:
         return True
+    return None
+
+
+def _or3(a: bool | None, b: bool | None) -> bool | None:
+    """Disjunction in three-valued logic (unknown-propagating)."""
+    if a is True or b is True:
+        return True
+    if a is False and b is False:
+        return False
     return None
 
 
@@ -202,41 +213,33 @@ def scale_set(A: AcceptanceSet, lam: float) -> AcceptanceSet:
 def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     """Union or intersection of two sets on the same space.
 
-    Intersections of convex sets stay convex; unions of star-shaped sets
-    stay star-shaped but convexity may be lost, so it degrades to unknown.
-    The second operand is only asked about positions the first leaves
-    undecided, one at a time or as the undecided rows of a batch.  When
-    each operand answers both shapes with one function, so does the
-    combination.
+    A flag holds where both operands declare it: intersections of convex
+    sets stay convex, and unions of star-shaped sets stay star-shaped.  An
+    intersection is also radially bounded, and a union contains 0, where
+    one operand is.  A flag is declared to fail only where the failure is
+    inherited: a union holds every ray of each operand, so it is not
+    radially bounded where either is not, and misses 0 where both do; an
+    intersection misses 0 where either does.  Every other flag is unknown,
+    the convexity of a union always.  The second operand is only asked
+    about positions the first leaves undecided, one at a time or as the
+    undecided rows of a batch.  When each operand answers both shapes with
+    one function, so does the combination.
     """
     if A.space is not B.space and not np.array_equal(A.space.probs, B.space.probs):
         raise SetError("combine requires sets over the same market space")
     fa, fb = A.flags, B.flags
+    flags = {name: True if a is True and getattr(fb, name) is True else None for name, a in vars(fa).items()}
     if op == "union":
-        flags = SetFlags(
-            star_shaped=_and3(fa.star_shaped, fb.star_shaped),
-            convex=None if _and3(fa.convex, fb.convex) is not False else False,
-            closed=_and3(fa.closed, fb.closed),
-            stable_scalar_add=_and3(fa.stable_scalar_add, fb.stable_scalar_add),
-            radially_bounded_nonconst=_and3(fa.radially_bounded_nonconst, fb.radially_bounded_nonconst),
-            law_invariant=_and3(fa.law_invariant, fb.law_invariant),
-            contains_zero=True if (fa.contains_zero is True or fb.contains_zero is True) else _and3(fa.contains_zero, fb.contains_zero),
-        )
+        flags.update(convex=None,
+                     radially_bounded_nonconst=_and3(fa.radially_bounded_nonconst, fb.radially_bounded_nonconst),
+                     contains_zero=_or3(fa.contains_zero, fb.contains_zero))
         member = lambda x: A.membership(x) or B.membership(x)
         union = True
         tag = "|"
     elif op == "intersection":
-        flags = SetFlags(
-            star_shaped=_and3(fa.star_shaped, fb.star_shaped),
-            convex=_and3(fa.convex, fb.convex),
-            closed=_and3(fa.closed, fb.closed),
-            stable_scalar_add=_and3(fa.stable_scalar_add, fb.stable_scalar_add),
-            radially_bounded_nonconst=True
-            if (fa.radially_bounded_nonconst is True or fb.radially_bounded_nonconst is True)
-            else _and3(fa.radially_bounded_nonconst, fb.radially_bounded_nonconst),
-            law_invariant=_and3(fa.law_invariant, fb.law_invariant),
-            contains_zero=_and3(fa.contains_zero, fb.contains_zero),
-        )
+        flags.update(radially_bounded_nonconst=True if _or3(fa.radially_bounded_nonconst,
+                                                            fb.radially_bounded_nonconst) else None,
+                     contains_zero=_and3(fa.contains_zero, fb.contains_zero))
         member = lambda x: A.membership(x) and B.membership(x)
         union = False
         tag = "&"
@@ -257,7 +260,7 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     return AcceptanceSet(
         space=A.space,
         membership=either if one_call else member,
-        flags=flags,
+        flags=SetFlags(**flags),
         label=f"({A.label}){tag}({B.label})" if A.label and B.label else "",
         row_membership=either if one_call else rows,
     )
@@ -542,25 +545,10 @@ class PropertyReport:
     counterexample: dict | None = None
 
 
-PROPERTY_NAMES = (
-    "star_shaped",
-    "strongly_star_shaped",
-    "convex",
-    "stable_scalar_add",
-    "radially_bounded_nonconst",
-    "absorbing",
-    "law_invariant",
-    "comonotone_convex",
-    "complement_comonotone_convex",
-    "anti_monotone_dispersive",
-)
-
-
 def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
     """Rejection-sample one member of ``A`` (or None)."""
-    n = A.space.n
     for _ in range(SAMPLE_ATTEMPTS):
-        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
+        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
         if A.membership(x):
             return x
         # Pull random points toward the origin; helps small sets.
@@ -568,6 +556,106 @@ def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
             if A.membership(x * shrink):
                 return x * shrink
     return None
+
+
+def _star_shaped(A, rng):
+    x = _sample_member(A, rng)
+    if x is not None:
+        for lam in np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]:
+            if not A.membership(lam * x):
+                return {"x": x, "lam": float(lam)}
+
+
+def _strongly_star_shaped(A, rng):
+    # Star-shapedness about 0 forces membership to be non-increasing along
+    # every ray: once a scale of the geometric grid leaves the set, larger
+    # scales stay out.
+    x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
+    if np.any(x):
+        pattern = [A.membership(s * x) for s in np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)]
+        if any(not pattern[i] and pattern[i + 1] for i in range(len(pattern) - 1)):
+            return {"x": x, "pattern": [int(b) for b in pattern]}
+
+
+def _convex(A, rng):
+    x = _sample_member(A, rng)
+    y = _sample_member(A, rng)
+    if x is not None and y is not None:
+        for lam in (0.25, 0.5, 0.75):
+            if not A.membership(lam * x + (1 - lam) * y):
+                return {"x": x, "y": y, "lam": lam}
+
+
+def _stable_scalar_add(A, rng):
+    x = _sample_member(A, rng)
+    if x is not None:
+        for c in SHIFT_VALUES:
+            if not A.membership(x + c):
+                return {"x": x, "c": c}
+
+
+def _radially_bounded_nonconst(A, rng):
+    x = _sample_member(A, rng)
+    if x is not None and np.ptp(x) >= 1e-9 and A.membership(x * RAY_CAP):
+        return {"x": x, "scale": RAY_CAP}
+
+
+def _absorbing(A, rng):
+    x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
+    if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
+        return {"x": x}
+
+
+def _law_invariant(A, rng):
+    # the member's whole orbit is one batch; the first non-member in
+    # enumeration order is the counterexample
+    _check_permutable(A.space, "the law-invariance check")
+    perms = _permutations(A.space.n)
+    x = _sample_member(A, rng)
+    if x is not None:
+        outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
+        if outside.any():
+            return {"x": x, "perm": perms[int(np.argmax(outside))].tolist()}
+
+
+def _comonotone_mix(member, A, rng):
+    """A comonotone pair, scaled jointly into ``member``, that mixes out of it."""
+    x, y = market.sample_comonotone_pair(rng, A.space, scale=market.SAMPLE_RANGE)
+    s = next((s for s in np.geomspace(4.0, 1e-4, 25) if member(x * s) and member(y * s)), None)
+    if s is not None:
+        xs, ys = x * s, y * s
+        for lam in (0.25, 0.5, 0.75):
+            if not member(lam * xs + (1 - lam) * ys):
+                return {"x": xs, "y": ys, "lam": lam}
+
+
+def _anti_monotone_dispersive(A, rng):
+    # If x is accepted, anything less dispersed than x must be accepted.
+    x = _sample_member(A, rng)
+    if x is not None:
+        lam = rng.uniform(0.0, 1.0)
+        shift = rng.uniform(-1.0, 1.0)
+        mean = market.expectation(A.space, x)
+        y = shift + mean + lam * (x - mean)
+        if market.dispersive_leq(A.space, y, x) and not A.membership(y):
+            return {"x": x, "y": y, "lam": float(lam), "shift": float(shift)}
+
+
+#: One falsifier per property ``check_property`` knows, in the order
+#: ``audit_flags`` runs them: each draws one sampled case (a member, a pair,
+#: a ray) and returns a counterexample to its property, or None.
+FALSIFIERS: dict[str, Callable[[AcceptanceSet, np.random.Generator], dict | None]] = {
+    "star_shaped": _star_shaped,
+    "strongly_star_shaped": _strongly_star_shaped,
+    "convex": _convex,
+    "stable_scalar_add": _stable_scalar_add,
+    "radially_bounded_nonconst": _radially_bounded_nonconst,
+    "absorbing": _absorbing,
+    "law_invariant": _law_invariant,
+    "comonotone_convex": lambda A, rng: _comonotone_mix(A.membership, A, rng),
+    "complement_comonotone_convex": lambda A, rng: _comonotone_mix(lambda z: not A.membership(z), A, rng),
+    "anti_monotone_dispersive": _anti_monotone_dispersive,
+}
 
 
 def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0) -> PropertyReport:
@@ -579,129 +667,26 @@ def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0
     not proof.  A failing report carries a replayable counterexample
     (positions and scalars).
     """
+    falsify = FALSIFIERS.get(prop)
+    if falsify is None:
+        raise SetError(f"unknown property {prop!r}; known: {tuple(FALSIFIERS)}")
     rng = np.random.default_rng(seed)
-    n = A.space.n
-    lam_grid = np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]  # skip 0
-
-    def fail(trial: int, **kw) -> PropertyReport:
-        ce = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in kw.items()}
-        ce["trial"] = trial
-        ce["seed"] = seed
-        return PropertyReport(property=prop, passed=False, trials=trial + 1, counterexample=ce)
-
-    if prop == "star_shaped":
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            if x is None:
-                continue
-            for lam in lam_grid:
-                if not A.membership(lam * x):
-                    return fail(t, x=x, lam=float(lam))
-    elif prop == "strongly_star_shaped":
-        # Along every sampled ray membership must be a single interval:
-        # at most one switch in each direction over a geometric scale grid.
-        scales = np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)
-        for t in range(trials):
-            x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
-            if not np.any(x):
-                continue
-            pattern = [A.membership(s * x) for s in scales]
-            # Star-shapedness about 0 forces membership to be non-increasing
-            # along the ray: once a scale leaves the set, larger scales stay out.
-            if any(not pattern[i] and pattern[i + 1] for i in range(len(pattern) - 1)):
-                return fail(t, x=x, pattern=[int(b) for b in pattern])
-    elif prop == "convex":
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            y = _sample_member(A, rng)
-            if x is None or y is None:
-                continue
-            for lam in (0.25, 0.5, 0.75):
-                if not A.membership(lam * x + (1 - lam) * y):
-                    return fail(t, x=x, y=y, lam=lam)
-    elif prop == "stable_scalar_add":
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            if x is None:
-                continue
-            for c in SHIFT_VALUES:
-                if not A.membership(x + c):
-                    return fail(t, x=x, c=c)
-    elif prop == "radially_bounded_nonconst":
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            if x is None or np.ptp(x) < 1e-9:
-                continue
-            if A.membership(x * RAY_CAP):
-                return fail(t, x=x, scale=RAY_CAP)
-    elif prop == "absorbing":
-        for t in range(trials):
-            x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=n)
-            if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
-                return fail(t, x=x)
-    elif prop == "law_invariant":
-        # each member's whole orbit is one batch; the first non-member in
-        # enumeration order is the counterexample
-        _check_permutable(A.space, "the law-invariance check")
-        perms = _permutations(A.space.n)
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            if x is None:
-                continue
-            outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
-            if outside.any():
-                return fail(t, x=x, perm=perms[int(np.argmax(outside))].tolist())
-    elif prop in ("comonotone_convex", "complement_comonotone_convex"):
-        if prop == "comonotone_convex":
-            member = A.membership
-        else:
-            member = lambda z: not A.membership(z)
-        for t in range(trials):
-            x, y = market.sample_comonotone_pair(rng, A.space, scale=market.SAMPLE_RANGE)
-            # scale the pair jointly until both land in the target region
-            found = None
-            for s in np.geomspace(4.0, 1e-4, 25):
-                if member(x * s) and member(y * s):
-                    found = s
-                    break
-            if found is None:
-                continue
-            xs, ys = x * found, y * found
-            for lam in (0.25, 0.5, 0.75):
-                z = lam * xs + (1 - lam) * ys
-                if not member(z):
-                    return fail(t, x=xs, y=ys, lam=lam)
-    elif prop == "anti_monotone_dispersive":
-        # If x is accepted, anything less dispersed than x must be accepted.
-        for t in range(trials):
-            x = _sample_member(A, rng)
-            if x is None:
-                continue
-            lam = rng.uniform(0.0, 1.0)
-            shift = rng.uniform(-1.0, 1.0)
-            mean = market.expectation(A.space, x)
-            y = shift + mean + lam * (x - mean)
-            if not market.dispersive_leq(A.space, y, x):
-                continue
-            if not A.membership(y):
-                return fail(t, x=x, y=y, lam=float(lam), shift=float(shift))
-    else:
-        raise SetError(f"unknown property {prop!r}; known: {PROPERTY_NAMES}")
-
+    for t in range(trials):
+        found = falsify(A, rng)
+        if found is not None:
+            ce = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in found.items()}
+            return PropertyReport(property=prop, passed=False, trials=t + 1,
+                                  counterexample=dict(ce, trial=t, seed=seed))
     return PropertyReport(property=prop, passed=True, trials=trials)
 
 
 def audit_flags(A: AcceptanceSet, trials: int = 200, seed: int = 0) -> list[PropertyReport]:
-    """Run falsifiers for every flag declared ``True`` on ``A``, each with
-    ``check_property``'s ``trials`` and ``seed``."""
-    reports = []
-    for flag in ("star_shaped", "convex", "stable_scalar_add", "radially_bounded_nonconst",
-                 "law_invariant"):
-        if getattr(A.flags, flag) is True:
-            if flag == "law_invariant" and not A.space.is_uniform():
-                continue
-            reports.append(check_property(A, flag, trials, seed))
-    return reports
+    """Run the falsifier of every flag declared ``True`` on ``A``, in
+    ``FALSIFIERS`` order and each with ``check_property``'s ``trials`` and
+    ``seed``; law invariance only on a uniform space."""
+    return [check_property(A, prop, trials, seed) for prop in FALSIFIERS
+            if getattr(A.flags, prop, None) is True
+            and (prop != "law_invariant" or A.space.is_uniform())]
 
 
 # ---------------------------------------------------------------------------

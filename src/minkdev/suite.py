@@ -22,7 +22,7 @@ import numpy as np
 from . import duality, market, sets
 from .deviations import builtin_deviation, builtin_error, AxiomFlags, DeviationFunctional
 from .duality import Polytope
-from .gauge import GaugeOptions, gauge_table, minkowski_gauge, shift_infimum_gauge
+from .gauge import GaugeOptions, deviation_from_set, gauge_table, minkowski_gauge, shift_infimum_gauge
 from .market import MarketSpace
 from .sets import AcceptanceSet, add_constants, ball_set, combine, sublevel_set
 
@@ -253,9 +253,9 @@ TRIALS_PER_SET = 500
 
 
 def check_axiom_propagation(seed: int = 0) -> dict:
-    """Gauges of admissible sets are deviation measures; declared convexity
-    and law invariance carry over.  Sampled with zero tolerance-adjusted
-    counterexamples allowed."""
+    """Gauges of admissible sets, read as ``deviation_from_set``, are
+    deviation measures that declare, and show, the axioms the set was built
+    to give.  Sampled with zero tolerance-adjusted counterexamples allowed."""
     rng = np.random.default_rng(seed)
     space = MarketSpace(np.full(4, 0.25))
     failures = 0
@@ -282,8 +282,11 @@ def check_axiom_propagation(seed: int = 0) -> dict:
             if law:
                 rows.append(x[perms[int(rng.integers(0, 3))]])
             trials.append((x, lam))
-        [column] = gauge_table([A], np.array(rows), SUITE_OPTS)
-        g = iter([res.value for res in column])
+        D = deviation_from_set(A, SUITE_OPTS)
+        failures += D.axioms != AxiomFlags(nonnegative=True, translation_insensitive=True,
+                                           positive_homogeneous=True, convex=convex or None,
+                                           law_invariant=law or None)
+        g = iter(D.eval(space, np.array(rows)).tolist())
         # zero on constants
         if abs(next(g)) > 1e-9:
             failures += 1

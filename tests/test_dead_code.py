@@ -23,7 +23,6 @@ ALLOWED = {
     "pairing": "the probability-weighted pairing, a reference in the duality tests",
     "canonical_report": "the byte-identity serialisation the acceptance tests compare with",
     "is_comonotone": "the exact pairwise condition the comonotone sampler is tested against",
-    "deviation_from_set": "the set-to-measure axiom table, to be asked by criterion 7",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkdev import gauge
-from minkdev.deviations import builtin_deviation, builtin_error
+from minkdev.deviations import builtin_deviation, builtin_error, check_axioms
 from minkdev.gauge import (
     GaugeOptions,
     deviation_from_set,
@@ -20,6 +20,7 @@ from minkdev.gauge import (
 )
 from minkdev.duality import Polytope
 from minkdev.market import MarketError, MarketSpace
+from minkdev.suite import check_axiom_propagation
 from minkdev.sets import (
     AcceptanceSet,
     SetFlags,
@@ -794,6 +795,42 @@ def test_deviation_from_set_propagates_axioms():
         got = D.eval(SPACE4, X)
         assert isinstance(got, np.ndarray) and got.tolist() == [D.eval(SPACE4, x) for x in X]
 
+
+
+def _audited(A, space):
+    """``check_axioms``' reports on the gauge of ``A``."""
+    return check_axioms(deviation_from_set(A), space, trials=30)
+
+
+@pytest.mark.parametrize("space", [MarketSpace(np.full(4, 0.25)), SPACE4], ids=["uniform", "weighted"])
+def test_every_axiom_the_correspondence_declares_is_audited_and_holds(space):
+    catalogue = [builtin_deviation(name, alpha=0.25 if name == "esd" else None)
+                 for name in ("variance", "std_dev", "lower_semidev", "lr", "ur", "frd", "esd")]
+    sets = [sublevel_set(space, D, 1.0) for D in catalogue if D.homogeneity_degree == 1.0]
+    sets.append(add_constants(ball_set(space, 2.0)))
+    for A in sets:
+        D = deviation_from_set(A)
+        declared = {name for name, value in vars(D.axioms).items() if value is True}
+        if not space.is_uniform():
+            declared.discard("law_invariant")
+        reports = _audited(A, space)
+        assert {r.axiom for r in reports} == declared, A.label
+        assert all(r.passed for r in reports), (A.label, [r for r in reports if not r.passed])
+
+
+def test_an_over_declared_set_fails_the_audit_of_its_gauge():
+    ball = ball_set(SPACE4, 2.0)
+    lying = replace(ball, flags=replace(ball.flags, stable_scalar_add=True))
+    failed = {r.axiom for r in _audited(lying, SPACE4) if not r.passed}
+    assert {"nonnegative", "translation_insensitive"} <= failed
+    assert all(r.passed for r in _audited(ball, SPACE4))
+
+
+def test_criterion_7_fails_when_the_correspondence_drops_convexity(monkeypatch):
+    assert check_axiom_propagation(seed=0)["failures"] == 0
+    monkeypatch.setattr(gauge, "FLAG_AXIOMS", {k: v for k, v in gauge.FLAG_AXIOMS.items() if k != "convex"})
+    report = check_axiom_propagation(seed=0)
+    assert report["passed"] is False and report["failures"] == 10      # the ten convex sets
 
 def test_shift_infimum_matches_add_constants_route():
     A = sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0)

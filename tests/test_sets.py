@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from minkdev.duality import Polytope
 from minkdev.market import MarketSpace
 from minkdev.sets import (
     SetError,
+    SetFlags,
     add_constants,
     ball_set,
     check_property,
@@ -83,6 +85,18 @@ def test_combine_flag_logic():
     assert member(U, x) and not member(I, x)
     with pytest.raises(SetError):
         combine("xor", A, B)
+
+
+
+def test_a_union_declares_no_failure_it_cannot_know():
+    # the ball lies in the second operand, so the union is that operand,
+    # which is stable under scalar addition
+    AR = add_constants(ball_set(UNIFORM3, 2.0, 2.0))
+    U = combine("union", ball_set(UNIFORM3, 2.0, 1.0), AR)
+    X = np.random.default_rng(0).uniform(-4.0, 4.0, size=(20_000, 3))
+    assert np.array_equal(U.row_membership(X), AR.row_membership(X))
+    assert check_property(U, "stable_scalar_add").passed
+    assert U.flags.stable_scalar_add is None
 
 
 # --- constants line ---------------------------------------------------------------
@@ -236,6 +250,38 @@ def test_falsifier_fires_on_a_known_false_set(prop):
     assert report.passed is False
     assert replays(A, prop, report.counterexample), report.counterexample
 
+
+def _declaring(A, **flags):
+    return replace(A, flags=replace(A.flags, **flags))
+
+
+# Leaves whose False flags are facts: the ball is not stable under scalar
+# addition, the halfspace holds rays of non-constants, the two balls are
+# not convex, and the off-centre ball and the far halfspace miss 0.
+FLAG_LEAVES = [
+    sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0),
+    ball_set(UNIFORM3, 2.0, 1.0),
+    ball_set(UNIFORM3, 2.0, 0.5, center=[2.0, 2.0, -1.0]),
+    _declaring(halfspaces(UNIFORM3, [[1.0, 0.0, 0.0]], [1.0]), radially_bounded_nonconst=False),
+    _declaring(NEGATIVE_CONTROLS["convex"], convex=False),
+    halfspaces(UNIFORM3, [[1.0, 1.0, 1.0]], [-1.0]),
+    add_constants(ball_set(UNIFORM3, 2.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("op", ["union", "intersection"])
+def test_every_failure_a_combination_declares_is_shown(op):
+    shown = 0
+    for A, B in itertools.product(FLAG_LEAVES, repeat=2):
+        C = combine(op, A, B)
+        for flag in (f.name for f in fields(SetFlags) if getattr(C.flags, f.name) is False):
+            if flag == "contains_zero":
+                assert not member(C, np.zeros(3)), (A.label, B.label)
+            else:
+                report = check_property(C, flag)
+                assert not report.passed, (op, flag, A.label, B.label)
+            shown += 1
+    assert shown > 0
 
 def test_law_invariance_check_refuses_orbits_past_the_permutation_cap():
     n = market.MAX_PERMUTATION_OUTCOMES + 1
