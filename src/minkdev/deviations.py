@@ -12,9 +12,12 @@ convex.  This module provides the standard catalogue in closed form:
 
 together with error measures (``lp_norm(p)``, the asymmetric piecewise
 linear ``kb(alpha)``, and ``sup_range = 2 ||.||_inf``), whose sub-level
-sets criterion 3 shifts along the constants.  ``check_axioms`` audits the
-axioms a functional declares on sampled positions, and
-``measure_from_json`` reads the measure descriptions of scenario files.
+sets criterion 3 shifts along the constants.  ``CATALOGUE`` declares each
+measure once: its closed form, axioms, homogeneity degree and parameter.
+``builtin_deviation``, ``builtin_error`` and ``measure_from_json`` (the
+measure descriptions of scenario files) build from it, and check a level
+when the measure is built.  ``check_axioms`` audits the axioms a
+functional declares on sampled positions.
 
 Quantile integrals are evaluated exactly on the step quantile function, so
 shortfall values carry no quadrature error.  Identities between measures
@@ -25,7 +28,6 @@ intersection and scaling by ``check_gauge_algebra``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -151,6 +153,26 @@ def shortfall_deviation(space: MarketSpace, x: np.ndarray, alpha: float):
     return expected_shortfall(space, _centred(space, np.asarray(x, dtype=float)), alpha)
 
 
+def _sup_range(space: MarketSpace, x: np.ndarray):
+    return 2.0 * np.abs(x).max(axis=-1)
+
+
+def _kb(a: float):
+    """The closed form of ``kb(a)``: ``E[((1 - a) / a) x^- + x^+]``."""
+    ratio = (1.0 - a) / a
+
+    def kb(space: MarketSpace, x: np.ndarray):
+        pos = np.maximum(x, 0.0)
+        neg = np.maximum(-x, 0.0)
+        return _dot(ratio * neg + pos, space.probs)
+
+    return kb
+
+
+# ---------------------------------------------------------------------------
+# The catalogue
+# ---------------------------------------------------------------------------
+
 _SUBLINEAR = AxiomFlags(
     nonnegative=True,
     translation_insensitive=True,
@@ -161,118 +183,79 @@ _SUBLINEAR = AxiomFlags(
     lower_range_dominated=False,
 )
 
+_ERROR = replace(_SUBLINEAR, translation_insensitive=False, comonotone_additive=None, lower_range_dominated=None)
+
+#: A level ``alpha``: the name its error gives it, and whether its interval
+#: is ``[0, 1]`` (closed) or ``(0, 1)``.
+_SHORTFALL_LEVEL = ("shortfall", True)
+_KB_LEVEL = ("kb", False)
+
+#: Every catalogue measure by name: its kind (``"deviation"`` for
+#: ``builtin_deviation``, ``"error"`` for ``builtin_error``), its closed
+#: form, its axioms, its homogeneity degree, and its parameter: None, a
+#: level, or ``"p"``, the exponent of ``lp_norm``, which ``market.lp_norm``
+#: checks when it is evaluated.  A parameterised closed form is a factory:
+#: given the parameter, it returns the function of ``(space, x)``.
+CATALOGUE = {
+    "variance": ("deviation", _variance, replace(_SUBLINEAR, positive_homogeneous=False), 2.0, None),
+    "std_dev": ("deviation", _std_dev, _SUBLINEAR, 1.0, None),
+    "lower_semidev": ("deviation", _lower_semidev, replace(_SUBLINEAR, lower_range_dominated=True), 1.0, None),
+    "lr": ("deviation", _lower_range,
+           replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True), 1.0, None),
+    "ur": ("deviation", _upper_range, replace(_SUBLINEAR, comonotone_additive=True), 1.0, None),
+    "frd": ("deviation", _full_range, replace(_SUBLINEAR, comonotone_additive=True), 1.0, None),
+    # not itself a deviation: it shifts by -c under constant addition
+    "es": ("deviation", lambda a: lambda space, x: expected_shortfall(space, x, a),
+           replace(_SUBLINEAR, nonnegative=False, translation_insensitive=False, comonotone_additive=True),
+           1.0, _SHORTFALL_LEVEL),
+    # alpha = 0 coincides with lr
+    "esd": ("deviation", lambda a: lambda space, x: shortfall_deviation(space, x, a),
+            replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True), 1.0, _SHORTFALL_LEVEL),
+    "lp_norm": ("error", lambda p: lambda space, x: market.lp_norm(space, x, p), _ERROR, 1.0, "p"),
+    "kb": ("error", _kb, _ERROR, 1.0, _KB_LEVEL),
+    "sup_range": ("error", _sup_range, _ERROR, 1.0, None),
+}
+
 
 def builtin_deviation(name: str, alpha: float | None = None) -> DeviationFunctional:
-    """Catalogue of standard deviation measures by name.
-
-    Names: ``variance``, ``std_dev``, ``lower_semidev``, ``lr``, ``ur``,
-    ``frd``, ``es`` (needs ``alpha``; not itself a deviation — it shifts by
-    ``-c`` under constant addition), ``esd`` (needs ``alpha``; ``alpha = 0``
-    coincides with ``lr``).
-    """
-    if name == "variance":
-        return DeviationFunctional(
-            label="variance",
-            eval_fn=_variance,
-            axioms=replace(_SUBLINEAR, positive_homogeneous=False),
-            homogeneity_degree=2.0,
-        )
-    if name == "std_dev":
-        return DeviationFunctional(label="std_dev", eval_fn=_std_dev, axioms=_SUBLINEAR)
-    if name == "lower_semidev":
-        return DeviationFunctional(
-            label="lower_semidev",
-            eval_fn=_lower_semidev,
-            axioms=replace(_SUBLINEAR, lower_range_dominated=True),
-        )
-    if name == "lr":
-        return DeviationFunctional(
-            label="lr",
-            eval_fn=_lower_range,
-            axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
-        )
-    if name == "ur":
-        return DeviationFunctional(
-            label="ur",
-            eval_fn=_upper_range,
-            axioms=replace(_SUBLINEAR, comonotone_additive=True),
-        )
-    if name == "frd":
-        return DeviationFunctional(
-            label="frd",
-            eval_fn=_full_range,
-            axioms=replace(_SUBLINEAR, comonotone_additive=True),
-        )
-    if name == "es":
-        if alpha is None:
-            raise MeasureError("es requires an alpha level")
-        a = float(alpha)
-        return DeviationFunctional(
-            label=f"es({a:g})",
-            eval_fn=lambda space, x: expected_shortfall(space, x, a),
-            axioms=AxiomFlags(
-                nonnegative=False,
-                translation_insensitive=False,
-                positive_homogeneous=True,
-                convex=True,
-                comonotone_additive=True,
-                law_invariant=True,
-                lower_range_dominated=False,
-            ),
-        )
-    if name == "esd":
-        if alpha is None:
-            raise MeasureError("esd requires an alpha level")
-        a = float(alpha)
-        return DeviationFunctional(
-            label=f"esd({a:g})",
-            eval_fn=lambda space, x: shortfall_deviation(space, x, a),
-            axioms=replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True),
-        )
-    raise MeasureError(f"unknown deviation measure {name!r}")
+    """The ``"deviation"`` measure ``name`` of ``CATALOGUE``: ``variance``,
+    ``std_dev``, ``lower_semidev``, ``lr``, ``ur``, ``frd``, and ``es`` and
+    ``esd``, which need ``alpha`` in ``[0, 1]``."""
+    return _from_catalogue("deviation", name, alpha, None)
 
 
 def builtin_error(name: str, p: float | None = None, alpha: float | None = None) -> DeviationFunctional:
-    """Catalogue of error measures: ``lp_norm`` (parameter ``p``),
-    ``kb`` (asymmetric pinball-style error, parameter ``alpha``), and
-    ``sup_range = 2 ||.||_inf``."""
-    nonneg_convex = AxiomFlags(
-        nonnegative=True,
-        translation_insensitive=False,
-        positive_homogeneous=True,
-        convex=True,
-        law_invariant=True,
-    )
-    if name == "lp_norm":
+    """The ``"error"`` measure ``name`` of ``CATALOGUE``: ``lp_norm`` (needs
+    ``p``), ``kb`` (an asymmetric pinball-style error; needs ``alpha`` in
+    ``(0, 1)``) and ``sup_range = 2 ||.||_inf``."""
+    return _from_catalogue("error", name, alpha, p)
+
+
+def _from_catalogue(kind: str, name: str, alpha, p) -> DeviationFunctional:
+    """Build a catalogue entry; its parameter, if it takes one, is checked
+    here and named in the label, as in ``esd(0.25)``."""
+    entry = CATALOGUE.get(name)
+    if entry is None or entry[0] != kind:
+        raise MeasureError(f"unknown {kind} measure {name!r}")
+    _, closed_form, axioms, degree, param = entry
+    label = name
+    if param is not None:
+        value = _parameter(name, param, alpha, p)
+        closed_form, label = closed_form(value), f"{name}({value:g})"
+    return DeviationFunctional(label=label, eval_fn=closed_form, axioms=axioms, homogeneity_degree=degree)
+
+
+def _parameter(name: str, param, alpha, p) -> float:
+    if param == "p":
         if p is None:
-            raise MeasureError("lp_norm requires the exponent p")
-        pp = math.inf if p == math.inf else float(p)
-        return DeviationFunctional(
-            label=f"lp_norm({pp:g})",
-            eval_fn=lambda space, x: market.lp_norm(space, x, pp),
-            axioms=nonneg_convex,
-        )
-    if name == "kb":
-        if alpha is None:
-            raise MeasureError("kb requires an alpha level")
-        a = float(alpha)
-        if not 0.0 < a < 1.0:
-            raise MeasureError(f"kb level must lie in (0, 1), got {alpha}")
-        ratio = (1.0 - a) / a
-
-        def kb(space: MarketSpace, x: np.ndarray):
-            pos = np.maximum(x, 0.0)
-            neg = np.maximum(-x, 0.0)
-            return _dot(ratio * neg + pos, space.probs)
-
-        return DeviationFunctional(label=f"kb({a:g})", eval_fn=kb, axioms=nonneg_convex)
-    if name == "sup_range":
-        return DeviationFunctional(
-            label="sup_range",
-            eval_fn=lambda space, x: 2.0 * np.abs(x).max(axis=-1),
-            axioms=nonneg_convex,
-        )
-    raise MeasureError(f"unknown error measure {name!r}")
+            raise MeasureError(f"{name} requires the exponent p")
+        return float(p)
+    if alpha is None:
+        raise MeasureError(f"{name} requires an alpha level")
+    (noun, closed), a = param, float(alpha)
+    if not (0.0 <= a <= 1.0 if closed else 0.0 < a < 1.0):
+        raise MeasureError(f"{noun} level must lie in {'[0, 1]' if closed else '(0, 1)'}, got {a}")
+    return a
 
 
 # ---------------------------------------------------------------------------

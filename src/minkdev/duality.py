@@ -570,8 +570,14 @@ def _subsets(k: int, n: int, lo: int) -> np.ndarray:
 
 def polar(P: Polytope) -> Polytope:
     """Polar of a polytope, in halfspace form: ``<v_j, y> <= 1`` for each
-    vertex ``v_j`` of ``P``."""
+    vertex ``v_j`` of ``P``.  A halfspace-form ``P`` must be bounded, which
+    its support at the unit vectors and their negatives tells; an unbounded
+    one raises ``DualityError``, as its vertices miss its recession cone."""
     V = P.vertex_form()
+    if P.vertices is None:
+        units = np.vstack([np.eye(P.space.n), -np.eye(P.space.n)])
+        if any(math.isinf(h.value) for h in support_values(P, units)):
+            raise DualityError("polar takes a bounded polytope, and these halfspaces are unbounded")
     return Polytope.from_halfspaces(P.space, V, np.ones(V.shape[0]))
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional
 from .market import MarketSpace, as_position, as_positions
-from .sets import AcceptanceSet
+from .sets import FLAG_AXIOMS, AcceptanceSet
 
 
 #: The float64 machine epsilon: the least relative tolerance bisection meets.
@@ -374,22 +374,15 @@ def _lockstep(sets, X: np.ndarray, opts: GaugeOptions) -> list[list]:
 #: measure: nonnegative, and zero exactly on the constants.
 ADMISSIBLE_FLAGS = ("star_shaped", "radially_bounded_nonconst", "stable_scalar_add")
 
-#: Each set flag that carries over to the gauge, and the axiom it gives.
-FLAG_AXIOMS = {
-    "stable_scalar_add": "translation_insensitive",
-    "convex": "convex",
-    "law_invariant": "law_invariant",
-}
-
 
 def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     """Wrap the gauge of ``A`` as a deviation-style functional.
 
-    Its axioms are the set-to-measure correspondence above: the gauge is
+    Its axioms are the set-to-measure correspondence: the gauge is
     positively homogeneous by construction, nonnegative when ``A`` declares
     every one of ``ADMISSIBLE_FLAGS``, and has the axiom of each
-    ``FLAG_AXIOMS`` flag ``A`` declares; every other axiom is unknown.  The
-    functional answers one position with ``minkowski_gauge`` and a
+    ``sets.FLAG_AXIOMS`` flag ``A`` declares; every other axiom is unknown.
+    The functional answers one position with ``minkowski_gauge`` and a
     ``(B, n)`` batch with ``gauge_table``.
     """
     declared = lambda flag: getattr(A.flags, flag) is True

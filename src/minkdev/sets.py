@@ -8,7 +8,8 @@ bisection when ``star_shaped`` is declared — so constructors propagate them
 conservatively, and a composite declares ``False`` only where it inherits it.
 ``FALSIFIERS`` holds one sampling falsifier per property: ``check_property``
 runs one, and ``audit_flags`` those of the flags declared ``True``.
-``gauge.deviation_from_set`` carries flags over to the gauge's axioms.
+``FLAG_AXIOMS`` pairs set flags with measure axioms: ``sublevel_set``
+reads it from measure to set, ``gauge.deviation_from_set`` from set to gauge.
 
 Set constructors cover sub-level sets of functionals, scalar scaling,
 unions/intersections, the Minkowski sum with the constants line
@@ -81,6 +82,16 @@ class SetFlags:
     contains_zero: bool | None = None
 
 
+#: Each set flag that carries over to the gauge, and the ``AxiomFlags``
+#: field it gives: ``gauge.deviation_from_set`` reads it forwards, and
+#: ``sublevel_set`` backwards.
+FLAG_AXIOMS = {
+    "stable_scalar_add": "translation_insensitive",
+    "convex": "convex",
+    "law_invariant": "law_invariant",
+}
+
+
 def _and3(a: bool | None, b: bool | None) -> bool | None:
     """Conjunction in three-valued logic (unknown-propagating)."""
     if a is False or b is False:
@@ -145,12 +156,12 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
     level ``k > 0``.
 
     The functional's axioms decide the flags via the standard sub-level
-    correspondences: positive homogeneity (any positive degree) gives
-    star-shapedness, translation insensitivity gives stability under scalar
-    addition, nonnegativity of the functional gives radial boundedness at
-    non-constants and ``0`` membership.  Non-finite functional values are
-    treated as non-membership.  Membership is always decided by evaluating
-    the functional, which answers a batch of rows in one call.
+    correspondences: the axiom of each ``FLAG_AXIOMS`` flag gives that flag,
+    nonnegativity with a positive homogeneity degree star-shapedness, and
+    nonnegativity radial boundedness at non-constants and ``0`` membership.
+    Non-finite functional values are treated as non-membership.  Membership
+    is always decided by evaluating the functional, which answers a batch of
+    rows in one call.
     """
     if not (k > 0.0) or not math.isfinite(k):
         raise SetError(f"sub-level threshold must be finite and positive, got {k}")
@@ -163,12 +174,10 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
 
     flags = SetFlags(
         star_shaped=True if (ax.nonnegative and degree is not None and degree > 0) else None,
-        convex=True if ax.convex else None,
         closed=True,
-        stable_scalar_add=True if ax.translation_insensitive else None,
         radially_bounded_nonconst=True if ax.nonnegative else None,
-        law_invariant=True if ax.law_invariant else None,
         contains_zero=True if ax.nonnegative else None,
+        **{flag: True if getattr(ax, axiom) else None for flag, axiom in FLAG_AXIOMS.items()},
     )
     return AcceptanceSet(
         space=space,

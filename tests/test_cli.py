@@ -484,6 +484,35 @@ def test_unknown_measure_error_names_its_path(tmp_path, capsys):
     assert capsys.readouterr().err == "error: measures[1]: unknown deviation measure 'nope'\n"
 
 
+@pytest.mark.parametrize("command, doc, path, alpha", [
+    ("eval", dict(EVAL_DOC, positions={}, sets=[{"kind": "sublevel", "measure": {"measure": "esd", "alpha": 2.0}}]),
+     "sets[0].measure", 2.0),
+    ("eval", dict(EVAL_DOC, measures=[{"measure": "esd", "alpha": -0.5}]), "measures[0]", -0.5),
+    ("check", {"v": 1, "space": {"probs": [0.25, 0.75]}, "check": [{"measure": {"measure": "es", "alpha": 2.0}}]},
+     "check[0].measure", 2.0),
+], ids=["set", "measure", "check"])
+def test_a_shortfall_level_out_of_range_exits_2_with_its_path(tmp_path, capsys, command, doc, path, alpha):
+    # the level is checked when the measure is built, whether or not a
+    # position ever evaluates it
+    assert main([command, "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: shortfall level must lie in [0, 1], got {alpha}\n"
+
+
+def test_polar_of_an_unbounded_halfspace_polytope_exits_2(tmp_path, capsys):
+    # y0 <= 2 and |y1| <= 2 are unbounded toward y0 -> -inf: the polar of
+    # their two corners would be wrong, so there is none
+    doc = {"v": 1, "space": {"probs": [0.5, 0.5]}, "polytope": {"rows": [[1, 0], [0, 1], [0, -1]], "rhs": [1, 1, 1]}}
+    assert main(["polar", "--scenario", write(tmp_path, "p.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polar takes a bounded polytope, and these halfspaces are unbounded\n"
+    doc["polytope"] = {"rows": [[1, 0], [-1, 0], [0, 1], [0, -1]], "rhs": [1, 1, 1, 1]}
+    assert main(["polar", "--scenario", write(tmp_path, "p.json", doc)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["polar"]["rhs"] == [1.0, 1.0, 1.0, 1.0]
+
+
 def test_wrong_length_position_error_names_its_path(tmp_path, capsys):
     doc = dict(EVAL_DOC, positions={"X": [0.0, 1.0], "Y": [1.0, 2.0, 3.0]})
     assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR

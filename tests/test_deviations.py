@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkdev.deviations import (
+    CATALOGUE,
     MeasureError,
     builtin_deviation,
     builtin_error,
@@ -26,6 +27,7 @@ from minkdev.market import MarketSpace
 
 BINARY = MarketSpace(np.array([0.25, 0.75]))
 SPACE4 = MarketSpace(np.array([0.1, 0.2, 0.3, 0.4]))
+UNIFORM4 = MarketSpace(np.full(4, 0.25))
 
 
 # --- independent oracles -----------------------------------------------------
@@ -112,10 +114,18 @@ def test_sup_range_error():
 # --- axiom audits -------------------------------------------------------------
 
 def test_check_axioms_passes_for_catalogue():
-    for name in ("std_dev", "lr", "ur", "frd"):
-        reports = check_axioms(builtin_deviation(name), SPACE4, trials=100, seed=0)
-        assert reports, name
-        assert all(r.passed for r in reports), (name, [r for r in reports if not r.passed])
+    # Every deviation entry.  Two declarations are known to over-declare and
+    # stay out: esd at alpha = 1 is identically 0 yet declares nonnegative,
+    # and the error measures declare nonnegative though not zero on constants.
+    measures = [builtin_deviation(name) for name in ("variance", "std_dev", "lower_semidev", "lr", "ur", "frd")]
+    measures += [builtin_deviation(name, alpha=a) for name in ("es", "esd") for a in (0.0, 0.1, 0.5)]
+    deviations = {name for name, (kind, *_) in CATALOGUE.items() if kind == "deviation"}
+    assert {D.label.split("(")[0] for D in measures} == deviations
+    for space in (UNIFORM4, SPACE4):
+        for D in measures:
+            reports = check_axioms(D, space, trials=100, seed=0)
+            assert reports, D.label
+            assert all(r.passed for r in reports), (D.label, [r for r in reports if not r.passed])
 
 
 def test_check_axioms_catches_a_planted_false_flag():
@@ -148,3 +158,13 @@ def test_measure_from_json():
     with pytest.raises(MeasureError):
         measure_from_json({"measure": "nope"})
 
+
+@pytest.mark.parametrize("name, alpha", [("es", 1.5), ("esd", -0.5)])
+def test_a_shortfall_level_is_checked_when_the_measure_is_built(name, alpha):
+    for a in (alpha, math.nan):
+        with pytest.raises(MeasureError, match=rf"^shortfall level must lie in \[0, 1\], got {a}$"):
+            builtin_deviation(name, alpha=a)
+    with pytest.raises(MeasureError, match=r"^measure: shortfall level must lie in \[0, 1\]"):
+        measure_from_json({"measure": name, "alpha": alpha})
+    for a in (0.0, 1.0):
+        assert builtin_deviation(name, alpha=a).label == f"{name}({a:g})"

@@ -316,6 +316,18 @@ def test_polar_of_diamond_is_box():
     assert got == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
 
 
+def test_polar_refuses_an_unbounded_halfspace_polytope():
+    # y0 <= 2 and |y1| <= 2 leave y0 -> -inf open: the two corners alone
+    # would give a polar containing (-1, 0), where the support of P is inf
+    P = Polytope.from_halfspaces(UNIFORM2, [[1, 0], [0, 1], [0, -1]], [1, 1, 1])
+    with pytest.raises(DualityError, match="bounded"):
+        polar(P)
+    box = Polytope.from_halfspaces(UNIFORM2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    F = polar(box)
+    assert {tuple(np.round(r, 8)) for r in F.rows} == {(2.0, 2.0), (2.0, -2.0), (-2.0, 2.0), (-2.0, -2.0)}
+    assert bipolar_check(box, trials=200).disagreements == 0
+
+
 def test_support_function_closed_form():
     # h_polar(x) = max over the box [-1,1]^2 of (x0 y0 + x1 y1)/2
     #            = (|x0| + |x1|)/2, the gauge of the diamond.
