@@ -310,16 +310,32 @@ def _pairings(x: np.ndarray, W: np.ndarray) -> np.ndarray:
 def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
     """Convex-combination feasibility: is ``x`` in conv(vertices)?
 
-    Solved as a pure phase-one LP over barycentric weights, with absolute
-    tolerances, so huge coordinates hide small distances: against the
-    vertices ``[[L, 0], [0, 1], [-1, -1]]``, ``(L, -0.5)``, 0.5 outside
-    (``0.5 / L`` relative to ``max|x|``, within ``Polytope.contains``'s
-    slack), is answered inside for ``L >= 1e100`` (and at ``1e50``).
+    A point off the vertices' affine hull by more than ``1e-9 max|x|``, plus
+    the spread of the vertices in the directions the hull is taken to be
+    flat in, is outside; the hull comes from an SVD of the centred vertices,
+    scaled with ``x`` by a power of two below 1.  A non-finite ``x`` is
+    outside.  Any other point is decided by a pure phase-one LP over
+    barycentric weights, with absolute tolerances, so huge coordinates hide
+    small distances: against the vertices ``[[L, 0], [0, 1], [-1, -1]]``,
+    ``(L, -0.5)``, 0.5 outside (``0.5 / L`` relative to ``max|x|``, within
+    ``Polytope.contains``'s slack), is answered inside for ``L >= 1e100``
+    (and at ``1e50``).
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return False
     k, n = V.shape
+    e = -math.frexp(max(np.abs(V).max(), np.abs(x).max()))[1]
+    U, y = np.ldexp(V, e), np.ldexp(x, e)
+    centre = U.sum(axis=0) / k
+    _, s, W = np.linalg.svd(U - centre)
+    flat = s <= FLAT_TOL * s[0]  # directions of the hull's rank cut
+    off = W[int(np.count_nonzero(~flat)):] @ (y - centre)
+    if math.sqrt(off @ off) > 1e-9 * np.abs(y).max() + math.sqrt(s[flat] @ s[flat]):
+        return False
     A_eq = np.vstack([V.T, np.ones((1, k))])
-    b_eq = np.concatenate([np.asarray(x, float), [1.0]])
+    b_eq = np.concatenate([x, [1.0]])
     out = lp.solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq)
     return out.status == "optimal"
 
@@ -599,15 +615,14 @@ def support_function(F: Polytope, x) -> SupportValue:
     positive pairing against ``x``).  ``x`` must be a finite position of
     ``F.space`` (``MarketError`` otherwise).
     """
-    xp = as_position(F.space, x) * F.space.probs
-    out = lp.solve_lp(np.concatenate([xp, -xp]), A_ub=_polar_rows(F), b_ub=F.rhs)
-    return _support_value(F, out)
+    [h] = support_values(F, as_position(F.space, x)[None])
+    return h
 
 
 def support_values(F: Polytope, X) -> list[SupportValue]:
     """``support_function(F, x)`` for every row ``x`` of a ``(B, n)`` batch,
-    as one lockstep solve (``lp.solve_lps``); entry ``i`` equals
-    ``support_function(F, X[i])``.  Every row must be a finite position of
+    as one lockstep solve (``lp.solve_lps``); entry ``i`` is what ``X[i]``
+    gets in a batch of its own.  Every row must be a finite position of
     ``F.space`` (``MarketError`` otherwise)."""
     XP = as_positions(F.space, X) * F.space.probs
     outs = lp.solve_lps(np.hstack([XP, -XP]), A_ub=_polar_rows(F), b_ub=F.rhs)

@@ -11,14 +11,15 @@ control of tolerances and a certificate for every exit status:
   ``A_eq d = 0``, ``c.d > 0``),
 * ``infeasible``: phase one terminated with positive artificial residual.
 
-Phase one does not depend on the objective.  ``solve_lps`` solves one
-constraint system for a batch of objectives: it builds the tableau and runs
-phase one once, then advances one phase-two tableau per objective in
-lockstep, each step choosing every entering column and leaving row with the
-same rules (and the same floating-point operations) as ``solve_lp``.  Each
-LP of the batch therefore ends exactly as ``solve_lp`` ends it, pivots
-included.  ``solve_lp`` keeps a scalar phase two: lockstep bookkeeping costs
-more than it saves on a batch of one.
+Every LP needs at least one constraint row (``ValueError`` otherwise).
+
+There is one pivot loop, ``_simplex``: it advances a batch of tableaux in
+lockstep, each step choosing every entering column and leaving row by
+Bland's rule.  Phase one does not depend on the objective, so ``solve_lps``
+runs it once, as a batch of one tableau, and then runs one phase-two
+tableau per objective.  ``solve_lp`` is ``solve_lps`` with one objective:
+on a batch of one, the lockstep bookkeeping makes an LP about three times
+slower than a scalar loop, and no workload solves LPs one at a time.
 """
 
 from __future__ import annotations
@@ -55,54 +56,6 @@ class LPOutcome:
     iterations: int = 0
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    f = T[:, col].copy()
-    f[row] = 0.0
-    hit = np.abs(f) > 0.0
-    T[hit] -= f[hit, None] * T[row]
-    basis[row] = col
-
-
-def _leaving_row(column, rhs, basis) -> int:
-    """Ratio test over one column: the smallest ratio, ties within ``TIE_TOL``
-    going to the smaller basic index (Bland); -1 when no entry can pivot."""
-    row = -1
-    best = np.inf
-    for r in np.flatnonzero(column > PIVOT_TOL).tolist():
-        ratio = rhs[r] / column[r]
-        if ratio < best - TIE_TOL:
-            best = ratio
-            row = r
-        elif row >= 0 and abs(ratio - best) <= TIE_TOL and basis[row] > basis[r]:
-            row = r
-    return row
-
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, n_cols: int, start_iter: int):
-    """Drive the tableau to optimality or detect an unbounded column.
-
-    The objective row is the last row of ``T`` (stored as reduced costs for a
-    maximisation: positive entries can still improve).  Returns
-    ``(status, iterations, unbounded_col)``.
-    """
-    it = start_iter
-    m = T.shape[0] - 1
-    while True:
-        if it >= MAX_ITER:
-            raise LPError(f"simplex exceeded {MAX_ITER} iterations")
-        # Bland's rule: smallest-index column with strictly positive reduced cost.
-        improving = np.flatnonzero(T[m, :n_cols] > OPT_TOL)
-        if not improving.size:
-            return "optimal", it, -1
-        col = int(improving[0])
-        row = _leaving_row(T[:m, col], T[:m, -1], basis)
-        if row < 0:
-            return "unbounded", it, col
-        _pivot(T, basis, row, col)
-        it += 1
-
-
 def _rows(A, b, n: int):
     """One constraint block as a ``(k, n)`` matrix and its ``(k,)`` rhs."""
     if A is None:
@@ -117,33 +70,22 @@ def _rows(A, b, n: int):
     return A, b
 
 
-def _unconstrained(c: np.ndarray) -> LPOutcome:
-    """The LP with no constraint rows: unbounded along the first largest
-    improving coordinate, otherwise optimal at 0."""
-    n = c.size
-    if np.any(c > OPT_TOL):
-        ray = np.zeros(n)
-        ray[int(np.argmax(c))] = 1.0
-        return LPOutcome(status="unbounded", point=np.zeros(n), ray=ray)
-    return LPOutcome(status="optimal", value=0.0, point=np.zeros(n))
-
-
 def _phase_one(n: int, A_ub, b_ub, A_eq, b_eq):
     """The set-up and phase one shared by every objective.
 
     Columns are structural | slacks | artificials | rhs, with rows flipped to
     a nonnegative rhs; an inequality row whose slack kept its +1 starts on
-    it, every other row on an artificial.  Returns ``None`` when there is no
-    constraint row, ``(None, None, iterations)`` when the system is
-    infeasible, and otherwise ``(T, basis, iterations)``: the tableau
-    without its artificial columns, with a zero objective row last.
+    it, every other row on an artificial.  Returns ``(None, None,
+    iterations)`` when the system is infeasible, and otherwise ``(T, basis,
+    iterations)``: the tableau without its artificial columns, with a zero
+    objective row last.  ``ValueError`` when there is no constraint row.
     """
     A_ub, b_ub = _rows(A_ub, b_ub, n)
     A_eq, b_eq = _rows(A_eq, b_eq, n)
     m_ub = b_ub.size
     m = m_ub + b_eq.size
     if m == 0:
-        return None
+        raise ValueError("an LP needs at least one constraint row")
     ns = n + m_ub  # structural and slack columns
     b = np.concatenate([b_ub, b_eq])
     flip = b < 0.0
@@ -164,24 +106,60 @@ def _phase_one(n: int, A_ub, b_ub, A_eq, b_eq):
 
     iterations = 0
     if n_art:
-        # Phase one: maximise -(sum of artificials).
+        # Phase one: maximise -(sum of artificials), as a batch of one.
         T[m, ns:ns + n_art] = -1.0
         for i in need_artificial:
             T[m] += T[i]
-        _, iterations, _ = _run_simplex(T, basis, ns + n_art, 0)
+        [(_, T, basis, _, _, iterations)] = _simplex(T[None], basis[None], 0)
         # The stored rhs tracks the negated phase-one objective: a positive
         # residual means some artificial variable could not be driven to 0.
-        if T[m, -1] > OPT_TOL:
+        if T[0, m, -1] > OPT_TOL:
             return None, None, iterations
         # Drive any artificial still basic out of the basis.
         for i in range(m):
-            if basis[i] >= ns:
-                pivots = np.flatnonzero(np.abs(T[i, :ns]) > PIVOT_TOL)
+            if basis[0, i] >= ns:
+                pivots = np.flatnonzero(np.abs(T[0, i, :ns]) > PIVOT_TOL)
                 if pivots.size:
-                    _pivot(T, basis, i, int(pivots[0]))
-        T = np.delete(T, np.s_[ns:ns + n_art], axis=1)
+                    _pivot_rows(T, basis, np.array([i]), pivots[:1])
+        T, basis = np.delete(T[0], np.s_[ns:ns + n_art], axis=1), basis[0]
     T[m] = 0.0
     return T, basis, iterations
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, iterations: int):
+    """Bland's-rule simplex on every tableau ``T[b]`` of a batch, in lockstep.
+
+    The objective row of each tableau is its last row (stored as reduced
+    costs for a maximisation: positive entries can still improve), and
+    every column but the rhs may enter.  Each step pivots every unfinished
+    tableau once, on its smallest-index improving column and its
+    ``_leaving_rows`` row.  A tableau finishes when no reduced cost is
+    positive (optimal) or its entering column has no leaving row
+    (unbounded).  Each step that finishes some tableaux yields ``(which,
+    T, basis, unbounded, col, iterations)`` for them: their indices in the
+    batch, copies of their tableaux and bases, whether each is unbounded,
+    its entering column, and the iteration count.  ``LPError`` is raised
+    when the count reaches ``MAX_ITER``.
+    """
+    m = T.shape[1] - 1
+    n_cols = T.shape[2] - 1
+    lp_of = np.arange(len(T))  # which tableau of the batch each row of T is
+    while lp_of.size:
+        if iterations >= MAX_ITER:
+            raise LPError(f"simplex exceeded {MAX_ITER} iterations")
+        k = np.arange(lp_of.size)
+        improving = T[:, m, :n_cols] > OPT_TOL
+        col = np.argmax(improving, axis=1)
+        row = _leaving_rows(T[k, :m, col], T[:, :m, -1], basis)
+        more = improving[k, col]  # some reduced cost is still positive
+        unbounded = more & (row < 0)
+        done = np.flatnonzero(~more | unbounded)
+        if done.size:
+            yield lp_of[done], T[done], basis[done], unbounded[done], col[done], iterations
+            go = np.flatnonzero(more & ~unbounded)
+            T, basis, lp_of, row, col = T[go], basis[go], lp_of[go], row[go], col[go]
+        _pivot_rows(T, basis, row, col)
+        iterations += 1
 
 
 def _outcomes(T: np.ndarray, basis: np.ndarray, C: np.ndarray, iterations: int,
@@ -210,23 +188,9 @@ def solve_lp(
     A_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
 ) -> LPOutcome:
-    """Maximise ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``."""
-    c = np.asarray(c, dtype=float)
-    start = _phase_one(c.size, A_ub, b_ub, A_eq, b_eq)
-    if start is None:
-        return _unconstrained(c)
-    T, basis, iterations = start
-    if T is None:
-        return LPOutcome(status="infeasible", iterations=iterations)
-    # Price the objective row out against the basis, basic row by basic row.
-    m = T.shape[0] - 1
-    T[m, :c.size] = c
-    for i in range(m):
-        if basis[i] < T.shape[1] - 1 and abs(T[m, basis[i]]) > 0.0:
-            T[m] -= T[m, basis[i]] * T[i]
-    status, iterations, col = _run_simplex(T, basis, T.shape[1] - 1, iterations)
-    [out] = _outcomes(T[None], basis[None], c[None], iterations,
-                      np.array([status == "unbounded"]), np.array([col]))
+    """Maximise ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``:
+    ``solve_lps`` with the one objective ``c``."""
+    [out] = solve_lps(np.asarray(c, dtype=float)[None], A_ub, b_ub, A_eq, b_eq)
     return out
 
 
@@ -237,14 +201,13 @@ def solve_lps(
     A_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
 ) -> list[LPOutcome]:
-    """``solve_lp`` for every row of a ``(B, n)`` objective matrix ``C`` over
-    one constraint system; entry ``b`` equals ``solve_lp(C[b], ...)``,
-    iterations and every bit of the point, value and ray included.
+    """Maximise ``C[b].x`` over one constraint system for every row of a
+    ``(B, n)`` objective matrix ``C``; entry ``b`` is the outcome of LP ``b``.
 
-    Phase one runs once.  Phase two advances the unfinished tableaux
-    together, one pivot each per step; a tableau leaves the batch when it
-    is optimal or unbounded.  ``LPError`` is raised when any LP reaches
-    ``MAX_ITER``.
+    Phase one runs once.  Phase two advances one tableau per objective
+    through ``_simplex``; each LP is read off when it finishes, so it
+    pivots, and ends, exactly as it would in a batch of its own.
+    ``LPError`` is raised when any LP reaches ``MAX_ITER``.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
@@ -252,43 +215,20 @@ def solve_lps(
     B, n = C.shape
     if B == 0:
         return []
-    start = _phase_one(n, A_ub, b_ub, A_eq, b_eq)
-    if start is None:
-        return [_unconstrained(c) for c in C]
-    T0, basis0, iterations = start
+    T0, basis0, iterations = _phase_one(n, A_ub, b_ub, A_eq, b_eq)
     if T0 is None:
         return [LPOutcome(status="infeasible", iterations=iterations) for _ in range(B)]
-    m = T0.shape[0] - 1
-    ns = T0.shape[1] - 1
-    T = _priced(T0, basis0, C)
-    basis = np.repeat(basis0[None], B, axis=0)
-    lp_of = np.arange(B)  # which objective each tableau of the batch solves
     out: list[LPOutcome | None] = [None] * B
-    while lp_of.size:
-        if iterations >= MAX_ITER:
-            raise LPError(f"simplex exceeded {MAX_ITER} iterations")
-        k = np.arange(lp_of.size)
-        improving = T[:, m, :ns] > OPT_TOL
-        col = np.argmax(improving, axis=1)
-        row = _leaving_rows(T[k, :m, col], T[:, :m, -1], basis)
-        more = improving[k, col]  # some reduced cost is still positive
-        unbounded = more & (row < 0)
-        done = np.flatnonzero(~more | unbounded)
-        if done.size:
-            finished = _outcomes(T[done], basis[done], C[lp_of[done]], iterations,
-                                 unbounded[done], col[done])
-            for j, res in zip(lp_of[done].tolist(), finished):
-                out[j] = res
-            go = np.flatnonzero(more & ~unbounded)
-            T, basis, lp_of, row, col = T[go], basis[go], lp_of[go], row[go], col[go]
-        _pivot_rows(T, basis, row, col)
-        iterations += 1
+    steps = _simplex(_priced(T0, basis0, C), np.repeat(basis0[None], B, axis=0), iterations)
+    for which, T, basis, unbounded, col, it in steps:
+        for j, res in zip(which.tolist(), _outcomes(T, basis, C[which], it, unbounded, col)):
+            out[j] = res
     return out
 
 
 def _priced(T0: np.ndarray, basis: np.ndarray, C: np.ndarray) -> np.ndarray:
     """One copy of the phase-two tableau ``T0`` per row of ``C``, its
-    objective row priced out as ``solve_lp`` prices it."""
+    objective row priced out against the basis, basic row by basic row."""
     m = T0.shape[0] - 1
     T = np.repeat(T0[None], len(C), axis=0)
     T[:, m, :C.shape[1]] = C
@@ -322,9 +262,25 @@ def _leaving_rows(columns: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np
     return row
 
 
+def _leaving_row(column, rhs, basis) -> int:
+    """Ratio test over one column: the smallest ratio, ties within ``TIE_TOL``
+    going to the smaller basic index (Bland); -1 when no entry can pivot."""
+    row = -1
+    best = np.inf
+    for r in np.flatnonzero(column > PIVOT_TOL).tolist():
+        ratio = rhs[r] / column[r]
+        if ratio < best - TIE_TOL:
+            best = ratio
+            row = r
+        elif row >= 0 and abs(ratio - best) <= TIE_TOL and basis[row] > basis[r]:
+            row = r
+    return row
+
+
 def _pivot_rows(T: np.ndarray, basis: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
-    """``_pivot`` on every tableau of a batch, tableau ``b`` on
-    ``(row[b], col[b])``."""
+    """Pivot every tableau of a batch, tableau ``b`` on ``(row[b],
+    col[b])``: its pivot row is divided by the pivot, and every other row
+    with a non-zero entry in the pivot column loses its multiple of it."""
     k = np.arange(len(T))
     T[k, row] /= T[k, row, col][:, None]
     f = T[k, :, col]

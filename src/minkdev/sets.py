@@ -569,10 +569,11 @@ def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
 
 def _star_shaped(A, rng):
     x = _sample_member(A, rng)
-    if x is not None:
-        for lam in np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]:
-            if not A.membership(lam * x):
-                return {"x": x, "lam": float(lam)}
+    if x is None:
+        return False
+    for lam in np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]:
+        if not A.membership(lam * x):
+            return {"x": x, "lam": float(lam)}
 
 
 def _strongly_star_shaped(A, rng):
@@ -589,23 +590,27 @@ def _strongly_star_shaped(A, rng):
 def _convex(A, rng):
     x = _sample_member(A, rng)
     y = _sample_member(A, rng)
-    if x is not None and y is not None:
-        for lam in (0.25, 0.5, 0.75):
-            if not A.membership(lam * x + (1 - lam) * y):
-                return {"x": x, "y": y, "lam": lam}
+    if x is None or y is None:
+        return False
+    for lam in (0.25, 0.5, 0.75):
+        if not A.membership(lam * x + (1 - lam) * y):
+            return {"x": x, "y": y, "lam": lam}
 
 
 def _stable_scalar_add(A, rng):
     x = _sample_member(A, rng)
-    if x is not None:
-        for c in SHIFT_VALUES:
-            if not A.membership(x + c):
-                return {"x": x, "c": c}
+    if x is None:
+        return False
+    for c in SHIFT_VALUES:
+        if not A.membership(x + c):
+            return {"x": x, "c": c}
 
 
 def _radially_bounded_nonconst(A, rng):
     x = _sample_member(A, rng)
-    if x is not None and np.ptp(x) >= 1e-9 and A.membership(x * RAY_CAP):
+    if x is None:
+        return False
+    if np.ptp(x) >= 1e-9 and A.membership(x * RAY_CAP):
         return {"x": x, "scale": RAY_CAP}
 
 
@@ -621,39 +626,43 @@ def _law_invariant(A, rng):
     _check_permutable(A.space, "the law-invariance check")
     perms = _permutations(A.space.n)
     x = _sample_member(A, rng)
-    if x is not None:
-        outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
-        if outside.any():
-            return {"x": x, "perm": perms[int(np.argmax(outside))].tolist()}
+    if x is None:
+        return False
+    outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
+    if outside.any():
+        return {"x": x, "perm": perms[int(np.argmax(outside))].tolist()}
 
 
 def _comonotone_mix(member, A, rng):
     """A comonotone pair, scaled jointly into ``member``, that mixes out of it."""
     x, y = market.sample_comonotone_pair(rng, A.space, scale=market.SAMPLE_RANGE)
     s = next((s for s in np.geomspace(4.0, 1e-4, 25) if member(x * s) and member(y * s)), None)
-    if s is not None:
-        xs, ys = x * s, y * s
-        for lam in (0.25, 0.5, 0.75):
-            if not member(lam * xs + (1 - lam) * ys):
-                return {"x": xs, "y": ys, "lam": lam}
+    if s is None:
+        return False
+    xs, ys = x * s, y * s
+    for lam in (0.25, 0.5, 0.75):
+        if not member(lam * xs + (1 - lam) * ys):
+            return {"x": xs, "y": ys, "lam": lam}
 
 
 def _anti_monotone_dispersive(A, rng):
     # If x is accepted, anything less dispersed than x must be accepted.
     x = _sample_member(A, rng)
-    if x is not None:
-        lam = rng.uniform(0.0, 1.0)
-        shift = rng.uniform(-1.0, 1.0)
-        mean = market.expectation(A.space, x)
-        y = shift + mean + lam * (x - mean)
-        if market.dispersive_leq(A.space, y, x) and not A.membership(y):
-            return {"x": x, "y": y, "lam": float(lam), "shift": float(shift)}
+    if x is None:
+        return False
+    lam = rng.uniform(0.0, 1.0)
+    shift = rng.uniform(-1.0, 1.0)
+    mean = market.expectation(A.space, x)
+    y = shift + mean + lam * (x - mean)
+    if market.dispersive_leq(A.space, y, x) and not A.membership(y):
+        return {"x": x, "y": y, "lam": float(lam), "shift": float(shift)}
 
 
 #: One falsifier per property ``check_property`` knows, in the order
 #: ``audit_flags`` runs them: each draws one sampled case (a member, a pair,
-#: a ray) and returns a counterexample to its property, or None.
-FALSIFIERS: dict[str, Callable[[AcceptanceSet, np.random.Generator], dict | None]] = {
+#: a ray) and returns a counterexample to its property, None when the case
+#: holds, or False when the draw found no member to make a case of.
+FALSIFIERS: dict[str, Callable[[AcceptanceSet, np.random.Generator], dict | bool | None]] = {
     "star_shaped": _star_shaped,
     "strongly_star_shaped": _strongly_star_shaped,
     "convex": _convex,
@@ -670,23 +679,27 @@ FALSIFIERS: dict[str, Callable[[AcceptanceSet, np.random.Generator], dict | None
 def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0) -> PropertyReport:
     """Search for a counterexample to ``prop`` on sampled positions.
 
-    ``trials`` counts the sampled cases (a member, a pair, a ray) and
-    ``seed`` seeds the sampler, so a report replays.  A passing report means
-    no counterexample was found within the sampling budget; it is evidence,
-    not proof.  A failing report carries a replayable counterexample
-    (positions and scalars).
+    ``trials`` draws are made, each of a sampled case (a member, a pair, a
+    ray), and ``seed`` seeds the sampler, so a report replays.  The report's
+    ``trials`` counts the cases that ran: a draw that finds no member is not
+    one, so a set the sampler never hits passes with 0 trials.  A passing
+    report means no counterexample was found within the sampling budget; it
+    is evidence, not proof.  A failing report carries a replayable
+    counterexample (positions and scalars) and its draw index ``trial``.
     """
     falsify = FALSIFIERS.get(prop)
     if falsify is None:
         raise SetError(f"unknown property {prop!r}; known: {tuple(FALSIFIERS)}")
     rng = np.random.default_rng(seed)
+    ran = 0
     for t in range(trials):
         found = falsify(A, rng)
-        if found is not None:
+        ran += found is not False
+        if found:
             ce = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in found.items()}
-            return PropertyReport(property=prop, passed=False, trials=t + 1,
+            return PropertyReport(property=prop, passed=False, trials=ran,
                                   counterexample=dict(ce, trial=t, seed=seed))
-    return PropertyReport(property=prop, passed=True, trials=trials)
+    return PropertyReport(property=prop, passed=True, trials=ran)
 
 
 def audit_flags(A: AcceptanceSet, trials: int = 200, seed: int = 0) -> list[PropertyReport]:

@@ -290,6 +290,12 @@ def test_check_report_matches_golden(name, capsys):
     golden = DATA / f"{name.replace('scenario', 'report')}_seed0.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+
+def test_polar_of_a_halfspace_scenario_matches_golden(capsys):
+    # a negative rhs puts phase one of the boundedness check on artificials
+    assert main(["polar", "--scenario", str(DATA / "halfspace_polar_scenario.json")]) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / "halfspace_polar_report.json").read_text(encoding="utf-8")
+
 def test_check_measure_axioms(tmp_path, capsys):
     doc = {
         "v": 1,

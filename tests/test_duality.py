@@ -175,6 +175,20 @@ def test_enumerate_facets_of_a_flat_set_is_none(V):
     assert P.contains(V).all()                 # the LP route answers instead
 
 
+def test_a_flat_hull_refuses_points_off_its_plane():
+    # the LP's absolute tolerances took (0.7, -0.4, 1e-3), 1e-3 above the
+    # square, for a member of a shrunk copy: a gauge near 1e6 where it is inf
+    P = Polytope.from_vertices(MarketSpace(np.array([0.2, 0.3, 0.5])),
+                               [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    assert P._hull_facets is None
+    x = np.array([0.7, -0.4, 1e-3])
+    assert minkowski_gauge(P.as_acceptance_set(), x).value == math.inf
+    assert not P.contains(1e-6 * x) and P.contains([0.5, -0.4, 0.0])
+    assert not hull_membership_lp(P.vertices, [math.nan, 0.0, 0.0])
+    report = dual_representation_check(P, trials=50)
+    assert (report.disagreements, report.infinite_agreements) == (0, 50)
+
+
 def test_enumerate_facets_caps_its_dimension_and_its_subsets():
     with pytest.raises(DualityError):
         enumerate_facets(np.eye(5))

@@ -1,9 +1,10 @@
-"""Simplex solver: known programs, certificates, and a scipy cross-check."""
+"""Simplex solver: known programs, certificates, scipy cross-checks, and
+the lockstep loop held to a scalar reference solver."""
 
 import numpy as np
 import pytest
 
-from minkdev.lp import LPOutcome, solve_lp, solve_lps
+from minkdev.lp import MAX_ITER, OPT_TOL, PIVOT_TOL, TIE_TOL, LPError, LPOutcome, solve_lp, solve_lps
 
 
 def test_simple_optimal():
@@ -59,8 +60,10 @@ def test_degenerate_problem_terminates():
 
 
 def test_no_constraints():
-    assert solve_lp(np.array([-1.0, -2.0])).value == 0.0
-    assert solve_lp(np.array([1.0])).status == "unbounded"
+    # every LP the library builds has constraint rows; one without is refused
+    for c in ([-1.0, -2.0], [1.0]):
+        with pytest.raises(ValueError, match="constraint row"):
+            solve_lp(np.array(c))
 
 
 def test_cross_check_against_scipy():
@@ -82,8 +85,152 @@ def test_cross_check_against_scipy():
             assert mine.status == "unbounded"
             assert ref.status == 3
 
+    # systems feasible by construction at some x0 > 0, with a negative
+    # inequality rhs on about half of them and an equality row on half, so
+    # that phase one starts on artificials.  HiGHS's presolve calls some
+    # feasible unbounded systems infeasible, so it is off; without it, HiGHS
+    # leaves a few unbounded ones undecided (status 4), and there the ray
+    # is the evidence
+    rng = np.random.default_rng(35)
+    negative = 0
+    for t in range(300):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
+        x0 = rng.uniform(0.1, 1.0, size=n)
+        A = rng.uniform(-1, 1, size=(m, n))
+        system = {"A_ub": A, "b_ub": A @ x0 + rng.uniform(0.1, 1.0, size=m)}
+        if t % 2:
+            A_eq = rng.uniform(-1, 1, size=(1, n))
+            system.update(A_eq=A_eq, b_eq=A_eq @ x0)
+        negative += bool((system["b_ub"] < 0.0).any())
+        C = rng.uniform(-2, 2, size=(4, n))
+        for c, mine in zip(C, _assert_lps_match(C, **system)):
+            ref = linprog(-c, **system, bounds=[(0, None)] * n, method="highs",
+                          options={"presolve": False})
+            _assert_feasible(mine.point, **system)
+            if mine.status == "optimal":
+                assert ref.status == 0
+                assert mine.value == pytest.approx(-ref.fun, abs=1e-8)
+            else:
+                assert mine.status == "unbounded"
+                assert ref.status in (3, 4)
+                d = mine.ray
+                assert d.min() >= 0.0 and c @ d > 1e-9
+                assert (A @ d).max() <= 1e-9
+                assert np.abs(system.get("A_eq", np.zeros((1, n))) @ d).max() <= 1e-9
+    assert 100 < negative < 200
 
-# --- lockstep phase two: solve_lps equals solve_lp row for row ---------------------
+
+def _assert_feasible(x, A_ub, b_ub, A_eq=None, b_eq=None):
+    assert x.min() >= 0.0
+    assert (A_ub @ x - b_ub).max() <= 1e-9
+    if A_eq is not None:
+        assert np.abs(A_eq @ x - b_eq).max() <= 1e-9
+
+
+# --- the scalar reference: solve_lps equals it LP for LP, phase one included ----
+
+def _ref_leaving_row(column, rhs, basis):
+    row = -1
+    best = np.inf
+    for r in np.flatnonzero(column > PIVOT_TOL).tolist():
+        ratio = rhs[r] / column[r]
+        if ratio < best - TIE_TOL:
+            best = ratio
+            row = r
+        elif row >= 0 and abs(ratio - best) <= TIE_TOL and basis[row] > basis[r]:
+            row = r
+    return row
+
+
+def _ref_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    hit = np.abs(f) > 0.0
+    T[hit] -= f[hit, None] * T[row]
+    basis[row] = col
+
+
+def _ref_simplex(T, basis, n_cols, it):
+    """Bland's rule on one tableau; ``(status, iterations, entering column)``."""
+    m = T.shape[0] - 1
+    while True:
+        if it >= MAX_ITER:
+            raise LPError(f"simplex exceeded {MAX_ITER} iterations")
+        improving = np.flatnonzero(T[m, :n_cols] > OPT_TOL)
+        if not improving.size:
+            return "optimal", it, -1
+        col = int(improving[0])
+        row = _ref_leaving_row(T[:m, col], T[:m, -1], basis)
+        if row < 0:
+            return "unbounded", it, col
+        _ref_pivot(T, basis, row, col)
+        it += 1
+
+
+def reference_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """The two-phase simplex on one tableau, one pivot at a time: the
+    scalar solver that ``solve_lps``'s lockstep loop must reproduce bit for
+    bit.  Columns are structural | slacks | artificials | rhs; a row with a
+    negative rhs is negated whole (its zeros become -0.0), and every row
+    that is not an inequality with a nonnegative rhs starts on an
+    artificial."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    b = np.concatenate([np.zeros(0) if b_ub is None else np.ravel(b_ub),
+                        np.zeros(0) if b_eq is None else np.ravel(b_eq)]).astype(float)
+    m_ub, m = len(A_ub), len(b)
+    ns = n + m_ub
+    artificial = [i for i in range(m) if i >= m_ub or b[i] < 0.0]
+    T = np.zeros((m + 1, ns + len(artificial) + 1))
+    basis = np.zeros(m, dtype=np.int64)
+    for i, a in enumerate(np.vstack([A_ub, A_eq])):
+        T[i, :n] = a
+        if i < m_ub:
+            T[i, n + i] = 1.0
+            basis[i] = n + i
+        T[i, -1] = b[i]
+        if b[i] < 0.0:
+            T[i] *= -1.0
+    for j, i in enumerate(artificial):
+        T[i, ns + j] = 1.0
+        basis[i] = ns + j
+    it = 0
+    if artificial:
+        T[m, ns:ns + len(artificial)] = -1.0
+        for i in artificial:
+            T[m] += T[i]
+        _, it, _ = _ref_simplex(T, basis, ns + len(artificial), 0)
+        if T[m, -1] > OPT_TOL:
+            return LPOutcome(status="infeasible", iterations=it)
+        for i in range(m):
+            if basis[i] >= ns:
+                pivots = np.flatnonzero(np.abs(T[i, :ns]) > PIVOT_TOL)
+                if pivots.size:
+                    _ref_pivot(T, basis, i, int(pivots[0]))
+        T = np.delete(T, np.s_[ns:ns + len(artificial)], axis=1)
+    T[m] = 0.0
+    T[m, :n] = c
+    for i in range(m):
+        if basis[i] < ns and abs(T[m, basis[i]]) > 0.0:
+            T[m] -= T[m, basis[i]] * T[i]
+    status, it, col = _ref_simplex(T, basis, ns, it)
+    x = np.zeros(ns)
+    for i in range(m):
+        if basis[i] < ns:
+            x[basis[i]] = T[i, -1]
+    if status == "optimal":
+        return LPOutcome(status="optimal", value=float(c @ x[:n]), point=x[:n], iterations=it)
+    ray = np.zeros(ns)
+    ray[col] = 1.0
+    for i in range(m):
+        if basis[i] < ns:
+            ray[basis[i]] = -T[i, col]
+    return LPOutcome(status="unbounded", point=x[:n], ray=ray[:n], iterations=it)
+
 
 def _same_bytes(a, b):
     if a is None or b is None:
@@ -96,10 +243,11 @@ def _assert_lps_match(C, **system):
     outs = solve_lps(C, **system)
     assert len(outs) == len(C)
     for c, got in zip(C, outs):
-        want = solve_lp(c.copy(), **system)
-        assert (got.status, got.iterations) == (want.status, want.iterations)
-        for field in ("value", "point", "ray"):
-            assert _same_bytes(getattr(got, field), getattr(want, field)), field
+        want = reference_lp(c.copy(), **system)
+        for one in (got, solve_lp(c.copy(), **system)):
+            assert (one.status, one.iterations) == (want.status, want.iterations)
+            for field in ("value", "point", "ray"):
+                assert _same_bytes(getattr(one, field), getattr(want, field)), field
     return outs
 
 
@@ -173,5 +321,6 @@ def test_lps_match_on_small_integer_programs(A, b, C):
 
 
 def test_lps_without_constraints_and_empty_batch():
-    _assert_lps_match([[-1.0, -2.0], [1.0, 3.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="constraint row"):
+        solve_lps([[-1.0, -2.0], [1.0, 3.0], [0.0, 0.0]])
     assert solve_lps(np.zeros((0, 3)), A_ub=np.eye(3), b_ub=np.ones(3)) == []

@@ -12,6 +12,7 @@ from minkdev.deviations import builtin_deviation, builtin_error
 from minkdev.duality import Polytope
 from minkdev.market import MarketSpace
 from minkdev.sets import (
+    FALSIFIERS,
     SetError,
     SetFlags,
     add_constants,
@@ -187,6 +188,24 @@ def test_falsifier_passes_good_properties():
                  "strongly_star_shaped", "anti_monotone_dispersive"):
         report = check_property(A, prop, trials=60, seed=2)
         assert report.passed, (prop, report.counterexample)
+
+
+def test_a_report_counts_only_the_cases_that_ran():
+    # the two balls are disjoint, so no draw finds a member of their
+    # intersection: a pass of 0 trials, not of 200
+    A = combine("intersection", ball_set(UNIFORM3, 2, 1.0), ball_set(UNIFORM3, 2, 0.5, center=[2, 2, -1]))
+    report = check_property(A, "stable_scalar_add", trials=200)
+    assert (report.passed, report.trials) == (True, 0)
+    # a failing report counts the draws that made a case; its counterexample
+    # keeps the draw index, so it replays
+    B = ball_set(UNIFORM3, p=2.0, radius=0.5, center=[2.0, 2.0, -1.0])
+    report = check_property(B, "star_shaped", trials=100, seed=1)
+    t = report.counterexample["trial"]
+    assert (report.trials, t) == (1, 2)  # draws 0 and 1 found no member
+    rng = np.random.default_rng(1)
+    for _ in range(t):
+        FALSIFIERS["star_shaped"](B, rng)
+    assert FALSIFIERS["star_shaped"](B, rng)["x"].tolist() == report.counterexample["x"]
 
 
 def test_falsifier_strong_star_shape_annulus():
