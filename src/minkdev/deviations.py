@@ -84,23 +84,9 @@ class DeviationFunctional:
 # Each closed form works over the last axis: one position ``(n,)`` or a
 # batch ``(B, n)``, one value per row.
 
-def _dot(x: np.ndarray, w: np.ndarray):
-    """``sum_i x_i w_i`` over the last axis of ``x``.
-
-    ``np.vecdot`` adds each row in the order of the 1-d dot product, so a
-    batch row equals the value of the same position alone, bit for bit.
-    """
-    return np.vecdot(x, w)
-
-
-def _centred(space: MarketSpace, x: np.ndarray) -> np.ndarray:
-    """``x - E[x]``, row by row."""
-    return x - _dot(x, space.probs)[..., None]
-
-
 def _variance(space: MarketSpace, x: np.ndarray):
-    centred = _centred(space, x)
-    return _dot(centred * centred, space.probs)
+    centred = market.centred(space, x)
+    return market.dot(centred * centred, space.probs)
 
 
 def _std_dev(space: MarketSpace, x: np.ndarray):
@@ -108,16 +94,16 @@ def _std_dev(space: MarketSpace, x: np.ndarray):
 
 
 def _lower_semidev(space: MarketSpace, x: np.ndarray):
-    neg = np.maximum(-_centred(space, x), 0.0)
-    return np.sqrt(_dot(neg * neg, space.probs))
+    neg = np.maximum(-market.centred(space, x), 0.0)
+    return np.sqrt(market.dot(neg * neg, space.probs))
 
 
 def _lower_range(space: MarketSpace, x: np.ndarray):
-    return _dot(x, space.probs) - x.min(axis=-1)
+    return market.dot(x, space.probs) - x.min(axis=-1)
 
 
 def _upper_range(space: MarketSpace, x: np.ndarray):
-    return x.max(axis=-1) - _dot(x, space.probs)
+    return x.max(axis=-1) - market.dot(x, space.probs)
 
 
 def _full_range(space: MarketSpace, x: np.ndarray):
@@ -144,13 +130,13 @@ def expected_shortfall(space: MarketSpace, x: np.ndarray, alpha: float):
     capped = np.minimum(cum, alpha)
     seg = capped.copy()
     seg[..., 1:] -= capped[..., :-1]
-    total = _dot(values, np.maximum(seg, 0.0))
+    total = market.dot(values, np.maximum(seg, 0.0))
     return market.float_or_rows(-total / alpha)
 
 
 def shortfall_deviation(space: MarketSpace, x: np.ndarray, alpha: float):
     """``ESD_alpha(x) = ES_alpha(x - E[x])``; ``alpha = 0`` is the lower range."""
-    return expected_shortfall(space, _centred(space, np.asarray(x, dtype=float)), alpha)
+    return expected_shortfall(space, market.centred(space, np.asarray(x, dtype=float)), alpha)
 
 
 def _sup_range(space: MarketSpace, x: np.ndarray):
@@ -162,9 +148,7 @@ def _kb(a: float):
     ratio = (1.0 - a) / a
 
     def kb(space: MarketSpace, x: np.ndarray):
-        pos = np.maximum(x, 0.0)
-        neg = np.maximum(-x, 0.0)
-        return _dot(ratio * neg + pos, space.probs)
+        return market.dot(ratio * np.maximum(-x, 0.0) + np.maximum(x, 0.0), space.probs)
 
     return kb
 
@@ -326,7 +310,7 @@ def _law_invariant(D, space, rng):
 
 def _lower_range_dominated(D, space, rng):
     x = _draw(space, rng)
-    return max(0.0, D.eval(space, x) - float(space.probs @ x - np.min(x))), {"x": x.tolist()}
+    return max(0.0, D.eval(space, x) - (market.expectation(space, x) - float(np.min(x)))), {"x": x.tolist()}
 
 
 #: One witness per ``AxiomFlags`` field.

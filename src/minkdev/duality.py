@@ -13,13 +13,14 @@ compares them on sampled positions, and ``bipolar_check`` compares the
 bipolar with ``conv(P U {0})``.
 
 A polytope answers membership and shift intervals from one facet system,
-through one pairing kernel and one slack rule: the halfspace form from its
-rows, the vertex form from its hull facets.  For ``n <= MAX_ENUM_DIM`` those
-come from ``enumerate_facets``, which works from the vertices alone.  Above
-that dimension, or for more points than ``enumerate_facets`` takes
-(``FACET_POINTS_MAX``, ``FACET_SUBSETS_MAX``), they come from qhull, the
-module's only use of scipy, imported on first use; without scipy such a
-polytope warns and answers membership through an LP, as does a flat hull.
+through one pairing (``market.dot``) and one slack rule: the halfspace form
+from its rows, the vertex form from its hull facets.  For ``n <=
+MAX_ENUM_DIM`` those come from ``enumerate_facets``, which works from the
+vertices alone.  Above that dimension, or for more points than
+``enumerate_facets`` takes (``FACET_POINTS_MAX``, ``FACET_SUBSETS_MAX``),
+they come from qhull, the module's only use of scipy, imported on first
+use; without scipy such a polytope warns and answers membership through an
+LP, as does a flat hull.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import lp
 from .gauge import GaugeOptions, gauge_table
-from .market import SAMPLE_RANGE, Field, MarketSpace, as_position, as_positions
+from .market import SAMPLE_RANGE, Field, MarketSpace, as_position, as_positions, dot
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -141,12 +142,9 @@ class Polytope:
         may take a point ``1e-100 max|x|`` outside for a member.
         """
         x = np.asarray(x, dtype=float)
-        if self._facets is not None:
-            inside = (self._excess(x, tol) <= 0.0).all(axis=-1)
-        elif x.ndim > 1:
-            inside = np.array([hull_membership_lp(self.vertices, row) for row in x], dtype=bool)
-        else:
-            inside = hull_membership_lp(self.vertices, x)
+        if self._facets is None:
+            return np.array(list(map(self._in_hull, x)), dtype=bool) if x.ndim > 1 else self._in_hull(x)
+        inside = (self._excess(x, tol) <= 0.0).all(axis=-1)
         return inside if x.ndim > 1 else bool(inside)
 
     def _shift_interval(self, x):
@@ -195,7 +193,7 @@ class Polytope:
         ``normals``, when given, is paired with ``x`` in place of ``W``."""
         W, r, _ = self._facets
         slack = tol * np.abs(x).max(axis=-1, initial=0.0)
-        return _pairings(x, W if normals is None else normals) - r - slack[..., None]
+        return dot(x[..., None, :], W if normals is None else normals) - r - slack[..., None]
 
     @functools.cached_property
     def _facets(self):
@@ -217,9 +215,14 @@ class Polytope:
         else:
             W, b = self._hull_facets
             r = np.where(np.abs(b) <= 1e-12 * np.abs(self.vertices).max(), 0.0, -b)
-        s = _pairings(np.ones(self.space.n), W)
+        s = dot(np.ones(self.space.n), W)
         order = np.argsort(-np.sign(s), kind="stable")
         return W[order], r[order], s[order]
+
+    @functools.cached_property
+    def _in_hull(self):
+        """``hull_membership_lp`` of the vertices: one SVD per polytope."""
+        return hull_membership_lp(self.vertices)
 
     @functools.cached_property
     def _sorted_normals(self):
@@ -299,45 +302,43 @@ class Polytope:
                              orbit_membership=self._orbit_contains if faceted else None)
 
 
-def _pairings(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``x @ W.T`` for one position or a ``(B, n)`` batch, as one 1-d dot
-    product per row and facet: each row of a batch gets the bits it gets
-    alone, which BLAS matrix-vector and matrix-matrix products do not
-    promise."""
-    return np.vecdot(x[..., None, :], W)
-
-
-def hull_membership_lp(vertices: np.ndarray, x: np.ndarray) -> bool:
-    """Convex-combination feasibility: is ``x`` in conv(vertices)?
+def hull_membership_lp(vertices: np.ndarray):
+    """Convex-combination feasibility: the function that answers whether a
+    point ``x`` is in conv(vertices).
 
     A point off the vertices' affine hull by more than ``1e-9 max|x|``, plus
     the spread of the vertices in the directions the hull is taken to be
-    flat in, is outside; the hull comes from an SVD of the centred vertices,
-    scaled with ``x`` by a power of two below 1.  A non-finite ``x`` is
-    outside.  Any other point is decided by a pure phase-one LP over
-    barycentric weights, with absolute tolerances, so huge coordinates hide
-    small distances: against the vertices ``[[L, 0], [0, 1], [-1, -1]]``,
-    ``(L, -0.5)``, 0.5 outside (``0.5 / L`` relative to ``max|x|``, within
-    ``Polytope.contains``'s slack), is answered inside for ``L >= 1e100``
-    (and at ``1e50``).
+    flat in, is outside.  The hull comes from one SVD of the centred
+    vertices scaled by a power of two below 1; a point that needs a smaller
+    power scales the centre and the spread by the exact power it adds.  A
+    non-finite ``x`` is outside.  Any other point is decided by a pure
+    phase-one LP over barycentric weights, with absolute tolerances, so huge
+    coordinates hide small distances: against the vertices ``[[L, 0], [0,
+    1], [-1, -1]]``, ``(L, -0.5)``, 0.5 outside (``0.5 / L`` relative to
+    ``max|x|``, within ``Polytope.contains``'s slack), is answered inside
+    for ``L >= 1e100`` (and at ``1e50``).
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        return False
-    k, n = V.shape
-    e = -math.frexp(max(np.abs(V).max(), np.abs(x).max()))[1]
-    U, y = np.ldexp(V, e), np.ldexp(x, e)
+    k, vmax = len(V), np.abs(V).max()
+    e = -math.frexp(vmax)[1]
+    U = np.ldexp(V, e)
     centre = U.sum(axis=0) / k
     _, s, W = np.linalg.svd(U - centre)
     flat = s <= FLAT_TOL * s[0]  # directions of the hull's rank cut
-    off = W[int(np.count_nonzero(~flat)):] @ (y - centre)
-    if math.sqrt(off @ off) > 1e-9 * np.abs(y).max() + math.sqrt(s[flat] @ s[flat]):
-        return False
+    W, spread = W[int(np.count_nonzero(~flat)):], math.sqrt(s[flat] @ s[flat])
     A_eq = np.vstack([V.T, np.ones((1, k))])
-    b_eq = np.concatenate([x, [1.0]])
-    out = lp.solve_lp(np.zeros(k), A_eq=A_eq, b_eq=b_eq)
-    return out.status == "optimal"
+
+    def inside(x) -> bool:
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return False
+        d = -math.frexp(max(vmax, np.abs(x).max()))[1] - e
+        y = np.ldexp(x, e + d)
+        off = W @ (y - np.ldexp(centre, d))
+        if math.sqrt(off @ off) > 1e-9 * np.abs(y).max() + math.ldexp(spread, d):
+            return False
+        return lp.solve_lp(np.zeros(k), A_eq=A_eq, b_eq=np.concatenate([x, [1.0]])).status == "optimal"
+    return inside
 
 
 def enumerate_vertices(space: MarketSpace, rows, rhs) -> np.ndarray:

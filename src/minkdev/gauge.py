@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional
-from .market import MarketSpace, as_position, as_positions
+from .market import MarketSpace, as_position, as_positions, expectation
 from .sets import FLAG_AXIOMS, AcceptanceSet
 
 
@@ -298,7 +298,7 @@ def gauge_table(sets, X, opts: GaugeOptions = DEFAULT_OPTIONS) -> list[list[Gaug
     batched = [A.flags.star_shaped is True for A in sets]
     if sum(batched) * np.count_nonzero(np.any(X, axis=1)) < LOCKSTEP_MIN_CELLS:
         batched = [False] * len(sets)
-    solved = iter(_lockstep([A for A, b in zip(sets, batched) if b], X, opts))
+    solved = iter(_lockstep([A for A, b in zip(sets, batched) if b], X, opts) if any(batched) else ())
     table = [next(solved) if b else [None] * len(X) for b in batched]
     for i, x in enumerate(X):
         for column, A in zip(table, sets):
@@ -472,7 +472,7 @@ def _minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool) -> float
     lo_c, hi_c = lo_x - pad, hi_x + pad
 
     candidates = {float(v) for v in x}
-    candidates |= {float(space.probs @ x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
+    candidates |= {expectation(space, x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
     best = min(candidates, key=f)
 
     if convex:

@@ -9,6 +9,10 @@ Conventions used throughout the package:
 
 * expectation, norms and pairings are probability-weighted:
   ``<x, y> = sum_i p_i x_i y_i``;
+* every weighted sum over outcomes, in any module, is ``dot(x, w)``: one
+  1-d dot product per row of the last axis, so every module rounds alike
+  and a batch row gets the bits of the same position alone, which BLAS
+  matrix products do not promise (``pairing`` sums another way, as a check);
 * ``left_quantile(space, x, t)`` is the lower quantile
   ``inf { q : P(X <= q) >= t }`` for ``t in (0, 1]``;
 * comonotonicity is the exact pairwise condition
@@ -101,8 +105,19 @@ def as_positions(space: MarketSpace, values) -> np.ndarray:
     return X
 
 
-def expectation(space: MarketSpace, x: np.ndarray) -> float:
-    return float(space.probs @ np.asarray(x, dtype=float))
+def dot(x: np.ndarray, w: np.ndarray):
+    """``sum_i x_i w_i`` over the last axis, one 1-d dot product per row."""
+    return np.vecdot(x, w)
+
+
+def expectation(space: MarketSpace, x: np.ndarray):
+    """``E[x]``: a float for one position, a ``(B,)`` array for a batch."""
+    return float_or_rows(dot(np.asarray(x, dtype=float), space.probs))
+
+
+def centred(space: MarketSpace, x: np.ndarray) -> np.ndarray:
+    """``x - E[x]``, row by row."""
+    return x - dot(x, space.probs)[..., None]
 
 
 def pairing(space: MarketSpace, x: np.ndarray, y: np.ndarray) -> float:
@@ -124,7 +139,7 @@ def lp_norm(space: MarketSpace, x: np.ndarray, p: float):
         raise MarketError(f"lp_norm requires p >= 1, got {p}")
     # np.power takes the root by the same route for one position and for a
     # batch; the scalar ``**`` of a numpy float may differ in the last bit.
-    return float_or_rows(np.power((space.probs * np.abs(x) ** p).sum(axis=-1), 1.0 / p))
+    return float_or_rows(np.power(dot(np.abs(x) ** p, space.probs), 1.0 / p))
 
 
 def sorted_distribution(space: MarketSpace, x: np.ndarray):

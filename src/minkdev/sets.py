@@ -329,8 +329,7 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
 
     if interval is not None:
         def exact(X: np.ndarray):
-            # the mean summed over the last axis: one row gets the bits it gets alone
-            lo, hi = interval(X - (space.probs * X).sum(axis=-1, keepdims=True))
+            lo, hi = interval(market.centred(space, X))
             inside = lo <= hi
             return inside if np.ndim(inside) else bool(inside)
 
@@ -341,7 +340,7 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
         return bool(A.row_membership(x - shifts[:, None]).any())
 
     def member(x: np.ndarray) -> bool:
-        x = x - market.expectation(space, x)
+        x = market.centred(space, x)
         lo, hi = float(np.min(x)), float(np.max(x))
         mid = 0.5 * (lo + hi)
         cands = np.concatenate(([mid, market.expectation(space, x), float(np.median(x))], x))
@@ -507,10 +506,9 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
 
     def l2_interval(x: np.ndarray):
         y = x if centered_at_zero else x - c
-        mean = (space.probs * y).sum(axis=-1, keepdims=True)
-        room = radius * radius - (space.probs * (y - mean) ** 2).sum(axis=-1)
+        mean = market.dot(y, space.probs)
+        room = radius * radius - market.dot((y - mean[..., None]) ** 2, space.probs)
         half = np.sqrt(np.maximum(room, 0.0))
-        mean = mean[..., 0]
         return np.where(room < 0.0, math.inf, mean - half), mean + half
 
     flags = SetFlags(

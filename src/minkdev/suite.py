@@ -240,7 +240,7 @@ def _admissible_set(rng: np.random.Generator, space: MarketSpace, convex: bool, 
             w = np.full(space.n, float(rng.uniform(0.5, 2.0)))
         else:
             w = rng.uniform(0.5, 2.0, size=space.n)
-        return lambda sp, x: market.lp_norm(sp, w * (x - np.vecdot(x, sp.probs)[..., None]), p)
+        return lambda sp, x: market.lp_norm(sp, w * market.centred(sp, x), p)
 
     norms = [make(int(rng.integers(0, 3))) for _ in range(1 if convex else 2)]
     axioms = AxiomFlags(nonnegative=True, translation_insensitive=True, positive_homogeneous=True,

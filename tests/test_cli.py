@@ -296,6 +296,18 @@ def test_polar_of_a_halfspace_scenario_matches_golden(capsys):
     assert main(["polar", "--scenario", str(DATA / "halfspace_polar_scenario.json")]) == EXIT_OK
     assert capsys.readouterr().out == (DATA / "halfspace_polar_report.json").read_text(encoding="utf-8")
 
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "eval_catalogue"),     # 8 sets at 3 positions: 24 cells, solved in lockstep
+    ("eval", "eval_composite"),     # 10 composite sets at 1 position: each cell walks alone
+    ("boundary", "boundary_lr"),    # 64 rays of the lower range's acceptance set
+])
+def test_eval_and_boundary_output_matches_golden(command, name, capsys):
+    assert main([command, "--scenario", str(DATA / f"{name}_scenario.json")]) == EXIT_OK
+    golden = DATA / f"{name}_report.{'csv' if command == 'boundary' else 'json'}"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_check_measure_axioms(tmp_path, capsys):
     doc = {
         "v": 1,

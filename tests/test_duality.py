@@ -14,6 +14,7 @@ import pytest
 from minkdev.duality import (
     CHECK_OPTS,
     FACET_POINTS_MAX,
+    FLAT_TOL,
     MAX_ENUM_DIM,
     DualityError,
     Polytope,
@@ -25,10 +26,10 @@ from minkdev.duality import (
     polar,
     support_function,
     support_values,
-    _pairings,
 )
 from minkdev.gauge import GaugeOptions, minkowski_gauge
-from minkdev.market import SAMPLE_RANGE, MarketError, MarketSpace, pairing
+from minkdev.lp import solve_lp
+from minkdev.market import SAMPLE_RANGE, MarketError, MarketSpace, dot, pairing
 from minkdev.sets import scale_set
 
 UNIFORM2 = MarketSpace(np.array([0.5, 0.5]))
@@ -184,9 +185,76 @@ def test_a_flat_hull_refuses_points_off_its_plane():
     x = np.array([0.7, -0.4, 1e-3])
     assert minkowski_gauge(P.as_acceptance_set(), x).value == math.inf
     assert not P.contains(1e-6 * x) and P.contains([0.5, -0.4, 0.0])
-    assert not hull_membership_lp(P.vertices, [math.nan, 0.0, 0.0])
+    assert not hull_membership_lp(P.vertices)([math.nan, 0.0, 0.0])
     report = dual_representation_check(P, trials=50)
     assert (report.disagreements, report.infinite_agreements) == (0, 50)
+
+
+FLAT_SQUARE = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+
+
+def per_query_hull_membership(V, x):
+    """``hull_membership_lp`` as it was before a polytope kept the SVD of its
+    vertices, kept verbatim: one SVD per query, of the vertices scaled with
+    the point."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return False
+    k, n = V.shape
+    e = -math.frexp(max(np.abs(V).max(), np.abs(x).max()))[1]
+    U, y = np.ldexp(V, e), np.ldexp(x, e)
+    centre = U.sum(axis=0) / k
+    _, s, W = np.linalg.svd(U - centre)
+    flat = s <= FLAT_TOL * s[0]
+    off = W[int(np.count_nonzero(~flat)):] @ (y - centre)
+    if math.sqrt(off @ off) > 1e-9 * np.abs(y).max() + math.sqrt(s[flat] @ s[flat]):
+        return False
+    out = solve_lp(np.zeros(k), A_eq=np.vstack([V.T, np.ones((1, k))]), b_eq=np.concatenate([x, [1.0]]))
+    return out.status == "optimal"
+
+
+def test_a_flat_hull_takes_one_svd_for_a_batch(monkeypatch):
+    P = Polytope.from_vertices(MarketSpace(np.array([0.2, 0.3, 0.5])), FLAT_SQUARE)
+    assert P._hull_facets is None
+    X = np.random.default_rng(10).uniform(-1.0, 1.0, size=(12, 3)) * [1.0, 1.0, 1e-10]
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    inside = P.contains(X)
+    assert len(calls) == 1
+    assert P.contains(X).tolist() == inside.tolist() and len(calls) == 1
+    assert inside.tolist() == [per_query_hull_membership(P.vertices, x) for x in X]
+    assert 0 < inside.sum() < len(X)
+
+
+@pytest.mark.parametrize("V", [
+    FLAT_SQUARE,
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-12], [1.0, 1e-12]],
+    [[1e308, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+], ids=["square", "sliver", "float_limit"])
+def test_a_hull_answers_as_with_one_svd_per_query(V):
+    # points at many scales, near the vertices' plane and off it
+    V = np.asarray(V, dtype=float)
+    rng = np.random.default_rng(11)
+    k, n = V.shape
+    X = [V, V[:1] * 0.5 + V[1:2] * 0.5]
+    for scale in (1e-12, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e12):
+        X.append(scale * rng.uniform(-1.5, 1.5, size=(12, n)))
+        X.append(rng.dirichlet(np.ones(k), size=8) @ V * rng.uniform(0.5, 1.5, size=(8, 1))
+                 + scale * 1e-10 * rng.normal(size=(8, n)))
+    X = np.vstack(X)
+    P = Polytope.from_vertices(weighted_space(n), V)
+    assert P._hull_facets is None
+    # the LP's tableau overflows on a 1e308 vertex, in both versions alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [per_query_hull_membership(V, x) for x in X]
+        assert list(map(hull_membership_lp(V), X)) == expected
+        assert P.contains(X).tolist() == expected
+    assert 0 < sum(expected) < len(X)
 
 
 def test_enumerate_facets_caps_its_dimension_and_its_subsets():
@@ -202,7 +270,7 @@ def test_enumerate_facets_caps_its_dimension_and_its_subsets():
     P = Polytope.from_vertices(weighted_space(4), V)
     assert P._hull_facets is not None
     X = np.vstack([np.random.default_rng(7).uniform(-1.1, 1.1, size=(300, 4)), V, 0.99 * V, 1.01 * V])
-    assert P.contains(X).tolist() == [hull_membership_lp(V, x) for x in X]
+    assert P.contains(X).tolist() == list(map(hull_membership_lp(V), X))
 
 
 @pytest.mark.parametrize("n, V", [
@@ -215,7 +283,7 @@ def test_vertex_form_without_scipy_warns_and_answers_through_the_lp(monkeypatch,
     with pytest.warns(RuntimeWarning, match=r"minkdev\[hull\]"):
         assert P._hull_facets is None
     X = np.vstack([np.random.default_rng(9).uniform(-1.5, 1.5, size=(20, n)), 0.99 * V[:3], 1.01 * V[:3]])
-    assert P.contains(X).tolist() == [hull_membership_lp(V, x) for x in X]
+    assert P.contains(X).tolist() == list(map(hull_membership_lp(V), X))
 
 
 def test_vertex_form_answers_each_row_as_alone():
@@ -249,9 +317,9 @@ def masked_shift_interval(P, x):
     else:
         W, b = P._hull_facets
         r = np.where(np.abs(b) <= 1e-12 * np.abs(P.vertices).max(), 0.0, -b)
-    s = _pairings(np.ones(P.space.n), W)
+    s = dot(np.ones(P.space.n), W)
     x = np.asarray(x, dtype=float)
-    excess = _pairings(x, W) - r - (1e-9 * np.abs(x).max(axis=-1, initial=0.0))[..., None]
+    excess = dot(x[..., None, :], W) - r - (1e-9 * np.abs(x).max(axis=-1, initial=0.0))[..., None]
     bound = excess / np.where(s == 0.0, 1.0, s)
     lo = np.max(np.where(s > 0.0, bound, -math.inf), axis=-1)
     hi = np.min(np.where(s < 0.0, bound, math.inf), axis=-1)

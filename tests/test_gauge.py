@@ -731,9 +731,14 @@ def test_table_equals_cells_on_both_sides_of_the_lockstep_size(cells):
                                _positions(rng, 1, 4), SUITE)
 
 
-def test_table_below_the_lockstep_size_hands_row_membership_no_batch():
+def test_table_below_the_lockstep_size_hands_row_membership_no_batch(monkeypatch):
     ball = ball_set(UNIFORM3, p=2.0)
-    batches = []
+    batches, entered, lockstep = [], [], gauge._lockstep
+
+    def watched(sets, X, opts):
+        entered.append(len(sets))
+        return lockstep(sets, X, opts)
+    monkeypatch.setattr(gauge, "_lockstep", watched)
 
     def rows(X):
         batches.append(len(X))
@@ -748,9 +753,9 @@ def test_table_below_the_lockstep_size_hands_row_membership_no_batch():
              ([A], np.vstack([X[:-1], np.zeros(3)]))]         # a zero row is no cell
     for sets, Y in below:
         _assert_table_equals_cells(sets, Y, SUITE)
-        assert batches == []
+        assert batches == [] and entered == []     # nor is the lockstep entered
     _assert_table_equals_cells([A], X, SUITE)
-    assert batches and batches[0] == K
+    assert batches and batches[0] == K and entered == [1]
 
 
 def test_composites_in_a_lockstep_table_equal_each_cell():
