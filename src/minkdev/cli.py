@@ -202,16 +202,10 @@ def cmd_check(config: argparse.Namespace) -> int:
                 results = [sets.check_property(A, p, trials, config.seed) for p in props]
             else:
                 results = sets.audit_flags(A, trials, config.seed)
-            for r in results:
-                reports.append({"target": A.label or "set", "property": r.property,
-                                "passed": r.passed, "trials": r.trials,
-                                "counterexample": r.counterexample})
+            reports += [{"target": A.label or "set", **vars(r)} for r in results]
         else:
             D = measure_from_json(item["measure"])
-            for r in check_axioms(D, space, trials=trials, seed=config.seed):
-                reports.append({"target": D.label, "axiom": r.axiom, "passed": r.passed,
-                                "trials": r.trials, "worst_gap": r.worst_gap,
-                                "counterexample": r.counterexample})
+            reports += [{"target": D.label, **vars(r)} for r in check_axioms(D, space, trials, config.seed)]
     _write(_dump_json({"v": SCHEMA_VERSION, "reports": reports}), config.out)
     return EXIT_OK if all(r["passed"] for r in reports) else EXIT_CHECK_FAILED
 

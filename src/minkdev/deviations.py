@@ -15,9 +15,10 @@ linear ``kb(alpha)``, and ``sup_range = 2 ||.||_inf``), whose sub-level
 sets criterion 3 shifts along the constants.  ``CATALOGUE`` declares each
 measure once: its closed form, axioms, homogeneity degree and parameter.
 ``builtin_deviation``, ``builtin_error`` and ``measure_from_json`` (the
-measure descriptions of scenario files) build from it, and check a level
-when the measure is built.  ``check_axioms`` audits the axioms a
-functional declares on sampled positions.
+measure descriptions of scenario files) build from it: they check a level
+when the measure is built, and refuse a parameter the measure does not
+take.  ``check_axioms`` audits the axioms a functional declares on sampled
+positions.
 
 Quantile integrals are evaluated exactly on the step quantile function, so
 shortfall values carry no quadrature error.  Identities between measures
@@ -217,19 +218,27 @@ def builtin_error(name: str, p: float | None = None, alpha: float | None = None)
 
 def _from_catalogue(kind: str, name: str, alpha, p) -> DeviationFunctional:
     """Build a catalogue entry; its parameter, if it takes one, is checked
-    here and named in the label, as in ``esd(0.25)``."""
+    here and named in the label, as in ``esd(0.25)``, and a parameter it
+    does not take is refused."""
     entry = CATALOGUE.get(name)
     if entry is None or entry[0] != kind:
         raise MeasureError(f"unknown {kind} measure {name!r}")
     _, closed_form, axioms, degree, param = entry
     label = name
-    if param is not None:
-        value = _parameter(name, param, alpha, p)
+    value = _parameter(name, param, alpha, p)
+    if value is not None:
         closed_form, label = closed_form(value), f"{name}({value:g})"
     return DeviationFunctional(label=label, eval_fn=closed_form, axioms=axioms, homogeneity_degree=degree)
 
 
-def _parameter(name: str, param, alpha, p) -> float:
+def _parameter(name: str, param, alpha, p) -> float | None:
+    """``name``'s parameter ``param``, from ``alpha`` or ``p``, or None."""
+    takes = param if param in (None, "p") else "alpha"
+    for key, value in (("alpha", alpha), ("p", p)):
+        if value is not None and key != takes:
+            raise MeasureError(f"{name} takes no {key}")
+    if param is None:
+        return None
     if param == "p":
         if p is None:
             raise MeasureError(f"{name} requires the exponent p")
@@ -262,12 +271,8 @@ class AxiomReport:
 # Each witness draws one sampled case for its axiom and returns the gap the
 # case shows, with the positions and scalars that replay it.
 
-def _draw(space: MarketSpace, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=space.n)
-
-
 def _nonnegative(D, space, rng):
-    x = _draw(space, rng)
+    x = market.sample_positions(rng, space)
     v = D.eval(space, x)
     off_constants = AXIOM_TOL * 2 if np.ptp(x) > 1e-6 and v <= AXIOM_TOL else 0.0  # must be positive there
     c = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE)
@@ -275,13 +280,13 @@ def _nonnegative(D, space, rng):
 
 
 def _translation_insensitive(D, space, rng):
-    x = _draw(space, rng)
+    x = market.sample_positions(rng, space)
     c = rng.uniform(-2 * market.SAMPLE_RANGE, 2 * market.SAMPLE_RANGE)
     return abs(D.eval(space, x + c) - D.eval(space, x)), {"x": x.tolist(), "c": float(c)}
 
 
 def _positive_homogeneous(D, space, rng):
-    x = _draw(space, rng)
+    x = market.sample_positions(rng, space)
     lam = rng.uniform(0.1, 5.0)
     base = D.eval(space, x)
     gap = abs(D.eval(space, lam * x) - lam * base) / max(1.0, lam * abs(base))
@@ -289,7 +294,7 @@ def _positive_homogeneous(D, space, rng):
 
 
 def _convex(D, space, rng):
-    x, y = _draw(space, rng), _draw(space, rng)
+    x, y = market.sample_positions(rng, space, 2)
     lam = rng.uniform(0.0, 1.0)
     lhs = D.eval(space, lam * x + (1 - lam) * y)
     rhs = lam * D.eval(space, x) + (1 - lam) * D.eval(space, y)
@@ -303,13 +308,13 @@ def _comonotone_additive(D, space, rng):
 
 
 def _law_invariant(D, space, rng):
-    x = _draw(space, rng)
+    x = market.sample_positions(rng, space)
     perm = rng.permutation(space.n)
     return abs(D.eval(space, x[perm]) - D.eval(space, x)), {"x": x.tolist(), "perm": perm.tolist()}
 
 
 def _lower_range_dominated(D, space, rng):
-    x = _draw(space, rng)
+    x = market.sample_positions(rng, space)
     return max(0.0, D.eval(space, x) - (market.expectation(space, x) - float(np.min(x)))), {"x": x.tolist()}
 
 

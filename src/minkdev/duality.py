@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lp
 from .gauge import GaugeOptions, gauge_table
-from .market import SAMPLE_RANGE, Field, MarketSpace, as_position, as_positions, dot
+from .market import Field, MarketSpace, as_position, as_positions, dot, sample_positions
 from .sets import AcceptanceSet, SetFlags
 
 
@@ -279,7 +279,7 @@ class Polytope:
             return self.vertices
         return enumerate_vertices(self.space, self.rows, self.rhs)
 
-    def as_acceptance_set(self, label: str = "") -> AcceptanceSet:
+    def as_acceptance_set(self) -> AcceptanceSet:
         """View the polytope as a (closed convex) acceptance set; in both
         forms one function answers a position or a batch.  A polytope with
         facets (any but a flat hull) also gives the set its
@@ -297,7 +297,7 @@ class Polytope:
         member = lambda x: self.contains(x)
         faceted = self._facets is not None
         return AcceptanceSet(space=self.space, membership=member, flags=flags,
-                             label=label or "polytope", row_membership=member,
+                             label="polytope", row_membership=member,
                              shift_interval=self._shift_interval if faceted else None,
                              orbit_membership=self._orbit_contains if faceted else None)
 
@@ -681,7 +681,7 @@ def dual_representation_check(
     if not P.contains(np.zeros(P.space.n)):
         raise DualityError("dual representation requires 0 in the polytope")
     F = polar(P)
-    X = _sample_positions(P.space, trials, seed)
+    X = sample_positions(np.random.default_rng(seed), P.space, trials)
     [gauges] = gauge_table([P.as_acceptance_set()], X, opts)
     max_gap = 0.0
     inf_agree = 0
@@ -701,13 +701,6 @@ def dual_representation_check(
     return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=inf_agree, disagreements=bad)
 
 
-def _sample_positions(space: MarketSpace, trials: int, seed: int) -> np.ndarray:
-    """The ``(trials, n)`` positions of a sampled check, uniform on the
-    sampling box; the same numbers as ``trials`` draws of one position."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(trials, space.n))
-
-
 def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckReport:
     """Sampled agreement between the bipolar of ``P`` and ``conv(P U {0})``.
 
@@ -719,7 +712,7 @@ def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckRep
     F = polar(P)
     V = np.vstack([P.vertex_form(), np.zeros((1, P.space.n))])
     hull = Polytope.from_vertices(P.space, V)
-    X = _sample_positions(P.space, trials, seed)
+    X = sample_positions(np.random.default_rng(seed), P.space, trials)
     bad = 0
     max_gap = 0.0
     for sup, in_hull in zip(support_values(F, X), hull.contains(X, tol=BIPOLAR_TOL).tolist()):

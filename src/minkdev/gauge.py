@@ -382,8 +382,8 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     positively homogeneous by construction, nonnegative when ``A`` declares
     every one of ``ADMISSIBLE_FLAGS``, and has the axiom of each
     ``sets.FLAG_AXIOMS`` flag ``A`` declares; every other axiom is unknown.
-    The functional answers one position with ``minkowski_gauge`` and a
-    ``(B, n)`` batch with ``gauge_table``.
+    The functional answers through ``gauge_table``, one position as a batch
+    of one, validated as ``minkowski_gauge`` validates it.
     """
     declared = lambda flag: getattr(A.flags, flag) is True
     axioms = AxiomFlags(
@@ -393,10 +393,8 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     )
 
     def evaluate(space: MarketSpace, x: np.ndarray):
-        if x.ndim == 1:
-            return minkowski_gauge(A, x, opts).value
-        [column] = gauge_table([A], x, opts)
-        return np.array([res.value for res in column])
+        [column] = gauge_table([A], x if x.ndim > 1 else as_position(A.space, x)[None], opts)
+        return np.array([res.value for res in column]).reshape(x.shape[:-1])
 
     return DeviationFunctional(
         label=f"gauge({A.label})" if A.label else "gauge",

@@ -13,8 +13,10 @@ Conventions used throughout the package:
   1-d dot product per row of the last axis, so every module rounds alike
   and a batch row gets the bits of the same position alone, which BLAS
   matrix products do not promise (``pairing`` sums another way, as a check);
-* ``left_quantile(space, x, t)`` is the lower quantile
-  ``inf { q : P(X <= q) >= t }`` for ``t in (0, 1]``;
+* every sampled check draws its positions with ``sample_positions``,
+  uniformly from the box ``[-SAMPLE_RANGE, SAMPLE_RANGE]^n``;
+* ``left_quantile(*sorted_distribution(space, x), t)`` is the lower
+  quantile ``inf { q : P(X <= q) >= t }`` for ``t in (0, 1]``;
 * comonotonicity is the exact pairwise condition
   ``(x_i - x_j) (y_i - y_j) >= 0`` for all outcome pairs;
 * the dispersive order compares quantile spreads on a merged breakpoint
@@ -41,8 +43,7 @@ COMONOTONE_TOL = 1e-12
 #: Tolerance of ``dispersive_leq`` in the differences of quantile spreads.
 LAW_TOL = 1e-9
 
-#: The sampled checks draw positions from the box ``[-SAMPLE_RANGE,
-#: SAMPLE_RANGE]^n``.
+#: ``sample_positions`` draws from the box ``[-SAMPLE_RANGE, SAMPLE_RANGE]^n``.
 SAMPLE_RANGE = 4.0
 
 #: Largest outcome count for which ``sets.law_invariant_hull`` enumerates
@@ -158,14 +159,15 @@ def sorted_distribution(space: MarketSpace, x: np.ndarray):
     return values, cum
 
 
-def left_quantile(space: MarketSpace, x: np.ndarray, t: float) -> float:
-    """Lower quantile ``inf { q : P(x <= q) >= t }`` for ``t in (0, 1]``."""
-    if not 0.0 < t <= 1.0:
+def left_quantile(values: np.ndarray, cum: np.ndarray, t):
+    """Lower quantile ``inf { q : P(x <= q) >= t }`` for ``t in (0, 1]``,
+    read from the law ``(values, cum) = sorted_distribution(space, x)`` of
+    one position: a float for one level, an array for an array of levels."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t <= 1.0)):
         raise MarketError(f"quantile level must lie in (0, 1], got {t}")
-    values, cum = sorted_distribution(space, x)
-    idx = int(np.searchsorted(cum, t - PROB_TOL, side="left"))
-    idx = min(idx, values.size - 1)
-    return float(values[idx])
+    idx = np.searchsorted(cum, t - PROB_TOL, side="left")
+    return float_or_rows(values[np.minimum(idx, values.size - 1)])
 
 
 def is_comonotone(x: np.ndarray, y: np.ndarray) -> bool:
@@ -187,17 +189,21 @@ def dispersive_leq(space: MarketSpace, y: np.ndarray, x: np.ndarray) -> bool:
     the midpoints of the merged breakpoint grid is exact; the pairwise
     condition reduces to ``F_x^{-1} - F_y^{-1}`` being non-decreasing there.
     """
-    _, cum_x = sorted_distribution(space, x)
-    _, cum_y = sorted_distribution(space, y)
-    breaks = np.unique(np.concatenate(([0.0], cum_x, cum_y, [1.0])))
+    law_x, law_y = sorted_distribution(space, x), sorted_distribution(space, y)
+    breaks = np.unique(np.concatenate(([0.0], law_x[1], law_y[1], [1.0])))
     breaks = breaks[(breaks > -PROB_TOL) & (breaks < 1.0 + PROB_TOL)]
     breaks = np.clip(breaks, 0.0, 1.0)
     mids = (breaks[:-1] + breaks[1:]) / 2.0
     mids = mids[(mids > 0.0) & (mids < 1.0)]
-    qx = np.array([left_quantile(space, x, float(t)) for t in mids])
-    qy = np.array([left_quantile(space, y, float(t)) for t in mids])
-    diff = qx - qy
+    diff = left_quantile(*law_x, mids) - left_quantile(*law_y, mids)
     return bool(np.all(np.diff(diff) >= -LAW_TOL))
+
+
+def sample_positions(rng: np.random.Generator, space: MarketSpace, size: int | None = None) -> np.ndarray:
+    """Positions drawn uniformly from the box ``[-SAMPLE_RANGE, SAMPLE_RANGE]^n``:
+    one ``(n,)`` position, or a ``(size, n)`` batch whose rows are the
+    numbers of ``size`` single draws, in order."""
+    return rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=space.n if size is None else (size, space.n))
 
 
 def sample_comonotone_pair(

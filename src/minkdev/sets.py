@@ -130,6 +130,9 @@ class AcceptanceSet:
     answers a position or a batch, as ``membership`` and ``row_membership``
     do, with whether every outcome permutation of it is in the set; it is
     how ``law_invariant_hull`` answers exactly.
+
+    Each constructor derives ``label`` from its parts, and
+    ``dataclasses.replace(A, label=...)`` is the one way to override it.
     """
 
     space: MarketSpace
@@ -151,7 +154,7 @@ class AcceptanceSet:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> AcceptanceSet:
+def sublevel_set(space: MarketSpace, functional, k: float) -> AcceptanceSet:
     """Sub-level set ``{ x : D(x) <= k }`` of a ``DeviationFunctional`` at
     level ``k > 0``.
 
@@ -183,7 +186,7 @@ def sublevel_set(space: MarketSpace, functional, k: float, label: str = "") -> A
         space=space,
         membership=member,
         flags=flags,
-        label=label or f"sublevel({functional.label}, {k:g})",
+        label=f"sublevel({functional.label}, {k:g})",
         row_membership=member,
     )
 
@@ -484,7 +487,7 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
     )
 
 
-def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, label: str = "") -> AcceptanceSet:
+def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None) -> AcceptanceSet:
     """Probability-weighted ``L^p`` ball ``{ x : ||x - center||_p <= radius }``.
 
     For ``p = inf`` and ``p = 2`` the ball has a ``shift_interval``: with
@@ -521,7 +524,7 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
         contains_zero=bool(market.lp_norm(space, -c, p) <= radius),
     )
     return AcceptanceSet(space=space, membership=member, flags=flags,
-                         label=label or f"ball(p={p:g}, r={radius:g})", row_membership=member,
+                         label=f"ball(p={p:g}, r={radius:g})", row_membership=member,
                          shift_interval={math.inf: sup_interval, 2.0: l2_interval}.get(p))
 
 
@@ -529,8 +532,8 @@ def ball_set(space: MarketSpace, p: float, radius: float = 1.0, center=None, lab
 # Property falsifiers
 # ---------------------------------------------------------------------------
 
-# What the falsifiers sample, besides positions in the box of
-# ``market.SAMPLE_RANGE``: ``star_shaped`` scales members by a grid of
+# What the falsifiers sample, besides positions from
+# ``market.sample_positions``: ``star_shaped`` scales members by a grid of
 # LAMBDA_POINTS on [0, 1] (0 skipped); ``stable_scalar_add`` adds each of
 # SHIFT_VALUES; ``radially_bounded_nonconst`` scales by RAY_CAP, and
 # ``strongly_star_shaped`` by RAY_POINTS geometric scales on
@@ -555,7 +558,7 @@ class PropertyReport:
 def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
     """Rejection-sample one member of ``A`` (or None)."""
     for _ in range(SAMPLE_ATTEMPTS):
-        x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
+        x = market.sample_positions(rng, A.space)
         if A.membership(x):
             return x
         # Pull random points toward the origin; helps small sets.
@@ -578,7 +581,7 @@ def _strongly_star_shaped(A, rng):
     # Star-shapedness about 0 forces membership to be non-increasing along
     # every ray: once a scale of the geometric grid leaves the set, larger
     # scales stay out.
-    x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
+    x = market.sample_positions(rng, A.space)
     if np.any(x):
         pattern = [A.membership(s * x) for s in np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)]
         if any(not pattern[i] and pattern[i + 1] for i in range(len(pattern) - 1)):
@@ -613,7 +616,7 @@ def _radially_bounded_nonconst(A, rng):
 
 
 def _absorbing(A, rng):
-    x = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE, size=A.space.n)
+    x = market.sample_positions(rng, A.space)
     if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
         return {"x": x}
 

@@ -69,7 +69,7 @@ def check_closed_form_gauges(seed: int = 0) -> dict:
     max_gap = 0.0
     count = 0
     for space in spaces:
-        X = rng.uniform(-4.0, 4.0, size=(100, space.n))
+        X = market.sample_positions(rng, space, 100)
         cases = [(D, k) for D in measures for k in levels]
         table = gauge_table([sublevel_set(space, D, k) for D, k in cases], X, SUITE_OPTS)
         for (D, k), column in zip(cases, table):
@@ -93,7 +93,7 @@ def check_variance_normalisation(seed: int = 0) -> dict:
     space = _random_space(rng, 5)
     max_gap = 0.0
     for k in (1.0, 4.0):
-        X = rng.uniform(-4.0, 4.0, size=(100, space.n))
+        X = market.sample_positions(rng, space, 100)
         [column] = gauge_table([sublevel_set(space, var, k)], X, SUITE_OPTS)
         for x, res in zip(X, column):
             max_gap = max(max_gap, abs(res.value - sd.eval(space, x) / math.sqrt(k)))
@@ -123,7 +123,7 @@ def check_shift_identity(seed: int = 0) -> dict:
     max_sigma_gap = 0.0
     for A in (ball, kb_set, sup_set):
         AR = add_constants(A)
-        for x in [rng.uniform(-4.0, 4.0, size=space.n) for _ in range(50)] + SHIFT_FIXED_POSITIONS:
+        for x in [*market.sample_positions(rng, space, 50), *SHIFT_FIXED_POSITIONS]:
             direct = minkowski_gauge(AR, x, SUITE_OPTS).value
             shifted = shift_infimum_gauge(A, x, SUITE_OPTS).value
             max_gap = max(max_gap, abs(direct - shifted))
@@ -272,12 +272,12 @@ def check_axiom_propagation(seed: int = 0) -> dict:
         rows = [np.full(space.n, float(rng.uniform(-3, 3)))]  # a constant
         trials = []
         for _ in range(TRIALS_PER_SET):
-            x = rng.uniform(-4.0, 4.0, size=space.n)
+            x = market.sample_positions(rng, space)
             c = float(rng.uniform(-5.0, 5.0))
             lam = float(rng.uniform(0.2, 4.0))
             rows += [x, x + c, lam * x]
             if convex:
-                y = rng.uniform(-4.0, 4.0, size=space.n)
+                y = market.sample_positions(rng, space)
                 rows += [0.5 * (x + y), y]
             if law:
                 rows.append(x[perms[int(rng.integers(0, 3))]])
@@ -349,7 +349,7 @@ def check_gauge_algebra(seed: int = 0) -> dict:
         I = combine("intersection", A, B)
         t = float(rng.uniform(0.3, 3.0))
         S = sets.scale_set(A, t)
-        X = rng.uniform(-4.0, 4.0, size=(5, space.n))
+        X = market.sample_positions(rng, space, 5)
         table = gauge_table([A, B, U, I, S], X, SUITE_OPTS)
         for ga, gb, gu, gi, gs in zip(*([res.value for res in column] for column in table)):
             max_gap = max(max_gap, abs(gu - min(ga, gb)), abs(gi - max(ga, gb)),

@@ -21,6 +21,12 @@ SEED = 0
 #: lockstep gauge table; any change to a reported number shows up here.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "suite_report_seed0.json"
 
+#: The battery's report at a held-out seed where every criterion passes
+#: too, generated the same way: a criterion whose random stream shifts only
+#: at another seed than ``SEED`` shows up here.
+HELD_OUT_SEED = 8191
+GOLDEN_HELD_OUT = Path(__file__).parent / "data" / f"suite_report_seed{HELD_OUT_SEED}.json"
+
 #: Wall-clock budgets in seconds, per criterion.
 BUDGETS = {
     "closed_form_gauges": 10.0,
@@ -144,6 +150,11 @@ def test_criterion_10_determinism(battery):
 def test_report_matches_golden(battery):
     _, _, first_json, _ = battery
     assert first_json.encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_report_matches_golden_at_the_held_out_seed():
+    reports, _ = run_suite(seed=HELD_OUT_SEED)
+    assert canonical_report(reports).encode() == GOLDEN_HELD_OUT.read_bytes()
 
 
 def test_every_registered_criterion_reported(battery):

@@ -518,6 +518,18 @@ def test_a_shortfall_level_out_of_range_exits_2_with_its_path(tmp_path, capsys, 
     assert captured.err == f"error: {path}: shortfall level must lie in [0, 1], got {alpha}\n"
 
 
+@pytest.mark.parametrize("command, doc, error", [
+    ("eval", dict(EVAL_DOC, measures=[{"measure": "std_dev", "alpha": 0.3}]), "measures[0]: std_dev takes no alpha"),
+    ("check", {"v": 1, "space": {"probs": [0.25, 0.75]}, "check": [{"measure": {"measure": "lr", "alpha": 0.3}}]},
+     "check[0].measure: lr takes no alpha"),
+], ids=["measure", "check"])
+def test_a_level_for_a_measure_without_one_exits_2_with_its_path(tmp_path, capsys, command, doc, error):
+    assert main([command, "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_polar_of_an_unbounded_halfspace_polytope_exits_2(tmp_path, capsys):
     # y0 <= 2 and |y1| <= 2 are unbounded toward y0 -> -inf: the polar of
     # their two corners would be wrong, so there is none

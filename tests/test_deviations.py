@@ -168,3 +168,15 @@ def test_a_shortfall_level_is_checked_when_the_measure_is_built(name, alpha):
         measure_from_json({"measure": name, "alpha": alpha})
     for a in (0.0, 1.0):
         assert builtin_deviation(name, alpha=a).label == f"{name}({a:g})"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: builtin_deviation("std_dev", alpha=0.3), "std_dev takes no alpha"),
+    (lambda: builtin_error("sup_range", p=3.0), "sup_range takes no p"),
+    (lambda: builtin_error("kb", p=2.0, alpha=0.2), "kb takes no p"),
+    (lambda: builtin_error("lp_norm", p=2.0, alpha=0.2), "lp_norm takes no alpha"),
+    (lambda: measure_from_json({"measure": "frd", "alpha": 0.5}), "measure: frd takes no alpha"),
+], ids=["deviation", "error", "level-measure", "exponent-measure", "json"])
+def test_a_parameter_the_measure_does_not_take_is_refused(build, message):
+    with pytest.raises(MeasureError, match=f"^{message}$"):
+        build()

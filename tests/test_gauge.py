@@ -795,10 +795,23 @@ def test_deviation_from_set_propagates_axioms():
     for _ in range(10):
         x = rng.uniform(-4, 4, size=4)
         assert D.eval(SPACE4, x) == pytest.approx(sd.eval(SPACE4, x), abs=1e-8)
+        assert D.eval(SPACE4, x) == minkowski_gauge(A, x, TIGHT).value
     for rows in (3, K + 4):                           # cell by cell, and lockstep
         X = rng.uniform(-4, 4, size=(rows, 4))
         got = D.eval(SPACE4, X)
         assert isinstance(got, np.ndarray) and got.tolist() == [D.eval(SPACE4, x) for x in X]
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.array([0.0, 1.0, np.nan, 0.0]), 1.0, np.zeros((2, 3))],
+                         ids=["length", "nan", "scalar", "batch-length"])
+def test_the_gauge_functional_refuses_a_malformed_position_as_the_gauge_does(bad):
+    A = ball_set(SPACE4, 2.0)
+    gauge_of = minkowski_gauge if np.ndim(bad) < 2 else lambda A, X: gauge_table([A], X)
+    with pytest.raises(MarketError) as expected:
+        gauge_of(A, bad)
+    with pytest.raises(MarketError) as got:
+        deviation_from_set(A).eval(SPACE4, bad)
+    assert str(got.value) == str(expected.value)
 
 
 
@@ -849,7 +862,7 @@ def test_shift_infimum_matches_add_constants_route():
 
 
 def test_add_constants_of_a_shift_stable_set_is_that_set():
-    A = sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0, label="sd")
+    A = replace(sublevel_set(SPACE4, builtin_deviation("std_dev"), 1.0), label="sd")
     AR = add_constants(A)                             # A + R = A
     assert (AR.membership, AR.row_membership, AR.flags, AR.label) == \
         (A.membership, A.row_membership, A.flags, "(sd)+R")

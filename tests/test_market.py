@@ -70,13 +70,18 @@ def test_pairing_is_probability_weighted():
 
 def test_left_quantile_step_behaviour():
     x = np.array([0.0, 4.0 / 3.0])
+    law = market.sorted_distribution(BINARY, x)
     # P(X <= 0) = 1/4: levels up to 1/4 give the lower atom.
-    assert market.left_quantile(BINARY, x, 0.1) == 0.0
-    assert market.left_quantile(BINARY, x, 0.25) == 0.0
-    assert market.left_quantile(BINARY, x, 0.26) == pytest.approx(4.0 / 3.0)
-    assert market.left_quantile(BINARY, x, 1.0) == pytest.approx(4.0 / 3.0)
-    with pytest.raises(MarketError):
-        market.left_quantile(BINARY, x, 0.0)
+    assert market.left_quantile(*law, 0.1) == 0.0
+    assert market.left_quantile(*law, 0.25) == 0.0
+    assert market.left_quantile(*law, 0.26) == pytest.approx(4.0 / 3.0)
+    assert market.left_quantile(*law, 1.0) == pytest.approx(4.0 / 3.0)
+    # an array of levels reads each level's quantile from the one law
+    levels = [0.1, 0.25, 0.26, 1.0]
+    assert market.left_quantile(*law, levels).tolist() == [market.left_quantile(*law, t) for t in levels]
+    for bad in (0.0, [0.5, 1.5]):
+        with pytest.raises(MarketError):
+            market.left_quantile(*law, bad)
 
 
 def test_quantile_is_comonotone_additive_building_block():
@@ -85,10 +90,23 @@ def test_quantile_is_comonotone_additive_building_block():
     for _ in range(50):
         x, y = market.sample_comonotone_pair(rng, space, scale=2.0)
         for t in (0.05, 0.15, 0.45, 0.85):
-            qx = market.left_quantile(space, x, t)
-            qy = market.left_quantile(space, y, t)
-            qxy = market.left_quantile(space, x + y, t)
+            qx = market.left_quantile(*market.sorted_distribution(space, x), t)
+            qy = market.left_quantile(*market.sorted_distribution(space, y), t)
+            qxy = market.left_quantile(*market.sorted_distribution(space, x + y), t)
             assert qxy == pytest.approx(qx + qy, abs=1e-12)
+
+
+# --- sampling ---------------------------------------------------------------
+
+@pytest.mark.parametrize("space", [BINARY, UNIFORM3], ids=["n2", "n3"])
+def test_a_batch_of_sampled_positions_is_that_many_single_draws(space):
+    batch_rng, single_rng = np.random.default_rng(4), np.random.default_rng(4)
+    X = market.sample_positions(batch_rng, space, 7)
+    singles = [market.sample_positions(single_rng, space) for _ in range(7)]
+    assert X.shape == (7, space.n) and singles[0].shape == (space.n,)
+    assert X.tolist() == [x.tolist() for x in singles]
+    assert batch_rng.random() == single_rng.random()     # the stream goes on alike
+    assert np.all(np.abs(X) <= market.SAMPLE_RANGE)
 
 
 # --- comonotonicity ----------------------------------------------------------

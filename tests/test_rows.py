@@ -79,7 +79,7 @@ def ref_law_invariant_hull(A, x):
 
 def asymmetric_polytope(space, seed=5):
     """Unequal coordinate bounds plus random facets: 0 inside, no symmetry."""
-    return asymmetric_halfspaces(space, seed).as_acceptance_set(label="asym")
+    return replace(asymmetric_halfspaces(space, seed).as_acceptance_set(), label="asym")
 
 
 def asymmetric_halfspaces(space, seed):
