@@ -17,9 +17,12 @@ bisection cannot narrow a bracket any further.
 
 Scenario files are JSON documents with a mandatory schema version ``"v": 1``
 and a ``"space"`` entry; the remaining keys depend on the command (see the
-command functions), and ``market.Field`` reads every field.  ``"v"``,
-``"rays"``, ``"trials"`` and ``"resolution"`` are JSON integers, the last three
-at most ``MAX_RAYS``, ``MAX_TRIALS`` and ``sets.MAX_RESOLUTION``.
+command functions), and ``market.Field`` reads every field.  A set,
+measure or polytope description holds only the members its kind reads;
+the scenario's own keys are not checked, so one file serves several
+commands.  ``"v"``, ``"rays"``, ``"trials"`` and ``"resolution"`` are JSON
+integers, the last three at most ``MAX_RAYS``, ``MAX_TRIALS`` and
+``sets.MAX_RESOLUTION``.
 Exit codes: 0 success, 1 a property or invariant check failed, 2 malformed
 input, 3 a numerical failure (the simplex iteration cap).  Any other
 exception is a defect and propagates.

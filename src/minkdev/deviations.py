@@ -368,10 +368,12 @@ def check_axioms(
 
 def measure_from_json(doc) -> DeviationFunctional:
     """Parse ``{"measure": name, "alpha"?: a}`` (or a bare name string); an
-    error names the description's path."""
+    error, and any other member, names the description's path."""
     doc = market.Field.of(doc, "measure")
     with doc.blame(MeasureError):
         if type(doc.value) is str:
             return builtin_deviation(doc.value)
         alpha = doc["alpha"].number() if "alpha" in doc else None
-        return builtin_deviation(doc["measure"].string(), alpha=alpha)
+        D = builtin_deviation(doc["measure"].string(), alpha=alpha)
+    doc.done()
+    return D

@@ -121,13 +121,17 @@ class Polytope:
     @classmethod
     def from_json(cls, space: MarketSpace, doc) -> "Polytope":
         """A polytope from ``{"vertices": [[...], ...]}`` or ``{"rows": [[...],
-        ...], "rhs": [...]}``, never both; an error names the polytope's path."""
+        ...], "rhs": [...]}``, never both, and no other member; an error names
+        the polytope's path."""
         doc = Field.of(doc, "polytope")
         with doc.blame(DualityError):
             if "vertices" not in doc:
-                return cls.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
-            doc.expect("rows" not in doc and "rhs" not in doc, '"vertices" or "rows" and "rhs", not both')
-            return cls.from_vertices(space, doc["vertices"].matrix())
+                P = cls.from_halfspaces(space, doc["rows"].matrix(), doc["rhs"].numbers())
+            else:
+                doc.expect("rows" not in doc and "rhs" not in doc, '"vertices" or "rows" and "rhs", not both')
+                P = cls.from_vertices(space, doc["vertices"].matrix())
+        doc.done()
+        return P
 
     # -- membership ---------------------------------------------------------
 
@@ -683,22 +687,13 @@ def dual_representation_check(
     F = polar(P)
     X = sample_positions(np.random.default_rng(seed), P.space, trials)
     [gauges] = gauge_table([P.as_acceptance_set()], X, opts)
-    max_gap = 0.0
-    inf_agree = 0
-    bad = 0
-    for gauge, sup in zip(gauges, support_values(F, X)):
-        g, h = gauge.value, sup.value
-        if math.isinf(g) or math.isinf(h):
-            if math.isinf(g) and math.isinf(h):
-                inf_agree += 1
-            else:
-                bad += 1
-            continue
-        gap = abs(g - h)
-        max_gap = max(max_gap, gap)
-        if gap > DUAL_TOL:
-            bad += 1
-    return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=inf_agree, disagreements=bad)
+    g = np.array([res.value for res in gauges])
+    h = np.array([sup.value for sup in support_values(F, X)])
+    g_inf, h_inf = np.isinf(g), np.isinf(h)
+    gap = np.abs(np.subtract(g, h, out=np.zeros_like(g), where=~(g_inf | h_inf)))
+    return DualCheckReport(trials=trials, max_gap=float(gap.max(initial=0.0)),
+                           infinite_agreements=int(np.sum(g_inf & h_inf)),
+                           disagreements=int(np.sum((g_inf != h_inf) | (gap > DUAL_TOL))))
 
 
 def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckReport:
@@ -713,15 +708,8 @@ def bipolar_check(P: Polytope, trials: int = 500, seed: int = 0) -> DualCheckRep
     V = np.vstack([P.vertex_form(), np.zeros((1, P.space.n))])
     hull = Polytope.from_vertices(P.space, V)
     X = sample_positions(np.random.default_rng(seed), P.space, trials)
-    bad = 0
-    max_gap = 0.0
-    for sup, in_hull in zip(support_values(F, X), hull.contains(X, tol=BIPOLAR_TOL).tolist()):
-        h = sup.value
-        in_bipolar = h <= 1.0 + BIPOLAR_TOL
-        if in_bipolar != in_hull:
-            if abs(h - 1.0) <= 10 * BIPOLAR_TOL:
-                continue  # boundary grazing within tolerance
-            bad += 1
-            max_gap = max(max_gap, abs(h - 1.0))
-    return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=0, disagreements=bad)
-
+    h = np.array([sup.value for sup in support_values(F, X)])
+    off = np.abs(h - 1.0)
+    bad = ((h <= 1.0 + BIPOLAR_TOL) != hull.contains(X, tol=BIPOLAR_TOL)) & (off > 10 * BIPOLAR_TOL)
+    return DualCheckReport(trials=trials, max_gap=float(off[bad].max(initial=0.0)), infinite_agreements=0,
+                           disagreements=int(bad.sum()))

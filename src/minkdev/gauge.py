@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional
-from .market import MarketSpace, as_position, as_positions, expectation
+from .market import MarketError, MarketSpace, as_position, as_positions, expectation
 from .sets import FLAG_AXIOMS, AcceptanceSet
 
 
@@ -383,7 +383,8 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     every one of ``ADMISSIBLE_FLAGS``, and has the axiom of each
     ``sets.FLAG_AXIOMS`` flag ``A`` declares; every other axiom is unknown.
     The functional answers through ``gauge_table``, one position as a batch
-    of one, validated as ``minkowski_gauge`` validates it.
+    of one, validated as ``minkowski_gauge`` validates it, and only on
+    ``A``'s space: another space is refused with ``MarketError``.
     """
     declared = lambda flag: getattr(A.flags, flag) is True
     axioms = AxiomFlags(
@@ -393,6 +394,8 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
     )
 
     def evaluate(space: MarketSpace, x: np.ndarray):
+        if not space.same_as(A.space):
+            raise MarketError("the gauge of a set evaluates on the set's own space")
         [column] = gauge_table([A], x if x.ndim > 1 else as_position(A.space, x)[None], opts)
         return np.array([res.value for res in column]).reshape(x.shape[:-1])
 

@@ -82,6 +82,10 @@ class MarketSpace:
     def is_uniform(self) -> bool:
         return bool(np.all(np.abs(self.probs - 1.0 / self.n) <= PROB_TOL))
 
+    def same_as(self, other: "MarketSpace") -> bool:
+        """Whether ``other`` is this space: the same object, or equal probabilities."""
+        return other is self or np.array_equal(self.probs, other.probs)
+
 
 def as_position(space: MarketSpace, values) -> np.ndarray:
     """Validate ``values`` as a position on ``space`` and return it as an array."""
@@ -228,10 +232,12 @@ class Field:
     Its accessors alone decide what is well formed, and each error is a
     ``MarketError`` whose message starts with the path: a member is present
     or absent, and ``null`` is no value; a number is a finite JSON number,
-    not a bool or a string; a whole number is a JSON integer."""
+    not a bool or a string; a whole number is a JSON integer.  A
+    description's members are read through ``get``, and ``done`` refuses
+    one that no accessor read."""
 
     def __init__(self, value, path: str = ""):
-        self.value, self.path = value, path
+        self.value, self.path, self.read = value, path, set()
 
     @classmethod
     def of(cls, doc, path: str) -> "Field":
@@ -270,7 +276,15 @@ class Field:
         value = self.object().get(key, default)
         if value is None and key not in self.value:
             raise MarketError(f"{path}: missing")
+        self.read.add(key)
         return Field(value, path)
+
+    def done(self):
+        """Refuse the first member that no accessor has read: a misspelt
+        member would otherwise change the answer without a word."""
+        unread = [key for key in self.object() if key not in self.read]
+        if unread:
+            raise MarketError(f"{self.path}.{unread[0]}: not a member this description reads")
 
     __getitem__ = get
 

@@ -7,7 +7,8 @@ Flags are trusted by downstream numerics — e.g. the gauge solver only uses
 bisection when ``star_shaped`` is declared — so constructors propagate them
 conservatively, and a composite declares ``False`` only where it inherits it.
 ``FALSIFIERS`` holds one sampling falsifier per property: ``check_property``
-runs one, and ``audit_flags`` those of the flags declared ``True``.
+runs one, and ``audit_flags`` those of the flags declared ``True``.  A
+falsifier asks only ``row_membership``, each case as one batch.
 ``FLAG_AXIOMS`` pairs set flags with measure axioms: ``sublevel_set``
 reads it from measure to set, ``gauge.deviation_from_set`` from set to gauge.
 
@@ -237,7 +238,7 @@ def combine(op: str, A: AcceptanceSet, B: AcceptanceSet) -> AcceptanceSet:
     undecided rows of a batch.  When each operand answers both shapes with
     one function, so does the combination.
     """
-    if A.space is not B.space and not np.array_equal(A.space.probs, B.space.probs):
+    if not A.space.same_as(B.space):
         raise SetError("combine requires sets over the same market space")
     fa, fb = A.flags, B.flags
     flags = {name: True if a is True and getattr(fb, name) is True else None for name, a in vars(fa).items()}
@@ -555,16 +556,21 @@ class PropertyReport:
     counterexample: dict | None = None
 
 
+def _first(answers, answer: bool = True) -> int | None:
+    """The index of the first row a ``row_membership`` batch answered
+    ``answer``, or None."""
+    hits = np.asarray(answers, dtype=bool) == answer
+    return int(np.argmax(hits)) if hits.any() else None
+
+
 def _sample_member(A: AcceptanceSet, rng: np.random.Generator):
     """Rejection-sample one member of ``A`` (or None)."""
     for _ in range(SAMPLE_ATTEMPTS):
-        x = market.sample_positions(rng, A.space)
-        if A.membership(x):
-            return x
-        # Pull random points toward the origin; helps small sets.
-        for shrink in (0.25, 0.05):
-            if A.membership(x * shrink):
-                return x * shrink
+        # each draw is asked with its pulls toward the origin; they help small sets
+        Z = market.sample_positions(rng, A.space) * np.array([[1.0], [0.25], [0.05]])
+        i = _first(A.row_membership(Z))
+        if i is not None:
+            return Z[i]
     return None
 
 
@@ -572,9 +578,10 @@ def _star_shaped(A, rng):
     x = _sample_member(A, rng)
     if x is None:
         return False
-    for lam in np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:]:
-        if not A.membership(lam * x):
-            return {"x": x, "lam": float(lam)}
+    lams = np.linspace(0.0, 1.0, LAMBDA_POINTS)[1:, None]
+    i = _first(A.row_membership(lams * x), False)
+    if i is not None:
+        return {"x": x, "lam": float(lams[i, 0])}
 
 
 def _strongly_star_shaped(A, rng):
@@ -583,9 +590,18 @@ def _strongly_star_shaped(A, rng):
     # scales stay out.
     x = market.sample_positions(rng, A.space)
     if np.any(x):
-        pattern = [A.membership(s * x) for s in np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)]
-        if any(not pattern[i] and pattern[i + 1] for i in range(len(pattern) - 1)):
-            return {"x": x, "pattern": [int(b) for b in pattern]}
+        scales = np.geomspace(1.0 / RAY_CAP, RAY_CAP, RAY_POINTS)[:, None]
+        pattern = np.asarray(A.row_membership(scales * x), dtype=bool)
+        if np.any(~pattern[:-1] & pattern[1:]):
+            return {"x": x, "pattern": pattern.astype(int).tolist()}
+
+
+def _mix(A, x, y, answer: bool = False):
+    """The first mix ``lam x + (1 - lam) y`` that ``A`` answers ``answer``."""
+    lams = np.array([0.25, 0.5, 0.75])[:, None]
+    i = _first(A.row_membership(lams * x + (1 - lams) * y), answer)
+    if i is not None:
+        return {"x": x, "y": y, "lam": float(lams[i, 0])}
 
 
 def _convex(A, rng):
@@ -593,31 +609,29 @@ def _convex(A, rng):
     y = _sample_member(A, rng)
     if x is None or y is None:
         return False
-    for lam in (0.25, 0.5, 0.75):
-        if not A.membership(lam * x + (1 - lam) * y):
-            return {"x": x, "y": y, "lam": lam}
+    return _mix(A, x, y)
 
 
 def _stable_scalar_add(A, rng):
     x = _sample_member(A, rng)
     if x is None:
         return False
-    for c in SHIFT_VALUES:
-        if not A.membership(x + c):
-            return {"x": x, "c": c}
+    i = _first(A.row_membership(x + np.array(SHIFT_VALUES)[:, None]), False)
+    if i is not None:
+        return {"x": x, "c": SHIFT_VALUES[i]}
 
 
 def _radially_bounded_nonconst(A, rng):
     x = _sample_member(A, rng)
     if x is None:
         return False
-    if np.ptp(x) >= 1e-9 and A.membership(x * RAY_CAP):
+    if np.ptp(x) >= 1e-9 and A.row_membership(x[None] * RAY_CAP)[0]:
         return {"x": x, "scale": RAY_CAP}
 
 
 def _absorbing(A, rng):
     x = market.sample_positions(rng, A.space)
-    if not any(A.membership(x * s) for s in np.geomspace(1.0, 1e-10, 41)):
+    if _first(A.row_membership(np.geomspace(1.0, 1e-10, 41)[:, None] * x)) is None:
         return {"x": x}
 
 
@@ -629,21 +643,21 @@ def _law_invariant(A, rng):
     x = _sample_member(A, rng)
     if x is None:
         return False
-    outside = ~np.asarray(A.row_membership(x[perms]), dtype=bool)
-    if outside.any():
-        return {"x": x, "perm": perms[int(np.argmax(outside))].tolist()}
+    i = _first(A.row_membership(x[perms]), False)
+    if i is not None:
+        return {"x": x, "perm": perms[i].tolist()}
 
 
-def _comonotone_mix(member, A, rng):
-    """A comonotone pair, scaled jointly into ``member``, that mixes out of it."""
+def _comonotone_mix(A, rng, inside: bool):
+    """A comonotone pair, scaled jointly into ``A`` (out of it when not
+    ``inside``), that mixes out of it (into it)."""
     x, y = market.sample_comonotone_pair(rng, A.space, scale=market.SAMPLE_RANGE)
-    s = next((s for s in np.geomspace(4.0, 1e-4, 25) if member(x * s) and member(y * s)), None)
-    if s is None:
+    scales = np.geomspace(4.0, 1e-4, 25)[:, None]
+    hits = np.asarray(A.row_membership(np.vstack([scales * x, scales * y])), dtype=bool) == inside
+    j = _first(hits[:len(scales)] & hits[len(scales):])
+    if j is None:
         return False
-    xs, ys = x * s, y * s
-    for lam in (0.25, 0.5, 0.75):
-        if not member(lam * xs + (1 - lam) * ys):
-            return {"x": xs, "y": ys, "lam": lam}
+    return _mix(A, x * scales[j], y * scales[j], not inside)
 
 
 def _anti_monotone_dispersive(A, rng):
@@ -655,7 +669,7 @@ def _anti_monotone_dispersive(A, rng):
     shift = rng.uniform(-1.0, 1.0)
     mean = market.expectation(A.space, x)
     y = shift + mean + lam * (x - mean)
-    if market.dispersive_leq(A.space, y, x) and not A.membership(y):
+    if market.dispersive_leq(A.space, y, x) and not A.row_membership(y[None])[0]:
         return {"x": x, "y": y, "lam": float(lam), "shift": float(shift)}
 
 
@@ -671,8 +685,8 @@ FALSIFIERS: dict[str, Callable[[AcceptanceSet, np.random.Generator], dict | bool
     "radially_bounded_nonconst": _radially_bounded_nonconst,
     "absorbing": _absorbing,
     "law_invariant": _law_invariant,
-    "comonotone_convex": lambda A, rng: _comonotone_mix(A.membership, A, rng),
-    "complement_comonotone_convex": lambda A, rng: _comonotone_mix(lambda z: not A.membership(z), A, rng),
+    "comonotone_convex": lambda A, rng: _comonotone_mix(A, rng, True),
+    "complement_comonotone_convex": lambda A, rng: _comonotone_mix(A, rng, False),
     "anti_monotone_dispersive": _anti_monotone_dispersive,
 }
 
@@ -687,6 +701,12 @@ def check_property(A: AcceptanceSet, prop: str, trials: int = 200, seed: int = 0
     report means no counterexample was found within the sampling budget; it
     is evidence, not proof.  A failing report carries a replayable
     counterexample (positions and scalars) and its draw index ``trial``.
+
+    A case asks ``A`` only through ``row_membership``: each draw with its
+    shrinks toward 0 as one batch, then the case's scales, shifts or mixes
+    as one batch (a comonotone case its scales, then its mixes), every row
+    of a batch even past the first refusal.  The counterexample is the
+    first refused row in probe order.
     """
     falsify = FALSIFIERS.get(prop)
     if falsify is None:
@@ -732,7 +752,8 @@ def set_from_json(space: MarketSpace, doc) -> AcceptanceSet:
         {"kind": "law_invariant_hull", "of": {...}}
 
     Every kind takes an optional ``"label"`` string; without one, a set is
-    labelled from its parts.  Fields follow ``market.Field``'s rules;
+    labelled from its parts, and a member its kind does not read is
+    refused.  Fields follow ``market.Field``'s rules;
     ``"p": "inf"``, the default, is the one spelling of infinity, and
     ``"resolution"`` is a whole number from 2 to ``MAX_RESOLUTION``.  An
     error raised building a set names the set's path, as in ``sets[0]:
@@ -771,4 +792,5 @@ def set_from_json(space: MarketSpace, doc) -> AcceptanceSet:
         else:
             raise SetError(f"unknown set kind {kind!r}")
     label = doc.get("label", "").string()
+    doc.done()
     return replace(A, label=label) if label else A

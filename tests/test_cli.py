@@ -530,6 +530,34 @@ def test_a_level_for_a_measure_without_one_exits_2_with_its_path(tmp_path, capsy
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command, doc, path", [
+    ("eval", dict(EVAL_DOC, sets=[{"kind": "ball", "p": 2, "radius": 1.0, "centre": [5.0, 5.0]}]), "sets[0].centre"),
+    ("eval", dict(EVAL_DOC, measures=[{"measure": "esd", "alpha": 0.1, "alhpa": 0.5}]), "measures[0].alhpa"),
+    ("eval", dict(EVAL_DOC, sets=[{"kind": "sublevel", "measure": {"measure": "frd", "k": 2.0}}]),
+     "sets[0].measure.k"),
+    ("eval", dict(EVAL_DOC, sets=[{"kind": "star_hull", "of": {"kind": "ball", "radious": 2.0}}]),
+     "sets[0].of.radious"),
+    ("check", {"v": 1, "space": {"probs": [0.25, 0.75]}, "check": [{"set": {"kind": "ball", "resolution": 64}}]},
+     "check[0].set.resolution"),
+    ("polar", {"v": 1, "space": {"probs": [0.5, 0.5]},
+               "polytope": {"rows": [[1, 0], [-1, 0], [0, 1], [0, -1]], "rhs": [1, 1, 1, 1], "kind": "halfspaces"}},
+     "polytope.kind"),
+], ids=["set", "measure", "measure-of-a-set", "nested-set", "check", "polytope"])
+def test_a_member_its_description_does_not_read_exits_2_with_its_path(tmp_path, capsys, command, doc, path):
+    # a misspelt or misplaced member would otherwise change the answer silently
+    assert main([command, "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a member this description reads\n"
+
+
+def test_a_scenario_key_no_command_reads_is_not_refused(tmp_path, capsys):
+    # one scenario may serve several commands, each reading its own keys
+    doc = dict(EVAL_DOC, polytope={"vertices": [[2, 0], [0, 2], [-2, 0], [0, -2]]}, notes="any")
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
+    assert main(["polar", "--scenario", write(tmp_path, "s.json", doc)]) == EXIT_OK
+
+
 def test_polar_of_an_unbounded_halfspace_polytope_exits_2(tmp_path, capsys):
     # y0 <= 2 and |y1| <= 2 are unbounded toward y0 -> -inf: the polar of
     # their two corners would be wrong, so there is none

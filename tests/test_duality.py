@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from minkdev.duality import (
+    BIPOLAR_TOL,
     CHECK_OPTS,
+    DUAL_TOL,
     FACET_POINTS_MAX,
     FLAT_TOL,
     MAX_ENUM_DIM,
+    DualCheckReport,
     DualityError,
     Polytope,
     bipolar_check,
@@ -27,10 +30,11 @@ from minkdev.duality import (
     support_function,
     support_values,
 )
-from minkdev.gauge import GaugeOptions, minkowski_gauge
+from minkdev.gauge import GaugeOptions, gauge_table, minkowski_gauge
 from minkdev.lp import solve_lp
-from minkdev.market import SAMPLE_RANGE, MarketError, MarketSpace, dot, pairing
+from minkdev.market import SAMPLE_RANGE, MarketError, MarketSpace, dot, pairing, sample_positions
 from minkdev.sets import scale_set
+from minkdev.suite import TIGHT_OPTS, _random_polytopes
 
 UNIFORM2 = MarketSpace(np.array([0.5, 0.5]))
 BINARY = MarketSpace(np.array([0.25, 0.75]))
@@ -507,6 +511,64 @@ def test_dual_representation_requires_zero():
 def test_bipolar_of_convex_set_with_zero_is_itself():
     rep = bipolar_check(DIAMOND, trials=300, seed=1)
     assert rep.passed
+
+
+def reference_dual_representation_check(P, trials=100, seed=0, opts=CHECK_OPTS):
+    """``dual_representation_check`` as a loop over rows, with branches."""
+    if not P.contains(np.zeros(P.space.n)):
+        raise DualityError("dual representation requires 0 in the polytope")
+    F = polar(P)
+    X = sample_positions(np.random.default_rng(seed), P.space, trials)
+    [gauges] = gauge_table([P.as_acceptance_set()], X, opts)
+    max_gap = 0.0
+    inf_agree = 0
+    bad = 0
+    for gauge, sup in zip(gauges, support_values(F, X)):
+        g, h = gauge.value, sup.value
+        if math.isinf(g) or math.isinf(h):
+            if math.isinf(g) and math.isinf(h):
+                inf_agree += 1
+            else:
+                bad += 1
+            continue
+        gap = abs(g - h)
+        max_gap = max(max_gap, gap)
+        if gap > DUAL_TOL:
+            bad += 1
+    return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=inf_agree, disagreements=bad)
+
+
+def reference_bipolar_check(P, trials=500, seed=0):
+    """``bipolar_check`` as a loop over rows, with branches."""
+    F = polar(P)
+    V = np.vstack([P.vertex_form(), np.zeros((1, P.space.n))])
+    hull = Polytope.from_vertices(P.space, V)
+    X = sample_positions(np.random.default_rng(seed), P.space, trials)
+    bad = 0
+    max_gap = 0.0
+    for sup, in_hull in zip(support_values(F, X), hull.contains(X, tol=BIPOLAR_TOL).tolist()):
+        h = sup.value
+        in_bipolar = h <= 1.0 + BIPOLAR_TOL
+        if in_bipolar != in_hull:
+            if abs(h - 1.0) <= 10 * BIPOLAR_TOL:
+                continue  # boundary grazing within tolerance
+            bad += 1
+            max_gap = max(max_gap, abs(h - 1.0))
+    return DualCheckReport(trials=trials, max_gap=max_gap, infinite_agreements=0, disagreements=bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 8191])
+def test_dual_checks_report_as_their_row_loops(seed):
+    # criteria 4 and 5's polytopes and draws; every fourth is a cone with 0
+    # as a vertex, where both routes say inf and an unmasked inf - inf warns
+    cones = 0
+    for i, P in enumerate(_random_polytopes(np.random.default_rng(seed), 20)):
+        dual = dual_representation_check(P, trials=100, seed=seed + 1000 + i, opts=TIGHT_OPTS)
+        assert dual == reference_dual_representation_check(P, 100, seed + 1000 + i, TIGHT_OPTS), i
+        cones += dual.infinite_agreements > 0
+        assert bipolar_check(P, 500, seed + 2000 + i) == reference_bipolar_check(P, 500, seed + 2000 + i), i
+    assert cones > 0
 
 
 # --- quantile representation on uniform spaces ------------------------------------

@@ -814,6 +814,15 @@ def test_the_gauge_functional_refuses_a_malformed_position_as_the_gauge_does(bad
     assert str(got.value) == str(expected.value)
 
 
+def test_the_gauge_functional_refuses_a_space_other_than_its_sets():
+    # on another space the set's answer would be the wrong measure's value
+    A = ball_set(MarketSpace(np.full(2, 0.5)), 2.0)
+    D = deviation_from_set(A)
+    assert D.eval(MarketSpace(np.array([0.5, 0.5])), [1.0, 3.0]) == minkowski_gauge(A, [1.0, 3.0]).value
+    for bad in ([1.0, 3.0], np.array([[1.0, 3.0]])):
+        with pytest.raises(MarketError, match="own space"):
+            D.eval(MarketSpace(np.array([0.9, 0.1])), bad)
+
 
 def _audited(A, space):
     """``check_axioms``' reports on the gauge of ``A``."""

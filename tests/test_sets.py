@@ -13,6 +13,7 @@ from minkdev.duality import Polytope
 from minkdev.market import MarketSpace
 from minkdev.sets import (
     FALSIFIERS,
+    RAY_POINTS,
     SetError,
     SetFlags,
     add_constants,
@@ -316,6 +317,40 @@ def test_law_invariance_counterexample_is_the_first_failing_permutation():
     orbit = [list(p) for p in itertools.permutations(range(3))]
     first = next(p for p in orbit if not member(A, x[p]))
     assert member(A, x) and report.counterexample["perm"] == first
+
+
+def recording(A):
+    """``A`` with oracles that log each call: ``"one"`` for ``membership``,
+    and the row count of each ``row_membership`` batch."""
+    calls = []
+
+    def one(x):
+        calls.append("one")
+        return A.membership(x)
+
+    def rows(X):
+        calls.append(len(X))
+        return A.row_membership(X)
+
+    return replace(A, membership=one, row_membership=rows), calls
+
+
+@pytest.mark.parametrize("prop", list(FALSIFIERS))
+def test_a_falsifier_asks_each_case_in_batches(prop):
+    # a set where every case holds, and one where cases fail early: the
+    # report is the same as the plain set's, and no case asks one position
+    for A in (sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0),
+              ball_set(UNIFORM3, 2.0, 0.5, center=[2.0, 2.0, -1.0])):
+        R, calls = recording(A)
+        assert check_property(R, prop, trials=20, seed=3) == check_property(A, prop, trials=20, seed=3)
+        assert calls and "one" not in calls, (A.label, calls)
+
+
+@pytest.mark.parametrize("prop, grid", [("strongly_star_shaped", RAY_POINTS), ("absorbing", 41)])
+def test_a_ray_case_asks_its_whole_scale_grid_in_one_call(prop, grid):
+    R, calls = recording(sublevel_set(UNIFORM3, builtin_deviation("std_dev"), 1.0))
+    assert check_property(R, prop, trials=20, seed=3).trials == 20
+    assert calls == [grid] * 20
 
 
 def test_unknown_property_raises():
