@@ -117,12 +117,13 @@ def cmd_eval(config: argparse.Namespace) -> int:
     names = sorted(positions)
     X = np.array([positions[name] for name in names], dtype=float).reshape(len(names), space.n)
     table = gauge_table(acc_sets, X, config.opts)
+    values = [D.eval(space, X).tolist() for D in measures]
 
     rows = []
     for i, name in enumerate(names):
         entry = {"position": name}
-        for D in measures:
-            entry[D.label] = D.eval(space, positions[name])
+        for D, column in zip(measures, values):
+            entry[D.label] = column[i]
         for key, column in zip(columns, table):
             entry[key] = column[i].value
         rows.append(entry)

@@ -18,7 +18,10 @@ measure once: its closed form, axioms, homogeneity degree and parameter.
 measure descriptions of scenario files) build from it: they check a level
 when the measure is built, and refuse a parameter the measure does not
 take.  ``check_axioms`` audits the axioms a functional declares on sampled
-positions.
+positions: one ``WITNESSES`` entry per axiom draws a case, and each
+axiom's cases are asked of the functional as one batch.  It is the
+library's one sampled axiom audit; ``minkdev check`` and suite criteria 6
+and 7 audit through it.
 
 Quantile integrals are evaluated exactly on the step quantile function, so
 shortfall values carry no quadrature error.  Identities between measures
@@ -180,7 +183,8 @@ _KB_LEVEL = ("kb", False)
 #: form, its axioms, its homogeneity degree, and its parameter: None, a
 #: level, or ``"p"``, the exponent of ``lp_norm``, which ``market.lp_norm``
 #: checks when it is evaluated.  A parameterised closed form is a factory:
-#: given the parameter, it returns the function of ``(space, x)``.
+#: given the parameter, it returns the function of ``(space, x)``.  Axioms
+#: that depend on the parameter are a factory too.
 CATALOGUE = {
     "variance": ("deviation", _variance, replace(_SUBLINEAR, positive_homogeneous=False), 2.0, None),
     "std_dev": ("deviation", _std_dev, _SUBLINEAR, 1.0, None),
@@ -193,9 +197,10 @@ CATALOGUE = {
     "es": ("deviation", lambda a: lambda space, x: expected_shortfall(space, x, a),
            replace(_SUBLINEAR, nonnegative=False, translation_insensitive=False, comonotone_additive=True),
            1.0, _SHORTFALL_LEVEL),
-    # alpha = 0 coincides with lr
+    # alpha = 0 coincides with lr; alpha = 1 is identically 0, so not positive off the constants
     "esd": ("deviation", lambda a: lambda space, x: shortfall_deviation(space, x, a),
-            replace(_SUBLINEAR, comonotone_additive=True, lower_range_dominated=True), 1.0, _SHORTFALL_LEVEL),
+            lambda a: replace(_SUBLINEAR, nonnegative=a < 1.0, comonotone_additive=True, lower_range_dominated=True),
+            1.0, _SHORTFALL_LEVEL),
     "lp_norm": ("error", lambda p: lambda space, x: market.lp_norm(space, x, p), _ERROR, 1.0, "p"),
     "kb": ("error", _kb, _ERROR, 1.0, _KB_LEVEL),
     "sup_range": ("error", _sup_range, _ERROR, 1.0, None),
@@ -228,6 +233,8 @@ def _from_catalogue(kind: str, name: str, alpha, p) -> DeviationFunctional:
     value = _parameter(name, param, alpha, p)
     if value is not None:
         closed_form, label = closed_form(value), f"{name}({value:g})"
+    if callable(axioms):
+        axioms = axioms(value)
     return DeviationFunctional(label=label, eval_fn=closed_form, axioms=axioms, homogeneity_degree=degree)
 
 
@@ -268,54 +275,53 @@ class AxiomReport:
     counterexample: dict | None = None
 
 
-# Each witness draws one sampled case for its axiom and returns the gap the
-# case shows, with the positions and scalars that replay it.
+# Each witness draws one sampled case for its axiom and returns the positions
+# to evaluate, the gap of the case as a function of their values, and the
+# positions and scalars that replay it.
 
-def _nonnegative(D, space, rng):
+def _nonnegative(space, rng):
     x = market.sample_positions(rng, space)
-    v = D.eval(space, x)
-    off_constants = AXIOM_TOL * 2 if np.ptp(x) > 1e-6 and v <= AXIOM_TOL else 0.0  # must be positive there
     c = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE)
-    return max(0.0, -v, off_constants, abs(D.eval(space, np.full(space.n, c)))), {"x": x.tolist()}
+    moves = np.ptp(x) > 1e-6  # off the constants, where the value must be positive
+    gap = lambda v, v_const: max(0.0, -v, AXIOM_TOL * 2 if moves and v <= AXIOM_TOL else 0.0, abs(v_const))
+    return [x, np.full(space.n, c)], gap, {"x": x.tolist()}
 
 
-def _translation_insensitive(D, space, rng):
+def _translation_insensitive(space, rng):
     x = market.sample_positions(rng, space)
     c = rng.uniform(-2 * market.SAMPLE_RANGE, 2 * market.SAMPLE_RANGE)
-    return abs(D.eval(space, x + c) - D.eval(space, x)), {"x": x.tolist(), "c": float(c)}
+    return [x + c, x], lambda shifted, v: abs(shifted - v), {"x": x.tolist(), "c": float(c)}
 
 
-def _positive_homogeneous(D, space, rng):
+def _positive_homogeneous(space, rng):
     x = market.sample_positions(rng, space)
     lam = rng.uniform(0.1, 5.0)
-    base = D.eval(space, x)
-    gap = abs(D.eval(space, lam * x) - lam * base) / max(1.0, lam * abs(base))
-    return gap, {"x": x.tolist(), "lam": float(lam)}
+    gap = lambda scaled, base: abs(scaled - lam * base) / max(1.0, lam * abs(base))
+    return [lam * x, x], gap, {"x": x.tolist(), "lam": float(lam)}
 
 
-def _convex(D, space, rng):
+def _convex(space, rng):
     x, y = market.sample_positions(rng, space, 2)
     lam = rng.uniform(0.0, 1.0)
-    lhs = D.eval(space, lam * x + (1 - lam) * y)
-    rhs = lam * D.eval(space, x) + (1 - lam) * D.eval(space, y)
-    return max(0.0, lhs - rhs), {"x": x.tolist(), "y": y.tolist(), "lam": float(lam)}
+    gap = lambda mix, vx, vy: max(0.0, mix - (lam * vx + (1 - lam) * vy))
+    return [lam * x + (1 - lam) * y, x, y], gap, {"x": x.tolist(), "y": y.tolist(), "lam": float(lam)}
 
 
-def _comonotone_additive(D, space, rng):
+def _comonotone_additive(space, rng):
     x, y = market.sample_comonotone_pair(rng, space, scale=market.SAMPLE_RANGE)
-    gap = abs(D.eval(space, x + y) - D.eval(space, x) - D.eval(space, y))
-    return gap, {"x": x.tolist(), "y": y.tolist()}
+    return [x + y, x, y], lambda total, vx, vy: abs(total - vx - vy), {"x": x.tolist(), "y": y.tolist()}
 
 
-def _law_invariant(D, space, rng):
+def _law_invariant(space, rng):
     x = market.sample_positions(rng, space)
     perm = rng.permutation(space.n)
-    return abs(D.eval(space, x[perm]) - D.eval(space, x)), {"x": x.tolist(), "perm": perm.tolist()}
+    return [x[perm], x], lambda permuted, v: abs(permuted - v), {"x": x.tolist(), "perm": perm.tolist()}
 
 
-def _lower_range_dominated(D, space, rng):
+def _lower_range_dominated(space, rng):
     x = market.sample_positions(rng, space)
-    return max(0.0, D.eval(space, x) - (market.expectation(space, x) - float(np.min(x)))), {"x": x.tolist()}
+    bound = market.expectation(space, x) - float(np.min(x))
+    return [x], lambda v: max(0.0, v - bound), {"x": x.tolist()}
 
 
 #: One witness per ``AxiomFlags`` field.
@@ -340,19 +346,23 @@ def check_axioms(
     ``AxiomFlags`` order, each by its ``WITNESSES`` entry; law invariance
     only on a uniform space.
 
-    Reports carry the worst violation gap, and an axiom passes when it is at
-    most ``AXIOM_TOL``; a returned failure includes a replayable
-    counterexample.
+    An axiom's ``trials`` cases are drawn in turn from one generator, and
+    ``D`` is asked all their positions as one batch.  Reports carry the
+    worst violation gap (a NaN gap, from ``inf - inf``, is skipped), and an
+    axiom passes when it is at most ``AXIOM_TOL``; a returned failure
+    includes a replayable counterexample, the first trial at the worst gap.
     """
     rng = np.random.default_rng(seed)
     reports: list[AxiomReport] = []
     for axiom in (f.name for f in fields(AxiomFlags)):
         if getattr(D.axioms, axiom) is not True or (axiom == "law_invariant" and not space.is_uniform()):
             continue
-        worst = 0.0
-        ce = None
-        for t in range(trials):
-            gap, payload = WITNESSES[axiom](D, space, rng)
+        cases = [WITNESSES[axiom](space, rng) for _ in range(trials)]
+        rows = np.array([positions for positions, _, _ in cases]).reshape(-1, space.n)
+        values = D.eval(space, rows).reshape(trials, -1).tolist() if trials else []
+        worst, ce = 0.0, None
+        for t, ((_, gap_of, payload), v) in enumerate(zip(cases, values)):
+            gap = gap_of(*v)
             if gap > worst:
                 worst = gap
                 if gap > AXIOM_TOL:

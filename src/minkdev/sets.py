@@ -320,14 +320,13 @@ def add_constants(A: AcceptanceSet) -> AcceptanceSet:
     if interval is not None:
         lo, hi = interval(np.zeros(space.n))
         contains_zero = bool(lo <= hi)
-    flags = SetFlags(
+    flags = replace(
+        A.flags,
         star_shaped=True if A.flags.star_shaped is True or (contains_zero and A.flags.convex is True)
         else None,
-        convex=A.flags.convex,
         closed=None,
         stable_scalar_add=True,
         radially_bounded_nonconst=None,
-        law_invariant=A.flags.law_invariant,
         contains_zero=True if contains_zero else None,
     )
 
@@ -386,14 +385,12 @@ def star_hull(A: AcceptanceSet, resolution: int = 256) -> AcceptanceSet:
                 return A.membership(z)
             return bool(A.row_membership(z / grid).any())
 
-    flags = SetFlags(
+    flags = replace(
+        A.flags,
         star_shaped=True,
         convex=A.flags.convex if A.flags.convex is True and A.flags.contains_zero is True else None,
         closed=None,
         stable_scalar_add=None,
-        radially_bounded_nonconst=A.flags.radially_bounded_nonconst,
-        law_invariant=A.flags.law_invariant,
-        contains_zero=A.flags.contains_zero,
     )
     return AcceptanceSet(
         space=A.space,
@@ -470,19 +467,10 @@ def law_invariant_hull(A: AcceptanceSet) -> AcceptanceSet:
                 return orbits(X)
             return np.concatenate([orbits(X[i:i + step]) for i in range(0, len(X), step)])
 
-    flags = SetFlags(
-        star_shaped=A.flags.star_shaped,
-        convex=A.flags.convex,
-        closed=A.flags.closed,
-        stable_scalar_add=A.flags.stable_scalar_add,
-        radially_bounded_nonconst=A.flags.radially_bounded_nonconst,
-        law_invariant=True,
-        contains_zero=A.flags.contains_zero,
-    )
     return AcceptanceSet(
         space=space,
         membership=member,
-        flags=flags,
+        flags=replace(A.flags, law_invariant=True),
         label=f"lawhull({A.label})" if A.label else "",
         row_membership=rows,
     )

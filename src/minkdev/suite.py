@@ -3,9 +3,11 @@
 Each check compares two independent computational routes to the same
 quantity — closed forms against gauge bisection, bisection against the
 polar LP, set algebra against measure algebra — and returns a plain-data
-report.  Reports are deterministic for a fixed seed (no timestamps, no
-wall-clock fields), which is what makes the byte-identical determinism
-check meaningful; timings are returned separately.
+report.  Criteria 6 and 7 audit axioms through ``deviations.check_axioms``
+and draw no positions of their own.  Reports are deterministic for a
+fixed seed (no timestamps, no wall-clock fields), which is what makes the
+byte-identical determinism check meaningful; timings are returned
+separately.
 
 The registry at the bottom is consumed by the command-line ``suite``
 command and by the acceptance test battery.
@@ -16,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import duality, market, sets
-from .deviations import builtin_deviation, builtin_error, AxiomFlags, DeviationFunctional
+from .deviations import builtin_deviation, builtin_error, check_axioms, AxiomFlags, DeviationFunctional
 from .duality import Polytope
 from .gauge import GaugeOptions, deviation_from_set, gauge_table, minkowski_gauge, shift_infimum_gauge
 from .market import MarketSpace
@@ -199,20 +202,18 @@ def check_bipolar(seed: int = 0) -> dict:
 
 def check_comonotone_additivity(seed: int = 0) -> dict:
     """Quantile-based measures are additive on comonotone pairs; the
-    standard deviation is not (witness required)."""
-    rng = np.random.default_rng(seed)
+    standard deviation is not (witness required).  Each measure is audited
+    by ``check_axioms`` for this axiom alone, all at ``seed``, so every
+    measure sees the same pairs."""
     space = MarketSpace(np.array([0.1, 0.2, 0.3, 0.4]))
-    additive = [builtin_deviation("esd", alpha=0.1), builtin_deviation("lr"), builtin_deviation("frd")]
-    sd = builtin_deviation("std_dev")
-    max_gap = 0.0
-    sigma_witness_gap = 0.0
-    for _ in range(200):
-        x, y = market.sample_comonotone_pair(rng, space, scale=3.0)
-        for D in additive:
-            gap = abs(D.eval(space, x + y) - D.eval(space, x) - D.eval(space, y))
-            max_gap = max(max_gap, gap)
-        sgap = sd.eval(space, x) + sd.eval(space, y) - sd.eval(space, x + y)
-        sigma_witness_gap = max(sigma_witness_gap, sgap)
+
+    def worst_gap(D: DeviationFunctional) -> float:
+        [report] = check_axioms(replace(D, axioms=AxiomFlags(comonotone_additive=True)), space, 200, seed)
+        return report.worst_gap
+
+    max_gap = max(worst_gap(builtin_deviation(name, **kw))
+                  for name, kw in (("esd", {"alpha": 0.1}), ("lr", {}), ("frd", {})))
+    sigma_witness_gap = worst_gap(builtin_deviation("std_dev"))
     return {"criterion": "comonotone_additivity",
             "passed": max_gap < 1e-7 and sigma_witness_gap > 1e-3,
             "max_gap": _round(max_gap),
@@ -252,76 +253,36 @@ def _admissible_set(rng: np.random.Generator, space: MarketSpace, convex: bool, 
     return _unit_set(space, norms, axioms)
 
 
-#: Positions criterion 7 draws for each of its 20 sets.
+#: Trials ``check_axioms`` draws for each axiom of each of criterion 7's 20
+#: sets.
 TRIALS_PER_SET = 500
 
 
 def check_axiom_propagation(seed: int = 0) -> dict:
     """Gauges of admissible sets, read as ``deviation_from_set``, are
     deviation measures that declare, and show, the axioms the set was built
-    to give.  Sampled with zero tolerance-adjusted counterexamples allowed."""
+    to give.  Each gauge is audited by ``check_axioms``: every declared
+    axiom within ``AXIOM_TOL``, and zero on the constants within 1e-9."""
     rng = np.random.default_rng(seed)
     space = MarketSpace(np.full(4, 0.25))
     failures = 0
-    max_translation = 0.0
-    max_homog = 0.0
-    max_subadd = 0.0
-    max_law = 0.0
-    perms = np.array([[1, 0, 3, 2], [3, 2, 1, 0], [2, 3, 0, 1]])
+    worst = dict.fromkeys(("translation_insensitive", "positive_homogeneous", "convex", "law_invariant"), 0.0)
     for i in range(20):
         convex = i % 2 == 0
         law = i < 10
-        A = _admissible_set(rng, space, convex=convex, law_invariant=law)
-        # every position of the set first, in draw order, then one table
-        rows = [np.full(space.n, float(rng.uniform(-3, 3)))]  # a constant
-        trials = []
-        for _ in range(TRIALS_PER_SET):
-            x = market.sample_positions(rng, space)
-            c = float(rng.uniform(-5.0, 5.0))
-            lam = float(rng.uniform(0.2, 4.0))
-            rows += [x, x + c, lam * x]
-            if convex:
-                y = market.sample_positions(rng, space)
-                rows += [0.5 * (x + y), y]
-            if law:
-                rows.append(x[perms[int(rng.integers(0, 3))]])
-            trials.append((x, lam))
-        D = deviation_from_set(A, SUITE_OPTS)
+        D = deviation_from_set(_admissible_set(rng, space, convex=convex, law_invariant=law), TIGHT_OPTS)
         failures += D.axioms != AxiomFlags(nonnegative=True, translation_insensitive=True,
                                            positive_homogeneous=True, convex=convex or None,
                                            law_invariant=law or None)
-        g = iter(D.eval(space, np.array(rows)).tolist())
-        # zero on constants
-        if abs(next(g)) > 1e-9:
-            failures += 1
-        for x, lam in trials:
-            gx, g_shift, g_scale = next(g), next(g), next(g)
-            if np.ptp(x) > 1e-6 and not gx > 0.0:
-                failures += 1
-            gap_t = abs(g_shift - gx)
-            max_translation = max(max_translation, gap_t)
-            if gap_t >= 1e-6:
-                failures += 1
-            gap_h = abs(g_scale - lam * gx) / max(1.0, lam * gx)
-            max_homog = max(max_homog, gap_h)
-            if gap_h >= 1e-7:
-                failures += 1
-            if convex:
-                g_mid, gy = next(g), next(g)
-                gap_s = g_mid - 0.5 * (gx + gy)
-                max_subadd = max(max_subadd, gap_s)
-                if gap_s >= 1e-6:
-                    failures += 1
-            if law:
-                gap_l = abs(next(g) - gx)
-                max_law = max(max_law, gap_l)
-                if gap_l >= 1e-6:
-                    failures += 1
+        for r in check_axioms(D, space, TRIALS_PER_SET, int(rng.integers(2**32))):
+            failures += not r.passed or (r.axiom == "nonnegative" and r.worst_gap > 1e-9)
+            if r.axiom in worst:
+                worst[r.axiom] = max(worst[r.axiom], r.worst_gap)
     return {"criterion": "axiom_propagation", "passed": failures == 0,
-            "failures": failures, "max_translation_gap": _round(max_translation),
-            "max_homogeneity_gap": _round(max_homog),
-            "max_subadditivity_gap": _round(max_subadd),
-            "max_law_invariance_gap": _round(max_law), "seed": seed}
+            "failures": failures, "max_translation_gap": _round(worst["translation_insensitive"]),
+            "max_homogeneity_gap": _round(worst["positive_homogeneous"]),
+            "max_subadditivity_gap": _round(worst["convex"]),
+            "max_law_invariance_gap": _round(worst["law_invariant"]), "seed": seed}
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minkdev import cli
+from minkdev import cli, deviations
 from minkdev.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     main,
 )
+from minkdev.market import MarketSpace
 
 
 def write(tmp_path, name, doc):
@@ -56,6 +57,31 @@ def test_eval_csv_format(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("position,")
     assert len(lines) == 4
+
+
+def test_eval_asks_each_measure_once_for_all_positions(tmp_path, capsys, monkeypatch):
+    kind, closed_form, *rest = deviations.CATALOGUE["std_dev"]
+    shapes = []
+
+    def recording(space, x):
+        shapes.append(x.shape)
+        return closed_form(space, x)
+
+    monkeypatch.setitem(deviations.CATALOGUE, "std_dev", (kind, recording, *rest))
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", EVAL_DOC)]) == EXIT_OK
+    assert shapes == [(3, 2)]
+    rows = json.loads(capsys.readouterr().out)["results"]
+    space = MarketSpace(np.array([0.25, 0.75]))
+    assert [r["std_dev"] for r in rows] == [closed_form(space, np.array(EVAL_DOC["positions"][r["position"]]))
+                                            for r in rows]
+
+
+@pytest.mark.parametrize("fmt, out", [("json", '{\n  "results": [],\n  "v": 1\n}\n'), ("csv", "position\n")])
+def test_eval_of_a_scenario_without_positions_exits_0_with_no_rows(tmp_path, capsys, fmt, out):
+    doc = dict(EVAL_DOC, positions={}, measures=["variance", "lower_semidev", "lr", "ur", "frd",
+                                                 {"measure": "es", "alpha": 0.0}, {"measure": "esd", "alpha": 0.5}])
+    assert main(["eval", "--scenario", write(tmp_path, "s.json", doc), "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
 def test_eval_determinism(tmp_path):
@@ -282,11 +308,20 @@ def test_check_command_pass_and_fail(tmp_path, capsys):
 DATA = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("name", ["check_scenario", "check_scenario_weighted"])
-def test_check_report_matches_golden(name, capsys):
+#: Each golden check scenario and its exit code.
+GOLDEN_CHECKS = {
     # every property holds on one set and fails on another; default audits,
     # law invariance skipped on the weighted space; one measure's axioms
-    assert main(["check", "--scenario", str(DATA / f"{name}.json"), "--seed", "0"]) == EXIT_CHECK_FAILED
+    "check_scenario": EXIT_CHECK_FAILED,
+    "check_scenario_weighted": EXIT_CHECK_FAILED,
+    # every deviation of the catalogue, es and esd at three levels: all pass
+    "check_measures_scenario": EXIT_OK,
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CHECKS)
+def test_check_report_matches_golden(name, capsys):
+    assert main(["check", "--scenario", str(DATA / f"{name}.json"), "--seed", "0"]) == GOLDEN_CHECKS[name]
     golden = DATA / f"{name.replace('scenario', 'report')}_seed0.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 

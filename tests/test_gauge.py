@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkdev import gauge
-from minkdev.deviations import builtin_deviation, builtin_error, check_axioms
+from minkdev import gauge, market, suite
+from minkdev.deviations import AxiomFlags, builtin_deviation, builtin_error, check_axioms
 from minkdev.gauge import (
     GaugeOptions,
     deviation_from_set,
@@ -553,7 +553,6 @@ def test_table_equals_each_cell_over_the_catalogue(opts, scale_range, monkeypatc
 
 
 def test_suite_sets_answer_batches_row_by_row_and_tabulate_cell_by_cell():
-    from minkdev import suite
     rng = np.random.default_rng(21)
     uniform4 = MarketSpace(np.full(4, 0.25))
     admissible = [suite._admissible_set(rng, uniform4, convex=convex, law_invariant=law)
@@ -858,6 +857,30 @@ def test_criterion_7_fails_when_the_correspondence_drops_convexity(monkeypatch):
     monkeypatch.setattr(gauge, "FLAG_AXIOMS", {k: v for k, v in gauge.FLAG_AXIOMS.items() if k != "convex"})
     report = check_axiom_propagation(seed=0)
     assert report["passed"] is False and report["failures"] == 10      # the ten convex sets
+
+
+def test_criterion_7_fails_when_a_set_drops_the_centring_but_declares_translation(monkeypatch):
+    def uncentred(rng, space, convex, law_invariant):
+        """``suite._admissible_set`` over norms of the position itself, not
+        of the centred position, still declared translation insensitive."""
+        def make(pick: int):
+            p = [1.0, 2.0, math.inf][pick % 3]
+            if law_invariant:
+                w = np.full(space.n, float(rng.uniform(0.5, 2.0)))
+            else:
+                w = rng.uniform(0.5, 2.0, size=space.n)
+            return lambda sp, x: market.lp_norm(sp, w * x, p)
+
+        norms = [make(int(rng.integers(0, 3))) for _ in range(1 if convex else 2)]
+        return suite._unit_set(space, norms, AxiomFlags(nonnegative=True, translation_insensitive=True,
+                                                        positive_homogeneous=True, convex=True,
+                                                        law_invariant=law_invariant))
+
+    monkeypatch.setattr(suite, "_admissible_set", uncentred)
+    report = check_axiom_propagation(seed=0)
+    # each set fails zero on the constants and translation insensitivity
+    assert report["passed"] is False and report["failures"] == 40
+    assert report["max_translation_gap"] > 1e-3
 
 def test_shift_infimum_matches_add_constants_route():
     A = sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0)
