@@ -9,7 +9,7 @@ tying the routes together round out the toolbox.
 
 from .market import MarketSpace, as_position, expectation, left_quantile
 from .sets import AcceptanceSet, SetFlags, sublevel_set, add_constants, star_hull
-from .gauge import GaugeOptions, GaugeResult, minkowski_gauge, shift_infimum_gauge
+from .gauge import GaugeOptions, GaugeResult, minkowski_gauge
 from .deviations import AxiomFlags, DeviationFunctional, builtin_deviation, builtin_error
 from .duality import Polytope, polar, support_function
 
@@ -26,7 +26,6 @@ __all__ = [
     "GaugeOptions",
     "GaugeResult",
     "minkowski_gauge",
-    "shift_infimum_gauge",
     "AxiomFlags",
     "DeviationFunctional",
     "builtin_deviation",

@@ -284,7 +284,7 @@ def _nonnegative(space, rng):
     c = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE)
     moves = np.ptp(x) > 1e-6  # off the constants, where the value must be positive
     gap = lambda v, v_const: max(0.0, -v, AXIOM_TOL * 2 if moves and v <= AXIOM_TOL else 0.0, abs(v_const))
-    return [x, np.full(space.n, c)], gap, {"x": x.tolist()}
+    return [x, np.full(space.n, c)], gap, {"x": x.tolist(), "c": float(c)}
 
 
 def _translation_insensitive(space, rng):

@@ -35,8 +35,9 @@ Any other set it asks one position per ``membership`` call.
 ``gauge_table`` gives the gauge of many sets at many positions, each cell
 equal to ``minkowski_gauge``; once a table is large enough, its cells of
 star-shaped sets walk in lockstep, each step asking every set one batch of
-its open cells.  ``shift_infimum_gauge`` minimises the gauge over constant
-shifts of the position.
+its open cells.  The gauge minimised over constant shifts of the
+position, ``inf_c gauge(A, x - c)``, is the gauge of
+``sets.add_constants(A)``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import AxiomFlags, DeviationFunctional
-from .market import MarketError, MarketSpace, as_position, as_positions, expectation
+from .market import MarketError, MarketSpace, as_position, as_positions
 from .sets import FLAG_AXIOMS, AcceptanceSet
 
 
@@ -102,12 +103,6 @@ WALK_DEPTH = 4
 # resident set at import.
 _DOUBLINGS = np.array([2.0 ** i for i in range(WALK_DEPTH)])
 _SPLITS = np.array([(j - 2 ** (WALK_DEPTH - 1)) / 2 ** WALK_DEPTH for j in range(1, 2 ** WALK_DEPTH)])
-
-# ``shift_infimum_gauge``'s search: the size of its uniform scan on a set
-# not declared convex, and the bracket width its golden sections stop at.
-SHIFT_SCAN_POINTS = 129
-SHIFT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GaugeResult:
@@ -406,85 +401,3 @@ def deviation_from_set(A: AcceptanceSet, opts: GaugeOptions = DEFAULT_OPTIONS):
         homogeneity_degree=1.0,
     )
 
-
-@dataclass(frozen=True)
-class ShiftGaugeResult:
-    """Result of minimising the gauge over scalar shifts of the position."""
-
-    value: float
-    shift: float
-    gauge: GaugeResult
-
-
-def shift_infimum_gauge(A: AcceptanceSet, x, opts: GaugeOptions = DEFAULT_OPTIONS) -> ShiftGaugeResult:
-    """Compute ``inf_c gauge(A, x - c)``, the gauge of ``A + R`` evaluated
-    through the shifted-position route: candidate shifts, then a
-    golden-section search if ``A`` is declared convex and a scan with golden
-    refinement otherwise (``_minimise_shift``).
-    ``x`` must be a finite position of ``A.space`` (``MarketError`` otherwise).
-    """
-    x = as_position(A.space, x)
-    solved: dict[float, GaugeResult] = {}
-
-    def value(c: float) -> float:
-        if c not in solved:
-            solved[c] = minkowski_gauge(A, x - c, opts)
-        return solved[c].value
-
-    best_c = _minimise_shift(value, A.space, x, convex=A.flags.convex is True)
-    result = solved[best_c]
-    return ShiftGaugeResult(value=result.value, shift=best_c, gauge=result)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden(f, a: float, b: float) -> float:
-    """Golden-section minimiser of a unimodal function on [a, b], to ``SHIFT_TOL``."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > SHIFT_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _minimise_shift(f, space: MarketSpace, x: np.ndarray, convex: bool) -> float:
-    """A shift ``c`` minimising ``f``, a function of ``x - c``.
-
-    Candidate shifts (entries, mean, median, midrange) are probed exactly —
-    they contain the minimiser for the piecewise-linear and quadratic
-    families — and the first one that attains the least value is kept
-    unless the search finds a smaller one.  The search runs over the data
-    range padded by ``max(1, range)``: golden-section for a convex ``f``,
-    otherwise a uniform scan of ``SHIFT_SCAN_POINTS`` shifts with golden
-    refinement around the best cell.  ``f`` is asked again at shifts it
-    has seen, so it should cache its values.
-    """
-    lo_x, hi_x = float(np.min(x)), float(np.max(x))
-    pad = max(1.0, hi_x - lo_x)
-    lo_c, hi_c = lo_x - pad, hi_x + pad
-
-    candidates = {float(v) for v in x}
-    candidates |= {expectation(space, x), float(np.median(x)), 0.5 * (lo_x + hi_x)}
-    best = min(candidates, key=f)
-
-    if convex:
-        found = [_golden(f, lo_c, hi_c)]
-    else:
-        grid = np.linspace(lo_c, hi_c, SHIFT_SCAN_POINTS)
-        i = int(np.argmin([f(float(c)) for c in grid]))
-        a = float(grid[max(0, i - 1)])
-        b = float(grid[min(SHIFT_SCAN_POINTS - 1, i + 1)])
-        found = [_golden(f, a, b), float(grid[i])]
-    for c in found:
-        if f(c) < f(best):
-            best = c
-    return best

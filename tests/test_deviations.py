@@ -154,6 +154,16 @@ def test_check_axioms_catches_a_planted_false_flag():
     assert como[0].counterexample is not None
 
 
+def test_nonnegative_counterexample_carries_the_constant_it_evaluates():
+    # an error measure is positive on the constants, so the gap comes from
+    # the constant ``c`` the witness evaluates, which the payload must carry
+    D = builtin_error("lp_norm", p=2.0)
+    [report] = [r for r in check_axioms(D, SPACE4, trials=20) if r.axiom == "nonnegative"]
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["gap"] == abs(D.eval(SPACE4, np.full(4, ce["c"])))
+
+
 # The audit one case at a time: each witness asks ``D`` its case's positions
 # one by one, and returns the gap with the positions and scalars that replay
 # it.  ``check_axioms`` must report exactly what this loop reports.
@@ -163,7 +173,7 @@ def _nonnegative(D, space, rng):
     v = D.eval(space, x)
     off_constants = AXIOM_TOL * 2 if np.ptp(x) > 1e-6 and v <= AXIOM_TOL else 0.0  # must be positive there
     c = rng.uniform(-market.SAMPLE_RANGE, market.SAMPLE_RANGE)
-    return max(0.0, -v, off_constants, abs(D.eval(space, np.full(space.n, c)))), {"x": x.tolist()}
+    return max(0.0, -v, off_constants, abs(D.eval(space, np.full(space.n, c)))), {"x": x.tolist(), "c": float(c)}
 
 
 def _translation_insensitive(D, space, rng):

@@ -16,7 +16,6 @@ from minkdev.gauge import (
     deviation_from_set,
     gauge_table,
     minkowski_gauge,
-    shift_infimum_gauge,
 )
 from minkdev.duality import Polytope
 from minkdev.market import MarketError, MarketSpace
@@ -136,8 +135,7 @@ BAD_POSITIONS = {
 
 
 @pytest.mark.parametrize("bad", list(BAD_POSITIONS), ids=list(BAD_POSITIONS))
-@pytest.mark.parametrize("solver", [minkowski_gauge, shift_infimum_gauge],
-                         ids=["gauge", "shift_infimum"])
+@pytest.mark.parametrize("solver", [minkowski_gauge], ids=["gauge"])
 def test_solvers_reject_invalid_positions(solver, bad):
     A = ball_set(SPACE4, p=2.0, radius=1.0)
     with pytest.raises(MarketError):
@@ -883,14 +881,16 @@ def test_criterion_7_fails_when_a_set_drops_the_centring_but_declares_translatio
     assert report["max_translation_gap"] > 1e-3
 
 def test_shift_infimum_matches_add_constants_route():
-    A = sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0)
-    AR = add_constants(A)
+    # inf_c E(x - c) is the error projection of E: esd(0.1) for kb(0.1), and
+    # the full range for 2 ||.||_inf, the gauge of {||x||_inf <= 0.5}
+    cases = [(sublevel_set(SPACE4, builtin_error("kb", alpha=0.1), 1.0), builtin_deviation("esd", alpha=0.1)),
+             (sublevel_set(SPACE4, builtin_error("lp_norm", p=math.inf), 0.5), builtin_deviation("frd"))]
     rng = np.random.default_rng(3)
-    for _ in range(15):
-        x = rng.uniform(-4, 4, size=4)
-        via_set = minkowski_gauge(AR, x, TIGHT).value
-        via_shift = shift_infimum_gauge(A, x, TIGHT).value
-        assert via_shift == pytest.approx(via_set, abs=1e-6)
+    for A, projection in cases:
+        AR = add_constants(A)
+        for _ in range(15):
+            x = rng.uniform(-4, 4, size=4)
+            assert minkowski_gauge(AR, x, TIGHT).value == pytest.approx(projection.eval(SPACE4, x), abs=1e-9)
 
 
 def test_add_constants_of_a_shift_stable_set_is_that_set():
@@ -915,33 +915,3 @@ def test_add_constants_gauge_vanishes_at_constants_whatever_their_level():
     x = np.array([1.5, 1.5, 1.5 + 1e-9])
     want = builtin_deviation("std_dev").eval(UNIFORM3, x)
     assert minkowski_gauge(AR, x).value == pytest.approx(want, rel=0.0, abs=2e-12)
-
-
-def test_shift_infimum_of_ball_is_std_dev():
-    ball = ball_set(SPACE4, p=2.0, radius=1.0)
-    sd = builtin_deviation("std_dev")
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        x = rng.uniform(-4, 4, size=4)
-        res = shift_infimum_gauge(ball, x, TIGHT)
-        assert res.value == pytest.approx(sd.eval(SPACE4, x), abs=1e-8)
-        # the optimal shift for the L2 ball is the mean
-        assert res.shift == pytest.approx(float(SPACE4.probs @ x), abs=1e-4)
-
-
-def test_shift_search_solves_each_shifted_position_once(monkeypatch):
-    solved = []
-
-    def recording(A, x, opts=gauge.DEFAULT_OPTIONS):
-        solved.append(x.tobytes())
-        return minkowski_gauge(A, x, opts)
-    monkeypatch.setattr(gauge, "minkowski_gauge", recording)
-    ball = ball_set(SPACE4, p=2.0, radius=1.0)
-    scanned = replace(ball, flags=replace(ball.flags, convex=None))   # scan, then golden
-    rng = np.random.default_rng(25)
-    for A in (ball, scanned):
-        for _ in range(5):
-            solved.clear()
-            res = shift_infimum_gauge(A, rng.uniform(-4, 4, size=4), TIGHT)
-            assert len(solved) > 30 and len(set(solved)) == len(solved)
-            assert res.value == res.gauge.value
